@@ -15,9 +15,7 @@ from .multiindex import (
 from .basefield import BaseElem, ParamPoly, hasse_derive, poly_divexact, poly_gcd
 from .series import (
     TruncatedElement,
-    taylor_expand,
     trunc_inverse,
-    trunc_mul,
     twist_expand,
     twist_inverse,
     twist_psi,
@@ -27,7 +25,6 @@ from .diffpoly import (
     DiffPoly,
     DiffSymbol,
     apply_d,
-    poly_eval,
     symbol_derive,
     taylor_oracle,
 )
@@ -64,7 +61,6 @@ from .layered import (
     report_passed,
     tensor_left_action,
     tensor_right_action,
-    tensor_theta,
     theta,
     twisted_tensor_check,
 )
@@ -84,9 +80,9 @@ __all__ = [
     "enumerate_multiindices", "graded_lex_key", "index_add", "index_leq",
     "index_size", "indices_below", "splittings", "unit_index", "zero_index",
     "BaseElem", "ParamPoly", "hasse_derive", "poly_divexact", "poly_gcd",
-    "TruncatedElement", "taylor_expand", "trunc_inverse", "trunc_mul",
-    "twist_expand", "twist_inverse", "twist_psi",
-    "DerivationMode", "DiffPoly", "DiffSymbol", "apply_d", "poly_eval",
+    "TruncatedElement", "trunc_inverse", "twist_expand", "twist_inverse",
+    "twist_psi",
+    "DerivationMode", "DiffPoly", "DiffSymbol", "apply_d",
     "symbol_derive", "taylor_oracle",
     "PointNotOnVariety", "ProlongationPresentation", "VarietyPresentation",
     "apply_lift", "base_change", "base_change_elem", "base_change_poly",
@@ -97,7 +93,7 @@ __all__ = [
     "check_phi_psi_inverse", "check_theta_relations", "layered_expand",
     "multinomial_identity_check", "ordered_partitions", "outer_derive",
     "phi", "psi", "report_passed", "tensor_left_action", "tensor_right_action",
-    "tensor_theta", "theta", "twisted_tensor_check",
+    "theta", "twisted_tensor_check",
     "InputDocument", "ParseError", "parse_assignments", "parse_document",
     "render_document",
     "CHECK_NAMES", "run_checks",

@@ -18,6 +18,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Mapping, Sequence, Union
 
+from . import termdict
 from .fields import FieldDescriptor, Scalar, binom
 
 Coeffish = Union[Scalar, int, Fraction]
@@ -77,15 +78,7 @@ class ParamPoly:
 
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
         self._check(other)
-        out = dict(self.terms)
-        for e, c in other.terms.items():
-            s = out.get(e)
-            s = c if s is None else s + c
-            if s:
-                out[e] = s
-            else:
-                out.pop(e, None)
-        return ParamPoly(out, self.field)
+        return ParamPoly(termdict.add(self.terms, other.terms.items()), self.field)
 
     def __neg__(self) -> "ParamPoly":
         return ParamPoly({e: -c for e, c in self.terms.items()}, self.field)
@@ -95,36 +88,16 @@ class ParamPoly:
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
         self._check(other)
-        out: dict = {}
-        for e1, c1 in self.terms.items():
-            for e2, c2 in other.terms.items():
-                e = tuple(a + b for a, b in zip(e1, e2))
-                c = c1 * c2
-                s = out.get(e)
-                s = c if s is None else s + c
-                if s:
-                    out[e] = s
-                else:
-                    out.pop(e, None)
-        return ParamPoly(out, self.field)
+        return ParamPoly(termdict.mul(self.terms, other.terms, termdict.exp_add), self.field)
 
     def __pow__(self, k: int) -> "ParamPoly":
         if k < 0:
             raise ValueError("negative power of a polynomial")
-        acc = ParamPoly.const(self.field, 1)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
+        return termdict.power(self, k, ParamPoly.const(self.field, 1))
 
     def scale(self, c: Coeffish) -> "ParamPoly":
         c = c if isinstance(c, Scalar) else self.field.scalar(c)
-        if not c:
-            return ParamPoly.zero(self.field)
-        return ParamPoly({e: cc * c for e, cc in self.terms.items()}, self.field)
+        return ParamPoly(termdict.scale(self.terms, c), self.field)
 
     # -- structure queries -------------------------------------------------
 
@@ -157,24 +130,15 @@ class ParamPoly:
         """D_{i,k} of the polynomial: C(e_i, k) s_i^{e_i - k} per monomial."""
         if k == 0:
             return self
-        out: dict = {}
-        fld = self.field
-        for e, c in self.terms.items():
-            if e[i] < k:
-                continue
-            b = binom(e[i], k, fld)
-            if not b:
-                continue
-            ne = list(e)
-            ne[i] -= k
-            ne = tuple(ne)
-            s = out.get(ne)
-            s = b * c if s is None else s + b * c
-            if s:
-                out[ne] = s
-            else:
-                out.pop(ne, None)
-        return ParamPoly(out, fld)
+        # e -> e - k*unit_i is injective, so no two terms collide
+        return ParamPoly(
+            {
+                e[:i] + (e[i] - k,) + e[i + 1 :]: binom(e[i], k, self.field) * c
+                for e, c in self.terms.items()
+                if e[i] >= k
+            },
+            self.field,
+        )
 
     # -- rendering -----------------------------------------------------------
 
@@ -310,16 +274,11 @@ def _pseudo_rem(a: dict[int, ParamPoly], b: dict[int, ParamPoly]) -> dict[int, P
             break
         lr = r.pop(dr)
         # r := lb*r - lr*v^(dr-db)*b, cancelling the head term
-        nr: dict[int, ParamPoly] = {}
-        for d, c in r.items():
-            nr[d] = c * lb
-        for d, c in b.items():
-            if d == db:
-                continue
-            k = d + dr - db
-            prod = c * lr
-            nr[k] = nr[k] - prod if k in nr else -prod
-        r = _scalar_rescale({d: c for d, c in nr.items() if c})
+        nr = termdict.add(
+            {d: c * lb for d, c in r.items()},
+            ((d + dr - db, -(c * lr)) for d, c in b.items() if d != db),
+        )
+        r = _scalar_rescale(nr)
     return r
 
 
@@ -338,23 +297,13 @@ def _gcd_univar(f: ParamPoly, g: ParamPoly, v: int) -> ParamPoly:
     b = {e[v]: c for e, c in g.terms.items()}
     while b:
         db = max(b)
-        inv = b[db].inverse()
-        b = {d: c * inv for d, c in b.items()}
+        b = termdict.scale(b, b[db].inverse())
         while a:
             da = max(a)
             if da < db:
                 break
             lead = a.pop(da)
-            for d, c in b.items():
-                if d == db:
-                    continue
-                k = d + da - db
-                s = a.get(k)
-                s = -c * lead if s is None else s - c * lead
-                if s:
-                    a[k] = s
-                else:
-                    a.pop(k, None)
+            a = termdict.add(a, ((d + da - db, -c * lead) for d, c in b.items() if d != db))
         a, b = b, a
     out = {}
     proto = [0] * f.field.param_count
@@ -367,27 +316,14 @@ def _gcd_univar(f: ParamPoly, g: ParamPoly, v: int) -> ParamPoly:
 
 def _eval_except(p: ParamPoly, v: int, values: dict[int, Scalar]) -> ParamPoly:
     """Substitute scalars for every variable except v, leaving a univariate poly."""
-    out: dict = {}
-    field = p.field
-    proto = [0] * field.param_count
+    proto = (0,) * p.field.param_count
+    pairs = []
     for e, c in p.terms.items():
-        acc = c
         for i, k in enumerate(e):
-            if i == v or not k:
-                continue
-            acc = acc * values[i] ** k
-        if not acc:
-            continue
-        ne = proto[:]
-        ne[v] = e[v]
-        ne = tuple(ne)
-        s = out.get(ne)
-        s = acc if s is None else s + acc
-        if s:
-            out[ne] = s
-        else:
-            out.pop(ne, None)
-    return ParamPoly(out, field)
+            if i != v and k:
+                c = c * values[i] ** k
+        pairs.append((proto[:v] + (e[v],) + proto[v + 1 :], c))
+    return ParamPoly(termdict.add({}, pairs), p.field)
 
 
 def _eval_points(field: FieldDescriptor) -> list[int]:
@@ -670,14 +606,7 @@ class BaseElem:
     def __pow__(self, k: int) -> "BaseElem":
         if k < 0:
             return self.inverse() ** (-k)
-        acc = BaseElem.one(self.field)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
+        return termdict.power(self, k, BaseElem.one(self.field))
 
     # -- queries and rendering ----------------------------------------------
 
@@ -696,7 +625,9 @@ class BaseElem:
         if len(self.num.terms) > 1:
             num_s = f"({num_s})"
         den_s = self.den.render()
-        if len(self.den.terms) > 1:
+        # a monic monomial renders as its factors joined by "*"; "/" binds
+        # only the first factor, so any product needs parentheses too
+        if len(self.den.terms) > 1 or "*" in den_s:
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 

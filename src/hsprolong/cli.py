@@ -128,6 +128,21 @@ def cmd_check(args: argparse.Namespace) -> int:
     return OK if ok else CHECK_FAILED
 
 
+def _at_least(least: int):
+    """argparse type: an int no smaller than least."""
+
+    def value(text: str) -> int:
+        try:
+            n = int(text)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+        if n < least:
+            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        return n
+
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="hsprolong",
@@ -166,11 +181,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("check", help="run verification suites")
     p.add_argument("suite", choices=list(CHECK_NAMES) + ["all"])
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=int, default=100)
-    p.add_argument("--order", type=int, default=2, help="truncation order for twist/theta/tensor")
+    p.add_argument("--trials", type=_at_least(1), default=100)
+    p.add_argument("--order", type=_at_least(0), default=2, help="truncation order for twist/theta/tensor")
     p.add_argument("--outer", type=int, default=4, help="outer bound N for phi/psi")
-    p.add_argument("--inner", type=int, default=2, help="inner order m for phi/psi")
-    p.add_argument("--max", type=int, default=12, help="largest k for the multinomial identity")
+    p.add_argument("--inner", type=_at_least(0), default=2, help="inner order m for phi/psi, at most --outer")
+    p.add_argument("--max", type=_at_least(1), default=12, help="largest k for the multinomial identity")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_check)
 
@@ -180,6 +195,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
+    if args.command == "check" and args.suite in ("phi-psi", "all") and args.inner > args.outer:
+        ap.error(f"argument --inner: must not exceed --outer ({args.outer}) for phi-psi, got {args.inner}")
     try:
         return args.fn(args)
     except ParseError as exc:

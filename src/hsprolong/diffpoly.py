@@ -13,9 +13,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Mapping, Sequence
+from typing import Sequence
 
-from .basefield import BaseElem, hasse_derive
+from . import termdict
+from .basefield import hasse_derive
 from .fields import FieldDescriptor, Scalar, comp_coeff
 from .multiindex import (
     enumerate_multiindices,
@@ -23,7 +24,6 @@ from .multiindex import (
     index_add,
     index_size,
     indices_below,
-    index_sub,
     zero_index,
 )
 from .series import TruncatedElement
@@ -76,12 +76,6 @@ def symbol_derive(beta: Sequence[int], sym: DiffSymbol, field: FieldDescriptor) 
     return c, DiffSymbol(sym.var, index_add(sym.order, beta))
 
 
-def _coeff_derivative(gamma: tuple, coeff: BaseElem, mode: DerivationMode) -> BaseElem:
-    if mode is DerivationMode.JET:
-        return coeff if not any(gamma) else BaseElem.zero(coeff.field)
-    return hasse_derive(gamma, coeff)
-
-
 def apply_d(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly:
     """The universal derivation d_alpha applied to f, as a canonical DiffPoly.
 
@@ -94,42 +88,27 @@ def apply_d(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly
     if len(alpha) != field.derivation_count:
         raise ValueError("multi-index length does not match the derivation count")
     below = indices_below(alpha)
-    result = DiffPoly.zero(field)
-    for mono, coeff in f.terms.items():
-        # table[gamma] = d_gamma of the partial product, for gamma <= alpha
-        if mode is DerivationMode.JET:
-            table = {zero_index(len(alpha)): DiffPoly.const(field, coeff)}
-        else:
-            table = {}
-            for g in below:
-                d = hasse_derive(g, coeff)
-                if d:
-                    table[g] = DiffPoly.const(field, d)
-        for sym, e in mono:
-            for _ in range(e):
-                table = _fold_symbol(table, sym, below, field)
-        got = table.get(alpha)
-        if got is not None:
-            result = result + got
-    return result
+    if mode is DerivationMode.JET:
+        zero = zero_index(len(alpha))
 
+        def coeff_table(c):
+            return {zero: c}
 
-def _fold_symbol(table: dict, sym: DiffSymbol, below: list, field: FieldDescriptor) -> dict:
-    out: dict = {}
-    for gamma in below:
-        total = None
-        for u in indices_below(gamma):
-            prev = table.get(index_sub(gamma, u))
-            if prev is None:
-                continue
+    else:
+
+        def coeff_table(c):
+            return {g: hasse_derive(g, c) for g in below}
+
+    def pieces(sym: DiffSymbol) -> dict:
+        # d_u(x^(beta)) for u <= alpha
+        out = {}
+        for u in below:
             c, shifted = symbol_derive(u, sym, field)
-            if not c:
-                continue
-            piece = prev * DiffPoly.from_symbol(field, shifted, coeff=c)
-            total = piece if total is None else total + piece
-        if total is not None and total:
-            out[gamma] = total
-    return out
+            if c:
+                out[u] = DiffPoly.from_symbol(field, shifted, coeff=c)
+        return out
+
+    return termdict.leibniz(f, alpha, coeff_table, pieces, DiffPoly)
 
 
 def taylor_oracle(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly:
@@ -171,8 +150,3 @@ def taylor_oracle(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> Di
             acc = acc * expansion**e
         total = total + acc
     return total.coeff_or(alpha, zero)
-
-
-def poly_eval(f: DiffPoly, assignment: Mapping[DiffSymbol, BaseElem]) -> BaseElem:
-    """Exact value of f under a total assignment of its symbols."""
-    return f.evaluate(assignment)

@@ -23,10 +23,12 @@ import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
+from . import termdict
 from .basefield import BaseElem, hasse_derive
 from .fields import FieldDescriptor, binom, multinomial
 from .diffpoly import DerivationMode, DiffPoly
-from .series import TruncatedElement, twist_inverse
+from .multiindex import indices_below
+from .series import TruncatedElement, twist_expand, twist_inverse
 from .sparsepoly import SparsePoly
 from .sampling import random_base_elem, random_diffpoly, random_nonzero_base_elem
 
@@ -99,111 +101,70 @@ def layered_expand(
     Additivity plus the double Leibniz convolution, with base coefficients
     handled by the outer/inner mode pair; every symbol of h must be order 0.
     """
-    field = h.field
-    result = LayeredPoly.zero(field)
-    for mono, coeff in h.terms.items():
-        table: dict = {}
-        for a in range(outer_order + 1):
-            for b in range(inner_order + 1):
-                v = _layer_coeff(a, b, coeff, outer, inner)
-                if v:
-                    table[(a, b)] = LayeredPoly.const(field, v)
-        for sym, e in mono:
-            if any(sym.order):
-                raise ValueError("layered expansion requires order-0 symbols")
-            for _ in range(e):
-                table = _fold_layer(table, sym.var, outer_order, inner_order, inner, field)
-        got = table.get((outer_order, inner_order))
-        if got is not None:
-            result = result + got
-    return result
+    top = (outer_order, inner_order)
+    box = indices_below(top)
+
+    def coeff_table(c: BaseElem) -> dict:
+        return {(a, b): _layer_coeff(a, b, c, outer, inner) for a, b in box}
+
+    def pieces(sym) -> dict:
+        if any(sym.order):
+            raise ValueError("layered expansion requires order-0 symbols")
+        return {(u, v): LayeredPoly.generator(h.field, sym.var, u, v, inner) for u, v in box}
+
+    return termdict.leibniz(h, top, coeff_table, pieces, LayeredPoly)
 
 
-def _fold_layer(
-    table: dict, var: int, outer_order: int, inner_order: int, kind: DerivationMode, field
-) -> dict:
-    out: dict = {}
-    for a in range(outer_order + 1):
-        for b in range(inner_order + 1):
-            total = None
-            for u in range(a + 1):
-                for v in range(b + 1):
-                    prev = table.get((a - u, b - v))
-                    if prev is None:
-                        continue
-                    piece = prev * LayeredPoly.generator(field, var, u, v, kind)
-                    total = piece if total is None else total + piece
-            if total is not None and total:
-                out[(a, b)] = total
-    return out
+def _check_outer(order: int, bound: int) -> None:
+    if order > bound:
+        raise TruncationOverflow(f"outer order {order} exceeds bound {bound}")
 
 
 def outer_derive(l: int, p: LayeredPoly, bound: int) -> LayeredPoly:
     """D_l on a layered ring: C(a+l, l)-shifts on symbols, D_l on coefficients."""
     field = p.field
-    result = LayeredPoly.zero(field)
-    for mono, coeff in p.terms.items():
-        table: dict = {}
-        for u in range(l + 1):
-            v = _d_coeff(u, coeff)
-            if v:
-                table[u] = LayeredPoly.const(field, v)
-        for sym, e in mono:
-            for _ in range(e):
-                new: dict = {}
-                for u in range(l + 1):
-                    total = None
-                    for w in range(u + 1):
-                        prev = table.get(u - w)
-                        if prev is None:
-                            continue
-                        c = binom(sym.outer + w, w, field)
-                        if not c:
-                            continue
-                        if sym.outer + w > bound:
-                            raise TruncationOverflow(
-                                f"outer order {sym.outer + w} exceeds bound {bound}"
-                            )
-                        shifted = LayeredSymbol(sym.var, sym.outer + w, sym.inner, sym.inner_kind)
-                        piece = prev * LayeredPoly.from_symbol(field, shifted, coeff=c)
-                        total = piece if total is None else total + piece
-                    if total is not None and total:
-                        new[u] = total
-                table = new
-        got = table.get(l)
-        if got is not None:
-            result = result + got
-    return result
+
+    def coeff_table(c: BaseElem) -> dict:
+        return {(u,): _d_coeff(u, c) for u in range(l + 1)}
+
+    def pieces(sym: LayeredSymbol) -> dict:
+        out = {}
+        for w in range(l + 1):
+            c = binom(sym.outer + w, w, field)
+            if c:
+                _check_outer(sym.outer + w, bound)
+                shifted = LayeredSymbol(sym.var, sym.outer + w, sym.inner, sym.inner_kind)
+                out[(w,)] = LayeredPoly.from_symbol(field, shifted, coeff=c)
+        return out
+
+    return termdict.leibniz(p, (l,), coeff_table, pieces, LayeredPoly)
 
 
 # -- the phi / psi pair ---------------------------------------------------------
 
 
-def _phi_symbol(sym: LayeredSymbol, bound: int, field: FieldDescriptor) -> LayeredPoly:
-    out = LayeredPoly.zero(field)
-    for k in range(sym.inner + 1):
-        c = binom(sym.outer + k, k, field)
-        if not c:
-            continue
-        if sym.outer + k > bound:
-            raise TruncationOverflow(f"outer order {sym.outer + k} exceeds bound {bound}")
-        target = LayeredSymbol(sym.var, sym.outer + k, sym.inner - k, DerivationMode.JET)
-        out = out + LayeredPoly.from_symbol(field, target, coeff=c)
-    return out
+def _phi_psi(p: LayeredPoly, bound: int, sign: int, target: DerivationMode) -> LayeredPoly:
+    """The ring map d_i X_j x -> D_i(sum_{k+l=j} sign^k d_k Y_l x), Y = target.
 
+    X is the other inner kind; base coefficients are fixed.
+    """
+    field = p.field
+    for sym in p.symbols():
+        if sym.inner_kind is target:
+            raise ValueError(f"expected no symbols with a {target.value} inner layer")
+        _check_outer(sym.outer, bound)
 
-def _psi_symbol(sym: LayeredSymbol, bound: int, field: FieldDescriptor) -> LayeredPoly:
-    minus = field.scalar(-1)
-    out = LayeredPoly.zero(field)
-    for k in range(sym.inner + 1):
-        c = binom(sym.outer + k, k, field) * minus**k
-        if not c:
-            continue
-        if sym.outer + k > bound:
-            raise TruncationOverflow(f"outer order {sym.outer + k} exceeds bound {bound}")
-        target = LayeredSymbol(sym.var, sym.outer + k, sym.inner - k, DerivationMode.PROLONGATION)
-        out = out + LayeredPoly.from_symbol(field, target, coeff=c)
-    return out
+    def image(sym: LayeredSymbol) -> LayeredPoly:
+        out = LayeredPoly.zero(field)
+        for k in range(sym.inner + 1):
+            c = binom(sym.outer + k, k, field) * sign**k
+            if c:
+                _check_outer(sym.outer + k, bound)
+                shifted = LayeredSymbol(sym.var, sym.outer + k, sym.inner - k, target)
+                out = out + LayeredPoly.from_symbol(field, shifted, coeff=c)
+        return out
+
+    return p.substitute(image)
 
 
 def phi(p: LayeredPoly, bound: int) -> LayeredPoly:
@@ -212,22 +173,12 @@ def phi(p: LayeredPoly, bound: int) -> LayeredPoly:
     Base coefficients are fixed; producing an outer order above the bound is
     an error, never a silent truncation.
     """
-    for sym in p.symbols():
-        if sym.inner_kind is not DerivationMode.PROLONGATION:
-            raise ValueError("phi expects symbols with a prolongation inner layer")
-        if sym.outer > bound:
-            raise TruncationOverflow(f"outer order {sym.outer} exceeds bound {bound}")
-    return p.substitute(lambda sym: _phi_symbol(sym, bound, p.field))
+    return _phi_psi(p, bound, 1, DerivationMode.JET)
 
 
 def psi(p: LayeredPoly, bound: int) -> LayeredPoly:
     """psi(d_i pd_j x) = D_i(sum_{k+l=j} (-1)^k D_k del_l x) as a ring map."""
-    for sym in p.symbols():
-        if sym.inner_kind is not DerivationMode.JET:
-            raise ValueError("psi expects symbols with a jet inner layer")
-        if sym.outer > bound:
-            raise TruncationOverflow(f"outer order {sym.outer} exceeds bound {bound}")
-    return p.substitute(lambda sym: _psi_symbol(sym, bound, p.field))
+    return _phi_psi(p, bound, -1, DerivationMode.PROLONGATION)
 
 
 def theta(p: LayeredPoly) -> LayeredPoly:
@@ -360,59 +311,50 @@ def check_theta_relations(m: int, q: int, variety) -> list[str]:
 # -- twisted tensor normal forms ----------------------------------------------------
 
 
+def _u_shift(q: int):
+    """Key product (i, j) x (k,) -> (i, j + k), dropping u-exponents above q."""
+
+    def key(ij: tuple, k: tuple):
+        j = ij[1] + k[0]
+        return (ij[0], j) if j <= q else None
+
+    return key
+
+
+def _u_reach(v: Mapping[tuple, BaseElem], q: int) -> int:
+    """The largest u-degree a scalar can add to some term of v without passing q."""
+    return q - min((j for _, j in v), default=q)
+
+
 def tensor_left_action(c: BaseElem, v: Mapping[tuple, BaseElem], m: int, q: int) -> dict:
     """Scalar action on (B (x) K_q)~ (x) K_m in normal form.
 
     c joins the outer t-leg and crosses the twisted tensor, depositing
-    D_k(c) at u-exponent j+k.
+    D_k(c) at u-exponent j+k; D_k comes from the quotient-rule derivatives.
     """
-    out: dict = {}
-    for (i, j), b in v.items():
-        for k in range(q - j + 1):
-            dk = _d_coeff(k, c)
-            if not dk:
-                continue
-            key = (i, j + k)
-            s = out.get(key)
-            s = dk * b if s is None else s + dk * b
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
+    derivatives = {(k,): _d_coeff(k, c) for k in range(_u_reach(v, q) + 1)}
+    return termdict.mul(v, derivatives, _u_shift(q))
 
 
 def tensor_right_action(c: BaseElem, v: Mapping[tuple, BaseElem], m: int, q: int) -> dict:
     """Scalar action on ((B (x) K_m) (x) K_q)~ in normal form.
 
     The unit map is twisted: c acts as e(c) on the u-leg, whose coefficients
-    then cross two plain tensors into B.
+    then cross two plain tensors into B.  e(c) is read off the truncated
+    series ``twist_expand(c, q)``, the route independent of the left action.
     """
-    out: dict = {}
-    for (i, j), b in v.items():
-        for k in range(q - j + 1):
-            ek = _d_coeff(k, c)
-            if not ek:
-                continue
-            key = (i, j + k)
-            s = out.get(key)
-            s = b * ek if s is None else s + b * ek
-            if s:
-                out[key] = s
-            else:
-                out.pop(key, None)
-    return out
-
-
-def tensor_theta(v: Mapping[tuple, BaseElem]) -> dict:
-    """Swap b (x) u^j (x) t^i -> b (x) t^i (x) u^j; identity on (t, u) keys."""
-    return dict(v)
+    return termdict.mul(v, twist_expand(c, _u_reach(v, q)).coeffs, _u_shift(q))
 
 
 def twisted_tensor_check(
     m: int, q: int, samples: int, seed: int, field: FieldDescriptor | None = None
 ) -> list[str]:
-    """K-linearity and surjectivity of the tensor swap, on random normal forms."""
+    """K-linearity and surjectivity of the tensor swap, on random normal forms.
+
+    In normal form the swap b (x) u^j (x) t^i -> b (x) t^i (x) u^j is the
+    identity on (t, u) keys, so linearity compares the quotient-rule left
+    action with the series right action directly.
+    """
     if field is None:
         field = FieldDescriptor(0, ("s",), 1)
     if field.derivation_count != 1:
@@ -428,8 +370,8 @@ def twisted_tensor_check(
         v = {k: b for k, b in v.items() if b}
         c = random_base_elem(rng, field)
         c2 = random_base_elem(rng, field)
-        lhs = tensor_theta(tensor_left_action(c, v, m, q))
-        rhs = tensor_right_action(c, tensor_theta(v), m, q)
+        lhs = tensor_left_action(c, v, m, q)
+        rhs = tensor_right_action(c, v, m, q)
         if lhs != rhs:
             lines.append(f"FAIL tensor-linearity at=trial{t} lhs={lhs} rhs={rhs}")
             return lines
@@ -440,25 +382,15 @@ def twisted_tensor_check(
             return lines
     lines.append(f"OK tensor-linearity params=m={m},q={q} trials={samples}")
 
+    one = BaseElem.one(field)
     for t in range(samples):
         c = random_nonzero_base_elem(rng, field)
         embedded = TruncatedElement.constant(c, q, 1)
         cs = twist_inverse(embedded)
-        v: dict = {}
+        got: dict = {}
         for (g,), cg in cs.coeffs.items():
-            for k in range(q - g + 1):
-                dk = _d_coeff(k, cg)
-                if not dk:
-                    continue
-                key = (0, g + k)
-                s = v.get(key)
-                s = dk if s is None else s + dk
-                if s:
-                    v[key] = s
-                else:
-                    v.pop(key, None)
+            got = termdict.add(got, tensor_left_action(cg, {(0, g): one}, m, q).items())
         target = {(0, 0): c}
-        got = tensor_theta(v)
         if got != target:
             lines.append(f"FAIL tensor-surjectivity at=trial{t},c={c} lhs={got} rhs={target}")
             return lines

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from typing import Callable, Mapping
 
+from . import termdict
 from .basefield import BaseElem, ParamPoly
 from .fields import FieldDescriptor
 from .multiindex import (
@@ -75,15 +76,9 @@ class TruncatedElement:
 
     def __add__(self, other: "TruncatedElement") -> "TruncatedElement":
         self._check(other)
-        out = dict(self.coeffs)
-        for a, c in other.coeffs.items():
-            p = out.get(a)
-            p = c if p is None else p + c
-            if p:
-                out[a] = p
-            else:
-                out.pop(a, None)
-        return TruncatedElement(out, self.order_bound, self.t_count)
+        return TruncatedElement(
+            termdict.add(self.coeffs, other.coeffs.items()), self.order_bound, self.t_count
+        )
 
     def __neg__(self) -> "TruncatedElement":
         return TruncatedElement(
@@ -96,36 +91,22 @@ class TruncatedElement:
     def __mul__(self, other: "TruncatedElement") -> "TruncatedElement":
         self._check(other)
         m = self.order_bound
-        out: dict = {}
-        for a, c in self.coeffs.items():
-            sa = index_size(a)
-            for b, d in other.coeffs.items():
-                if sa + index_size(b) > m:
-                    continue
-                e = index_add(a, b)
-                p = c * d
-                q = out.get(e)
-                q = p if q is None else q + p
-                if q:
-                    out[e] = q
-                else:
-                    out.pop(e, None)
-        return TruncatedElement(out, m, self.t_count)
+
+        def key(a: tuple, b: tuple):
+            e = termdict.exp_add(a, b)
+            return e if sum(e) <= m else None
+
+        return TruncatedElement(termdict.mul(self.coeffs, other.coeffs, key), m, self.t_count)
 
     def __pow__(self, k: int) -> "TruncatedElement":
         if k < 0:
             raise ValueError("negative power in a truncated ring")
         if k == 0:
             raise ValueError("power 0 needs a carrier unit; multiply explicitly")
-        acc = self
-        for _ in range(k - 1):
-            acc = acc * self
-        return acc
+        return termdict.power(self, k - 1, self)
 
     def scale(self, c) -> "TruncatedElement":
-        return TruncatedElement(
-            {a: c * v for a, v in self.coeffs.items()}, self.order_bound, self.t_count
-        )
+        return TruncatedElement(termdict.scale(self.coeffs, c), self.order_bound, self.t_count)
 
     def shift(self, alpha: tuple) -> "TruncatedElement":
         """Multiply by t^alpha, discarding overflowing terms."""
@@ -177,11 +158,6 @@ class TruncatedElement:
 
     def __repr__(self) -> str:
         return f"TruncatedElement({self.render()}; m={self.order_bound}, n={self.t_count})"
-
-
-def trunc_mul(a: TruncatedElement, b: TruncatedElement) -> TruncatedElement:
-    """Convolution product with truncation; same as ``a * b``."""
-    return a * b
 
 
 def _poly_twist(p: ParamPoly, m: int) -> TruncatedElement:
@@ -246,11 +222,6 @@ def twist_expand(r: BaseElem, m: int) -> TruncatedElement:
         inv = r.den.const_value().inverse()
         return num_e.map_coeffs(lambda c: c * inv)
     return num_e * trunc_inverse(_poly_twist(r.den, m))
-
-
-def taylor_expand(a: BaseElem, m: int) -> TruncatedElement:
-    """Truncated Taylor expansion of a base element; alias of twist_expand."""
-    return twist_expand(a, m)
 
 
 def twist_psi(c: TruncatedElement) -> TruncatedElement:

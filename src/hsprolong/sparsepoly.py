@@ -15,6 +15,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Callable, Mapping, Sequence, Union
 
+from . import termdict
 from .basefield import BaseElem
 from .fields import FieldDescriptor, Scalar
 
@@ -96,15 +97,7 @@ class SparsePoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out = dict(self.terms)
-        for m, c in other.terms.items():
-            s = out.get(m)
-            s = c if s is None else s + c
-            if s:
-                out[m] = s
-            else:
-                out.pop(m, None)
-        return self._make(out)
+        return self._make(termdict.add(self.terms, other.terms.items()))
 
     __radd__ = __add__
 
@@ -124,39 +117,19 @@ class SparsePoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        out: dict = {}
-        for m1, c1 in self.terms.items():
-            for m2, c2 in other.terms.items():
-                m = monomial_mul(m1, m2)
-                c = c1 * c2
-                s = out.get(m)
-                s = c if s is None else s + c
-                if s:
-                    out[m] = s
-                else:
-                    out.pop(m, None)
-        return self._make(out)
+        return self._make(termdict.mul(self.terms, other.terms, monomial_mul))
 
     __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a symbolic polynomial")
-        acc = self.const(self.field, 1)
-        base = self
-        while k:
-            if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return acc
+        return termdict.power(self, k, self.const(self.field, 1))
 
     def scale(self, c):
         if not isinstance(c, BaseElem):
             c = BaseElem.const(self.field, c)
-        if not c:
-            return self._make({})
-        return self._make({m: v * c for m, v in self.terms.items()})
+        return self._make(termdict.scale(self.terms, c))
 
     # -- structure queries ----------------------------------------------------
 

@@ -5,6 +5,7 @@ sizes and wall-clock budgets are asserted.  Each test prints one pass/fail
 line (visible with pytest -s).
 """
 
+import hashlib
 import math
 import random
 import subprocess
@@ -59,6 +60,9 @@ Q_s = FieldDescriptor(0, ("s",), 1)
 Q_s12 = FieldDescriptor(0, ("s1", "s2"), 2)
 F5_s = FieldDescriptor(5, ("s",), 1)
 F5_su = FieldDescriptor(5, ("s", "u"), 2)
+
+# sha256 of `hsprolong check all --seed 42` stdout
+CHECK_ALL_SEED_42_SHA256 = "2ea5ec981d9b3c1610418bd916e7cd6ebbac69ec2eda1f43da1bb90b93a14251"
 
 _SUITE_START = time.time()
 
@@ -276,4 +280,6 @@ def test_criterion_11_cli_determinism():
         assert r1.returncode == 0 and r2.returncode == 0
         assert r1.stdout == r2.stdout
         assert r1.stdout  # non-empty report
+        # the pinned report; a deliberate output change updates this digest
+        assert hashlib.sha256(r1.stdout).hexdigest() == CHECK_ALL_SEED_42_SHA256
     assert time.time() - _SUITE_START < 180, "acceptance suite exceeded 3 minutes"

@@ -141,3 +141,23 @@ def test_missing_file_exits_2():
 def test_negative_order_exits_2(witt_file):
     r = run_cli("prolong", "--order", "-1", witt_file)
     assert r.returncode == 2
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["check", "twist", "--trials", "0"], "--trials"),
+        (["check", "theta", "--trials", "-5"], "--trials"),
+        (["check", "multinomial", "--max", "0"], "--max"),
+        (["check", "phi-psi", "--outer", "1", "--inner", "3"], "--inner"),
+    ],
+)
+def test_vacuous_check_arguments_exit_2(argv, flag, capsys):
+    from hsprolong import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main(argv)
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert flag in captured.err
+    assert "RESULT" not in captured.out

@@ -13,7 +13,6 @@ from hsprolong import (
     apply_d,
     comp_coeff,
     index_add,
-    poly_eval,
     symbol_derive,
     taylor_oracle,
 )
@@ -170,15 +169,15 @@ class TestEval:
         s = BaseElem.param(Q_s, "s")
         x = DiffPoly.variable(Q_s, 0)
         f = x * x - DiffPoly.const(Q_s, s)
-        assert poly_eval(f, {sym(0, (0,)): s}) == s**2 - s
+        assert f.evaluate({sym(0, (0,)): s}) == s**2 - s
 
         h = apply_d((1,), f, P)
-        value = poly_eval(h, {sym(0, (0,)): s, sym(0, (1,)): BaseElem.one(Q_s)})
+        value = h.evaluate({sym(0, (0,)): s, sym(0, (1,)): BaseElem.one(Q_s)})
         assert value == 2 * s - 1
 
-        assert not poly_eval(DiffPoly.zero(Q_s), {})
+        assert not DiffPoly.zero(Q_s).evaluate({})
 
     def test_unassigned_symbol(self):
         x = DiffPoly.variable(Q_s, 0)
         with pytest.raises(ValueError):
-            poly_eval(x, {})
+            x.evaluate({})

@@ -1,8 +1,20 @@
 """Input-document grammar: parsing, diagnostics, canonical round-trip."""
 
+import random
+
 import pytest
 
-from hsprolong import BaseElem, DiffPoly, ParseError, parse_document, render_document
+from hsprolong import (
+    BaseElem,
+    DiffPoly,
+    FieldDescriptor,
+    InputDocument,
+    ParseError,
+    parse_assignments,
+    parse_document,
+    render_document,
+)
+from hsprolong.sampling import random_base_elem, random_variety_with_point
 
 WITT = "char 0; params s; derivations 1;\nvars x;\ngens x^2 - s;\n"
 
@@ -84,8 +96,6 @@ def docs_equal(a, b):
 
 def test_fuzzed_inputs_fail_cleanly():
     # arbitrary token soup must raise ParseError, never anything else
-    import random
-
     rng = random.Random(101)
     pieces = ["char", "params", "derivations", "vars", "gens", "point", "x", "s", "w",
               "0", "1", "5", "+", "-", "*", "/", "^", "(", ")", ";", ",", "="]
@@ -114,3 +124,30 @@ def test_parse_render_round_trip(text):
     second = parse_document(rendered)
     assert docs_equal(first, second)
     assert render_document(second) == rendered
+
+
+Q_S1S2 = FieldDescriptor(0, ("s1", "s2"), 2)
+
+
+def reparse_elem(a):
+    return parse_assignments(Q_S1S2, ("x",), f"y = {a.render()}")["y"].constant_term()
+
+
+def test_product_denominators_round_trip():
+    s1, s2 = BaseElem.param(Q_S1S2, "s1"), BaseElem.param(Q_S1S2, "s2")
+    cases = [(s1 + 1) / (s1 * s2), 1 / (s1 * s2**2), (s1 - s2) / (s1**2 * s2), -3 * s2 / (s1 * s2 * s2)]
+    for a in cases:
+        assert reparse_elem(a) == a
+    assert ((s1 + 1) / (s1 * s2)).render() == "(s1 + 1)/(s1*s2)"
+    rng = random.Random(7)
+    for _ in range(200):
+        a = random_base_elem(rng, Q_S1S2)
+        assert reparse_elem(a) == a
+
+
+def test_seeded_document_round_trip():
+    rng = random.Random(11)
+    for _ in range(30):
+        variety, point = random_variety_with_point(rng, Q_S1S2, var_count=2)
+        doc = InputDocument(Q_S1S2, ("x", "y"), variety, point)
+        assert docs_equal(parse_document(render_document(doc)), doc)

@@ -24,11 +24,11 @@ from hsprolong import (
     report_passed,
     tensor_left_action,
     tensor_right_action,
-    tensor_theta,
     theta,
     twist_inverse,
     twisted_tensor_check,
 )
+from hsprolong import layered
 from hsprolong.layered import _d_coeff
 from hsprolong.sampling import random_base_elem
 
@@ -175,7 +175,7 @@ class TestTensor:
         v = {(0, 0): BaseElem.one(Q_s)}
         acted = tensor_left_action(s, v, 1, 1)
         assert acted == {(0, 0): s, (0, 1): BaseElem.one(Q_s)}
-        assert tensor_theta(acted) == tensor_right_action(s, tensor_theta(v), 1, 1)
+        assert acted == tensor_right_action(s, v, 1, 1)
 
     def test_surjectivity_preimage_of_s(self):
         # twist_inverse(s) = s - u builds the preimage of 1 (x) 1 (x) s
@@ -190,11 +190,18 @@ class TestTensor:
                     key = (0, g + k)
                     v[key] = v.get(key, BaseElem.zero(Q_s)) + dk
         v = {k: b for k, b in v.items() if b}
-        assert tensor_theta(v) == {(0, 0): s}
+        assert v == {(0, 0): s}
 
     def test_randomized_report(self):
         assert report_passed(twisted_tensor_check(2, 2, 60, seed=21))
         assert report_passed(twisted_tensor_check(2, 3, 40, seed=22, field=F5_s))
+
+    def test_wrong_derivative_is_caught(self, monkeypatch):
+        # a D_k that kills every positive order must break the left action
+        # against the series-route right action
+        monkeypatch.setattr(layered, "_d_coeff", lambda i, c: c if i == 0 else BaseElem.zero(c.field))
+        lines = twisted_tensor_check(2, 2, 20, seed=21)
+        assert lines[-1].startswith("FAIL tensor-linearity")
 
     def test_associativity_of_action(self):
         rng = random.Random(23)

@@ -1,5 +1,6 @@
 """Command-line behavior: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -161,3 +162,50 @@ def test_vacuous_check_arguments_exit_2(argv, flag, capsys):
     captured = capsys.readouterr()
     assert flag in captured.err
     assert "RESULT" not in captured.out
+
+
+# Fixed documents whose presentation outputs are pinned by digest: any change
+# to the expansion route must leave every byte of stdout as it is.
+PINNED_DOCS = {
+    "Q(s1,s2)": (
+        "char 0; params s1 s2; derivations 2;\nvars x y;\n"
+        "gens x*y - s1, (x - s2)*(s1*y + 2);\npoint x = s2, y = s1/s2;\n",
+        "u = x^2 - s1*y, v = x*y/s2 + s1",
+    ),
+    "F5(s)": (
+        "char 5; params s; derivations 1;\nvars x y;\n"
+        "gens x*y - 1, (x - s)*(2*x + 3*s*y);\npoint x = s, y = 1/s;\n",
+        "u = x^2*y - s, v = 3*x + y/(s + 1)",
+    ),
+}
+PINNED_DIGESTS = {
+    ("Q(s1,s2)", "prolong", 2): "f2161ca961fe6e28fab0f494ad1a37264c83d694927bc43257b9869f6448f42c",
+    ("Q(s1,s2)", "prolong", 4): "95abd5443d74efa12106f5eda4dbfb9d3d004ca5245e635e78a25f6cc467b454",
+    ("Q(s1,s2)", "jet", 2): "2949ab47a3c4ad77ef4b6262e0321b686152cbf6046a90ac202f5756a11e3e79",
+    ("Q(s1,s2)", "jet", 4): "9bc4cf3bb6dd07aa79a5f38238267023bf7254aa3055ac455174e88efd4a35c5",
+    ("Q(s1,s2)", "nabla", 2): "483f89a30acd6739cfc17349c865c70293fbf513856026fcfa61750b715f1783",
+    ("Q(s1,s2)", "nabla", 4): "5b3cc5997a8ec2456d193435d9079044d7ad07dae494d44c4301ccc0b519cbdb",
+    ("Q(s1,s2)", "lift", 2): "153c97558d18ff39523a74a7cbb2a8a5dfbcd97e9703081cae907381a07b0665",
+    ("Q(s1,s2)", "lift", 4): "2a8010bcb0d87b79f8a2a50e01c9194056294238ba3b7ea9fb5665195d7bcb9c",
+    ("F5(s)", "prolong", 2): "befd6b2a05153957fc493c9691f1dab161c6e83196fbbf7001cff4e987f377f4",
+    ("F5(s)", "prolong", 4): "8a2bdce000f03bd8cb2abebeb89fd193c6de781bb2a7ae6712094686c923861a",
+    ("F5(s)", "jet", 2): "84ce35464634b22c2bb7e23ffa8b655ef85ccb0c8d005c4770d08da8f22c6f41",
+    ("F5(s)", "jet", 4): "16d70d0691d59b3c6eb5c179ab5cf74e70eec442e8c99f5b64e0e9693a12acc3",
+    ("F5(s)", "nabla", 2): "29ee82e9f77d2db06185b72d2b53310e9caee532bc7d707c722a972eeaa93790",
+    ("F5(s)", "nabla", 4): "80d9e623ff8d83b1d83cf5fab1e740954bed8a92fc50e3ab29a305da19a84983",
+    ("F5(s)", "lift", 2): "80ec88e969e0a499e3ed5545d3734af1ea5858721fbdad36ba114cd44a44d32f",
+    ("F5(s)", "lift", 4): "9b243f0f2b2cf6f7c646f9e8359e419e6345fe438c33451c834bcc34546eb95f",
+}
+
+
+@pytest.mark.parametrize("field, command, order", sorted(PINNED_DIGESTS))
+def test_presentation_output_is_pinned(field, command, order, tmp_path, capsys):
+    from hsprolong import cli
+
+    text, lift_map = PINNED_DOCS[field]
+    path = tmp_path / "doc.txt"
+    path.write_text(text, encoding="utf-8")
+    extra = ["--mode", "jet", "--map", lift_map] if command == "lift" else []
+    assert cli.main([command, *extra, "--order", str(order), str(path)]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_DIGESTS[field, command, order]

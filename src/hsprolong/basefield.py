@@ -664,14 +664,9 @@ def _reduce(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
 # -- Hasse derivatives --------------------------------------------------------
 
 
-def _family_derive(i: int, k: int, a: BaseElem) -> BaseElem:
-    """D_{i,k}(a) for the single derivation family i, via the quotient rule."""
-    if k == 0:
-        return a
-    field = a.field
-    num, den = a.num, a.den
-    if den.is_const():
-        return BaseElem(num.hasse(i, k), den)
+def _inverse_derivatives(i: int, den: ParamPoly, k: int) -> list[BaseElem]:
+    """D_{i,l}(1/den) for l = 0..k, solving D_{i,v}(den * 1/den) = 0 for v >= 1."""
+    field = den.field
     inv0 = BaseElem(den, None).inverse()
     invs = [inv0]
     dens = [den.hasse(i, l) for l in range(k + 1)]
@@ -681,12 +676,37 @@ def _family_derive(i: int, k: int, a: BaseElem) -> BaseElem:
             if dens[l]:
                 total = total + BaseElem(dens[l]) * invs[v - l]
         invs.append(-(inv0 * total))
-    out = BaseElem.zero(field)
-    for u in range(k + 1):
-        nu = num.hasse(i, u)
-        if nu:
-            out = out + BaseElem(nu) * invs[k - u]
+    return invs
+
+
+def _quotient_rule(v: int, nums: list[ParamPoly], invs: list[BaseElem]) -> BaseElem:
+    """D_v(num/den) = sum over u of D_u(num) D_{v-u}(1/den), from both tables."""
+    out = BaseElem.zero(invs[0].field)
+    for u in range(v + 1):
+        if nums[u]:
+            out = out + BaseElem(nums[u]) * invs[v - u]
     return out
+
+
+def _family_derive(i: int, k: int, a: BaseElem) -> BaseElem:
+    """D_{i,k}(a) for the single derivation family i, via the quotient rule."""
+    if k == 0:
+        return a
+    num, den = a.num, a.den
+    if den.is_const():
+        return BaseElem(num.hasse(i, k), den)
+    nums = [num.hasse(i, u) for u in range(k + 1)]
+    return _quotient_rule(k, nums, _inverse_derivatives(i, den, k))
+
+
+def _family_table(i: int, k: int, a: BaseElem) -> list[BaseElem]:
+    """[D_{i,0}(a), ..., D_{i,k}(a)], running the 1/den recursion once for all k."""
+    num, den = a.num, a.den
+    if den.is_const():
+        return [a] + [BaseElem(num.hasse(i, v), den) for v in range(1, k + 1)]
+    nums = [num.hasse(i, u) for u in range(k + 1)]
+    invs = _inverse_derivatives(i, den, k)
+    return [a] + [_quotient_rule(v, nums, invs) for v in range(1, k + 1)]
 
 
 def hasse_derive(alpha: Sequence[int], a: BaseElem) -> BaseElem:
@@ -699,3 +719,22 @@ def hasse_derive(alpha: Sequence[int], a: BaseElem) -> BaseElem:
         if alpha[i]:
             out = _family_derive(i, alpha[i], out)
     return out
+
+
+def hasse_table(a: BaseElem, m: int) -> dict[tuple, BaseElem]:
+    """{alpha: D_alpha(a)} for every multi-index alpha with |alpha| <= m.
+
+    Family by family from n-1 down to 0, as hasse_derive composes them, so each
+    entry equals hasse_derive(alpha, a); each element met in a family's pass
+    runs the D_l(1/den) recursion once for every order it needs.
+    """
+    if m < 0:
+        raise ValueError(f"derivative order must be a natural, got {m}")
+    table: dict[tuple, BaseElem] = {(): a}
+    for i in range(a.field.derivation_count - 1, -1, -1):
+        table = {
+            (k,) + rest: d
+            for rest, b in table.items()
+            for k, d in enumerate(_family_table(i, m - sum(rest), b))
+        }
+    return table

@@ -152,27 +152,27 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("prolong", help="print the order-m prolongation presentation")
     p.add_argument("file", help="input document path, or - for stdin")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_at_least(0), required=True)
     p.add_argument("--mode", choices=["prolong", "jet"], default="prolong")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_prolong)
 
     p = sub.add_parser("jet", help="print the order-m jet presentation")
     p.add_argument("file")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_at_least(0), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_prolong, mode="jet")
 
     p = sub.add_parser("nabla", help="evaluate the nabla section at a point")
     p.add_argument("file")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_at_least(0), required=True)
     p.add_argument("--point", help='e.g. "x=s, y=1/s" (overrides the document point block)')
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_nabla)
 
     p = sub.add_parser("lift", help="lift a polynomial morphism to prolongations")
     p.add_argument("file")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", type=_at_least(0), required=True)
     p.add_argument("--mode", choices=["prolong", "jet"], default="prolong")
     p.add_argument("--map", required=True, help='e.g. "y=x^2 - s"')
     p.add_argument("--json", action="store_true")

@@ -4,9 +4,16 @@ DerivationMode selects what d_alpha does to base coefficients: in
 PROLONGATION mode it applies the field's derivation, in JET mode it kills
 them (d_alpha c = 0 for alpha != 0).  apply_d computes canonical
 representatives directly by a Leibniz convolution on the term structure; the
-symbols are free, so no ideal reduction is needed.  taylor_oracle recomputes
-the same values through substitution into a truncated t-ring and is kept as
-an independent cross-check.
+symbols are free, so no ideal reduction is needed.
+
+derive_upto is the one-pass route to every order at once: per term of f it
+multiplies the coefficient's table D_gamma(c), |gamma| <= m (one hasse_table
+call), by the symbols' tables d_u(x), |u| <= m (built once per symbol), in the
+ring truncated to total size <= m, and reads d_alpha f off as the t^alpha
+coefficient for every |alpha| <= m.  Its values equal apply_d's at each
+alpha; both stay on the quotient rule plus Leibniz.  taylor_oracle recomputes
+the same values through substitution into a truncated t-ring with the series
+expansion of the coefficients, and is kept as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -16,7 +23,7 @@ from enum import Enum
 from typing import Sequence
 
 from . import termdict
-from .basefield import hasse_derive
+from .basefield import hasse_derive, hasse_table
 from .fields import FieldDescriptor, Scalar, comp_coeff
 from .multiindex import (
     enumerate_multiindices,
@@ -76,6 +83,31 @@ def symbol_derive(beta: Sequence[int], sym: DiffSymbol, field: FieldDescriptor) 
     return c, DiffSymbol(sym.var, index_add(sym.order, beta))
 
 
+def _fold(f: DiffPoly, mode: DerivationMode, key, indices: list, collect: Sequence, derivatives):
+    """termdict.leibniz over f with the symbol tables d_u(x), u in indices, and
+    the coefficient tables derivatives(c) (PROLONGATION) or {0: c} (JET)."""
+    field = f.field
+    if mode is DerivationMode.JET:
+        zero = zero_index(field.derivation_count)
+
+        def coeff_table(c):
+            return {zero: c}
+
+    else:
+        coeff_table = derivatives
+
+    def pieces(sym: DiffSymbol) -> dict:
+        # d_u(x^(beta)) for u in indices
+        out = {}
+        for u in indices:
+            c, shifted = symbol_derive(u, sym, field)
+            if c:
+                out[u] = DiffPoly.from_symbol(field, shifted, coeff=c)
+        return out
+
+    return termdict.leibniz(f, key, collect, coeff_table, pieces, DiffPoly)
+
+
 def apply_d(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly:
     """The universal derivation d_alpha applied to f, as a canonical DiffPoly.
 
@@ -83,32 +115,25 @@ def apply_d(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly
     any presentation the caller has in mind, and is then read in the larger
     ring.  Bounds are the presentation layer's concern.
     """
-    field = f.field
     alpha = tuple(alpha)
-    if len(alpha) != field.derivation_count:
+    if len(alpha) != f.field.derivation_count:
         raise ValueError("multi-index length does not match the derivation count")
     below = indices_below(alpha)
-    if mode is DerivationMode.JET:
-        zero = zero_index(len(alpha))
 
-        def coeff_table(c):
-            return {zero: c}
+    def derivatives(c):
+        return {g: hasse_derive(g, c) for g in below}
 
-    else:
+    return _fold(f, mode, termdict.box_key(alpha), below, (alpha,), derivatives)[alpha]
 
-        def coeff_table(c):
-            return {g: hasse_derive(g, c) for g in below}
 
-    def pieces(sym: DiffSymbol) -> dict:
-        # d_u(x^(beta)) for u <= alpha
-        out = {}
-        for u in below:
-            c, shifted = symbol_derive(u, sym, field)
-            if c:
-                out[u] = DiffPoly.from_symbol(field, shifted, coeff=c)
-        return out
+def derive_upto(f: DiffPoly, m: int, mode: DerivationMode) -> dict[tuple, DiffPoly]:
+    """{alpha: d_alpha f} for every |alpha| <= m, in graded-lex order.
 
-    return termdict.leibniz(f, alpha, coeff_table, pieces, DiffPoly)
+    One truncated Leibniz pass over f gives every order at once; each value
+    equals apply_d(alpha, f, mode).
+    """
+    alphas = enumerate_multiindices(f.field.derivation_count, m)
+    return _fold(f, mode, termdict.size_key(m), alphas, alphas, lambda c: hasse_table(c, m))
 
 
 def taylor_oracle(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly:

@@ -112,7 +112,8 @@ def layered_expand(
             raise ValueError("layered expansion requires order-0 symbols")
         return {(u, v): LayeredPoly.generator(h.field, sym.var, u, v, inner) for u, v in box}
 
-    return termdict.leibniz(h, top, coeff_table, pieces, LayeredPoly)
+    out = termdict.leibniz(h, termdict.box_key(top), (top,), coeff_table, pieces, LayeredPoly)
+    return out[top]
 
 
 def _check_outer(order: int, bound: int) -> None:
@@ -137,7 +138,9 @@ def outer_derive(l: int, p: LayeredPoly, bound: int) -> LayeredPoly:
                 out[(w,)] = LayeredPoly.from_symbol(field, shifted, coeff=c)
         return out
 
-    return termdict.leibniz(p, (l,), coeff_table, pieces, LayeredPoly)
+    top = (l,)
+    out = termdict.leibniz(p, termdict.box_key(top), (top,), coeff_table, pieces, LayeredPoly)
+    return out[top]
 
 
 # -- the phi / psi pair ---------------------------------------------------------

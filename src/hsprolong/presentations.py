@@ -7,6 +7,12 @@ symbol lists and generator lists in the canonical graded-lex order, plus the
 point-level section nabla, projections, morphism lifts, base change, and the
 Leibniz cofactor witnesses for membership of d_alpha(h f) in the derived
 ideal.
+
+Every order at once: prolong_presentation and lift_morphism expand each
+generator or image in one truncated Leibniz pass (derive_upto), which yields
+d_alpha f for all |alpha| <= m together, and nabla takes each coordinate's
+derivatives D_alpha(a_i), |alpha| <= m, from one quotient-rule table
+(hasse_table).
 """
 
 from __future__ import annotations
@@ -14,7 +20,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
-from .basefield import BaseElem, ParamPoly, hasse_derive
+from .basefield import BaseElem, ParamPoly, hasse_table
 from .fields import FieldDescriptor
 from .multiindex import (
     enumerate_multiindices,
@@ -22,7 +28,7 @@ from .multiindex import (
     splittings,
     zero_index,
 )
-from .diffpoly import DerivationMode, DiffPoly, DiffSymbol, apply_d
+from .diffpoly import DerivationMode, DiffPoly, DiffSymbol, apply_d, derive_upto
 
 
 class PointNotOnVariety(ValueError):
@@ -93,9 +99,8 @@ def prolong_presentation(
     symbols = [
         DiffSymbol(i, a) for i in range(variety.var_count) for a in alphas
     ]
-    generators = [
-        apply_d(alpha, g, mode) for alpha in alphas for g in variety.generators
-    ]
+    tables = [derive_upto(g, m, mode) for g in variety.generators]
+    generators = [t[alpha] for alpha in alphas for t in tables]
     return ProlongationPresentation(variety, m, mode, symbols, generators)
 
 
@@ -108,11 +113,12 @@ def nabla(
         value = g.evaluate(assignment)
         if value:
             raise PointNotOnVariety(j, g, value)
-    n = variety.field.derivation_count
+    alphas = enumerate_multiindices(variety.field.derivation_count, m)
     out = {}
     for i in range(variety.var_count):
-        for alpha in enumerate_multiindices(n, m):
-            out[DiffSymbol(i, alpha)] = hasse_derive(alpha, point[i])
+        table = hasse_table(point[i], m)
+        for alpha in alphas:
+            out[DiffSymbol(i, alpha)] = table[alpha]
     return out
 
 
@@ -140,11 +146,12 @@ def lift_morphism(
         for sym in f.symbols():
             if any(sym.order):
                 raise ValueError(f"morphism image for variable {j} must be order-0")
-    out = {}
-    for alpha in enumerate_multiindices(n, m):
-        for j, f in images.items():
-            out[DiffSymbol(j, alpha)] = apply_d(alpha, f, mode)
-    return out
+    tables = {j: derive_upto(f, m, mode) for j, f in images.items()}
+    return {
+        DiffSymbol(j, alpha): t[alpha]
+        for alpha in enumerate_multiindices(n, m)
+        for j, t in tables.items()
+    }
 
 
 def apply_lift(lift: Mapping[DiffSymbol, DiffPoly], g: DiffPoly) -> DiffPoly:

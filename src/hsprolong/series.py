@@ -34,14 +34,13 @@ class TruncatedElement:
     __slots__ = ("coeffs", "order_bound", "t_count")
 
     def __init__(self, coeffs: Mapping[tuple, object], order_bound: int, t_count: int):
-        self.coeffs = {
-            a: c
-            for a, c in coeffs.items()
-            if c and len(a) == t_count and index_size(a) <= order_bound
-        }
-        for a in coeffs:
+        kept = {}
+        for a, c in coeffs.items():
             if len(a) != t_count:
                 raise ValueError(f"t-exponent {a} has wrong length for {t_count} variables")
+            if c and sum(a) <= order_bound:
+                kept[a] = c
+        self.coeffs = kept
         self.order_bound = order_bound
         self.t_count = t_count
 
@@ -91,12 +90,9 @@ class TruncatedElement:
     def __mul__(self, other: "TruncatedElement") -> "TruncatedElement":
         self._check(other)
         m = self.order_bound
-
-        def key(a: tuple, b: tuple):
-            e = termdict.exp_add(a, b)
-            return e if sum(e) <= m else None
-
-        return TruncatedElement(termdict.mul(self.coeffs, other.coeffs, key), m, self.t_count)
+        return TruncatedElement(
+            termdict.mul(self.coeffs, other.coeffs, termdict.size_key(m)), m, self.t_count
+        )
 
     def __pow__(self, k: int) -> "TruncatedElement":
         if k < 0:

@@ -7,9 +7,12 @@ product returns None for a product that falls outside a truncation, and that
 term is dropped.
 
 ``leibniz`` is the one expansion engine behind ``apply_d``,
-``layered_expand`` and ``outer_derive``: the Hasse-Schmidt Leibniz rule
-d_alpha(gh) = sum over beta + gamma = alpha of d_beta(g) d_gamma(h), read as a
-product of multi-index tables truncated to the box below alpha.
+``layered_expand``, ``outer_derive`` and ``derive_upto``: the Hasse-Schmidt
+Leibniz rule d_alpha(gh) = sum over beta + gamma = alpha of d_beta(g) d_gamma(h),
+read as a product of multi-index tables under a truncating key product.  The
+single-index callers truncate to the box below their index (``box_key``); the
+all-orders table truncates to total size <= m (``size_key``) and reads every
+d_alpha, |alpha| <= m, off one product per term.
 
 The module is internal: rings reach it through the module object, so its
 functions never show up as names of their own in a ring's namespace.
@@ -18,7 +21,7 @@ functions never show up as names of their own in a ring's namespace.
 from __future__ import annotations
 
 from operator import add as _add, le as _le
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 def _drop_zeros(out: dict) -> dict:
@@ -73,23 +76,41 @@ def exp_add(e1: tuple, e2: tuple) -> tuple:
     return tuple(map(_add, e1, e2))
 
 
-def leibniz(f, top: tuple, coeff_table: Callable, pieces_of: Callable, ring):
-    """Sum over the terms c * x_1^e_1 ... of f of the t^top coefficient of
-
-        coeff_table(c) * pieces_of(x_1)^e_1 * ...
-
-    ``coeff_table(c)`` maps multi-indices below ``top`` to base elements,
-    ``pieces_of(x)`` maps them to elements of ``ring``; products keep only
-    multi-indices <= top coordinatewise.  ``pieces_of`` runs once per symbol.
-    """
-    field = f.field
+def box_key(top: tuple) -> Callable:
+    """Multi-index sum, None unless the sum is <= top coordinatewise."""
 
     def key(a: tuple, b: tuple):
         k = exp_add(a, b)
         return k if all(map(_le, k, top)) else None
 
+    return key
+
+
+def size_key(m: int) -> Callable:
+    """Multi-index sum, None unless the sum has total size <= m."""
+
+    def key(a: tuple, b: tuple):
+        k = exp_add(a, b)
+        return k if sum(k) <= m else None
+
+    return key
+
+
+def leibniz(
+    f, key: Callable, collect: Sequence, coeff_table: Callable, pieces_of: Callable, ring
+) -> dict:
+    """{index: sum over the terms c * x_1^e_1 ... of f of the t^index coefficient of
+
+        coeff_table(c) * pieces_of(x_1)^e_1 * ...}
+
+    for every index in ``collect``, in that order (zero sums included).
+    ``coeff_table(c)`` maps multi-indices to base elements, ``pieces_of(x)``
+    maps them to elements of ``ring``; products are taken under the truncating
+    key product ``key``.  ``pieces_of`` runs once per symbol.
+    """
+    field = f.field
     pieces: dict = {}
-    result = ring.zero(field)
+    sums: dict = {}
     for mono, coeff in f.terms.items():
         table = {g: ring.const(field, v) for g, v in coeff_table(coeff).items() if v}
         for sym, e in mono:
@@ -98,7 +119,10 @@ def leibniz(f, top: tuple, coeff_table: Callable, pieces_of: Callable, ring):
                 piece = pieces[sym] = pieces_of(sym)
             for _ in range(e):
                 table = mul(table, piece, key)
-        got = table.get(top)
-        if got is not None:
-            result = result + got
-    return result
+        for k in collect:
+            got = table.get(k)
+            if got is not None:
+                s = sums.get(k)
+                sums[k] = got if s is None else s + got
+    zero = ring.zero(field)
+    return {k: sums.get(k, zero) for k in collect}

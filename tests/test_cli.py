@@ -164,6 +164,26 @@ def test_vacuous_check_arguments_exit_2(argv, flag, capsys):
     assert "RESULT" not in captured.out
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["prolong", "doc.txt"],
+        ["jet", "doc.txt"],
+        ["nabla", "doc.txt"],
+        ["lift", "--map", "y = x", "doc.txt"],
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_negative_order_names_the_flag(argv, capsys):
+    from hsprolong import cli
+
+    with pytest.raises(SystemExit) as exc:
+        cli.main([*argv, "--order", "-1"])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert "argument --order: must be at least 0, got -1" in err
+
+
 # Fixed documents whose presentation outputs are pinned by digest: any change
 # to the expansion route must leave every byte of stdout as it is.
 PINNED_DOCS = {

@@ -55,6 +55,13 @@ class TestTruncRing:
         t = t_var(2)
         assert not t * t * t
 
+    @pytest.mark.parametrize("coeff", [1, 0], ids=["nonzero", "zero"])
+    def test_wrong_length_key_rejected(self, coeff):
+        c = BaseElem.const(Q_s, coeff)
+        for key in ((1, 0), (5, 0)):
+            with pytest.raises(ValueError, match="wrong length"):
+                TruncatedElement({(0,): BaseElem.one(Q_s), key: c}, 2, 1)
+
 
 class TestTwistExpand:
     def test_parameter(self):

@@ -1,6 +1,6 @@
 """Exact prolongations and jet spaces over fields with commuting Hasse derivations."""
 
-from .fields import FieldDescriptor, Scalar, binom, comp_coeff, multinomial
+from .fields import FieldDescriptor, binom, comp_coeff, multinomial
 from .multiindex import (
     enumerate_multiindices,
     graded_lex_key,
@@ -76,7 +76,7 @@ from .checks import CHECK_NAMES, run_checks
 __version__ = "0.1.0"
 
 __all__ = [
-    "FieldDescriptor", "Scalar", "binom", "comp_coeff", "multinomial",
+    "FieldDescriptor", "binom", "comp_coeff", "multinomial",
     "enumerate_multiindices", "graded_lex_key", "index_add", "index_leq",
     "index_size", "indices_below", "splittings", "unit_index", "zero_index",
     "BaseElem", "ParamPoly", "hasse_derive", "poly_divexact", "poly_gcd",

@@ -1,10 +1,13 @@
 """Rational function fields K = k0(s_1..s_r) with commuting Hasse derivations.
 
-Polynomials in the parameters are sparse maps from exponent tuples to Scalar
-coefficients.  A BaseElem is a normalized quotient num/den of two such
-polynomials: the gcd is cancelled (content/primitive-part recursion with a
-primitive pseudo-remainder sequence) and the denominator's leading
-coefficient under graded-lex is scaled to 1, so equality is structural.
+Polynomials in the parameters are sparse maps from exponent tuples to plain
+coefficients: Fractions in characteristic 0, ints in [0, p) in characteristic
+p.  Arithmetic on raw term dicts leaves unreduced ints; the ParamPoly
+constructor is the one place that folds them back into [0, p).  A BaseElem is
+a normalized quotient num/den of two such polynomials: the gcd is cancelled
+(content/primitive-part recursion with a primitive pseudo-remainder sequence)
+and the denominator's leading coefficient under graded-lex is scaled to 1, so
+equality is structural.
 
 The mixed Hasse derivative D_alpha acts on the standard monomial basis by
 D_{i,k}(s_i^j) = C(j,k) s_i^{j-k} and reaches denominators through the
@@ -16,12 +19,10 @@ is kept independent as a cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Mapping, Sequence, Union
+from typing import Callable, Mapping, Sequence, Union
 
 from . import termdict
-from .fields import FieldDescriptor, Scalar, binom
-
-Coeffish = Union[Scalar, int, Fraction]
+from .fields import FieldDescriptor, binom
 
 
 def _monomial_key(exps: Sequence[int]) -> tuple:
@@ -29,13 +30,20 @@ def _monomial_key(exps: Sequence[int]) -> tuple:
     return (sum(exps), tuple(exps))
 
 
+def _nonzero(terms: Mapping, p: int) -> dict:
+    """The terms with each coefficient reduced mod p (when p) and zeros dropped."""
+    if p:
+        return {k: r for k, c in terms.items() if (r := c % p)}
+    return {k: c for k, c in terms.items() if c}
+
+
 class ParamPoly:
-    """Sparse polynomial in the field parameters with Scalar coefficients."""
+    """Sparse polynomial in the field parameters with exact coefficients."""
 
     __slots__ = ("terms", "field")
 
-    def __init__(self, terms: Mapping[tuple, Scalar], field: FieldDescriptor):
-        self.terms = {e: c for e, c in terms.items() if c}
+    def __init__(self, terms: Mapping[tuple, int | Fraction], field: FieldDescriptor):
+        self.terms = _nonzero(terms, field.characteristic)
         self.field = field
 
     # -- constructors ------------------------------------------------------
@@ -45,9 +53,8 @@ class ParamPoly:
         return cls({}, field)
 
     @classmethod
-    def const(cls, field: FieldDescriptor, value: Coeffish) -> "ParamPoly":
-        c = value if isinstance(value, Scalar) else field.scalar(value)
-        return cls({(0,) * field.param_count: c}, field)
+    def const(cls, field: FieldDescriptor, value: int | Fraction) -> "ParamPoly":
+        return cls({(0,) * field.param_count: field.scalar(value)}, field)
 
     @classmethod
     def var(cls, field: FieldDescriptor, i: int) -> "ParamPoly":
@@ -55,12 +62,11 @@ class ParamPoly:
             raise ValueError(f"no parameter with index {i}")
         e = [0] * field.param_count
         e[i] = 1
-        return cls({tuple(e): field.one}, field)
+        return cls({tuple(e): field.scalar(1)}, field)
 
     @classmethod
-    def monomial(cls, field: FieldDescriptor, exps: Sequence[int], coeff: Coeffish = 1) -> "ParamPoly":
-        c = coeff if isinstance(coeff, Scalar) else field.scalar(coeff)
-        return cls({tuple(exps): c}, field)
+    def monomial(cls, field: FieldDescriptor, exps: Sequence[int], coeff: int | Fraction = 1) -> "ParamPoly":
+        return cls({tuple(exps): field.scalar(coeff)}, field)
 
     # -- ring structure ----------------------------------------------------
 
@@ -95,18 +101,17 @@ class ParamPoly:
             raise ValueError("negative power of a polynomial")
         return termdict.power(self, k, ParamPoly.const(self.field, 1))
 
-    def scale(self, c: Coeffish) -> "ParamPoly":
-        c = c if isinstance(c, Scalar) else self.field.scalar(c)
-        return ParamPoly(termdict.scale(self.terms, c), self.field)
+    def scale(self, c: int | Fraction) -> "ParamPoly":
+        return ParamPoly(termdict.scale(self.terms, self.field.scalar(c)), self.field)
 
     # -- structure queries -------------------------------------------------
 
     def is_const(self) -> bool:
         return all(not any(e) for e in self.terms)
 
-    def const_value(self) -> Scalar:
+    def const_value(self) -> int | Fraction:
         if not self.terms:
-            return self.field.zero
+            return self.field.scalar(0)
         ((e, c),) = self.terms.items()
         if any(e):
             raise ValueError("not a constant polynomial")
@@ -115,7 +120,7 @@ class ParamPoly:
     def degree(self) -> int:
         return max((sum(e) for e in self.terms), default=0)
 
-    def leading(self) -> tuple[tuple, Scalar]:
+    def leading(self) -> tuple[tuple, int | Fraction]:
         if not self.terms:
             raise ValueError("leading term of the zero polynomial")
         e = max(self.terms, key=_monomial_key)
@@ -152,7 +157,7 @@ class ParamPoly:
             if body:
                 if c == 1:
                     piece = body
-                elif c == -1 and c.char == 0:
+                elif c == -1:
                     piece = "-" + body
                 else:
                     piece = f"{c}*{body}"
@@ -212,7 +217,7 @@ def _monic(f: ParamPoly) -> ParamPoly:
     _, lc = f.leading()
     if lc == 1:
         return f
-    return f.scale(lc.inverse())
+    return f.scale(f.field.inverse(lc))
 
 
 def _coeffs_in(f: ParamPoly, v: int) -> dict[int, ParamPoly]:
@@ -253,10 +258,10 @@ def _scalar_rescale(r: dict[int, ParamPoly]) -> dict[int, ParamPoly]:
     num = 0
     for p in r.values():
         for c in p.terms.values():
-            den = lcm(den, c.value.denominator)
+            den = lcm(den, c.denominator)
     for p in r.values():
         for c in p.terms.values():
-            num = gcd(num, c.value.numerator * (den // c.value.denominator))
+            num = gcd(num, c.numerator * (den // c.denominator))
     if den == 1 and num in (0, 1):
         return r
     factor = Fraction(den, num)
@@ -292,29 +297,36 @@ def _content_and_pp(coeffs: dict[int, ParamPoly]) -> tuple[ParamPoly, dict[int, 
 
 
 def _gcd_univar(f: ParamPoly, g: ParamPoly, v: int) -> ParamPoly:
-    """Plain Euclid for polynomials in the single parameter v."""
+    """Plain Euclid for polynomials in the single parameter v.
+
+    The degree -> coefficient dicts bypass the ParamPoly constructor, so every
+    step reduces them itself: in characteristic p, max() must not pick a term
+    that is nonzero as an int but zero mod p.
+    """
+    field = f.field
+    p = field.characteristic
     a = {e[v]: c for e, c in f.terms.items()}
     b = {e[v]: c for e, c in g.terms.items()}
     while b:
         db = max(b)
-        b = termdict.scale(b, b[db].inverse())
+        b = _nonzero(termdict.scale(b, field.inverse(b[db])), p)
         while a:
             da = max(a)
             if da < db:
                 break
             lead = a.pop(da)
-            a = termdict.add(a, ((d + da - db, -c * lead) for d, c in b.items() if d != db))
+            a = _nonzero(termdict.add(a, ((d + da - db, -c * lead) for d, c in b.items() if d != db)), p)
         a, b = b, a
     out = {}
-    proto = [0] * f.field.param_count
+    proto = [0] * field.param_count
     for d, c in a.items():
         e = proto[:]
         e[v] = d
         out[tuple(e)] = c
-    return _monic(ParamPoly(out, f.field))
+    return _monic(ParamPoly(out, field))
 
 
-def _eval_except(p: ParamPoly, v: int, values: dict[int, Scalar]) -> ParamPoly:
+def _eval_except(p: ParamPoly, v: int, values: dict[int, int | Fraction]) -> ParamPoly:
     """Substitute scalars for every variable except v, leaving a univariate poly."""
     proto = (0,) * p.field.param_count
     pairs = []
@@ -426,9 +438,11 @@ def poly_divexact(f: ParamPoly, g: ParamPoly) -> ParamPoly:
         raise ZeroDivisionError("division by the zero polynomial")
     if not f:
         return f
+    field = f.field
     if g.is_const():
-        return f.scale(g.const_value().inverse())
+        return f.scale(field.inverse(g.const_value()))
     ge, gc = g.leading()
+    inv = field.inverse(gc)
     rem = f
     out: dict = {}
     while rem:
@@ -436,7 +450,7 @@ def poly_divexact(f: ParamPoly, g: ParamPoly) -> ParamPoly:
         qe = tuple(a - b for a, b in zip(fe, ge))
         if any(e < 0 for e in qe):
             raise ValueError("inexact polynomial division")
-        qc = fc / gc
+        qc = fc * inv
         out[qe] = qc
         rem = rem - g * ParamPoly.monomial(f.field, qe, qc)
         if rem and _monomial_key(rem.leading()[0]) >= _monomial_key(fe):
@@ -469,7 +483,7 @@ class BaseElem:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def const(cls, field: FieldDescriptor, value: Coeffish, den: int = 1) -> "BaseElem":
+    def const(cls, field: FieldDescriptor, value: int | Fraction, den: int = 1) -> "BaseElem":
         return cls(ParamPoly.const(field, field.scalar(value, den)))
 
     @classmethod
@@ -494,7 +508,7 @@ class BaseElem:
         else:
             lc = den.leading()[1]
             if lc != 1:
-                inv = lc.inverse()
+                inv = field.inverse(lc)
                 num, den = num.scale(inv), den.scale(inv)
         out = cls.__new__(cls)
         out.num = num
@@ -511,7 +525,7 @@ class BaseElem:
             return other
         if isinstance(other, ParamPoly):
             return BaseElem(other)
-        if isinstance(other, (int, Fraction, Scalar)):
+        if isinstance(other, (int, Fraction)):
             return BaseElem.const(self.field, other)
         return NotImplemented
 
@@ -519,7 +533,7 @@ class BaseElem:
         return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction, Scalar)):
+        if isinstance(other, (int, Fraction)):
             other = BaseElem.const(self.field, other)
         if not isinstance(other, BaseElem):
             return NotImplemented
@@ -616,7 +630,8 @@ class BaseElem:
     def is_negative_leading(self) -> bool:
         if not self.num:
             return False
-        return self.num.leading()[1].is_negative()
+        # residues in [0, p) are never negative
+        return self.num.leading()[1] < 0
 
     def render(self) -> str:
         if self.den == ParamPoly.const(self.field, 1):
@@ -656,7 +671,7 @@ def _reduce(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
             num, den = poly_divexact(num, g), poly_divexact(den, g)
     lc = den.leading()[1]
     if lc != 1:
-        inv = lc.inverse()
+        inv = den.field.inverse(lc)
         num, den = num.scale(inv), den.scale(inv)
     return num, den
 
@@ -730,11 +745,17 @@ def hasse_table(a: BaseElem, m: int) -> dict[tuple, BaseElem]:
     """
     if m < 0:
         raise ValueError(f"derivative order must be a natural, got {m}")
+    return _hasse_table(a, lambda i, rest: m - sum(rest))
+
+
+def _hasse_table(a: BaseElem, top: Callable[[int, tuple], int]) -> dict[tuple, BaseElem]:
+    """{alpha: D_alpha(a)}, family i running to order top(i, rest) below the
+    coordinates rest it comes after: one _family_table pass per element and family."""
     table: dict[tuple, BaseElem] = {(): a}
     for i in range(a.field.derivation_count - 1, -1, -1):
         table = {
             (k,) + rest: d
             for rest, b in table.items()
-            for k, d in enumerate(_family_table(i, m - sum(rest), b))
+            for k, d in enumerate(_family_table(i, top(i, rest), b))
         }
     return table

@@ -3,7 +3,10 @@
 Commands construct prolongation/jet presentations, evaluate the nabla
 section, lift morphisms, and run the verification suites.  Output is
 deterministic: identical inputs and seeds produce byte-identical text.
-Exit codes: 0 success / all checks pass, 1 check failure, 2 input error.
+Exit codes: 0 success / all checks pass, 1 check failure, 2 input error
+(bad arguments, an unreadable FILE, a document or assignment that does not
+parse), 3 internal error (any other ValueError or ZeroDivisionError: a fault
+of the program, not of the input).
 """
 
 from __future__ import annotations
@@ -25,11 +28,18 @@ from .presentations import (
     render_presentation,
 )
 
-OK, CHECK_FAILED, INPUT_ERROR = 0, 1, 2
+OK, CHECK_FAILED, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
+
+
+class _UnreadableInput(Exception):
+    """FILE could not be read as UTF-8 text."""
 
 
 def _read_document(path: str) -> InputDocument:
-    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    try:
+        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
+        raise _UnreadableInput(f"cannot read {path}: {exc}") from None
     return parse_document(text)
 
 
@@ -58,6 +68,9 @@ def cmd_nabla(args: argparse.Namespace) -> int:
             if poly.symbols():
                 raise ParseError("point coordinates must not involve variety variables", 1, 1)
             point[doc.var_names.index(name)] = poly.constant_term()
+        missing = [v for i, v in enumerate(doc.var_names) if i not in point]
+        if missing:
+            raise ParseError(f"--point is missing {missing[0]!r}", 1, 1)
     elif doc.point is not None:
         point = doc.point
     else:
@@ -199,15 +212,12 @@ def main(argv: list[str] | None = None) -> int:
         ap.error(f"argument --inner: must not exceed --outer ({args.outer}) for phi-psi, got {args.inner}")
     try:
         return args.fn(args)
-    except ParseError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
-    except FileNotFoundError as exc:
+    except (ParseError, _UnreadableInput) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
     except (ValueError, ZeroDivisionError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return INPUT_ERROR
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return INTERNAL_ERROR
 
 
 if __name__ == "__main__":

@@ -20,11 +20,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from fractions import Fraction
 from typing import Sequence
 
 from . import termdict
-from .basefield import hasse_derive, hasse_table
-from .fields import FieldDescriptor, Scalar, comp_coeff
+from .basefield import _hasse_table, hasse_table
+from .fields import FieldDescriptor, comp_coeff
 from .multiindex import (
     enumerate_multiindices,
     graded_lex_key,
@@ -76,7 +77,7 @@ class DiffPoly(SparsePoly):
         return max((index_size(s.order) for s in self.symbols()), default=0)
 
 
-def symbol_derive(beta: Sequence[int], sym: DiffSymbol, field: FieldDescriptor) -> tuple[Scalar, DiffSymbol]:
+def symbol_derive(beta: Sequence[int], sym: DiffSymbol, field: FieldDescriptor) -> tuple[int | Fraction, DiffSymbol]:
     """d_beta(x^(alpha)) = comp_coeff(beta, alpha) * x^(alpha+beta)."""
     beta = tuple(beta)
     c = comp_coeff(beta, sym.order, field)
@@ -118,12 +119,12 @@ def apply_d(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly
     alpha = tuple(alpha)
     if len(alpha) != f.field.derivation_count:
         raise ValueError("multi-index length does not match the derivation count")
-    below = indices_below(alpha)
 
     def derivatives(c):
-        return {g: hasse_derive(g, c) for g in below}
+        # the box below alpha, from one quotient-rule pass per family
+        return _hasse_table(c, lambda i, rest: alpha[i])
 
-    return _fold(f, mode, termdict.box_key(alpha), below, (alpha,), derivatives)[alpha]
+    return _fold(f, mode, termdict.box_key(alpha), indices_below(alpha), (alpha,), derivatives)[alpha]
 
 
 def derive_upto(f: DiffPoly, m: int, mode: DerivationMode) -> dict[tuple, DiffPoly]:

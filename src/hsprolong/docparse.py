@@ -286,12 +286,22 @@ def parse_document(text: str) -> InputDocument:
 
 
 def parse_assignments(field: FieldDescriptor, var_names: tuple[str, ...], text: str) -> dict[str, DiffPoly]:
-    """Parse 'name = expr, name = expr' against an existing field and variable set."""
+    """Parse 'name = expr, name = expr' against an existing field and variable set.
+
+    Each name must be a single identifier that is not a keyword, and may be
+    assigned only once.
+    """
     out: dict[str, DiffPoly] = {}
     for piece in text.split(","):
         if "=" not in piece:
             raise ParseError(f"expected name=expression, got {piece.strip()!r}", 1, 1)
         name, expr = piece.split("=", 1)
+        name = name.strip()
+        toks = _tokenize(name)
+        if len(toks) != 2 or toks[0].kind != "IDENT" or name in KEYWORDS:
+            raise ParseError(f"expected a name before '=', got {name!r}", 1, 1)
+        if name in out:
+            raise ParseError(f"{name!r} is assigned twice", 1, 1)
         inner = _Parser(expr)
         inner.field = field
         inner.var_names = var_names
@@ -299,7 +309,7 @@ def parse_assignments(field: FieldDescriptor, var_names: tuple[str, ...], text: 
         tok = inner.peek()
         if tok.kind != "EOF":
             raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-        out[name.strip()] = value
+        out[name] = value
     return out
 
 

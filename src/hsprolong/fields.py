@@ -1,9 +1,13 @@
 """Exact coefficient arithmetic in characteristic 0 or p.
 
-A Scalar is either a normalized arbitrary-precision rational (characteristic
-0) or a residue in [0, p) (characteristic p).  Binomial and multinomial
-coefficients are always computed exactly over the integers and only then
-reduced into the characteristic, so no divisibility subtleties arise mod p.
+Coefficients are plain numbers with no wrapper: a normalized Fraction in
+characteristic 0, an int residue in [0, p) in characteristic p.
+FieldDescriptor.scalar maps an int or Fraction into the field and
+FieldDescriptor.inverse inverts a coefficient; in characteristic p, division
+must go through inverse, since int / int would give a float.  Binomial and
+multinomial coefficients are always computed exactly over the integers and
+only then reduced into the characteristic, so no divisibility subtleties arise
+mod p.
 """
 
 from __future__ import annotations
@@ -11,9 +15,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence, Union
-
-ScalarLike = Union["Scalar", int, Fraction]
+from typing import Sequence
 
 
 def is_prime(n: int) -> bool:
@@ -63,141 +65,35 @@ class FieldDescriptor:
         except ValueError:
             raise KeyError(f"unknown parameter {name!r}") from None
 
-    def scalar(self, value: ScalarLike, den: int = 1) -> Scalar:
+    def scalar(self, value: int | Fraction, den: int = 1) -> int | Fraction:
+        """value/den as a coefficient: a Fraction in characteristic 0, an int in [0, p) in p."""
         if den != 1:
-            return Scalar(Fraction(value, den), self.characteristic)
-        return Scalar(value, self.characteristic)
+            value = Fraction(value, den)
+        p = self.characteristic
+        if not p:
+            return value if type(value) is Fraction else Fraction(value)
+        if isinstance(value, Fraction):
+            if value.denominator % p == 0:
+                raise ZeroDivisionError(f"denominator divisible by {p}")
+            value = value.numerator * pow(value.denominator, p - 2, p)
+        return value % p
 
-    @property
-    def zero(self) -> Scalar:
-        return Scalar(0, self.characteristic)
-
-    @property
-    def one(self) -> Scalar:
-        return Scalar(1, self.characteristic)
-
-
-class Scalar:
-    """An exact element of Q or F_p.
-
-    Rationals are kept normalized by Fraction; prime-field values are kept
-    reduced into [0, p).  Mixed arithmetic with int and Fraction promotes the
-    plain operand into the same field.
-    """
-
-    __slots__ = ("value", "char")
-
-    def __init__(self, value: ScalarLike, char: int = 0):
-        if isinstance(value, Scalar):
-            if value.char != char:
-                raise ValueError("scalar characteristic mismatch")
-            self.value = value.value
-            self.char = char
-            return
-        if char == 0:
-            self.value = value if isinstance(value, Fraction) else Fraction(value)
-        else:
-            if isinstance(value, Fraction):
-                if value.denominator % char == 0:
-                    raise ZeroDivisionError(f"denominator divisible by {char}")
-                value = value.numerator * pow(value.denominator, char - 2, char)
-            self.value = value % char
-        self.char = char
-
-    def _coerce(self, other: ScalarLike) -> "Scalar":
-        if isinstance(other, Scalar):
-            if other.char != self.char:
-                raise ValueError("scalar characteristic mismatch")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return Scalar(other, self.char)
-        return NotImplemented
-
-    def __add__(self, other: ScalarLike) -> "Scalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.value + other.value, self.char)
-
-    __radd__ = __add__
-
-    def __neg__(self) -> "Scalar":
-        return Scalar(-self.value, self.char)
-
-    def __sub__(self, other: ScalarLike) -> "Scalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.value - other.value, self.char)
-
-    def __rsub__(self, other: ScalarLike) -> "Scalar":
-        return (-self) + other
-
-    def __mul__(self, other: ScalarLike) -> "Scalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return Scalar(self.value * other.value, self.char)
-
-    __rmul__ = __mul__
-
-    def inverse(self) -> "Scalar":
-        if not self.value:
-            raise ZeroDivisionError("scalar inverse of zero")
-        if self.char == 0:
-            return Scalar(1 / self.value, 0)
-        return Scalar(pow(self.value, self.char - 2, self.char), self.char)
-
-    def __truediv__(self, other: ScalarLike) -> "Scalar":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self * other.inverse()
-
-    def __rtruediv__(self, other: ScalarLike) -> "Scalar":
-        return self.inverse() * other
-
-    def __pow__(self, k: int) -> "Scalar":
-        if k < 0:
-            return self.inverse() ** (-k)
-        if self.char == 0:
-            return Scalar(self.value**k, 0)
-        return Scalar(pow(self.value, k, self.char), self.char)
-
-    def __bool__(self) -> bool:
-        return bool(self.value)
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Scalar(other, self.char)
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.char == other.char and self.value == other.value
-
-    def __hash__(self) -> int:
-        return hash(self.value)
-
-    def is_negative(self) -> bool:
-        """Sign for rendering; prime-field residues count as non-negative."""
-        return self.char == 0 and self.value < 0
-
-    def __str__(self) -> str:
-        return str(self.value)
-
-    def __repr__(self) -> str:
-        if self.char == 0:
-            return f"Scalar({self.value!r})"
-        return f"Scalar({self.value} mod {self.char})"
+    def inverse(self, c: int | Fraction) -> int | Fraction:
+        """The inverse of a nonzero coefficient c of this field."""
+        if not c:
+            raise ZeroDivisionError("inverse of the zero coefficient")
+        p = self.characteristic
+        return pow(c, p - 2, p) if p else 1 / c
 
 
-def binom(n: int, k: int, field: FieldDescriptor) -> Scalar:
+def binom(n: int, k: int, field: FieldDescriptor) -> int | Fraction:
     """Binomial coefficient C(n, k) reduced into the field's characteristic.
 
     Out-of-range k yields 0, matching the empty-product convention used by
     iterative composition.
     """
     if k < 0 or k > n:
-        return field.zero
+        return field.scalar(0)
     return field.scalar(math.comb(n, k))
 
 
@@ -213,7 +109,7 @@ def multinomial(parts: Sequence[int]) -> int:
     return total
 
 
-def comp_coeff(alpha: Sequence[int], beta: Sequence[int], field: FieldDescriptor) -> Scalar:
+def comp_coeff(alpha: Sequence[int], beta: Sequence[int], field: FieldDescriptor) -> int | Fraction:
     """The coefficient in D_alpha o D_beta = comp_coeff * D_(alpha+beta).
 
     Product of per-coordinate binomials C(alpha_i + beta_i, alpha_i), computed

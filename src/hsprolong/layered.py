@@ -24,7 +24,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import termdict
-from .basefield import BaseElem, hasse_derive
+from .basefield import BaseElem, _family_table, hasse_derive
 from .fields import FieldDescriptor, binom, multinomial
 from .diffpoly import DerivationMode, DiffPoly
 from .multiindex import indices_below
@@ -71,22 +71,12 @@ class LayeredPoly(SparsePoly):
         return cls.from_symbol(field, LayeredSymbol(var, outer, inner, kind))
 
 
-def _d_coeff(i: int, c: BaseElem) -> BaseElem:
-    """D_i on base coefficients; a trivial field kills every positive order."""
-    if i == 0:
-        return c
+def _d_table(l: int, c: BaseElem) -> list[BaseElem]:
+    """[D_0(c), ..., D_l(c)] on base coefficients, from one quotient-rule pass;
+    a trivial field kills every positive order."""
     if c.field.derivation_count == 0:
-        return BaseElem.zero(c.field)
-    return hasse_derive((i,), c)
-
-
-def _layer_coeff(a: int, b: int, c: BaseElem, outer: DerivationMode, inner: DerivationMode) -> BaseElem:
-    if inner is DerivationMode.JET and b:
-        return BaseElem.zero(c.field)
-    v = c if inner is DerivationMode.JET else _d_coeff(b, c)
-    if outer is DerivationMode.JET:
-        return v if a == 0 else BaseElem.zero(c.field)
-    return _d_coeff(a, v)
+        return [c] + [BaseElem.zero(c.field)] * l
+    return _family_table(0, l, c)
 
 
 def layered_expand(
@@ -103,9 +93,16 @@ def layered_expand(
     """
     top = (outer_order, inner_order)
     box = indices_below(top)
+    P = DerivationMode.PROLONGATION
 
     def coeff_table(c: BaseElem) -> dict:
-        return {(a, b): _layer_coeff(a, b, c, outer, inner) for a, b in box}
+        # a JET layer keeps only order 0 of the base coefficient
+        inner_values = _d_table(inner_order, c) if inner is P else [c]
+        return {
+            (a, b): d
+            for b, v in enumerate(inner_values)
+            for a, d in enumerate(_d_table(outer_order, v) if outer is P else [v])
+        }
 
     def pieces(sym) -> dict:
         if any(sym.order):
@@ -126,7 +123,7 @@ def outer_derive(l: int, p: LayeredPoly, bound: int) -> LayeredPoly:
     field = p.field
 
     def coeff_table(c: BaseElem) -> dict:
-        return {(u,): _d_coeff(u, c) for u in range(l + 1)}
+        return {(u,): d for u, d in enumerate(_d_table(l, c))}
 
     def pieces(sym: LayeredSymbol) -> dict:
         out = {}
@@ -335,7 +332,7 @@ def tensor_left_action(c: BaseElem, v: Mapping[tuple, BaseElem], m: int, q: int)
     c joins the outer t-leg and crosses the twisted tensor, depositing
     D_k(c) at u-exponent j+k; D_k comes from the quotient-rule derivatives.
     """
-    derivatives = {(k,): _d_coeff(k, c) for k in range(_u_reach(v, q) + 1)}
+    derivatives = {(k,): d for k, d in enumerate(_d_table(_u_reach(v, q), c))}
     return termdict.mul(v, derivatives, _u_shift(q))
 
 

@@ -217,7 +217,7 @@ def _remap_param_poly(p: ParamPoly, dst: FieldDescriptor) -> ParamPoly:
         ne = [0] * dst.param_count
         for i, e in enumerate(exps):
             ne[pos[i]] = e
-        out[tuple(ne)] = dst.scalar(c.value)
+        out[tuple(ne)] = dst.scalar(c)
     return ParamPoly(out, dst)
 
 

@@ -215,8 +215,8 @@ def twist_expand(r: BaseElem, m: int) -> TruncatedElement:
     """
     num_e = _poly_twist(r.num, m)
     if r.den.is_const():
-        inv = r.den.const_value().inverse()
-        return num_e.map_coeffs(lambda c: c * inv)
+        # the normal form's denominator is monic, so a constant one is 1
+        return num_e
     return num_e * trunc_inverse(_poly_twist(r.den, m))
 
 

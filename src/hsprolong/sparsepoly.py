@@ -17,7 +17,7 @@ from typing import Callable, Mapping, Sequence, Union
 
 from . import termdict
 from .basefield import BaseElem
-from .fields import FieldDescriptor, Scalar
+from .fields import FieldDescriptor
 
 Monomial = tuple[tuple[object, int], ...]
 
@@ -57,7 +57,7 @@ class SparsePoly:
         return cls({}, field)
 
     @classmethod
-    def const(cls, field: FieldDescriptor, value: Union[BaseElem, Scalar, int, Fraction]):
+    def const(cls, field: FieldDescriptor, value: Union[BaseElem, int, Fraction]):
         if not isinstance(value, BaseElem):
             value = BaseElem.const(field, value)
         return cls({(): value}, field)
@@ -79,7 +79,7 @@ class SparsePoly:
             if type(other) is not type(self):
                 raise TypeError("mixing different symbolic polynomial rings")
             return other
-        if isinstance(other, (BaseElem, Scalar, int, Fraction)):
+        if isinstance(other, (BaseElem, int, Fraction)):
             return self.const(self.field, other)
         return NotImplemented
 
@@ -87,7 +87,7 @@ class SparsePoly:
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (BaseElem, Scalar, int, Fraction)):
+        if isinstance(other, (BaseElem, int, Fraction)):
             other = self.const(self.field, other)
         if not isinstance(other, SparsePoly):
             return NotImplemented

@@ -229,3 +229,70 @@ def test_presentation_output_is_pinned(field, command, order, tmp_path, capsys):
     assert cli.main([command, *extra, "--order", str(order), str(path)]) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_DIGESTS[field, command, order]
+
+
+def test_directory_file_is_an_input_error(tmp_path, capsys):
+    from hsprolong import cli
+
+    assert cli.main(["prolong", "--order", "1", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: cannot read") and "Traceback" not in err
+
+
+def test_unreadable_file_is_an_input_error(tmp_path, monkeypatch, capsys):
+    from pathlib import Path
+
+    from hsprolong import cli
+
+    binary = tmp_path / "doc.bin"
+    binary.write_bytes(b"\xff\xfe char 0;")
+    assert cli.main(["prolong", "--order", "1", str(binary)]) == 2
+    assert capsys.readouterr().err.startswith("input error: cannot read")
+
+    def denied(self, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(self))
+
+    monkeypatch.setattr(Path, "read_text", denied)
+    assert cli.main(["jet", "--order", "1", str(binary)]) == 2
+    assert "Permission denied" in capsys.readouterr().err
+
+
+def test_point_flag_names_the_missing_variable(hyperbola_file, capsys):
+    from hsprolong import cli
+
+    assert cli.main(["nabla", "--order", "1", "--point", "x=s", hyperbola_file]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: --point is missing 'y'")
+
+
+def test_internal_error_exits_3(witt_file, monkeypatch, capsys):
+    from hsprolong import cli
+
+    def broken(*args, **kwargs):
+        raise ValueError("planted fault")
+
+    monkeypatch.setattr(cli, "prolong_presentation", broken)
+    assert cli.main(["prolong", "--order", "1", witt_file]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("internal error: ValueError: planted fault")
+    assert "input error" not in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["lift", "--map", "u=x, =y"], "expected a name before '=', got ''"),
+        (["lift", "--map", "1u v=x"], "expected a name before '=', got '1u v'"),
+        (["lift", "--map", "point=x"], "expected a name before '=', got 'point'"),
+        (["lift", "--map", "u=x, u=y"], "'u' is assigned twice"),
+        (["nabla", "--point", "x=s, y=1/s, x=2"], "'x' is assigned twice"),
+    ],
+    ids=["empty", "not-an-identifier", "keyword", "repeated-map", "repeated-point"],
+)
+def test_bad_assignment_names_exit_2(argv, message, hyperbola_file, capsys):
+    from hsprolong import cli
+
+    assert cli.main([*argv, "--order", "1", hyperbola_file]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"input error: {message}")
+    assert captured.out == ""

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hsprolong import FieldDescriptor, Scalar, binom, comp_coeff, multinomial
+from hsprolong import FieldDescriptor, ParamPoly, binom, comp_coeff, multinomial
 
 Q = FieldDescriptor(0, (), 0)
 Q_s = FieldDescriptor(0, ("s",), 1)
@@ -40,7 +40,7 @@ def test_binom_mod_p_is_reduction_of_exact_value():
     table = pascal_table(12)
     for n in range(13):
         for k in range(n + 1):
-            assert binom(n, k, F5).value == table[n][k] % 5
+            assert binom(n, k, F5) == table[n][k] % 5
 
 
 def test_multinomial_examples():
@@ -97,25 +97,44 @@ def test_comp_coeff_length_mismatch():
 
 
 def test_scalar_arithmetic():
-    a = Scalar(Fraction(3, 4))
-    b = Scalar(Fraction(1, 4))
+    a = Q.scalar(Fraction(3, 4))
+    b = Q.scalar(1, 4)
+    assert type(a) is Fraction and type(b) is Fraction and type(Q.scalar(2)) is Fraction
     assert a + b == 1
     assert a - b == Fraction(1, 2)
-    assert (a / b) == 3
+    assert a * Q.inverse(b) == 3
     assert a * 0 == 0 and not (a * 0)
 
-    x = Scalar(3, 5)
-    y = Scalar(4, 5)
-    assert x + y == 2
-    assert x * y == 2
-    assert (x / y) * y == x
-    assert x**4 == Scalar(pow(3, 4, 5), 5)
+    # over F5 the residues are plain ints; ParamPoly reduces sums and products
+    x, y = F5.scalar(3), F5.scalar(4)
+    assert type(x) is int and F5.scalar(-2) == 3 and F5.scalar(13) == 3
+    assert ParamPoly.const(F5, x) + ParamPoly.const(F5, y) == ParamPoly.const(F5, 2)
+    assert ParamPoly.const(F5, x) * ParamPoly.const(F5, y) == ParamPoly.const(F5, 2)
+    assert F5.scalar(x * F5.inverse(y) * y) == x
+    assert (ParamPoly.const(F5, x) ** 4).const_value() == pow(3, 4, 5)
+    for c in range(1, 5):
+        assert c * F5.inverse(c) % 5 == 1
 
 
 def test_scalar_char_p_from_fraction():
-    assert Scalar(Fraction(1, 2), 5) == Scalar(3, 5)
+    assert F5.scalar(Fraction(1, 2)) == F5.scalar(1, 2) == F5.inverse(2) == 3
     with pytest.raises(ZeroDivisionError):
-        Scalar(Fraction(1, 5), 5)
+        F5.scalar(Fraction(1, 5))
+    with pytest.raises(ZeroDivisionError):
+        F5.scalar(2, 10)
+    with pytest.raises(ZeroDivisionError):
+        F5.inverse(0)
+    with pytest.raises(ZeroDivisionError):
+        Q.inverse(Fraction(0))
+
+
+def test_param_poly_reduces_char_p_coefficients():
+    # the constructor is the one place a char-p coefficient is reduced
+    s = (1,)
+    p = ParamPoly({s: 7, (0,): 10, (2,): -1}, F5)
+    assert p.terms == {s: 2, (2,): 4}
+    assert all(type(c) is int and 0 <= c < 5 for c in (-p).terms.values())
+    assert not ParamPoly({s: 5}, F5)
 
 
 def test_descriptor_validation():

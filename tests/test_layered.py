@@ -29,7 +29,7 @@ from hsprolong import (
     twisted_tensor_check,
 )
 from hsprolong import layered
-from hsprolong.layered import _d_coeff
+from hsprolong.layered import _d_table
 from hsprolong.sampling import random_base_elem
 
 P = DerivationMode.PROLONGATION
@@ -184,8 +184,7 @@ class TestTensor:
         assert cs == TruncatedElement({(0,): s, (1,): BaseElem.const(Q_s, -1)}, 1, 1)
         v = {}
         for (g,), cg in cs.coeffs.items():
-            for k in range(1 - g + 1):
-                dk = _d_coeff(k, cg)
+            for k, dk in enumerate(_d_table(1 - g, cg)):
                 if dk:
                     key = (0, g + k)
                     v[key] = v.get(key, BaseElem.zero(Q_s)) + dk
@@ -199,7 +198,7 @@ class TestTensor:
     def test_wrong_derivative_is_caught(self, monkeypatch):
         # a D_k that kills every positive order must break the left action
         # against the series-route right action
-        monkeypatch.setattr(layered, "_d_coeff", lambda i, c: c if i == 0 else BaseElem.zero(c.field))
+        monkeypatch.setattr(layered, "_d_table", lambda l, c: [c] + [BaseElem.zero(c.field)] * l)
         lines = twisted_tensor_check(2, 2, 20, seed=21)
         assert lines[-1].startswith("FAIL tensor-linearity")
 

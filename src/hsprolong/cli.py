@@ -18,7 +18,7 @@ from pathlib import Path
 
 from .checks import CHECK_NAMES, run_checks
 from .diffpoly import DerivationMode
-from .docparse import InputDocument, ParseError, parse_assignments, parse_document
+from .docparse import InputDocument, ParseError, parse_assignments, parse_document, parse_point
 from .presentations import (
     PointNotOnVariety,
     nabla,
@@ -60,17 +60,7 @@ def cmd_prolong(args: argparse.Namespace) -> int:
 def cmd_nabla(args: argparse.Namespace) -> int:
     doc = _read_document(args.file)
     if args.point:
-        point_polys = parse_assignments(doc.field, doc.var_names, args.point)
-        point = {}
-        for name, poly in point_polys.items():
-            if name not in doc.var_names:
-                raise ParseError(f"undeclared variable {name!r} in --point", 1, 1)
-            if poly.symbols():
-                raise ParseError("point coordinates must not involve variety variables", 1, 1)
-            point[doc.var_names.index(name)] = poly.constant_term()
-        missing = [v for i, v in enumerate(doc.var_names) if i not in point]
-        if missing:
-            raise ParseError(f"--point is missing {missing[0]!r}", 1, 1)
+        point = parse_point(doc.field, doc.var_names, args.point)
     elif doc.point is not None:
         point = doc.point
     else:

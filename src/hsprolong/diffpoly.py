@@ -73,9 +73,6 @@ class DiffPoly(SparsePoly):
     def variable(cls, field: FieldDescriptor, var: int) -> "DiffPoly":
         return cls.from_symbol(field, DiffSymbol(var, zero_index(field.derivation_count)))
 
-    def max_order(self) -> int:
-        return max((index_size(s.order) for s in self.symbols()), default=0)
-
 
 def symbol_derive(beta: Sequence[int], sym: DiffSymbol, field: FieldDescriptor) -> tuple[int | Fraction, DiffSymbol]:
     """d_beta(x^(alpha)) = comp_coeff(beta, alpha) * x^(alpha+beta)."""

@@ -5,18 +5,24 @@ Grammar (whitespace-insensitive)::
     document   := fieldblock varietyblock [pointblock]
     fieldblock := "char" NAT ";" "params" IDENT* ";" "derivations" NAT ";"
     varietyblock := "vars" IDENT+ ";" "gens" poly ("," poly)* ";"
-    pointblock := "point" IDENT "=" poly ("," IDENT "=" poly)* ";"
+    pointblock := "point" assignments ";"
+    assignments := IDENT "=" poly ("," IDENT "=" poly)*
     poly       := ["+"|"-"] term (("+"|"-") term)*
     term       := factor (("*"|"/") factor)*
     factor     := atom ["^" NAT]
     atom       := NAT | IDENT | "(" poly ")"
 
 Identifiers must be declared parameters or variety variables; a divisor may
-not involve variety variables.  Diagnostics carry line and column.
+not involve variety variables.  ``assignments`` is also the whole grammar of
+a ``--point`` value (``parse_point``) and of a ``--map`` value
+(``parse_assignments``); an assigned name is an identifier, not a keyword,
+and appears once.  Diagnostics carry line and column, counted in the text
+that was parsed: the document, or the flag value.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from typing import Optional
 
@@ -35,52 +41,30 @@ class ParseError(ValueError):
         super().__init__(f"{message} (line {line}, column {col})")
 
 
-@dataclass
+@dataclass(slots=True)
 class Token:
     kind: str  # NAT, IDENT, PUNCT, EOF
     text: str
-    line: int
-    col: int
+    offset: int
+
+
+def _where(text: str, offset: int) -> tuple[int, int]:
+    """(line, column) of an offset, both counted from 1."""
+    return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
+
+
+# One group per token kind (NAT, IDENT, PUNCT), then any other non-space character.
+_TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^();,=])|(\S)")
+_KINDS = (None, "NAT", "IDENT", "PUNCT")
 
 
 def _tokenize(text: str) -> list[Token]:
     toks: list[Token] = []
-    line, col = 1, 1
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch.isspace():
-            col += 1
-            i += 1
-            continue
-        if ch.isdigit():
-            j = i
-            while j < len(text) and text[j].isdigit():
-                j += 1
-            toks.append(Token("NAT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            toks.append(Token("IDENT", text[i:j], line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in "+-*/^();,=":
-            toks.append(Token("PUNCT", ch, line, col))
-            col += 1
-            i += 1
-            continue
-        raise ParseError(f"unexpected character {ch!r}", line, col)
-    toks.append(Token("EOF", "", line, col))
+    for match in _TOKEN.finditer(text):
+        if match.lastindex == 4:
+            raise ParseError(f"unexpected character {match.group()!r}", *_where(text, match.start()))
+        toks.append(Token(_KINDS[match.lastindex], match.group(), match.start()))
+    toks.append(Token("EOF", "", len(text)))
     return toks
 
 
@@ -93,13 +77,17 @@ class InputDocument:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    def __init__(self, text: str, field: FieldDescriptor | None = None, var_names: tuple[str, ...] = ()):
+        self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
-        self.field: FieldDescriptor | None = None
-        self.var_names: tuple[str, ...] = ()
+        self.field = field
+        self.var_names = var_names
 
     # -- token plumbing ----------------------------------------------------
+
+    def error(self, message: str, tok: Token) -> ParseError:
+        return ParseError(message, *_where(self.text, tok.offset))
 
     def peek(self) -> Token:
         return self.toks[self.pos]
@@ -112,21 +100,27 @@ class _Parser:
     def expect_punct(self, ch: str) -> Token:
         tok = self.peek()
         if tok.kind != "PUNCT" or tok.text != ch:
-            raise ParseError(f"expected {ch!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+            raise self.error(f"expected {ch!r}, found {tok.text or 'end of input'!r}", tok)
         return self.next()
 
     def expect_keyword(self, word: str) -> Token:
         tok = self.peek()
         if tok.kind != "IDENT" or tok.text != word:
-            raise ParseError(f"expected {word!r}, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+            raise self.error(f"expected {word!r}, found {tok.text or 'end of input'!r}", tok)
         return self.next()
 
     def expect_nat(self) -> int:
         tok = self.peek()
         if tok.kind != "NAT":
-            raise ParseError(f"expected a natural number, found {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"expected a natural number, found {tok.text!r}", tok)
         self.next()
         return int(tok.text)
+
+    def expect_end(self) -> Token:
+        tok = self.peek()
+        if tok.kind != "EOF":
+            raise self.error(f"unexpected trailing input {tok.text!r}", tok)
+        return tok
 
     def accept_punct(self, ch: str) -> bool:
         tok = self.peek()
@@ -140,8 +134,7 @@ class _Parser:
         while self.peek().kind == "IDENT" and self.peek().text not in KEYWORDS:
             names.append(self.next().text)
         if at_least_one and not names:
-            tok = self.peek()
-            raise ParseError("expected at least one identifier", tok.line, tok.col)
+            raise self.error("expected at least one identifier", self.peek())
         return names
 
     # -- document structure ---------------------------------------------------
@@ -150,7 +143,7 @@ class _Parser:
         char_tok = self.expect_keyword("char")
         char = self.expect_nat()
         if char != 0 and not is_prime(char):
-            raise ParseError(f"characteristic {char} is not 0 or prime", char_tok.line, char_tok.col)
+            raise self.error(f"characteristic {char} is not 0 or prime", char_tok)
         self.expect_punct(";")
         self.expect_keyword("params")
         params = self.name_list(at_least_one=False)
@@ -161,16 +154,16 @@ class _Parser:
         try:
             self.field = FieldDescriptor(char, tuple(params), n)
         except ValueError as exc:
-            raise ParseError(str(exc), der_tok.line, der_tok.col) from None
+            raise self.error(str(exc), der_tok) from None
 
         self.expect_keyword("vars")
         var_tok = self.peek()
         var_names = self.name_list(at_least_one=True)
         if len(set(var_names)) != len(var_names):
-            raise ParseError("variety variables must be distinct", var_tok.line, var_tok.col)
+            raise self.error("variety variables must be distinct", var_tok)
         clash = set(var_names) & set(params)
         if clash:
-            raise ParseError(f"identifier {clash.pop()!r} is both a parameter and a variable", var_tok.line, var_tok.col)
+            raise self.error(f"identifier {clash.pop()!r} is both a parameter and a variable", var_tok)
         self.var_names = tuple(var_names)
         self.expect_punct(";")
 
@@ -183,33 +176,51 @@ class _Parser:
         point = None
         if self.peek().kind == "IDENT" and self.peek().text == "point":
             self.next()
-            point = {}
-            while True:
-                tok = self.peek()
-                if tok.kind != "IDENT":
-                    raise ParseError("expected a variable name in the point block", tok.line, tok.col)
-                if tok.text not in self.var_names:
-                    raise ParseError(f"undeclared variable {tok.text!r} in point block", tok.line, tok.col)
-                self.next()
-                self.expect_punct("=")
-                value = self.parse_poly()
-                if value.symbols():
-                    raise ParseError("point coordinates must not involve variety variables", tok.line, tok.col)
-                point[self.var_names.index(tok.text)] = value.constant_term()
-                if not self.accept_punct(","):
-                    break
-            self.expect_punct(";")
-            missing = [v for i, v in enumerate(self.var_names) if i not in point]
-            if missing:
-                tok = self.peek()
-                raise ParseError(f"point block is missing {missing[0]!r}", tok.line, tok.col)
-
-        tok = self.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
+            pairs = self.assignments()
+            point = self.point(pairs, "point block", self.expect_punct(";"))
+        self.expect_end()
 
         variety = VarietyPresentation(self.field, len(self.var_names), gens)
         return InputDocument(self.field, self.var_names, variety, point)
+
+    def assignments(self) -> list[tuple[Token, DiffPoly]]:
+        """IDENT "=" poly ("," IDENT "=" poly)*, as (name token, value) pairs.
+
+        A name that is not one identifier, is a keyword, or repeats an earlier
+        name is rejected at its own position.
+        """
+        pairs: list[tuple[Token, DiffPoly]] = []
+        while True:
+            tok = self.peek()
+            if tok.kind != "IDENT" or tok.text in KEYWORDS:
+                stop = next(t for t in self.toks[self.pos:] if t.kind == "EOF" or t.text in ("=", ",", ";"))
+                got = self.text[tok.offset:stop.offset].strip()
+                raise self.error(f"expected a name before '=', got {got!r}", tok)
+            if any(tok.text == name.text for name, _ in pairs):
+                raise self.error(f"{tok.text!r} is assigned twice", tok)
+            self.next()
+            self.expect_punct("=")
+            pairs.append((tok, self.parse_poly()))
+            if not self.accept_punct(","):
+                return pairs
+
+    def point(self, pairs: list[tuple[Token, DiffPoly]], where: str, end: Token) -> dict[int, BaseElem]:
+        """The point given by assignments: every variable once, each a constant.
+
+        A missing variable is reported at ``end``, the token that closed the
+        assignments.
+        """
+        point = {}
+        for tok, value in pairs:
+            if tok.text not in self.var_names:
+                raise self.error(f"undeclared variable {tok.text!r} in {where}", tok)
+            if value.symbols():
+                raise self.error("point coordinates must not involve variety variables", tok)
+            point[self.var_names.index(tok.text)] = value.constant_term()
+        missing = [v for i, v in enumerate(self.var_names) if i not in point]
+        if missing:
+            raise self.error(f"{where} is missing {missing[0]!r}", end)
+        return point
 
     # -- polynomial expressions ---------------------------------------------------
 
@@ -242,10 +253,10 @@ class _Parser:
                 self.next()
                 divisor = self.parse_factor()
                 if divisor.symbols():
-                    raise ParseError("variety variable in a denominator", tok.line, tok.col)
+                    raise self.error("variety variable in a denominator", tok)
                 value = divisor.constant_term()
                 if not value:
-                    raise ParseError("division by zero", tok.line, tok.col)
+                    raise self.error("division by zero", tok)
                 acc = acc.scale(value.inverse())
             else:
                 return acc
@@ -266,19 +277,19 @@ class _Parser:
             return DiffPoly.const(field, int(tok.text))
         if tok.kind == "IDENT":
             if tok.text in KEYWORDS:
-                raise ParseError(f"keyword {tok.text!r} cannot be used in an expression", tok.line, tok.col)
+                raise self.error(f"keyword {tok.text!r} cannot be used in an expression", tok)
             self.next()
             if tok.text in self.var_names:
                 return DiffPoly.variable(field, self.var_names.index(tok.text))
             if tok.text in field.parameter_names:
                 return DiffPoly.const(field, BaseElem.param(field, tok.text))
-            raise ParseError(f"undeclared identifier {tok.text!r}", tok.line, tok.col)
+            raise self.error(f"undeclared identifier {tok.text!r}", tok)
         if tok.kind == "PUNCT" and tok.text == "(":
             self.next()
             inner = self.parse_poly()
             self.expect_punct(")")
             return inner
-        raise ParseError(f"expected a value, found {tok.text or 'end of input'!r}", tok.line, tok.col)
+        raise self.error(f"expected a value, found {tok.text or 'end of input'!r}", tok)
 
 
 def parse_document(text: str) -> InputDocument:
@@ -286,31 +297,18 @@ def parse_document(text: str) -> InputDocument:
 
 
 def parse_assignments(field: FieldDescriptor, var_names: tuple[str, ...], text: str) -> dict[str, DiffPoly]:
-    """Parse 'name = expr, name = expr' against an existing field and variable set.
+    """Parse a --map value, 'name = expr, name = expr', against a field and variable set."""
+    parser = _Parser(text, field, var_names)
+    pairs = parser.assignments()
+    parser.expect_end()
+    return {tok.text: value for tok, value in pairs}
 
-    Each name must be a single identifier that is not a keyword, and may be
-    assigned only once.
-    """
-    out: dict[str, DiffPoly] = {}
-    for piece in text.split(","):
-        if "=" not in piece:
-            raise ParseError(f"expected name=expression, got {piece.strip()!r}", 1, 1)
-        name, expr = piece.split("=", 1)
-        name = name.strip()
-        toks = _tokenize(name)
-        if len(toks) != 2 or toks[0].kind != "IDENT" or name in KEYWORDS:
-            raise ParseError(f"expected a name before '=', got {name!r}", 1, 1)
-        if name in out:
-            raise ParseError(f"{name!r} is assigned twice", 1, 1)
-        inner = _Parser(expr)
-        inner.field = field
-        inner.var_names = var_names
-        value = inner.parse_poly()
-        tok = inner.peek()
-        if tok.kind != "EOF":
-            raise ParseError(f"unexpected trailing input {tok.text!r}", tok.line, tok.col)
-        out[name] = value
-    return out
+
+def parse_point(field: FieldDescriptor, var_names: tuple[str, ...], text: str) -> dict[int, BaseElem]:
+    """Parse a --point value: every variable of var_names once, each assigned a constant."""
+    parser = _Parser(text, field, var_names)
+    pairs = parser.assignments()
+    return parser.point(pairs, "--point", parser.expect_end())
 
 
 def render_document(doc: InputDocument) -> str:

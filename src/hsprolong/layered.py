@@ -326,7 +326,7 @@ def _u_reach(v: Mapping[tuple, BaseElem], q: int) -> int:
     return q - min((j for _, j in v), default=q)
 
 
-def tensor_left_action(c: BaseElem, v: Mapping[tuple, BaseElem], m: int, q: int) -> dict:
+def tensor_left_action(c: BaseElem, v: Mapping[tuple, BaseElem], q: int) -> dict:
     """Scalar action on (B (x) K_q)~ (x) K_m in normal form.
 
     c joins the outer t-leg and crosses the twisted tensor, depositing
@@ -336,7 +336,7 @@ def tensor_left_action(c: BaseElem, v: Mapping[tuple, BaseElem], m: int, q: int)
     return termdict.mul(v, derivatives, _u_shift(q))
 
 
-def tensor_right_action(c: BaseElem, v: Mapping[tuple, BaseElem], m: int, q: int) -> dict:
+def tensor_right_action(c: BaseElem, v: Mapping[tuple, BaseElem], q: int) -> dict:
     """Scalar action on ((B (x) K_m) (x) K_q)~ in normal form.
 
     The unit map is twisted: c acts as e(c) on the u-leg, whose coefficients
@@ -370,13 +370,13 @@ def twisted_tensor_check(
         v = {k: b for k, b in v.items() if b}
         c = random_base_elem(rng, field)
         c2 = random_base_elem(rng, field)
-        lhs = tensor_left_action(c, v, m, q)
-        rhs = tensor_right_action(c, v, m, q)
+        lhs = tensor_left_action(c, v, q)
+        rhs = tensor_right_action(c, v, q)
         if lhs != rhs:
             lines.append(f"FAIL tensor-linearity at=trial{t} lhs={lhs} rhs={rhs}")
             return lines
-        assoc_l = tensor_left_action(c * c2, v, m, q)
-        assoc_r = tensor_left_action(c, tensor_left_action(c2, v, m, q), m, q)
+        assoc_l = tensor_left_action(c * c2, v, q)
+        assoc_r = tensor_left_action(c, tensor_left_action(c2, v, q), q)
         if assoc_l != assoc_r:
             lines.append(f"FAIL tensor-associative at=trial{t} lhs={assoc_l} rhs={assoc_r}")
             return lines
@@ -389,7 +389,7 @@ def twisted_tensor_check(
         cs = twist_inverse(embedded)
         got: dict = {}
         for (g,), cg in cs.coeffs.items():
-            got = termdict.add(got, tensor_left_action(cg, {(0, g): one}, m, q).items())
+            got = termdict.add(got, tensor_left_action(cg, {(0, g): one}, q).items())
         target = {(0, 0): c}
         if got != target:
             lines.append(f"FAIL tensor-surjectivity at=trial{t},c={c} lhs={got} rhs={target}")

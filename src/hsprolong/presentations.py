@@ -85,10 +85,6 @@ class ProlongationPresentation:
     def field(self) -> FieldDescriptor:
         return self.base.field
 
-    def generator_index(self, alpha: tuple, j: int) -> int:
-        alphas = enumerate_multiindices(self.field.derivation_count, self.order)
-        return alphas.index(tuple(alpha)) * len(self.base.generators) + j
-
 
 def prolong_presentation(
     variety: VarietyPresentation, m: int, mode: DerivationMode

@@ -24,6 +24,7 @@ from .multiindex import (
     graded_lex_key,
     index_add,
     index_size,
+    unit_index,
     zero_index,
 )
 
@@ -167,7 +168,7 @@ def _poly_twist(p: ParamPoly, m: int) -> TruncatedElement:
         for i in range(n):
             if exps[i]:
                 lin = TruncatedElement(
-                    {zero_index(n): BaseElem.param(field, i), _unit(n, i): one}, m, n
+                    {zero_index(n): BaseElem.param(field, i), unit_index(n, i): one}, m, n
                 )
                 acc = acc * lin ** exps[i]
         tail = tuple(0 if i < n else e for i, e in enumerate(exps))
@@ -175,12 +176,6 @@ def _poly_twist(p: ParamPoly, m: int) -> TruncatedElement:
             acc = acc.scale(BaseElem(ParamPoly.monomial(field, tail)))
         total = total + acc
     return total
-
-
-def _unit(n: int, i: int) -> tuple:
-    e = [0] * n
-    e[i] = 1
-    return tuple(e)
 
 
 def trunc_inverse(e: TruncatedElement) -> TruncatedElement:

@@ -296,3 +296,19 @@ def test_bad_assignment_names_exit_2(argv, message, hyperbola_file, capsys):
     captured = capsys.readouterr()
     assert captured.err.startswith(f"input error: {message}")
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["nabla", "--point", "x=s, y=1/s +"], "expected a value, found 'end of input' (line 1, column 13)"),
+        (["nabla", "--point", "x=s, z=1"], "undeclared variable 'z' in --point (line 1, column 6)"),
+        (["lift", "--map", "u=x, v=y +"], "expected a value, found 'end of input' (line 1, column 11)"),
+    ],
+    ids=["point-expression", "point-undeclared", "map-expression"],
+)
+def test_flag_errors_count_columns_in_the_flag_value(argv, message, hyperbola_file, capsys):
+    from hsprolong import cli
+
+    assert cli.main([*argv, "--order", "1", hyperbola_file]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"

@@ -14,6 +14,7 @@ from hsprolong import (
     parse_document,
     render_document,
 )
+from hsprolong.docparse import parse_point
 from hsprolong.sampling import random_base_elem, random_variety_with_point
 
 WITT = "char 0; params s; derivations 1;\nvars x;\ngens x^2 - s;\n"
@@ -72,6 +73,33 @@ def test_point_block_must_be_total():
     with pytest.raises(ParseError) as exc:
         parse_document("char 0; params s; derivations 1; vars x y; gens x*y - 1; point x = s;")
     assert "missing" in str(exc.value)
+
+
+def test_point_block_rejects_a_repeated_name():
+    with pytest.raises(ParseError) as exc:
+        parse_document(
+            "char 0; params s; derivations 1;\nvars x y;\ngens x*y - 1;\npoint x = s, y = 1/s, x = 2;"
+        )
+    assert str(exc.value) == "'x' is assigned twice (line 4, column 23)"
+
+
+@pytest.mark.parametrize(
+    "body",
+    ["x = s, y = 1/s", "y = 2, x = 1/2", "x = s", "x = s, z = 1", "x = y, y = 1",
+     "x = s, y = 1, x = 2", "point = 1", "x = s, = 1", "x = s, y = 1/0"],
+)
+def test_point_block_and_point_flag_share_one_check(body):
+    # the same assignments, as a document's point block and as a --point value
+    head = "char 0; params s; derivations 1; vars x y; gens x*y - 1; point "
+    try:
+        from_block = parse_document(head + body + ";").point
+    except ParseError as exc:
+        from_block = str(exc).replace("point block", "--point").rsplit(" (line", 1)[0]
+    try:
+        from_flag = parse_point(FieldDescriptor(0, ("s",), 1), ("x", "y"), body)
+    except ParseError as exc:
+        from_flag = str(exc).rsplit(" (line", 1)[0]
+    assert from_block == from_flag
 
 
 def test_keyword_collision():

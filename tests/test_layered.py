@@ -166,16 +166,16 @@ class TestTensor:
     def test_constant_scalar_is_plain_scaling(self):
         v = {(0, 0): BaseElem.one(Q_s)}
         c = BaseElem.const(Q_s, 5)
-        assert tensor_left_action(c, v, 1, 1) == {(0, 0): c}
-        assert tensor_right_action(c, v, 1, 1) == {(0, 0): c}
+        assert tensor_left_action(c, v, 1) == {(0, 0): c}
+        assert tensor_right_action(c, v, 1) == {(0, 0): c}
 
     def test_twisted_action_of_parameter(self):
         # c = s on 1 (x) 1 (x) 1 at m=q=1 deposits s at u^0 and 1 at u^1
         s = BaseElem.param(Q_s, "s")
         v = {(0, 0): BaseElem.one(Q_s)}
-        acted = tensor_left_action(s, v, 1, 1)
+        acted = tensor_left_action(s, v, 1)
         assert acted == {(0, 0): s, (0, 1): BaseElem.one(Q_s)}
-        assert acted == tensor_right_action(s, v, 1, 1)
+        assert acted == tensor_right_action(s, v, 1)
 
     def test_surjectivity_preimage_of_s(self):
         # twist_inverse(s) = s - u builds the preimage of 1 (x) 1 (x) s
@@ -208,8 +208,8 @@ class TestTensor:
             v = {(rng.randint(0, 2), rng.randint(0, 2)): random_base_elem(rng, Q_s)}
             c1 = random_base_elem(rng, Q_s)
             c2 = random_base_elem(rng, Q_s)
-            lhs = tensor_left_action(c1 * c2, v, 2, 2)
-            rhs = tensor_left_action(c1, tensor_left_action(c2, v, 2, 2), 2, 2)
+            lhs = tensor_left_action(c1 * c2, v, 2)
+            rhs = tensor_left_action(c1, tensor_left_action(c2, v, 2), 2)
             assert lhs == rhs
 
 

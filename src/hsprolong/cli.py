@@ -7,6 +7,10 @@ Exit codes: 0 success / all checks pass, 1 check failure, 2 input error
 (bad arguments, an unreadable FILE, a document or assignment that does not
 parse), 3 internal error (any other ValueError or ZeroDivisionError: a fault
 of the program, not of the input).
+
+COMMANDS is the one table of commands.  ``main`` builds the top-level parser
+and only the subparser of the command named by its first argument; help, a
+missing or an unknown command get every subparser.
 """
 
 from __future__ import annotations
@@ -59,7 +63,7 @@ def cmd_prolong(args: argparse.Namespace) -> int:
 
 def cmd_nabla(args: argparse.Namespace) -> int:
     doc = _read_document(args.file)
-    if args.point:
+    if args.point is not None:
         point = parse_point(doc.field, doc.var_names, args.point)
     elif doc.point is not None:
         point = doc.point
@@ -146,34 +150,30 @@ def _at_least(least: int):
     return value
 
 
-def build_parser() -> argparse.ArgumentParser:
-    ap = argparse.ArgumentParser(
-        prog="hsprolong",
-        description="Prolongations and jet spaces over fields with Hasse derivations",
-    )
-    sub = ap.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("prolong", help="print the order-m prolongation presentation")
+def _prolong_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file", help="input document path, or - for stdin")
     p.add_argument("--order", type=_at_least(0), required=True)
     p.add_argument("--mode", choices=["prolong", "jet"], default="prolong")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_prolong)
 
-    p = sub.add_parser("jet", help="print the order-m jet presentation")
+
+def _jet_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--order", type=_at_least(0), required=True)
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_prolong, mode="jet")
 
-    p = sub.add_parser("nabla", help="evaluate the nabla section at a point")
+
+def _nabla_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--order", type=_at_least(0), required=True)
     p.add_argument("--point", help='e.g. "x=s, y=1/s" (overrides the document point block)')
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_nabla)
 
-    p = sub.add_parser("lift", help="lift a polynomial morphism to prolongations")
+
+def _lift_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("file")
     p.add_argument("--order", type=_at_least(0), required=True)
     p.add_argument("--mode", choices=["prolong", "jet"], default="prolong")
@@ -181,7 +181,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_lift)
 
-    p = sub.add_parser("check", help="run verification suites")
+
+def _check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("suite", choices=list(CHECK_NAMES) + ["all"])
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--trials", type=_at_least(1), default=100)
@@ -192,11 +193,40 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_check)
 
+
+# (name, help, function adding the command's arguments), in --help order
+COMMANDS = (
+    ("prolong", "print the order-m prolongation presentation", _prolong_args),
+    ("jet", "print the order-m jet presentation", _jet_args),
+    ("nabla", "evaluate the nabla section at a point", _nabla_args),
+    ("lift", "lift a polynomial morphism to prolongations", _lift_args),
+    ("check", "run verification suites", _check_args),
+)
+
+
+def build_parser(command: str | None = None) -> argparse.ArgumentParser:
+    """The argument parser, with only the subparser of ``command`` if it names one.
+
+    Anything else (None, an option, an unknown name) gets every subparser, so
+    help and choice errors list them all.  The one-subparser parser spells out
+    the full command list as its metavar, so its usage line is the same.
+    """
+    ap = argparse.ArgumentParser(
+        prog="hsprolong",
+        description="Prolongations and jet spaces over fields with Hasse derivations",
+    )
+    chosen = [c for c in COMMANDS if c[0] == command]
+    metavar = "{" + ",".join(name for name, _, _ in COMMANDS) + "}" if chosen else None
+    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
+    for name, help_text, add_arguments in chosen or COMMANDS:
+        add_arguments(sub.add_parser(name, help=help_text))
     return ap
 
 
 def main(argv: list[str] | None = None) -> int:
-    ap = build_parser()
+    if argv is None:
+        argv = sys.argv[1:]
+    ap = build_parser(argv[0] if argv else None)
     args = ap.parse_args(argv)
     if args.command == "check" and args.suite in ("phi-psi", "all") and args.inner > args.outer:
         ap.error(f"argument --inner: must not exceed --outer ({args.outer}) for phi-psi, got {args.inner}")

@@ -18,6 +18,16 @@ a ``--point`` value (``parse_point``) and of a ``--map`` value
 (``parse_assignments``); an assigned name is an identifier, not a keyword,
 and appears once.  Diagnostics carry line and column, counted in the text
 that was parsed: the document, or the flag value.
+
+An expression is read into a term dict from variety exponent tuples to
+coefficients num/den, each a numerator and a denominator ParamPoly.  Sums,
+products, powers and division by a base constant combine these dicts with no
+gcd, and every output coefficient is normalized once, as one
+BaseElem(num, den), when the expression becomes a DiffPoly or a point
+coordinate.  Each monomial keeps its own denominator, so the denominators of
+other terms never enter its gcd.  A quotient is zero exactly when its
+numerator is, so the zero tests behind "division by zero" and "variety
+variable in a denominator" read the unreduced dicts.
 """
 
 from __future__ import annotations
@@ -26,9 +36,11 @@ import re
 from dataclasses import dataclass
 from typing import Optional
 
-from .basefield import BaseElem
+from . import termdict
+from .basefield import BaseElem, ParamPoly
 from .fields import FieldDescriptor, is_prime
-from .diffpoly import DiffPoly
+from .diffpoly import DiffPoly, DiffSymbol
+from .multiindex import zero_index
 from .presentations import VarietyPresentation
 
 KEYWORDS = {"char", "params", "derivations", "vars", "gens", "point"}
@@ -68,6 +80,56 @@ def _tokenize(text: str) -> list[Token]:
     return toks
 
 
+class _Fraction:
+    """num/den of two ParamPolys with no gcd taken: one coefficient of a parsed
+    expression before its one normalization.
+
+    A denominator of 1 is None; any other denominator is nonconstant, because
+    division by a constant is folded into the numerator.
+    """
+
+    __slots__ = ("num", "den")
+
+    def __init__(self, num: ParamPoly, den: Optional[ParamPoly] = None):
+        self.num = num
+        self.den = den
+
+    def __bool__(self) -> bool:
+        return bool(self.num)
+
+    def __add__(self, other: "_Fraction") -> "_Fraction":
+        if self.den == other.den:
+            return _Fraction(self.num + other.num, self.den)
+        return _Fraction(_times(self.num, other.den) + _times(other.num, self.den), _times(self.den, other.den))
+
+    def __neg__(self) -> "_Fraction":
+        return _Fraction(-self.num, self.den)
+
+    def __mul__(self, other: "_Fraction") -> "_Fraction":
+        return _Fraction(self.num * other.num, _times(self.den, other.den))
+
+    def divide(self, other: "_Fraction") -> "_Fraction":
+        """self / other for a nonzero other."""
+        num = _times(self.num, other.den)
+        if other.num.is_const():
+            return _Fraction(num.scale(num.field.inverse(other.num.const_value())), self.den)
+        return _Fraction(num, _times(self.den, other.num))
+
+    def normalize(self) -> BaseElem:
+        return BaseElem(self.num, self.den)
+
+
+def _times(a: Optional[ParamPoly], b: Optional[ParamPoly]) -> Optional[ParamPoly]:
+    """a * b, where None stands for 1."""
+    if a is None:
+        return b
+    return a if b is None else a * b
+
+
+def _mul_terms(a: dict, b: dict) -> dict:
+    return termdict.mul(a, b, termdict.exp_add)
+
+
 @dataclass
 class InputDocument:
     field: FieldDescriptor
@@ -83,6 +145,15 @@ class _Parser:
         self.pos = 0
         self.field = field
         self.var_names = var_names
+        if field is not None:
+            self._bind(field, var_names)
+
+    def _bind(self, field: FieldDescriptor, var_names: tuple[str, ...]) -> None:
+        self.field = field
+        self.var_names = var_names
+        self.syms = tuple(DiffSymbol(i, zero_index(field.derivation_count)) for i in range(len(var_names)))
+        self.origin = (0,) * len(var_names)
+        self.one = ParamPoly.const(field, 1)
 
     # -- token plumbing ----------------------------------------------------
 
@@ -152,7 +223,7 @@ class _Parser:
         n = self.expect_nat()
         self.expect_punct(";")
         try:
-            self.field = FieldDescriptor(char, tuple(params), n)
+            field = FieldDescriptor(char, tuple(params), n)
         except ValueError as exc:
             raise self.error(str(exc), der_tok) from None
 
@@ -164,7 +235,7 @@ class _Parser:
         clash = set(var_names) & set(params)
         if clash:
             raise self.error(f"identifier {clash.pop()!r} is both a parameter and a variable", var_tok)
-        self.var_names = tuple(var_names)
+        self._bind(field, tuple(var_names))
         self.expect_punct(";")
 
         self.expect_keyword("gens")
@@ -172,6 +243,7 @@ class _Parser:
         while self.accept_punct(","):
             gens.append(self.parse_poly())
         self.expect_punct(";")
+        gens = [self.diffpoly(g) for g in gens]
 
         point = None
         if self.peek().kind == "IDENT" and self.peek().text == "point":
@@ -183,13 +255,13 @@ class _Parser:
         variety = VarietyPresentation(self.field, len(self.var_names), gens)
         return InputDocument(self.field, self.var_names, variety, point)
 
-    def assignments(self) -> list[tuple[Token, DiffPoly]]:
+    def assignments(self) -> list[tuple[Token, dict]]:
         """IDENT "=" poly ("," IDENT "=" poly)*, as (name token, value) pairs.
 
         A name that is not one identifier, is a keyword, or repeats an earlier
         name is rejected at its own position.
         """
-        pairs: list[tuple[Token, DiffPoly]] = []
+        pairs: list[tuple[Token, dict]] = []
         while True:
             tok = self.peek()
             if tok.kind != "IDENT" or tok.text in KEYWORDS:
@@ -204,7 +276,7 @@ class _Parser:
             if not self.accept_punct(","):
                 return pairs
 
-    def point(self, pairs: list[tuple[Token, DiffPoly]], where: str, end: Token) -> dict[int, BaseElem]:
+    def point(self, pairs: list[tuple[Token, dict]], where: str, end: Token) -> dict[int, BaseElem]:
         """The point given by assignments: every variable once, each a constant.
 
         A missing variable is reported at ``end``, the token that closed the
@@ -214,9 +286,10 @@ class _Parser:
         for tok, value in pairs:
             if tok.text not in self.var_names:
                 raise self.error(f"undeclared variable {tok.text!r} in {where}", tok)
-            if value.symbols():
+            if any(map(any, value)):
                 raise self.error("point coordinates must not involve variety variables", tok)
-            point[self.var_names.index(tok.text)] = value.constant_term()
+            c = value.get(self.origin)
+            point[self.var_names.index(tok.text)] = c.normalize() if c else BaseElem.zero(self.field)
         missing = [v for i, v in enumerate(self.var_names) if i not in point]
         if missing:
             raise self.error(f"{where} is missing {missing[0]!r}", end)
@@ -224,7 +297,19 @@ class _Parser:
 
     # -- polynomial expressions ---------------------------------------------------
 
-    def parse_poly(self) -> DiffPoly:
+    # An expression is a term dict {exponent tuple: _Fraction}; see the module docstring.
+
+    def diffpoly(self, terms: dict) -> DiffPoly:
+        """The DiffPoly of a parsed expression: one normalization per term."""
+        return DiffPoly(
+            {tuple((sym, k) for sym, k in zip(self.syms, e) if k): c.normalize() for e, c in terms.items()},
+            self.field,
+        )
+
+    def constant(self, c: ParamPoly) -> dict:
+        return {self.origin: _Fraction(c)} if c else {}
+
+    def parse_poly(self) -> dict:
         tok = self.peek()
         negate = False
         if tok.kind == "PUNCT" and tok.text in "+-":
@@ -232,57 +317,59 @@ class _Parser:
             negate = tok.text == "-"
         acc = self.parse_term()
         if negate:
-            acc = -acc
+            acc = {e: -c for e, c in acc.items()}
         while True:
             tok = self.peek()
             if tok.kind == "PUNCT" and tok.text in "+-":
                 self.next()
-                rhs = self.parse_term()
-                acc = acc + rhs if tok.text == "+" else acc - rhs
+                rhs = self.parse_term().items()
+                acc = termdict.add(acc, rhs if tok.text == "+" else ((e, -c) for e, c in rhs))
             else:
                 return acc
 
-    def parse_term(self) -> DiffPoly:
+    def parse_term(self) -> dict:
         acc = self.parse_factor()
         while True:
             tok = self.peek()
             if tok.kind == "PUNCT" and tok.text == "*":
                 self.next()
-                acc = acc * self.parse_factor()
+                acc = _mul_terms(acc, self.parse_factor())
             elif tok.kind == "PUNCT" and tok.text == "/":
                 self.next()
                 divisor = self.parse_factor()
-                if divisor.symbols():
+                if any(map(any, divisor)):
                     raise self.error("variety variable in a denominator", tok)
-                value = divisor.constant_term()
-                if not value:
+                if not divisor:
                     raise self.error("division by zero", tok)
-                acc = acc.scale(value.inverse())
+                d = divisor[self.origin]
+                acc = {e: c.divide(d) for e, c in acc.items()}
             else:
                 return acc
 
-    def parse_factor(self) -> DiffPoly:
+    def parse_factor(self) -> dict:
         base = self.parse_atom()
         if self.accept_punct("^"):
             exp = self.expect_nat()
-            return base**exp
+            return termdict.power(base, exp, self.constant(self.one), _mul_terms)
         return base
 
-    def parse_atom(self) -> DiffPoly:
+    def parse_atom(self) -> dict:
         tok = self.peek()
         field = self.field
         assert field is not None
         if tok.kind == "NAT":
             self.next()
-            return DiffPoly.const(field, int(tok.text))
+            return self.constant(ParamPoly.const(field, int(tok.text)))
         if tok.kind == "IDENT":
             if tok.text in KEYWORDS:
                 raise self.error(f"keyword {tok.text!r} cannot be used in an expression", tok)
             self.next()
             if tok.text in self.var_names:
-                return DiffPoly.variable(field, self.var_names.index(tok.text))
+                i = self.var_names.index(tok.text)
+                e = self.origin[:i] + (1,) + self.origin[i + 1 :]
+                return {e: _Fraction(self.one)}
             if tok.text in field.parameter_names:
-                return DiffPoly.const(field, BaseElem.param(field, tok.text))
+                return self.constant(ParamPoly.var(field, field.param_index(tok.text)))
             raise self.error(f"undeclared identifier {tok.text!r}", tok)
         if tok.kind == "PUNCT" and tok.text == "(":
             self.next()
@@ -301,7 +388,7 @@ def parse_assignments(field: FieldDescriptor, var_names: tuple[str, ...], text: 
     parser = _Parser(text, field, var_names)
     pairs = parser.assignments()
     parser.expect_end()
-    return {tok.text: value for tok, value in pairs}
+    return {tok.text: parser.diffpoly(value) for tok, value in pairs}
 
 
 def parse_point(field: FieldDescriptor, var_names: tuple[str, ...], text: str) -> dict[int, BaseElem]:

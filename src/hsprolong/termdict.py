@@ -20,7 +20,7 @@ functions never show up as names of their own in a ring's namespace.
 
 from __future__ import annotations
 
-from operator import add as _add, le as _le
+from operator import add as _add, le as _le, mul as _mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -59,15 +59,15 @@ def scale(terms: Mapping, c) -> dict:
     return {k: v * c for k, v in terms.items()} if c else {}
 
 
-def power(x, k: int, one):
-    """x**k for k >= 0 by repeated squaring, in any ring with ``*``."""
+def power(x, k: int, one, mul: Callable = _mul):
+    """x**k for k >= 0 by repeated squaring, in any ring with product ``mul``."""
     acc = one
     while k:
         if k & 1:
-            acc = acc * x
+            acc = mul(acc, x)
         k >>= 1
         if k:
-            x = x * x
+            x = mul(x, x)
     return acc
 
 

@@ -4,6 +4,7 @@ import hashlib
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -312,3 +313,61 @@ def test_flag_errors_count_columns_in_the_flag_value(argv, message, hyperbola_fi
 
     assert cli.main([*argv, "--order", "1", hyperbola_file]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+def test_empty_point_flag_is_an_input_error(hyperbola_file, capsys):
+    # an empty --point is a bad value, not an absent flag: no fallback to the point block
+    from hsprolong import cli
+
+    for value in ("", " "):
+        assert cli.main(["nabla", "--order", "1", "--point", value, hyperbola_file]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("input error: expected a name before '=', got ''")
+        assert captured.out == ""
+
+
+# Help, usage and argument errors as the parser printed them when it built every
+# subcommand on every call; argparse wraps them at $COLUMNS, pinned here to 80.
+USAGE_CASES = json.loads((Path(__file__).parent / "data" / "cli_usage.json").read_text(encoding="utf-8"))
+
+
+@pytest.mark.parametrize("via_sys_argv", [False, True], ids=["argv", "sys.argv"])
+@pytest.mark.parametrize("case", USAGE_CASES, ids=lambda case: " ".join(case["argv"]) or "no-arguments")
+def test_usage_and_argument_errors_are_pinned(case, via_sys_argv, monkeypatch, capsys):
+    from hsprolong import cli
+
+    argv = case["argv"]
+    monkeypatch.setenv("COLUMNS", "80")
+    if via_sys_argv:
+        monkeypatch.setattr(sys, "argv", ["hsprolong", *argv])
+    try:
+        code = cli.main(None if via_sys_argv else list(argv))
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    assert {"argv": argv, "code": code, "stdout": captured.out, "stderr": captured.err} == case
+
+
+def test_main_builds_only_the_named_subparser(witt_file, monkeypatch, capsys):
+    import argparse
+
+    from hsprolong import cli
+
+    built = []
+    init = argparse.ArgumentParser.__init__
+
+    def counting_init(self, *args, **kwargs):
+        built.append(kwargs.get("prog"))
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for _ in range(2):
+        # each call builds its own parser: nothing is cached across calls
+        built.clear()
+        assert cli.main(["prolong", "--order", "1", witt_file]) == 0
+        assert built == ["hsprolong", "hsprolong prolong"]
+    built.clear()
+    with pytest.raises(SystemExit):
+        cli.main(["--help"])
+    assert len(built) == 1 + len(cli.COMMANDS)
+    capsys.readouterr()

@@ -1,0 +1,158 @@
+"""The expression parser against DiffPoly/BaseElem arithmetic.
+
+Random expression trees over Q(s1,s2) and F5(s) are evaluated twice: once
+node by node with DiffPoly and BaseElem arithmetic, which normalizes after
+every operation, and once by rendering the tree as text that is not in
+canonical form (nested and redundant parentheses, powers, division by base
+constants, one denominator repeated across the terms of a sum) and parsing
+it, which normalizes each output coefficient once.  Both must give the same
+normal form, and the parse must reduce no coefficient twice.
+"""
+
+from unittest import mock
+
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from hsprolong import BaseElem, DiffPoly, FieldDescriptor, ParseError, basefield
+from hsprolong.docparse import parse_document, parse_point
+
+FIELDS = {
+    "Q(s1,s2)": FieldDescriptor(0, ("s1", "s2"), 2),
+    "F5(s)": FieldDescriptor(5, ("s",), 1),
+}
+VARS = ("x", "y")
+
+
+def constant_trees(field):
+    leaves = st.one_of(
+        st.integers(0, 7).map(lambda n: ("nat", n)),
+        st.sampled_from(field.parameter_names).map(lambda name: ("param", name)),
+    )
+
+    def extend(kids):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*"), kids, kids),
+            st.tuples(st.just("^"), kids, st.integers(0, 3)),
+            st.tuples(st.just("neg"), kids),
+            st.tuples(st.just("/"), kids, kids),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=5)
+
+
+def trees(field):
+    consts = constant_trees(field)
+    leaves = st.one_of(consts, st.sampled_from(VARS).map(lambda name: ("var", name)))
+
+    def extend(kids):
+        return st.one_of(
+            st.tuples(st.sampled_from("+-*"), kids, kids),
+            st.tuples(st.just("^"), kids, st.integers(0, 2)),
+            st.tuples(st.just("neg"), kids),
+            st.tuples(st.just("/"), kids, consts),
+            st.tuples(st.just("shared"), st.lists(kids, min_size=2, max_size=3), consts),
+        )
+
+    return st.recursive(leaves, extend, max_leaves=8)
+
+
+class ZeroDivisor(Exception):
+    pass
+
+
+def value(tree, field) -> DiffPoly:
+    """The tree evaluated node by node in DiffPoly/BaseElem arithmetic."""
+    kind = tree[0]
+    if kind == "nat":
+        return DiffPoly.const(field, tree[1])
+    if kind == "param":
+        return DiffPoly.const(field, BaseElem.param(field, tree[1]))
+    if kind == "var":
+        return DiffPoly.variable(field, VARS.index(tree[1]))
+    if kind == "neg":
+        return -value(tree[1], field)
+    if kind == "^":
+        return value(tree[1], field) ** tree[2]
+    if kind == "/":
+        return value(tree[1], field).scale(inverse(tree[2], field))
+    if kind == "shared":
+        inv = inverse(tree[2], field)
+        return sum((value(t, field).scale(inv) for t in tree[1]), DiffPoly.zero(field))
+    a, b = value(tree[1], field), value(tree[2], field)
+    return a + b if kind == "+" else a - b if kind == "-" else a * b
+
+
+def inverse(tree, field) -> BaseElem:
+    c = value(tree, field).constant_term()
+    if not c:
+        raise ZeroDivisor
+    return c.inverse()
+
+
+def render(tree, draw) -> str:
+    """Text for the tree; every compound node is parenthesized, some twice."""
+    kind = tree[0]
+    if kind in ("nat", "param", "var"):
+        text = str(tree[1])
+    elif kind == "neg":
+        text = f"(-{render(tree[1], draw)})"
+    elif kind == "^":
+        text = f"({render(tree[1], draw)}^{tree[2]})"
+    elif kind == "/":
+        text = f"({render(tree[1], draw)}/{render(tree[2], draw)})"
+    elif kind == "shared":
+        den = render(tree[2], draw)
+        text = "(" + " + ".join(f"{render(t, draw)}/{den}" for t in tree[1]) + ")"
+    else:
+        op = " * " if kind == "*" else f" {kind} "
+        text = f"({render(tree[1], draw)}{op}{render(tree[2], draw)})"
+    return f"({text})" if draw(st.booleans()) else text
+
+
+def header(field) -> str:
+    return (f"char {field.characteristic}; params {' '.join(field.parameter_names)}; "
+            f"derivations {field.derivation_count}; vars {' '.join(VARS)};")
+
+
+def counting_reduce():
+    return mock.patch.object(basefield, "_reduce", wraps=basefield._reduce)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parsed_expression_matches_node_by_node_arithmetic(name, data):
+    field = FIELDS[name]
+    tree = data.draw(trees(field))
+    text = render(tree, data.draw)
+    document = f"{header(field)} gens {text};"
+    try:
+        expected = value(tree, field)
+    except ZeroDivisor:
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_document(document)
+        return
+    with counting_reduce() as reduce:
+        (got,) = parse_document(document).variety.generators
+    assert got == expected, text
+    assert reduce.call_count <= len(got.terms)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_parsed_point_coordinate_matches_node_by_node_arithmetic(name, data):
+    field = FIELDS[name]
+    tree = data.draw(constant_trees(field))
+    text = render(tree, data.draw)
+    try:
+        expected = value(tree, field).constant_term()
+    except ZeroDivisor:
+        with pytest.raises(ParseError, match="division by zero"):
+            parse_point(field, ("x",), f"x = {text}")
+        return
+    with counting_reduce() as reduce:
+        point = parse_point(field, ("x",), f"x = {text}")
+    assert point == {0: expected}, text
+    assert reduce.call_count <= 1

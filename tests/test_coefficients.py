@@ -2,7 +2,10 @@
 
 Every ParamPoly coefficient is a Fraction in characteristic 0 and an int in
 [0, p) in characteristic p, never a float, whatever arithmetic produced it.
-Inputs come from the hypothesis strategies of ``test_expansion``.
+BaseElem arithmetic with a plain number, a zero or a constant operand, on
+either side, equals the general route: one normalization of the unreduced
+cross products.  Inputs come from the hypothesis strategies of
+``test_expansion``.
 """
 
 from fractions import Fraction
@@ -10,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsprolong import BaseElem, poly_divexact, poly_gcd
+from hsprolong import BaseElem, ParamPoly, poly_divexact, poly_gcd
 from hsprolong.basefield import hasse_table
 
 from test_expansion import FIELDS, base_elems, param_polys
@@ -50,3 +53,126 @@ def test_coefficients_stay_plain(field, data):
         results += [a / b, b.inverse()]
     results += list(hasse_table(a, 2).values())
     assert_plain_coefficients(*parts(*results))
+
+
+# -- constant operands against the general route ------------------------------
+#
+# Every operand is an int, a Fraction or a BaseElem; each result must equal the
+# BaseElem built from raw cross products (one _reduce on an unreduced num/den)
+# and be in normal form.  Plain numbers include values >= p and below 0.
+
+PROPERTY_FIELDS = {name: FIELDS[name] for name in ("Q(s)", "Q(s1,s2)", "F5(s)")}
+
+
+def raw_parts(field, x):
+    """x as an unreduced (num, den) pair of parameter polynomials."""
+    if isinstance(x, BaseElem):
+        return x.num, x.den
+    return ParamPoly.const(field, x), ParamPoly.const(field, 1)
+
+
+def special_elems(field):
+    """Zero, constants, a polynomial and rational elements, including 1/s."""
+    s = BaseElem.param(field, 0)
+    out = [
+        BaseElem.zero(field),
+        BaseElem.one(field),
+        BaseElem.const(field, -1),
+        BaseElem.const(field, 3, 2),
+        s,
+        1 / s,
+        (s + 1) / (s**2 + 2),
+        s**2 - 3 * s,
+    ]
+    if field.param_count > 1:
+        t = BaseElem.param(field, 1)
+        out += [s * t / (t + 1), (s + t) / (3 * s - t)]
+    return out
+
+
+def plain_numbers(field):
+    p = field.characteristic
+    ints = st.integers(-7, 2 * p + 2 if p else 12)
+    # denominators prime to p, so every Fraction is a coefficient of the field
+    fractions = st.builds(Fraction, st.integers(-7, 12), st.sampled_from([1, 2, 3, 4]))
+    return st.one_of(ints, fractions)
+
+
+def operands(field):
+    return st.one_of(
+        plain_numbers(field),
+        st.sampled_from(special_elems(field)),
+        base_elems(field),
+    )
+
+
+def assert_normal_form(x):
+    assert isinstance(x, BaseElem)
+    if not x.num:
+        assert x.den == ParamPoly.const(x.field, 1), "zero must be written 0/1"
+        return
+    assert x.den.leading()[1] == 1, "denominator not monic"
+    assert poly_gcd(x.num, x.den).is_const(), "numerator and denominator share a factor"
+
+
+def assert_same(got, num, den):
+    assert_normal_form(got)
+    want = BaseElem(num, den)
+    assert (got.num, got.den) == (want.num, want.den), (got, want)
+
+
+def check_against_raw(field, x, y):
+    """Every operation on x, y (at least one a BaseElem) against raw cross products."""
+    an, ad = raw_parts(field, x)
+    bn, bd = raw_parts(field, y)
+    assert_same(x * y, an * bn, ad * bd)
+    assert_same(x + y, an * bd + bn * ad, ad * bd)
+    assert_same(x - y, an * bd - bn * ad, ad * bd)
+    if bn:
+        assert_same(x / y, an * bd, ad * bn)
+
+
+def check_equality_with_number(field, x, k):
+    n, d = raw_parts(field, x)
+    want = not (n - d * ParamPoly.const(field, k))
+    assert (x == k) is want, (x, k)
+    assert (k == x) is want, (k, x)
+    assert (x != k) is (not want)
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS.values(), ids=PROPERTY_FIELDS.keys())
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_constant_operands_match_the_general_route(field, data):
+    x = data.draw(st.one_of(st.sampled_from(special_elems(field)), base_elems(field)), label="x")
+    y = data.draw(operands(field), label="y")
+    check_against_raw(field, x, y)
+    check_against_raw(field, y, x)
+    if not isinstance(y, BaseElem):
+        check_equality_with_number(field, x, y)
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS.values(), ids=PROPERTY_FIELDS.keys())
+def test_constant_operands_on_the_special_grid(field):
+    p = field.characteristic
+    numbers = [0, 1, -1, 2, Fraction(3, 2), Fraction(-1, 4)]
+    numbers += [p, p + 1, p + 6, -p - 1] if p else [12, -7]
+    elems = special_elems(field)
+    for x in elems:
+        for y in elems + numbers:
+            check_against_raw(field, x, y)
+            check_against_raw(field, y, x)
+            if not isinstance(y, BaseElem):
+                check_equality_with_number(field, x, y)
+
+
+def test_constant_equality_reduces_and_reads_the_denominator():
+    q, f5 = PROPERTY_FIELDS["Q(s)"], PROPERTY_FIELDS["F5(s)"]
+    s = BaseElem.param(q, 0)
+    assert (1 / s == 1) is False
+    assert (s / s == 1) is True
+    assert BaseElem.one(f5) == 6
+    assert BaseElem.one(f5) == -4
+    assert BaseElem.zero(f5) == 10
+    assert (BaseElem.const(f5, 2) == 7) is True
+    assert (BaseElem.const(f5, 2) == Fraction(1, 3)) is True

@@ -9,6 +9,14 @@ a normalized quotient num/den of two such polynomials: the gcd is cancelled
 and the denominator's leading coefficient under graded-lex is scaled to 1, so
 equality is structural.
 
+Constants take a lane that never runs a gcd.  The constant c is c/1, its own
+normal form.  For num/den in normal form and a coefficient c, c*num/den is
+again in normal form when c != 0, since a unit factor changes no gcd, and so
+is (num + c*den)/den, since gcd(num + c*den, den) = gcd(num, den) = 1.  So a
+product or sum with an int, a Fraction or a constant BaseElem scales or
+shifts the numerator and keeps the denominator, and ``x == k`` for a number k
+compares the constant of x with k reduced into the field.
+
 The mixed Hasse derivative D_alpha acts on the standard monomial basis by
 D_{i,k}(s_i^j) = C(j,k) s_i^{j-k} and reaches denominators through the
 quotient-rule recursion obtained by solving D_k(b * 1/b) = 0 for D_k(1/b).
@@ -107,7 +115,9 @@ class ParamPoly:
     # -- structure queries -------------------------------------------------
 
     def is_const(self) -> bool:
-        return all(not any(e) for e in self.terms)
+        # nonzero coefficients only, so a constant has at most the one zero-exponent term
+        t = self.terms
+        return not t or (len(t) == 1 and not any(next(iter(t))))
 
     def const_value(self) -> int | Fraction:
         if not self.terms:
@@ -484,7 +494,7 @@ class BaseElem:
 
     @classmethod
     def const(cls, field: FieldDescriptor, value: int | Fraction, den: int = 1) -> "BaseElem":
-        return cls(ParamPoly.const(field, field.scalar(value, den)))
+        return _const(field, field.scalar(value, den))
 
     @classmethod
     def param(cls, field: FieldDescriptor, name_or_index: Union[str, int]) -> "BaseElem":
@@ -493,11 +503,11 @@ class BaseElem:
 
     @classmethod
     def zero(cls, field: FieldDescriptor) -> "BaseElem":
-        return cls(ParamPoly.zero(field))
+        return _const(field, 0)
 
     @classmethod
     def one(cls, field: FieldDescriptor) -> "BaseElem":
-        return cls(ParamPoly.const(field, 1))
+        return _const(field, 1)
 
     @classmethod
     def _raw(cls, num: ParamPoly, den: ParamPoly) -> "BaseElem":
@@ -510,11 +520,7 @@ class BaseElem:
             if lc != 1:
                 inv = field.inverse(lc)
                 num, den = num.scale(inv), den.scale(inv)
-        out = cls.__new__(cls)
-        out.num = num
-        out.den = den
-        out.field = field
-        return out
+        return _elem(num, den)
 
     # -- field structure ----------------------------------------------------
 
@@ -529,20 +535,51 @@ class BaseElem:
             return BaseElem.const(self.field, other)
         return NotImplemented
 
+    def _value(self) -> int | Fraction | None:
+        """The coefficient c when self is the constant c/1, else None."""
+        # a monic constant denominator is 1
+        if self.den.is_const() and self.num.is_const():
+            return self.num.const_value()
+        return None
+
+    def _times(self, c: int | Fraction) -> "BaseElem":
+        """self * c for a coefficient c: a unit factor keeps num and den coprime."""
+        if not c:
+            return BaseElem.zero(self.field)
+        if c == 1:
+            return self
+        return _elem(self.num.scale(c), self.den)
+
+    def _plus(self, c: int | Fraction) -> "BaseElem":
+        """self + c for a coefficient c: gcd(a + c*b, b) = gcd(a, b) = 1."""
+        if not c:
+            return self
+        # a + c*b = 0 forces b = 1 (b divides a), so a zero sum is already 0/1
+        return _elem(self.num + self.den.scale(c), self.den)
+
     def __bool__(self) -> bool:
         return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            other = BaseElem.const(self.field, other)
+            c = self._value()
+            return c is not None and c == self.field.scalar(other)
         if not isinstance(other, BaseElem):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __add__(self, other) -> "BaseElem":
+        if isinstance(other, (int, Fraction)):
+            return self._plus(self.field.scalar(other))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        c = other._value()
+        if c is not None:
+            return self._plus(c)
+        c = self._value()
+        if c is not None:
+            return other._plus(c)
         a, b = self.num, self.den
         c, d = other.num, other.den
         if b.is_const() and d.is_const():
@@ -567,11 +604,7 @@ class BaseElem:
     __radd__ = __add__
 
     def __neg__(self) -> "BaseElem":
-        out = BaseElem.__new__(BaseElem)
-        out.num = -self.num
-        out.den = self.den
-        out.field = self.field
-        return out
+        return _elem(-self.num, self.den)
 
     def __sub__(self, other) -> "BaseElem":
         other = self._coerce(other)
@@ -583,13 +616,20 @@ class BaseElem:
         return (-self) + other
 
     def __mul__(self, other) -> "BaseElem":
+        if isinstance(other, (int, Fraction)):
+            return self._times(self.field.scalar(other))
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
+        c = other._value()
+        if c is not None:
+            return self._times(c)
+        c = self._value()
+        if c is not None:
+            return other._times(c)
+        # neither operand is constant, hence neither is zero
         a, b = self.num, self.den
         c, d = other.num, other.den
-        if not a or not c:
-            return BaseElem.zero(self.field)
         # cross-cancel so the result is coprime with no final gcd
         if not b.is_const() and not c.is_const():
             g = poly_gcd(c, b)
@@ -634,7 +674,7 @@ class BaseElem:
         return self.num.leading()[1] < 0
 
     def render(self) -> str:
-        if self.den == ParamPoly.const(self.field, 1):
+        if self.den.is_const():
             return self.num.render()
         num_s = self.num.render()
         if len(self.num.terms) > 1:
@@ -649,7 +689,7 @@ class BaseElem:
     def render_atomic(self) -> str:
         """Rendering safe to juxtapose with '*': parenthesized when a sum."""
         s = self.render()
-        if len(self.num.terms) > 1 and self.den == ParamPoly.const(self.field, 1):
+        if len(self.num.terms) > 1 and self.den.is_const():
             return f"({s})"
         return s
 
@@ -658,6 +698,20 @@ class BaseElem:
 
     def __repr__(self) -> str:
         return f"BaseElem({self.render()})"
+
+
+def _elem(num: ParamPoly, den: ParamPoly) -> BaseElem:
+    """The BaseElem num/den, taking the pair as its normal form."""
+    out = BaseElem.__new__(BaseElem)
+    out.num = num
+    out.den = den
+    out.field = num.field
+    return out
+
+
+def _const(field: FieldDescriptor, c: int | Fraction) -> BaseElem:
+    """The constant c/1 for a coefficient c, which is its own normal form."""
+    return _elem(ParamPoly.const(field, c), ParamPoly.const(field, 1))
 
 
 def _reduce(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:

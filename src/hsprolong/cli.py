@@ -135,8 +135,8 @@ def cmd_check(args: argparse.Namespace) -> int:
     return OK if ok else CHECK_FAILED
 
 
-def _at_least(least: int):
-    """argparse type: an int no smaller than least."""
+def _at_least(least: int, most: int | None = None):
+    """argparse type: an int no smaller than least and, if given, no larger than most."""
 
     def value(text: str) -> int:
         try:
@@ -145,9 +145,16 @@ def _at_least(least: int):
             raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
         if n < least:
             raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+        if most is not None and n > most:
+            raise argparse.ArgumentTypeError(f"must be at most {most}, got {n}")
         return n
 
     return value
+
+
+# The multinomial suite enumerates all 2^(k-1) ordered partitions of each k up
+# to --max; k = 18 alone takes seconds and each further 2 about four times more.
+MAX_MULTINOMIAL_K = 20
 
 
 def _prolong_args(p: argparse.ArgumentParser) -> None:
@@ -189,7 +196,8 @@ def _check_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--order", type=_at_least(0), default=2, help="truncation order for twist/theta/tensor")
     p.add_argument("--outer", type=int, default=4, help="outer bound N for phi/psi")
     p.add_argument("--inner", type=_at_least(0), default=2, help="inner order m for phi/psi, at most --outer")
-    p.add_argument("--max", type=_at_least(1), default=12, help="largest k for the multinomial identity")
+    p.add_argument("--max", type=_at_least(1, MAX_MULTINOMIAL_K), default=12,
+                   help="largest k for the multinomial identity")
     p.add_argument("--json", action="store_true")
     p.set_defaults(fn=cmd_check)
 

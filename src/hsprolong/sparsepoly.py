@@ -154,12 +154,21 @@ class SparsePoly:
         return total
 
     def substitute(self, image: Callable):
-        """Replace every symbol by image(symbol), a polynomial of this class."""
+        """Replace every symbol by image(symbol), a polynomial of this class.
+
+        Each power image(sym) ** e is built once per call, in a table that
+        lives only as long as the call.
+        """
+        powers: dict = {}
         out = self.zero(self.field)
         for mono, coeff in self.terms.items():
             v = self.const(self.field, coeff)
-            for sym, e in mono:
-                v = v * image(sym) ** e
+            for factor in mono:
+                power = powers.get(factor)
+                if power is None:
+                    sym, e = factor
+                    power = powers[factor] = image(sym) ** e
+                v = v * power
             out = out + v
         return out
 

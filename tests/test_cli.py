@@ -152,6 +152,9 @@ def test_negative_order_exits_2(witt_file):
         (["check", "theta", "--trials", "-5"], "--trials"),
         (["check", "multinomial", "--max", "0"], "--max"),
         (["check", "phi-psi", "--outer", "1", "--inner", "3"], "--inner"),
+        # 2^(k-1) ordered partitions per k: a bound, not a vacuous run
+        pytest.param(["check", "multinomial", "--max", "21"], "argument --max: must be at most 20, got 21",
+                     id="max-above-20"),
     ],
 )
 def test_vacuous_check_arguments_exit_2(argv, flag, capsys):

@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsprolong import BaseElem, ParamPoly, poly_divexact, poly_gcd
+from hsprolong import BaseElem, DiffPoly, DiffSymbol, ParamPoly, basefield, poly_divexact, poly_gcd
 from hsprolong.basefield import hasse_table
 
 from test_expansion import FIELDS, base_elems, param_polys
@@ -176,3 +176,59 @@ def test_constant_equality_reduces_and_reads_the_denominator():
     assert BaseElem.zero(f5) == 10
     assert (BaseElem.const(f5, 2) == 7) is True
     assert (BaseElem.const(f5, 2) == Fraction(1, 3)) is True
+
+
+# -- the constant lane takes no gcd ---------------------------------------------
+
+
+@pytest.fixture
+def normalizations(monkeypatch):
+    """Calls of basefield._reduce and basefield.poly_gcd, counted from here on."""
+    calls = {"_reduce": 0, "poly_gcd": 0}
+    for name in calls:
+        real = getattr(basefield, name)
+
+        def counted(*args, _name=name, _real=real):
+            calls[_name] += 1
+            return _real(*args)
+
+        monkeypatch.setattr(basefield, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS.values(), ids=PROPERTY_FIELDS.keys())
+def test_constant_operands_take_no_normalization(field, normalizations):
+    s = BaseElem.param(field, 0)
+    rational = (s**2 + 1) / (s**3 + 2 * s + 1)
+    k = BaseElem.const(field, 3)
+    normalizations.update(_reduce=0, poly_gcd=0)
+    results = [
+        rational * 3, 3 * rational,
+        rational * Fraction(2, 3), Fraction(2, 3) * rational,
+        rational * k, k * rational,
+        rational * 0, BaseElem.zero(field) * rational,
+        k + rational, rational + k, rational - k, k - rational, rational + 2,
+        BaseElem.const(field, 7, 3), BaseElem.one(field), BaseElem.zero(field),
+    ]
+    assert not (rational == 1) and not (1 == rational) and k == 3
+    assert normalizations == {"_reduce": 0, "poly_gcd": 0}
+    for x in results:
+        assert_normal_form(x)
+
+
+def test_substitute_builds_each_power_once():
+    field = PROPERTY_FIELDS["Q(s)"]
+    x, y = (DiffPoly.from_symbol(field, DiffSymbol(i, (0,))) for i in range(2))
+    s = DiffPoly.const(field, BaseElem.param(field, 0))
+    f = x**2 + x**2 * y + s * x * y + 3 * x**2 * y**2 + x * y**2
+    asked = []
+
+    def image(sym):
+        asked.append(sym)
+        return x + y + s if sym.var == 0 else x - 1
+
+    g = f.substitute(image)
+    # (x, 2), (x, 1), (y, 1) and (y, 2) over five terms
+    assert len(asked) == 4
+    u, v = x + y + s, x - 1
+    assert g == u**2 + u**2 * v + s * u * v + 3 * u**2 * v**2 + u * v**2

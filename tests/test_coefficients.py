@@ -3,9 +3,10 @@
 Every ParamPoly coefficient is a Fraction in characteristic 0 and an int in
 [0, p) in characteristic p, never a float, whatever arithmetic produced it.
 BaseElem arithmetic with a plain number, a zero or a constant operand, on
-either side, equals the general route: one normalization of the unreduced
-cross products.  Inputs come from the hypothesis strategies of
-``test_expansion``.
+either side, equals the general route (one normalization of the unreduced
+cross products) and calls neither ``_reduce`` nor ``poly_gcd``.  One
+``substitute`` calls ``image`` once per symbol and exponent.
+Inputs come from the hypothesis strategies of ``test_expansion``.
 """
 
 from fractions import Fraction

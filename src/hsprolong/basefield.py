@@ -17,6 +17,11 @@ product or sum with an int, a Fraction or a constant BaseElem scales or
 shifts the numerator and keeps the denominator, and ``x == k`` for a number k
 compares the constant of x with k reduced into the field.
 
+Text: ParamPoly writes its number coefficients with ``str`` and
+BaseElem.render_coeff writes a rational function beside a power product, both
+through the term-sum rules in termdict, so a coefficient of 4 in F5 stays
+``4*s`` in a ParamPoly but is the sign of ``-x`` in a DiffPoly.
+
 The mixed Hasse derivative D_alpha acts on the standard monomial basis by
 D_{i,k}(s_i^j) = C(j,k) s_i^{j-k} and reaches denominators through the
 quotient-rule recursion obtained by solving D_k(b * 1/b) = 0 for D_k(1/b).
@@ -27,7 +32,7 @@ is kept independent as a cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Callable, Mapping, Sequence, Union
+from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from . import termdict
 from .fields import FieldDescriptor, binom
@@ -158,45 +163,17 @@ class ParamPoly:
     # -- rendering -----------------------------------------------------------
 
     def render(self) -> str:
-        if not self.terms:
-            return "0"
-        parts: list[str] = []
-        for e in sorted(self.terms, key=_monomial_key, reverse=True):
-            c = self.terms[e]
-            body = render_monomial_over(self.field.parameter_names, e)
-            if body:
-                if c == 1:
-                    piece = body
-                elif c == -1:
-                    piece = "-" + body
-                else:
-                    piece = f"{c}*{body}"
-            else:
-                piece = str(c)
-            parts.append(piece)
-        out = parts[0]
-        for piece in parts[1:]:
-            if piece.startswith("-"):
-                out += " - " + piece[1:]
-            else:
-                out += " + " + piece
-        return out
+        names = self.field.parameter_names
+        return termdict.render_sum(
+            termdict.render_product(str(self.terms[e]), termdict.render_powers(zip(names, e)))
+            for e in sorted(self.terms, key=_monomial_key, reverse=True)
+        )
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"ParamPoly({self.render()})"
-
-
-def render_monomial_over(names: Sequence[str], exps: Sequence[int]) -> str:
-    factors = []
-    for name, e in zip(names, exps):
-        if e == 1:
-            factors.append(name)
-        elif e > 1:
-            factors.append(f"{name}^{e}")
-    return "*".join(factors)
 
 
 # -- gcd machinery ----------------------------------------------------------
@@ -297,13 +274,20 @@ def _pseudo_rem(a: dict[int, ParamPoly], b: dict[int, ParamPoly]) -> dict[int, P
     return r
 
 
+def _content(coeffs: Iterable[ParamPoly]) -> ParamPoly:
+    """The gcd of a nonempty run of polynomials, 1 once a partial gcd is constant."""
+    it = iter(coeffs)
+    cont = next(it)
+    for c in it:
+        if cont.is_const():
+            return ParamPoly.const(cont.field, 1)
+        cont = poly_gcd(cont, c)
+    return cont
+
+
 def _content_and_pp(coeffs: dict[int, ParamPoly]) -> tuple[ParamPoly, dict[int, ParamPoly]]:
-    cont = None
-    for c in coeffs.values():
-        cont = c if cont is None else poly_gcd(cont, c)
-    assert cont is not None
-    pp = {d: poly_divexact(c, cont) for d, c in coeffs.items()}
-    return cont, pp
+    cont = _content(coeffs.values())
+    return cont, {d: poly_divexact(c, cont) for d, c in coeffs.items()}
 
 
 def _gcd_univar(f: ParamPoly, g: ParamPoly, v: int) -> ParamPoly:
@@ -406,8 +390,8 @@ def poly_gcd(f: ParamPoly, g: ParamPoly) -> ParamPoly:
 
     if _coprime_by_evaluation(f0, g0, v):
         # the gcd is free of v, hence divides both contents with respect to v
-        cf = _content_of(f0, v)
-        cg = _content_of(g0, v)
+        cf = _content(_coeffs_in(f0, v).values())
+        cg = _content(_coeffs_in(g0, v).values())
         return _monic(mono * poly_gcd(cf, cg))
 
     # denominators are often prefix products of one another; try exact division
@@ -431,15 +415,6 @@ def poly_gcd(f: ParamPoly, g: ParamPoly) -> ParamPoly:
         a, b = b, r
     pp = _from_coeffs(a, v, f.field)
     return _monic(mono * cont * pp)
-
-
-def _content_of(p: ParamPoly, v: int) -> ParamPoly:
-    cont = None
-    for c in _coeffs_in(p, v).values():
-        cont = c if cont is None else poly_gcd(cont, c)
-        if cont.is_const():
-            break
-    return cont if cont is not None else ParamPoly.const(p.field, 1)
 
 
 def poly_divexact(f: ParamPoly, g: ParamPoly) -> ParamPoly:
@@ -667,12 +642,6 @@ class BaseElem:
     def is_poly(self) -> bool:
         return self.den.is_const()
 
-    def is_negative_leading(self) -> bool:
-        if not self.num:
-            return False
-        # residues in [0, p) are never negative
-        return self.num.leading()[1] < 0
-
     def render(self) -> str:
         if self.den.is_const():
             return self.num.render()
@@ -686,12 +655,22 @@ class BaseElem:
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 
-    def render_atomic(self) -> str:
-        """Rendering safe to juxtapose with '*': parenthesized when a sum."""
-        s = self.render()
-        if len(self.num.terms) > 1 and self.den.is_const():
-            return f"({s})"
-        return s
+    def render_coeff(self, body: str) -> str:
+        """self times the power product body, as one piece of a sum; the plain
+        rendering when body is empty.  The field's -1 (p - 1 in characteristic p)
+        is a bare sign, and a negative leading coefficient gives its sign to the
+        piece."""
+        if not body:
+            return self.render()
+        c = self._value()
+        if c is not None:
+            # characteristic - 1 is -1 in characteristic 0 and p - 1 in p
+            return termdict.render_product("-1" if c == self.field.characteristic - 1 else str(c), body)
+        x, sign = (-self, "-") if self.num.leading()[1] < 0 else (self, "")
+        s = x.render()
+        if x.den.is_const() and len(x.num.terms) > 1:
+            s = f"({s})"  # a sum beside '*' needs parentheses
+        return termdict.render_product(sign + s, body)
 
     def __str__(self) -> str:
         return self.render()

@@ -79,7 +79,7 @@ def _random_truncated(rng: random.Random, field: FieldDescriptor, m: int) -> Tru
     return TruncatedElement(coeffs, m, n)
 
 
-def check_twist(seed: int, trials: int, order: int = 3, **_) -> list[str]:
+def check_twist(seed: int, trials: int, *, order: int, **_) -> list[str]:
     """Twist isomorphism: psi round-trips and the twisted scalar action."""
     rng = random.Random(seed)
     fields = [_FIELDS["Q(s1,s2)"], _FIELDS["F5(s)"]]
@@ -162,7 +162,7 @@ def check_leibniz(seed: int, trials: int, **_) -> list[str]:
     return [f"OK leibniz params=|alpha|<=3 trials={trials}"]
 
 
-def check_theta(seed: int, trials: int, order: int = 2, inner: int = 2, **_) -> list[str]:
+def check_theta(seed: int, trials: int, *, order: int, inner: int, **_) -> list[str]:
     """Layer commutation on randomly constructed small varieties."""
     rng = random.Random(seed)
     field = _FIELDS["Q(s)"]
@@ -176,19 +176,19 @@ def check_theta(seed: int, trials: int, order: int = 2, inner: int = 2, **_) -> 
     return [f"OK theta params=m={m},q={q},varieties={varieties} trials={varieties * (m + 1) * (q + 1)}"]
 
 
-def check_phi_psi(seed: int, trials: int, outer: int = 4, inner: int = 2, **_) -> list[str]:
+def check_phi_psi(seed: int, trials: int, *, outer: int, inner: int, **_) -> list[str]:
     lines = check_phi_psi_inverse(outer, inner, trials, seed, _FIELDS["Q(s)"])
     lines += check_phi_psi_inverse(outer, inner, trials, seed + 1, _FIELDS["F5(s)"])
     return lines
 
 
-def check_tensor(seed: int, trials: int, order: int = 2, inner: int = 2, **_) -> list[str]:
+def check_tensor(seed: int, trials: int, *, order: int, inner: int, **_) -> list[str]:
     lines = twisted_tensor_check(min(order, 3), min(inner, 3), trials, seed, _FIELDS["Q(s)"])
     lines += twisted_tensor_check(min(order, 3), min(inner, 3), trials, seed + 1, _FIELDS["F5(s)"])
     return lines
 
 
-def check_multinomial(seed: int, trials: int, max_k: int = 12, **_) -> list[str]:
+def check_multinomial(seed: int, trials: int, *, max_k: int, **_) -> list[str]:
     rng = random.Random(seed)
     for k in range(1, max_k + 1):
         if not multinomial_identity_check(k, _FIELDS["Q(s)"], rng, trials=3):
@@ -209,13 +209,7 @@ _SUITES: dict[str, Callable[..., list[str]]] = {
 
 
 def run_checks(
-    names: Sequence[str],
-    seed: int = 0,
-    trials: int = 100,
-    order: int = 2,
-    outer: int = 4,
-    inner: int = 2,
-    max_k: int = 12,
+    names: Sequence[str], *, seed: int, trials: int, order: int, outer: int, inner: int, max_k: int
 ) -> tuple[bool, list[str]]:
     """Run the named suites; returns (all_passed, report_lines)."""
     top = random.Random(seed)

@@ -42,18 +42,17 @@ def random_base_elem(
     field: FieldDescriptor,
     max_deg: int = 2,
     max_terms: int = 2,
-    rational: bool = True,
 ) -> BaseElem:
     num = random_param_poly(rng, field, max_deg, max_terms)
-    if rational and rng.random() < 0.5:
+    if rng.random() < 0.5:
         den = random_param_poly(rng, field, max(1, max_deg - 1), 2, nonzero=True)
         return BaseElem(num, den)
     return BaseElem(num)
 
 
-def random_nonzero_base_elem(rng: random.Random, field: FieldDescriptor, **kw) -> BaseElem:
+def random_nonzero_base_elem(rng: random.Random, field: FieldDescriptor) -> BaseElem:
     for _ in range(50):
-        a = random_base_elem(rng, field, **kw)
+        a = random_base_elem(rng, field)
         if a:
             return a
     return BaseElem.const(field, 1) + BaseElem.param(field, 0) if field.param_count else BaseElem.const(field, 1)

@@ -2,7 +2,9 @@
 
 A TruncatedElement maps multi-indices of size <= m to nonzero carrier
 elements; the carrier is duck-typed (BaseElem or a sparse symbol polynomial)
-and only needs +, -, *, bool and ==.  Products discard terms of size > m.
+and only needs +, -, *, bool, == and render_coeff.  Products discard terms of
+size > m.  The text form is termdict's: the carrier writes each coefficient
+beside its power of t with render_coeff, and termdict joins the pieces.
 
 The twisted structure lives here too: twist_expand sends a base element r to
 its truncated Taylor expansion sum D_alpha(r) t^alpha, computed by the
@@ -124,31 +126,12 @@ class TruncatedElement:
         )
 
     def render(self) -> str:
-        if not self.coeffs:
-            return "0"
-        names = tuple(f"t{i+1}" for i in range(self.t_count))
-        parts = []
-        for a in sorted(self.coeffs, key=graded_lex_key):
-            c = self.coeffs[a]
-            mono = "*".join(
-                n if e == 1 else f"{n}^{e}" for n, e in zip(names, a) if e
-            )
-            cs = c.render_atomic() if hasattr(c, "render_atomic") else f"({c})"
-            neg = getattr(c, "is_negative_leading", lambda: False)()
-            if not mono:
-                piece = c.render() if hasattr(c, "render") else str(c)
-            elif neg:
-                body = (-c).render_atomic()
-                piece = "-" + (mono if body == "1" else f"{body}*{mono}")
-            elif cs == "1":
-                piece = mono
-            else:
-                piece = f"{cs}*{mono}"
-            parts.append(piece)
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        names = [f"t{i + 1}" for i in range(self.t_count)]
+        coeffs = self.coeffs
+        return termdict.render_sum(
+            coeffs[a].render_coeff(termdict.render_powers(zip(names, a)))
+            for a in sorted(coeffs, key=graded_lex_key)
+        )
 
     def __str__(self) -> str:
         return self.render()

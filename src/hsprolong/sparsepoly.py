@@ -8,6 +8,9 @@ two-layer symbols of the isomorphism checks.
 
 Canonical term order for rendering: descending total degree, then ascending
 factor sequence, which yields e.g. ``x^2 - s`` and ``x*d2y + d1x*d1y + d2x*y``.
+The rules that write a term sum (power product, coefficient beside it, sign
+join) live in termdict; each BaseElem coefficient writes itself beside its
+monomial with ``render_coeff``.
 """
 
 from __future__ import annotations
@@ -63,11 +66,11 @@ class SparsePoly:
         return cls({(): value}, field)
 
     @classmethod
-    def from_symbol(cls, field: FieldDescriptor, sym, exp: int = 1, coeff=None):
+    def from_symbol(cls, field: FieldDescriptor, sym, coeff=None):
         c = coeff if coeff is not None else BaseElem.one(field)
         if not isinstance(c, BaseElem):
             c = BaseElem.const(field, c)
-        return cls({((sym, exp),): c}, field)
+        return cls({((sym, 1),): c}, field)
 
     def _make(self, terms) -> "SparsePoly":
         return self.__class__(terms, self.field)
@@ -136,9 +139,6 @@ class SparsePoly:
     def symbols(self) -> set:
         return {sym for m in self.terms for sym, _ in m}
 
-    def degree(self) -> int:
-        return max((monomial_degree(m) for m in self.terms), default=0)
-
     def constant_term(self) -> BaseElem:
         return self.terms.get((), BaseElem.zero(self.field))
 
@@ -172,37 +172,20 @@ class SparsePoly:
             out = out + v
         return out
 
-    def map_coeffs(self, f: Callable):
-        return self._make({m: f(c) for m, c in self.terms.items()})
-
     # -- rendering --------------------------------------------------------------
 
     def render(self, names: Sequence[str] | None = None) -> str:
-        if not self.terms:
-            return "0"
-        parts = []
-        for mono in sorted(self.terms, key=_display_key):
-            coeff = self.terms[mono]
-            body = "*".join(
-                sym.render(names) if e == 1 else f"{sym.render(names)}^{e}"
-                for sym, e in mono
-            )
-            if not body:
-                parts.append(coeff.render())
-                continue
-            if coeff == 1:
-                parts.append(body)
-            elif coeff == -1:
-                parts.append("-" + body)
-            elif coeff.is_negative_leading():
-                cs = (-coeff).render_atomic()
-                parts.append("-" + (body if cs == "1" else f"{cs}*{body}"))
-            else:
-                parts.append(f"{coeff.render_atomic()}*{body}")
-        out = parts[0]
-        for p in parts[1:]:
-            out += " - " + p[1:] if p.startswith("-") else " + " + p
-        return out
+        terms = self.terms
+        return termdict.render_sum(
+            terms[mono].render_coeff(termdict.render_powers((sym.render(names), e) for sym, e in mono))
+            for mono in sorted(terms, key=_display_key)
+        )
+
+    def render_coeff(self, body: str) -> str:
+        """self times the power product body, as one piece of a sum: a
+        polynomial coefficient is always parenthesized, and never elided."""
+        s = self.render()
+        return f"({s})*{body}" if body else s
 
     def __str__(self) -> str:
         return self.render()

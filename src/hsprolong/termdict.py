@@ -14,6 +14,14 @@ single-index callers truncate to the box below their index (``box_key``); the
 all-orders table truncates to total size <= m (``size_key``) and reads every
 d_alpha, |alpha| <= m, off one product per term.
 
+The text form of a term dict is written here too, by three rules that every
+ring shares: ``render_powers`` writes a key as a power product (``s^2*t1``,
+exponent 0 left out), ``render_product`` writes a rendered coefficient beside
+it (a coefficient of 1 or -1 is not written), and ``render_sum`` joins the
+pieces (a piece that starts with ``-`` is subtracted, no pieces give ``0``).
+A ring's coefficient brings its own rendering: a plain number is written with
+``str``, a ring element by its ``render_coeff(body)``.
+
 The module is internal: rings reach it through the module object, so its
 functions never show up as names of their own in a ring's namespace.
 """
@@ -126,3 +134,31 @@ def leibniz(
                 sums[k] = got if s is None else s + got
     zero = ring.zero(field)
     return {k: sums.get(k, zero) for k in collect}
+
+
+# -- text form -----------------------------------------------------------------
+
+
+def render_powers(pairs: Iterable) -> str:
+    """The power product of (name, exponent) pairs: ``s^2*t1``, exponent 0 left out."""
+    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in pairs if e)
+
+
+def render_product(coeff: str, body: str) -> str:
+    """The rendered coefficient times the power product body; 1 and -1 are not written."""
+    if not body:
+        return coeff
+    if coeff == "1":
+        return body
+    if coeff == "-1":
+        return "-" + body
+    return f"{coeff}*{body}"
+
+
+def render_sum(pieces: Iterable[str]) -> str:
+    """The pieces as a sum: a piece that starts with '-' is subtracted; no pieces give 0."""
+    it = iter(pieces)
+    out = next(it, "0")
+    for p in it:
+        out += " - " + p[1:] if p[0] == "-" else " + " + p
+    return out

@@ -277,6 +277,8 @@ CASES = [
     ("trunc-alone", "Q(s,u)", "sum-over-sum", "(s + 1)/(s*u - 2)*t2"),
     ("trunc-alone", "Q(s,u)", "neg-sum-over-sum", "-(s*u - 1)/(s + 3)*t2"),
     ("trunc-alone", "F5(s)", "one", "t1^2"),
+    # p - 1 beside a monomial is a bare sign, as in a DiffPoly (was 4*t1^2)
+    ("trunc-alone", "F5(s)", "p-minus-one", "-t1^2"),
     ("trunc-alone", "F5(s)", "two", "2*t1^2"),
     ("trunc-alone", "F5(s)", "neg-lead", "(4*s + 1)*t1^2"),
     ("trunc-alone", "F5(s)", "sum-num", "(s^2 + 2)*t1^2"),
@@ -298,6 +300,8 @@ CASES = [
     ("trunc-sum", "Q(s,u)", "sum-over-sum", "(s + 1)/(s*u - 2) + (s + 1)/(s*u - 2)*t1 + t1^2"),
     ("trunc-sum", "Q(s,u)", "neg-sum-over-sum", "(-s*u + 1)/(s + 3) - (s*u - 1)/(s + 3)*t1 + t1^2"),
     ("trunc-sum", "F5(s)", "one", "1 + t1 + t1^2"),
+    # was 4 + 4*t1 + t1^2
+    ("trunc-sum", "F5(s)", "p-minus-one", "4 - t1 + t1^2"),
     ("trunc-sum", "F5(s)", "two", "2 + 2*t1 + t1^2"),
     ("trunc-sum", "F5(s)", "neg-lead", "4*s + 1 + (4*s + 1)*t1 + t1^2"),
     ("trunc-sum", "F5(s)", "sum-num", "s^2 + 2 + (s^2 + 2)*t1 + t1^2"),

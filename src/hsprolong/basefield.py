@@ -665,7 +665,8 @@ class BaseElem:
         c = self._value()
         if c is not None:
             # characteristic - 1 is -1 in characteristic 0 and p - 1 in p
-            return termdict.render_product("-1" if c == self.field.characteristic - 1 else str(c), body)
+            s = "-1" if c == self.field.characteristic - 1 else str(c)
+            return termdict.render_product(s, body)
         x, sign = (-self, "-") if self.num.leading()[1] < 0 else (self, "")
         s = x.render()
         if x.den.is_const() and len(x.num.terms) > 1:

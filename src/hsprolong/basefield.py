@@ -664,8 +664,9 @@ class BaseElem:
             return self.render()
         c = self._value()
         if c is not None:
-            # characteristic - 1 is -1 in characteristic 0 and p - 1 in p
-            s = "-1" if c == self.field.characteristic - 1 else str(c)
+            # characteristic - 1 is -1 in characteristic 0 and p - 1 in p; in
+            # characteristic 2 it is also 1, which is no sign
+            s = "-1" if c == self.field.characteristic - 1 and c != 1 else str(c)
             return termdict.render_product(s, body)
         x, sign = (-self, "-") if self.num.leading()[1] < 0 else (self, "")
         s = x.render()

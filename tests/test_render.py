@@ -4,7 +4,8 @@ Each case writes one coefficient c as a constant term and beside a monomial,
 in a parameter polynomial, a base element, a DiffPoly, a LayeredPoly and a
 TruncatedElement over base elements and over DiffPolys.  The coefficients
 cover 1, -1, p - 1, negative rational constants, a negative leading term and
-sums in the numerator and the denominator, over Q(s,u) and F5(s).
+sums in the numerator and the denominator, over Q(s,u) and F5(s); over F2(s),
+where -1 = p - 1 = 1, a unit coefficient carries no sign.
 """
 
 from fractions import Fraction
@@ -17,7 +18,8 @@ from hsprolong.layered import LayeredPoly
 
 Q_SU = FieldDescriptor(0, ("s", "u"), 2)
 F5_S = FieldDescriptor(5, ("s",), 1)
-FIELDS = {"Q(s,u)": Q_SU, "F5(s)": F5_S}
+F2_S = FieldDescriptor(2, ("s",), 1)
+FIELDS = {"Q(s,u)": Q_SU, "F5(s)": F5_S, "F2(s)": F2_S}
 
 
 def _params(field):
@@ -331,6 +333,40 @@ CASES = [
     ("trunc-diff", "F5(s)", "neg-inv", "4/s + (4/s)*t1 + (4/s*x0)*t1^2"),
     ("trunc-diff", "F5(s)", "sum-over-sum", "(s + 1)/(s + 3) + ((s + 1)/(s + 3))*t1 + ((s + 1)/(s + 3)*x0)*t1^2"),
     ("trunc-diff", "F5(s)", "neg-sum-over-sum", "(4*s + 1)/(s + 3) + ((4*s + 1)/(s + 3))*t1 + ((4*s + 1)/(s + 3)*x0)*t1^2"),
+    # characteristic 2: p - 1 is 1, so a unit coefficient is elided, never a sign
+    ("param-const", "F2(s)", "one", "1"),
+    ("param-const", "F2(s)", "minus-one", "1"),
+    ("param-alone", "F2(s)", "one", "s^2"),
+    ("param-alone", "F2(s)", "minus-one", "s^2"),
+    ("param-sum", "F2(s)", "one", "s^3 + s + 1"),
+    ("param-sum", "F2(s)", "minus-one", "s^3 + s + 1"),
+    ("base", "F2(s)", "one", "1"),
+    ("base", "F2(s)", "minus-one", "1"),
+    ("base", "F2(s)", "neg-lead", "s + 1"),
+    ("diff-const", "F2(s)", "one", "1"),
+    ("diff-const", "F2(s)", "minus-one", "1"),
+    ("diff-const", "F2(s)", "neg-lead", "s + 1"),
+    ("diff-alone", "F2(s)", "one", "x0*d1x1^2"),
+    ("diff-alone", "F2(s)", "minus-one", "x0*d1x1^2"),
+    ("diff-alone", "F2(s)", "neg-lead", "(s + 1)*x0*d1x1^2"),
+    ("diff-sum", "F2(s)", "one", "x0^2*d1x1 + x0 + 1"),
+    ("diff-sum", "F2(s)", "minus-one", "x0^2*d1x1 + x0 + 1"),
+    ("diff-sum", "F2(s)", "neg-lead", "x0^2*d1x1 + (s + 1)*x0 + s + 1"),
+    ("layered-alone", "F2(s)", "one", "d1pd2x0"),
+    ("layered-alone", "F2(s)", "minus-one", "d1pd2x0"),
+    ("layered-alone", "F2(s)", "neg-lead", "(s + 1)*d1pd2x0"),
+    ("layered-sum", "F2(s)", "one", "d0pd1x1^2 + d2pd0x0 + 1"),
+    ("layered-sum", "F2(s)", "minus-one", "d0pd1x1^2 + d2pd0x0 + 1"),
+    ("layered-sum", "F2(s)", "neg-lead", "d0pd1x1^2 + (s + 1)*d2pd0x0 + s + 1"),
+    ("trunc-alone", "F2(s)", "one", "t1^2"),
+    ("trunc-alone", "F2(s)", "minus-one", "t1^2"),
+    ("trunc-alone", "F2(s)", "neg-lead", "(s + 1)*t1^2"),
+    ("trunc-sum", "F2(s)", "one", "1 + t1 + t1^2"),
+    ("trunc-sum", "F2(s)", "minus-one", "1 + t1 + t1^2"),
+    ("trunc-sum", "F2(s)", "neg-lead", "s + 1 + (s + 1)*t1 + t1^2"),
+    ("trunc-diff", "F2(s)", "one", "1 + (1)*t1 + (x0)*t1^2"),
+    ("trunc-diff", "F2(s)", "minus-one", "1 + (1)*t1 + (x0)*t1^2"),
+    ("trunc-diff", "F2(s)", "neg-lead", "s + 1 + (s + 1)*t1 + ((s + 1)*x0)*t1^2"),
 ]
 
 

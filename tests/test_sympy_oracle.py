@@ -1,8 +1,10 @@
-"""An independent oracle for the gcd normal form.
+"""An independent oracle for the gcd normal form and the Hasse derivatives.
 
 ``poly_gcd`` and the ``BaseElem`` normal form (gcd cancelled, denominator
 scaled to graded-lex leading coefficient 1) are checked against sympy's
 polynomial gcd over QQ and GF(5), which shares no code with this package.
+Both routes to D_alpha (``hasse_table`` and the ``twist_expand``
+coefficients) are checked against sympy's ``diff(expr, s_i, k) / k!`` over QQ.
 sympy is a test-only dependency; the module is skipped without it.
 """
 
@@ -11,7 +13,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsprolong import BaseElem, ParamPoly, poly_gcd
+from hsprolong import BaseElem, ParamPoly, enumerate_multiindices, poly_gcd, twist_expand
+from hsprolong.basefield import hasse_table
 
 from test_expansion import FIELDS, base_elems, scalars
 
@@ -94,3 +97,47 @@ def test_base_elem_normal_form_matches_sympy(field, data):
         elem = BaseElem(num, den)
         assert (elem.num.terms, elem.den.terms) == (want_num, want_den)
         assert elem == got
+
+
+# -- Hasse derivatives against sympy's diff ------------------------------------
+
+DIFF_FIELDS = {name: FIELDS[name] for name in ("Q(s)", "Q(s1,s2)")}
+
+
+def to_expr(elem):
+    """A BaseElem as a sympy expression num/den over QQ."""
+    gens = sympy.symbols(elem.field.parameter_names)
+
+    def poly(p):
+        return sum(
+            (sympy.Rational(c.numerator, c.denominator) * sympy.Mul(*(g**e for g, e in zip(gens, exps)))
+             for exps, c in p.terms.items()),
+            sympy.Integer(0),
+        )
+
+    return poly(elem.num) / poly(elem.den)
+
+
+def sympy_hasse(alpha, expr, field):
+    """diff(expr, s_i, k) / k! for each family i, then cancel."""
+    gens = sympy.symbols(field.parameter_names)
+    for i, k in enumerate(alpha):
+        if k:
+            expr = sympy.diff(expr, gens[i], k) / sympy.factorial(k)
+    return sympy.cancel(expr)
+
+
+@pytest.mark.parametrize("field", DIFF_FIELDS.values(), ids=DIFF_FIELDS.keys())
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_hasse_derivatives_match_sympy_diff(field, data):
+    a = data.draw(base_elems(field), label="a")
+    m = data.draw(st.integers(0, 3), label="m")
+    table = hasse_table(a, m)
+    series = twist_expand(a, m)
+    zero = BaseElem.zero(field)
+    expr = to_expr(a)
+    for alpha in enumerate_multiindices(field.derivation_count, m):
+        want = sympy_hasse(alpha, expr, field)
+        for got in (table[alpha], series.coeff_or(alpha, zero)):
+            assert sympy.cancel(to_expr(got) - want) == 0, (a, alpha, got, want)

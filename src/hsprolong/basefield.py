@@ -24,9 +24,14 @@ through the term-sum rules in termdict, so a coefficient of 4 in F5 stays
 
 The mixed Hasse derivative D_alpha acts on the standard monomial basis by
 D_{i,k}(s_i^j) = C(j,k) s_i^{j-k} and reaches denominators through the
-quotient-rule recursion obtained by solving D_k(b * 1/b) = 0 for D_k(1/b).
-The truncated-series route to the same values lives in the series module and
-is kept independent as a cross-check.
+quotient-rule recursion obtained by solving D_k(den * 1/den) = 0 for
+D_k(1/den).  That work stays in polynomials: D_k(1/den) is a numerator M_k
+over den^(k+1), and D_k(num/den) is the numerator
+sum over u of D_u(num) * den^u * M_{k-u} over den^(k+1), so each output
+coefficient takes one normalization and no BaseElem sum or product on the
+way.  The truncated-series route to the same values lives in the series
+module (substitution s -> s + t and a geometric series, no binomials and no
+D(den * 1/den) recursion) and is kept independent as a cross-check.
 """
 
 from __future__ import annotations
@@ -714,49 +719,56 @@ def _reduce(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
 # -- Hasse derivatives --------------------------------------------------------
 
 
-def _inverse_derivatives(i: int, den: ParamPoly, k: int) -> list[BaseElem]:
-    """D_{i,l}(1/den) for l = 0..k, solving D_{i,v}(den * 1/den) = 0 for v >= 1."""
-    field = den.field
-    inv0 = BaseElem(den, None).inverse()
-    invs = [inv0]
-    dens = [den.hasse(i, l) for l in range(k + 1)]
+def _quotient_tables(i: int, k: int, a: BaseElem) -> tuple[list, list, list]:
+    """(nums, ms, powers) for a = num/den and l = 0..k: nums[l] = D_{i,l}(num) * den^l,
+    the numerators M_l of D_{i,l}(1/den) = M_l / den^(l+1), and den^0..den^(k+1).
+
+    D_{i,v}(den * 1/den) = 0 for v >= 1 gives M_0 = 1 and
+    M_v = -sum over l = 1..v of D_{i,l}(den) * den^(l-1) * M_{v-l}.
+    """
+    num, den = a.num, a.den
+    powers = [ParamPoly.const(a.field, 1), den]
+    for _ in range(k):
+        powers.append(powers[-1] * den)
+    # steps[l] = D_{i,l}(den) * den^(l-1), once per l
+    steps = [None] + [den.hasse(i, l) * powers[l - 1] for l in range(1, k + 1)]
+    ms = [powers[0]]
     for v in range(1, k + 1):
-        total = BaseElem.zero(field)
+        total = ParamPoly.zero(a.field)
         for l in range(1, v + 1):
-            if dens[l]:
-                total = total + BaseElem(dens[l]) * invs[v - l]
-        invs.append(-(inv0 * total))
-    return invs
+            if steps[l] and ms[v - l]:
+                total = total + steps[l] * ms[v - l]
+        ms.append(-total)
+    nums = [num.hasse(i, l) * powers[l] for l in range(k + 1)]
+    return nums, ms, powers
 
 
-def _quotient_rule(v: int, nums: list[ParamPoly], invs: list[BaseElem]) -> BaseElem:
-    """D_v(num/den) = sum over u of D_u(num) D_{v-u}(1/den), from both tables."""
-    out = BaseElem.zero(invs[0].field)
+def _quotient_rule(v: int, nums: list[ParamPoly], ms: list[ParamPoly], powers: list[ParamPoly]) -> BaseElem:
+    """D_v(num/den) = sum over u of D_u(num) D_{v-u}(1/den), from _quotient_tables:
+    the numerator sum of nums[u] * M_{v-u} over den^(v+1), normalized once."""
+    total = ParamPoly.zero(powers[0].field)
     for u in range(v + 1):
-        if nums[u]:
-            out = out + BaseElem(nums[u]) * invs[v - u]
-    return out
+        if nums[u] and ms[v - u]:
+            total = total + nums[u] * ms[v - u]
+    return BaseElem(total, powers[v + 1])
 
 
 def _family_derive(i: int, k: int, a: BaseElem) -> BaseElem:
     """D_{i,k}(a) for the single derivation family i, via the quotient rule."""
     if k == 0:
         return a
-    num, den = a.num, a.den
-    if den.is_const():
-        return BaseElem(num.hasse(i, k), den)
-    nums = [num.hasse(i, u) for u in range(k + 1)]
-    return _quotient_rule(k, nums, _inverse_derivatives(i, den, k))
+    if a.den.is_const():
+        return _elem(a.num.hasse(i, k), a.den)
+    return _quotient_rule(k, *_quotient_tables(i, k, a))
 
 
 def _family_table(i: int, k: int, a: BaseElem) -> list[BaseElem]:
     """[D_{i,0}(a), ..., D_{i,k}(a)], running the 1/den recursion once for all k."""
-    num, den = a.num, a.den
-    if den.is_const():
-        return [a] + [BaseElem(num.hasse(i, v), den) for v in range(1, k + 1)]
-    nums = [num.hasse(i, u) for u in range(k + 1)]
-    invs = _inverse_derivatives(i, den, k)
-    return [a] + [_quotient_rule(v, nums, invs) for v in range(1, k + 1)]
+    if a.den.is_const():
+        # a polynomial's derivatives are polynomials, each its own normal form
+        return [a] + [_elem(a.num.hasse(i, v), a.den) for v in range(1, k + 1)]
+    tables = _quotient_tables(i, k, a)
+    return [a] + [_quotient_rule(v, *tables) for v in range(1, k + 1)]
 
 
 def hasse_derive(alpha: Sequence[int], a: BaseElem) -> BaseElem:
@@ -764,6 +776,8 @@ def hasse_derive(alpha: Sequence[int], a: BaseElem) -> BaseElem:
     n = a.field.derivation_count
     if len(alpha) != n:
         raise ValueError(f"multi-index length {len(alpha)} != derivation count {n}")
+    if any(k < 0 for k in alpha):
+        raise ValueError(f"multi-index entries must be naturals, got {tuple(alpha)}")
     out = a
     for i in range(n - 1, -1, -1):
         if alpha[i]:

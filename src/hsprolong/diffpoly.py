@@ -116,6 +116,8 @@ def apply_d(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly
     alpha = tuple(alpha)
     if len(alpha) != f.field.derivation_count:
         raise ValueError("multi-index length does not match the derivation count")
+    if any(k < 0 for k in alpha):
+        raise ValueError(f"multi-index entries must be naturals, got {alpha}")
 
     def derivatives(c):
         # the box below alpha, from one quotient-rule pass per family

@@ -1,17 +1,24 @@
 """Truncated multivariate polynomial rings B[t_1..t_n]/(t_1..t_n)^(m+1).
 
 A TruncatedElement maps multi-indices of size <= m to nonzero carrier
-elements; the carrier is duck-typed (BaseElem or a sparse symbol polynomial)
-and only needs +, -, *, bool, == and render_coeff.  Products discard terms of
-size > m.  The text form is termdict's: the carrier writes each coefficient
-beside its power of t with render_coeff, and termdict joins the pieces.
+elements; the carrier is duck-typed (BaseElem, a sparse symbol polynomial, or
+a ParamPoly inside twist_expand) and only needs +, -, *, bool and ==, plus
+render_coeff to be written.  Products discard terms of size > m.  The text
+form is termdict's: the carrier writes each coefficient beside its power of t
+with render_coeff, and termdict joins the pieces.
 
-The twisted structure lives here too: twist_expand sends a base element r to
-its truncated Taylor expansion sum D_alpha(r) t^alpha, computed by the
-substitution s_i -> s_i + t_i and truncated geometric inversion for
-denominators -- deliberately *not* by the quotient-rule derivatives, so the
-two routes check each other.  twist_psi applies the expansion coefficientwise
-and twist_inverse undoes it by graded elimination.
+The twisted structure lives here too: twist_expand sends a base element
+r = num/den to its truncated Taylor expansion sum D_alpha(r) t^alpha.  It
+substitutes s_i -> s_i + t_i into num and den, multiplying the factors
+(s_i + t_i) out over ParamPoly carriers, and inverts den(s + t) by the
+truncated geometric series.  With each t^alpha coefficient scaled by
+den^|alpha|, every step stays in polynomials, and the t^alpha coefficient is
+a numerator over den^(|alpha|+1), normalized once as a BaseElem.  This is
+deliberately *not* the quotient-rule route of basefield: that one takes the
+binomials of ParamPoly.hasse and solves D(den * 1/den) = 0, this one only
+substitutes and sums a geometric series, so the two routes check each other.
+twist_psi applies the expansion coefficientwise and twist_inverse undoes it
+by graded elimination.
 """
 
 from __future__ import annotations
@@ -141,24 +148,32 @@ class TruncatedElement:
 
 
 def _poly_twist(p: ParamPoly, m: int) -> TruncatedElement:
-    """Twisted expansion of a parameter polynomial via s_i -> s_i + t_i."""
+    """The shift p(s + t) over ParamPoly carriers: each term's factors
+    (s_i + t_i) multiplied out, with the powers built once per call."""
     field = p.field
     n = field.derivation_count
-    total = TruncatedElement.zero(m, n)
-    one = BaseElem.one(field)
+    one = ParamPoly.const(field, 1)
+    shifts = [
+        TruncatedElement({zero_index(n): ParamPoly.var(field, i), unit_index(n, i): one}, m, n)
+        for i in range(n)
+    ]
+    # powers[i][e] = (s_i + t_i)^e, extended one factor at a time as terms ask
+    powers = [[None, x] for x in shifts]
+    total: dict = {}
+    zero = zero_index(n)
     for exps, c in p.terms.items():
-        acc = TruncatedElement.constant(BaseElem.const(field, c), m, n)
-        for i in range(n):
-            if exps[i]:
-                lin = TruncatedElement(
-                    {zero_index(n): BaseElem.param(field, i), unit_index(n, i): one}, m, n
-                )
-                acc = acc * lin ** exps[i]
-        tail = tuple(0 if i < n else e for i, e in enumerate(exps))
-        if any(tail):
-            acc = acc.scale(BaseElem(ParamPoly.monomial(field, tail)))
-        total = total + acc
-    return total
+        acc = None
+        for i, e in enumerate(exps[:n]):
+            if e:
+                row = powers[i]
+                while len(row) <= e:
+                    row.append(row[-1] * shifts[i])
+                acc = row[e] if acc is None else acc * row[e]
+        # the parameters past the derivations stay in the coefficient
+        mono = ParamPoly.monomial(field, zero + exps[n:], c)
+        terms = {zero: one} if acc is None else acc.coeffs
+        total = termdict.add(total, ((a, x * mono) for a, x in terms.items()))
+    return TruncatedElement(total, m, n)
 
 
 def trunc_inverse(e: TruncatedElement) -> TruncatedElement:
@@ -189,13 +204,39 @@ def twist_expand(r: BaseElem, m: int) -> TruncatedElement:
     """The twisted homomorphism e(r) = sum over |alpha| <= m of D_alpha(r) t^alpha.
 
     Computed by parameter shift and truncated series inversion, independently
-    of the quotient-rule derivative code.
+    of the quotient-rule derivative code.  With B = den(s + t) and the t^beta
+    coefficients scaled by den^|beta| (a scaling products keep), the inverse
+    is 1/B = (1/den) * sum over k of (-Q')^k with Q'_beta = B_beta * den^(|beta|-1),
+    so the t^alpha coefficient of num(s + t)/B is a polynomial over
+    den^(|alpha|+1), normalized once.
     """
-    num_e = _poly_twist(r.num, m)
-    if r.den.is_const():
+    num, den = r.num, r.den
+    num_e = _poly_twist(num, m)
+    if den.is_const():
         # the normal form's denominator is monic, so a constant one is 1
-        return num_e
-    return num_e * trunc_inverse(_poly_twist(r.den, m))
+        return num_e.map_coeffs(lambda c: BaseElem._raw(c, den))
+    n = num_e.t_count
+    powers = [ParamPoly.const(num.field, 1), den]
+    for _ in range(m):
+        powers.append(powers[-1] * den)
+    # w = -Q', the scaled terms of B/den past the constant 1
+    w = TruncatedElement(
+        {a: -(c * powers[sum(a) - 1]) for a, c in _poly_twist(den, m).coeffs.items() if any(a)},
+        m,
+        n,
+    )
+    # w^k has no term below size k, so k runs to m
+    series = TruncatedElement.constant(powers[0], m, n) + w
+    power = w
+    for _ in range(m - 1):
+        power = power * w
+        if not power:
+            break
+        series = series + power
+    scaled = TruncatedElement({a: c * powers[sum(a)] for a, c in num_e.coeffs.items()}, m, n)
+    return TruncatedElement(
+        {a: BaseElem(c, powers[sum(a) + 1]) for a, c in (scaled * series).coeffs.items()}, m, n
+    )
 
 
 def twist_psi(c: TruncatedElement) -> TruncatedElement:

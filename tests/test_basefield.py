@@ -107,6 +107,13 @@ class TestHasseDerive:
         series = trunc_inverse(twist_expand(s, 2))
         assert hasse_derive((2,), 1 / s) == series.coeff_or((2,), None)
 
+    def test_negative_index_rejected(self):
+        s = s_elem()
+        u = BaseElem.param(Q_su, "u")
+        for alpha, a in [((-1,), s), ((-2,), 1 / (s + 1)), ((1, -1), u)]:
+            with pytest.raises(ValueError):
+                hasse_derive(alpha, a)
+
     def test_identity_at_zero(self):
         rng = random.Random(3)
         for field in FIELDS:

@@ -4,7 +4,8 @@ Every ParamPoly coefficient is a Fraction in characteristic 0 and an int in
 [0, p) in characteristic p, never a float, whatever arithmetic produced it.
 BaseElem arithmetic with a plain number, a zero or a constant operand, on
 either side, equals the general route (one normalization of the unreduced
-cross products) and calls neither ``_reduce`` nor ``poly_gcd``.  One
+cross products) and calls neither ``_reduce`` nor ``poly_gcd``.  Both
+routes to the Hasse derivatives normalize each output coefficient once.  One
 ``substitute`` calls ``image`` once per symbol and exponent.
 Inputs come from the hypothesis strategies of ``test_expansion``.
 """
@@ -14,7 +15,16 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsprolong import BaseElem, DiffPoly, DiffSymbol, ParamPoly, basefield, poly_divexact, poly_gcd
+from hsprolong import (
+    BaseElem,
+    DiffPoly,
+    DiffSymbol,
+    ParamPoly,
+    basefield,
+    poly_divexact,
+    poly_gcd,
+    twist_expand,
+)
 from hsprolong.basefield import hasse_table
 
 from test_expansion import FIELDS, base_elems, param_polys
@@ -215,6 +225,23 @@ def test_constant_operands_take_no_normalization(field, normalizations):
     assert normalizations == {"_reduce": 0, "poly_gcd": 0}
     for x in results:
         assert_normal_form(x)
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS.values(), ids=PROPERTY_FIELDS.keys())
+def test_hasse_expansions_normalize_once_per_coefficient(field, normalizations):
+    # both routes keep each numerator over a power of den and build one BaseElem
+    # per output coefficient; over one parameter poly_gcd does not recurse
+    s = BaseElem.param(field, 0)
+    t = BaseElem.param(field, field.param_count - 1)
+    m = 4 if field.derivation_count == 1 else 3
+    univariate = field.param_count == 1
+    for a in [(s**2 + 3) / (s**2 + 2 * s + 5), (s + t) / (s * t + t**2 + 1), 1 / (s + 1) ** 2]:
+        for outputs in (lambda: hasse_table(a, m), lambda: twist_expand(a, m).coeffs):
+            normalizations.update(_reduce=0, poly_gcd=0)
+            count = len(outputs())
+            assert normalizations["_reduce"] <= count, (a, normalizations)
+            if univariate:
+                assert normalizations["poly_gcd"] <= count, (a, normalizations)
 
 
 def test_substitute_builds_each_power_once():

@@ -70,6 +70,15 @@ class TestApplyD:
             assert apply_d((0, 0), f, P) == f
             assert apply_d((0, 0), f, J) == f
 
+    def test_negative_index_rejected(self):
+        s = DiffPoly.const(Q_s, BaseElem.param(Q_s, 0))
+        f = s * DiffPoly.variable(Q_s, 0)
+        for mode in (P, J):
+            with pytest.raises(ValueError):
+                apply_d((-1,), f, mode)
+        with pytest.raises(ValueError):
+            apply_d((1, -1), DiffPoly.variable(Q_su, 0), P)
+
 
 class TestTaylorOracle:
     def test_oracle_is_reference_for_spec_example(self):

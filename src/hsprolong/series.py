@@ -153,21 +153,20 @@ def _poly_twist(p: ParamPoly, m: int) -> TruncatedElement:
     field = p.field
     n = field.derivation_count
     one = ParamPoly.const(field, 1)
-    shifts = [
-        TruncatedElement({zero_index(n): ParamPoly.var(field, i), unit_index(n, i): one}, m, n)
+    zero = zero_index(n)
+    # powers[i][e] = (s_i + t_i)^e, extended one factor at a time as terms ask
+    powers = [
+        [None, TruncatedElement({zero: ParamPoly.var(field, i), unit_index(n, i): one}, m, n)]
         for i in range(n)
     ]
-    # powers[i][e] = (s_i + t_i)^e, extended one factor at a time as terms ask
-    powers = [[None, x] for x in shifts]
     total: dict = {}
-    zero = zero_index(n)
     for exps, c in p.terms.items():
         acc = None
         for i, e in enumerate(exps[:n]):
             if e:
                 row = powers[i]
                 while len(row) <= e:
-                    row.append(row[-1] * shifts[i])
+                    row.append(row[-1] * row[1])
                 acc = row[e] if acc is None else acc * row[e]
         # the parameters past the derivations stay in the coefficient
         mono = ParamPoly.monomial(field, zero + exps[n:], c)

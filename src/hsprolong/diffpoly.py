@@ -7,13 +7,15 @@ representatives directly by a Leibniz convolution on the term structure; the
 symbols are free, so no ideal reduction is needed.
 
 derive_upto is the one-pass route to every order at once: per term of f it
-multiplies the coefficient's table D_gamma(c), |gamma| <= m (one hasse_table
-call), by the symbols' tables d_u(x), |u| <= m (built once per symbol), in the
-ring truncated to total size <= m, and reads d_alpha f off as the t^alpha
-coefficient for every |alpha| <= m.  Its values equal apply_d's at each
-alpha; both stay on the quotient rule plus Leibniz.  taylor_oracle recomputes
-the same values through substitution into a truncated t-ring with the series
-expansion of the coefficients, and is kept as an independent cross-check.
+expands the monomial's table d_u(x^e ...), |u| <= m, over the integers from
+the symbols' pieces comp_count(u, beta) * x^(beta+u) (built once per symbol),
+reduces each entry into the field once, and scales it by the coefficient's
+table D_gamma(c), |gamma + u| <= m (one hasse_table call), reading d_alpha f
+off as the t^alpha coefficient for every |alpha| <= m.  Its values equal
+apply_d's at each alpha; both stay on the quotient rule plus Leibniz.
+taylor_oracle recomputes the same values through substitution into a
+truncated t-ring with the series expansion of the coefficients, and is kept
+as an independent cross-check.
 """
 
 from __future__ import annotations
@@ -25,7 +27,7 @@ from typing import Sequence
 
 from . import termdict
 from .basefield import _hasse_table, hasse_table
-from .fields import FieldDescriptor, comp_coeff
+from .fields import FieldDescriptor, comp_coeff, comp_count
 from .multiindex import (
     enumerate_multiindices,
     graded_lex_key,
@@ -82,7 +84,7 @@ def symbol_derive(beta: Sequence[int], sym: DiffSymbol, field: FieldDescriptor) 
 
 
 def _fold(f: DiffPoly, mode: DerivationMode, key, indices: list, collect: Sequence, derivatives):
-    """termdict.leibniz over f with the symbol tables d_u(x), u in indices, and
+    """termdict.leibniz over f with the symbol pieces d_u(x), u in indices, and
     the coefficient tables derivatives(c) (PROLONGATION) or {0: c} (JET)."""
     field = f.field
     if mode is DerivationMode.JET:
@@ -94,13 +96,16 @@ def _fold(f: DiffPoly, mode: DerivationMode, key, indices: list, collect: Sequen
     else:
         coeff_table = derivatives
 
+    p = field.characteristic
+
     def pieces(sym: DiffSymbol) -> dict:
-        # d_u(x^(beta)) for u in indices
+        # d_u(x^(beta)) = comp_count(u, beta) * x^(beta+u), kept where the
+        # count does not vanish in the field
         out = {}
         for u in indices:
-            c, shifted = symbol_derive(u, sym, field)
-            if c:
-                out[u] = DiffPoly.from_symbol(field, shifted, coeff=c)
+            n = comp_count(u, sym.order)
+            if not p or n % p:
+                out[u] = (n, DiffSymbol(sym.var, index_add(sym.order, u)))
         return out
 
     return termdict.leibniz(f, key, collect, coeff_table, pieces, DiffPoly)

@@ -109,15 +109,20 @@ def multinomial(parts: Sequence[int]) -> int:
     return total
 
 
-def comp_coeff(alpha: Sequence[int], beta: Sequence[int], field: FieldDescriptor) -> int | Fraction:
-    """The coefficient in D_alpha o D_beta = comp_coeff * D_(alpha+beta).
-
-    Product of per-coordinate binomials C(alpha_i + beta_i, alpha_i), computed
-    exactly and then reduced.
-    """
+def comp_count(alpha: Sequence[int], beta: Sequence[int]) -> int:
+    """comp_coeff over the integers: the product of the binomials
+    C(alpha_i + beta_i, alpha_i), a natural number not yet reduced."""
     if len(alpha) != len(beta):
         raise ValueError(f"multi-index length mismatch: {len(alpha)} vs {len(beta)}")
     acc = 1
     for a, b in zip(alpha, beta):
         acc *= math.comb(a + b, a)
-    return field.scalar(acc)
+    return acc
+
+
+def comp_coeff(alpha: Sequence[int], beta: Sequence[int], field: FieldDescriptor) -> int | Fraction:
+    """The coefficient in D_alpha o D_beta = comp_coeff * D_(alpha+beta).
+
+    comp_count(alpha, beta), computed exactly and then reduced.
+    """
+    return field.scalar(comp_count(alpha, beta))

@@ -19,6 +19,7 @@ trivial one), matching the single-derivation setting of the isomorphism.
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
@@ -107,7 +108,7 @@ def layered_expand(
     def pieces(sym) -> dict:
         if any(sym.order):
             raise ValueError("layered expansion requires order-0 symbols")
-        return {(u, v): LayeredPoly.generator(h.field, sym.var, u, v, inner) for u, v in box}
+        return {(u, v): (1, LayeredSymbol(sym.var, u, v, inner)) for u, v in box}
 
     out = termdict.leibniz(h, termdict.box_key(top), (top,), coeff_table, pieces, LayeredPoly)
     return out[top]
@@ -120,19 +121,19 @@ def _check_outer(order: int, bound: int) -> None:
 
 def outer_derive(l: int, p: LayeredPoly, bound: int) -> LayeredPoly:
     """D_l on a layered ring: C(a+l, l)-shifts on symbols, D_l on coefficients."""
-    field = p.field
+    char = p.field.characteristic
 
     def coeff_table(c: BaseElem) -> dict:
         return {(u,): d for u, d in enumerate(_d_table(l, c))}
 
     def pieces(sym: LayeredSymbol) -> dict:
+        # a count that vanishes in the field makes no symbol, so it cannot overflow
         out = {}
         for w in range(l + 1):
-            c = binom(sym.outer + w, w, field)
-            if c:
+            n = math.comb(sym.outer + w, w)
+            if not char or n % char:
                 _check_outer(sym.outer + w, bound)
-                shifted = LayeredSymbol(sym.var, sym.outer + w, sym.inner, sym.inner_kind)
-                out[(w,)] = LayeredPoly.from_symbol(field, shifted, coeff=c)
+                out[(w,)] = (n, LayeredSymbol(sym.var, sym.outer + w, sym.inner, sym.inner_kind))
         return out
 
     top = (l,)

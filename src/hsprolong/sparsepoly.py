@@ -72,8 +72,18 @@ class SparsePoly:
             c = BaseElem.const(field, c)
         return cls({((sym, 1),): c}, field)
 
-    def _make(self, terms) -> "SparsePoly":
-        return self.__class__(terms, self.field)
+    @classmethod
+    def _of(cls, field: FieldDescriptor, terms: dict):
+        """The polynomial on a term dict that is already zero-free, taken as is."""
+        out = cls.__new__(cls)
+        out.terms = terms
+        out.field = field
+        return out
+
+    def _make(self, terms: dict) -> "SparsePoly":
+        # every caller passes a zero-free dict: termdict's add, mul and scale
+        # drop zeros, and a field has no zero divisors for __neg__ to make
+        return self._of(self.field, terms)
 
     # -- ring structure -------------------------------------------------------
 

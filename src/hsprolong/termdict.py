@@ -12,7 +12,17 @@ Leibniz rule d_alpha(gh) = sum over beta + gamma = alpha of d_beta(g) d_gamma(h)
 read as a product of multi-index tables under a truncating key product.  The
 single-index callers truncate to the box below their index (``box_key``); the
 all-orders table truncates to total size <= m (``size_key``) and reads every
-d_alpha, |alpha| <= m, off one product per term.
+d_alpha, |alpha| <= m, off one pass per term.
+
+On a symbol the rule is integer combinatorics, and every caller's pieces say
+so: d_u(x) is a plain integer n times one symbol y.  For ``apply_d`` and
+``derive_upto`` n is comp_count(u, beta) = C(beta + u, u) and y = x^(beta+u);
+for ``outer_derive`` n is the binomial C(i + w, w) of the outer shift; for
+``layered_expand`` n is 1 and y is the generator d_u X_v x.  So the fold
+expands each monomial's table over the integers, reduces each entry into the
+field once, and only then multiplies the base coefficient's table in.  The
+rational-function work is left to that table, D_gamma(c) or c alone, and to
+the sums where two terms meet at the same output monomial.
 
 The text form of a term dict is written here too, by three rules that every
 ring shares: ``render_powers`` writes a key as a power product (``s^2*t1``,
@@ -104,36 +114,97 @@ def size_key(m: int) -> Callable:
     return key
 
 
-def leibniz(
-    f, key: Callable, collect: Sequence, coeff_table: Callable, pieces_of: Callable, ring
-) -> dict:
-    """{index: sum over the terms c * x_1^e_1 ... of f of the t^index coefficient of
+def leibniz(f, key: Callable, collect: Sequence, coeff_table: Callable, pieces_of: Callable, ring) -> dict:
+    """{index: the t^index coefficient of the sum over the terms c * x_1^e_1 ... of f of
 
         coeff_table(c) * pieces_of(x_1)^e_1 * ...}
 
-    for every index in ``collect``, in that order (zero sums included).
-    ``coeff_table(c)`` maps multi-indices to base elements, ``pieces_of(x)``
-    maps them to elements of ``ring``; products are taken under the truncating
-    key product ``key``.  ``pieces_of`` runs once per symbol.
+    for every index in the non-empty ``collect``, in that order (zeros
+    included), as elements of ``ring``; products are taken under the
+    truncating key product ``key``.
+
+    ``pieces_of(x)`` maps multi-indices u to pairs (n, y): d_u(x) = n * y for a
+    plain integer n and one symbol y.  It runs once per symbol and may leave
+    out the u whose n vanishes in the field.  Each monomial's table
+    {(index, monomial): n} is expanded over the integers, and each entry is
+    reduced into the field once; an entry that vanishes there (C(p, 1) in
+    characteristic p) is dropped.  Only then does ``coeff_table(c)``, a map
+    from multi-indices to base elements, enter: one base-element scale per
+    pair of its entry and a table entry whose index product is collected, and a
+    sum only where two terms of f meet at the same output monomial.
     """
     field = f.field
-    pieces: dict = {}
-    sums: dict = {}
+    scalar = field.scalar
+    symbols, single = _ranked_pieces(f, pieces_of)
+
+    # a table key is (index, sorted ranks): indices add under key, ranks merge
+    def pair_key(a: tuple, b: tuple):
+        k = key(a[0], b[0])
+        return None if k is None else (k, tuple(sorted(a[1] + b[1])))
+
+    unit = {((0,) * len(collect[0]), ()): 1}
+    powers: dict = {}
+    sums: dict = {k: {} for k in collect}
+    met = []
     for mono, coeff in f.terms.items():
-        table = {g: ring.const(field, v) for g, v in coeff_table(coeff).items() if v}
-        for sym, e in mono:
-            piece = pieces.get(sym)
-            if piece is None:
-                piece = pieces[sym] = pieces_of(sym)
-            for _ in range(e):
-                table = mul(table, piece, key)
-        for k in collect:
-            got = table.get(k)
-            if got is not None:
-                s = sums.get(k)
-                sums[k] = got if s is None else s + got
-    zero = ring.zero(field)
-    return {k: sums.get(k, zero) for k in collect}
+        # (gamma, D_gamma(c), gamma != 0); the zero index moves no table entry
+        coeffs = [(g, v, any(g)) for g, v in coeff_table(coeff).items() if v]
+        table = unit
+        for factor in mono:
+            power = powers.get(factor)
+            if power is None:
+                sym, e = factor
+                power = x = single[sym]
+                for _ in range(e - 1):
+                    power = mul(power, x, pair_key)
+                powers[factor] = power
+            table = power if table is unit else mul(table, power, pair_key)
+        for (index, ranks), n in table.items():
+            if n != 1:
+                n = scalar(n)
+                if not n:
+                    continue
+            for g, v, moved in coeffs:
+                terms = sums.get(key(g, index) if moved else index)
+                if terms is not None:
+                    c = v if n == 1 else v * n
+                    s = terms.get(ranks)
+                    if s is None:
+                        terms[ranks] = c
+                    else:
+                        terms[ranks] = s + c
+                        met.append((terms, ranks))
+    for terms, ranks in met:
+        if ranks in terms and not terms[ranks]:
+            del terms[ranks]
+    return {
+        k: ring._of(field, {_monomial(ranks, symbols): c for ranks, c in sums[k].items()})
+        for k in collect
+    }
+
+
+def _ranked_pieces(f, pieces_of: Callable) -> tuple[list, dict]:
+    """(symbols, {x: {(u, (rank of y,)): n}}) for the pieces (n, y) of every
+    symbol x of f.  Output symbols are ranked in sort_key order, so a sorted
+    tuple of ranks names a monomial by a key of plain ints."""
+    pieces: dict = {}
+    for mono in f.terms:
+        for sym, _ in mono:
+            if sym not in pieces:
+                pieces[sym] = pieces_of(sym)
+    symbols = sorted({y for table in pieces.values() for _, y in table.values()}, key=_sort_key)
+    rank = {y: r for r, y in enumerate(symbols)}
+    single = {sym: {(u, (rank[y],)): n for u, (n, y) in table.items()} for sym, table in pieces.items()}
+    return symbols, single
+
+
+def _sort_key(sym):
+    return sym.sort_key
+
+
+def _monomial(ranks: tuple, symbols: list) -> tuple:
+    """The monomial ((symbol, exponent), ...) named by a sorted tuple of ranks."""
+    return tuple((symbols[r], ranks.count(r)) for r in dict.fromkeys(ranks))
 
 
 # -- text form -----------------------------------------------------------------

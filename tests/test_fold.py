@@ -4,7 +4,8 @@
 integers and only then meets the coefficient table.  In characteristic p a
 multiplicity such as C(p, 1) vanishes only after that reduction, so x^p and
 y^p are where a zero coefficient could slip into a term dict: every result
-here must equal ``taylor_oracle`` and store no zero coefficient.  The count
+here must equal ``taylor_oracle`` and store no zero coefficient, as must
+two terms whose derivatives meet and cancel.  The count
 guards pin where the rational-function work happens: in JET mode an order-0
 polynomial takes no symbolic product and no base-field sum, and in
 PROLONGATION mode each pair of coefficient-table entry and monomial-table
@@ -17,6 +18,7 @@ from hsprolong import (
     BaseElem,
     DerivationMode,
     DiffPoly,
+    DiffSymbol,
     FieldDescriptor,
     apply_d,
     enumerate_multiindices,
@@ -56,6 +58,21 @@ def test_vanishing_multiplicities_leave_no_zero_coefficient(field, mode):
             for got in (table[alpha], apply_d(alpha, f, mode)):
                 assert got == expected, (f, alpha)
                 assert all(got.terms.values()), (f, alpha, got.terms)
+
+
+@pytest.mark.parametrize("mode", [P, J], ids=["prolong", "jet"])
+def test_terms_that_meet_and_cancel_leave_no_zero_coefficient(mode):
+    field = FIELDS["Q(s)"]
+    x, d1x, d2x = (DiffPoly.from_symbol(field, DiffSymbol(0, (k,))) for k in range(3))
+    # d_1(4*x*d2x) = 4*d1x*d2x + 12*x*d3x and d_1(d1x^2) = 4*d1x*d2x
+    f = 4 * x * d2x - d1x**2
+    table = derive_upto(f, 3, mode)
+    for alpha in enumerate_multiindices(1, 3):
+        expected = taylor_oracle(alpha, f, mode)
+        for got in (table[alpha], apply_d(alpha, f, mode)):
+            assert got == expected, alpha
+            assert all(got.terms.values()), (alpha, got.terms)
+    assert table[(1,)] == 12 * x * DiffPoly.from_symbol(field, DiffSymbol(0, (3,)))
 
 
 @pytest.fixture

@@ -38,7 +38,7 @@ functions never show up as names of their own in a ring's namespace.
 
 from __future__ import annotations
 
-from operator import add as _add, le as _le, mul as _mul
+from operator import add as _add, attrgetter, le as _le, mul as _mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -114,7 +114,9 @@ def size_key(m: int) -> Callable:
     return key
 
 
-def leibniz(f, key: Callable, collect: Sequence, coeff_table: Callable, pieces_of: Callable, ring) -> dict:
+def leibniz(
+    f, key: Callable, collect: Sequence, coeff_table: Callable, pieces_of: Callable, ring
+) -> dict:
     """{index: the t^index coefficient of the sum over the terms c * x_1^e_1 ... of f of
 
         coeff_table(c) * pieces_of(x_1)^e_1 * ...}
@@ -192,14 +194,11 @@ def _ranked_pieces(f, pieces_of: Callable) -> tuple[list, dict]:
         for sym, _ in mono:
             if sym not in pieces:
                 pieces[sym] = pieces_of(sym)
-    symbols = sorted({y for table in pieces.values() for _, y in table.values()}, key=_sort_key)
+    outputs = {y for table in pieces.values() for _, y in table.values()}
+    symbols = sorted(outputs, key=attrgetter("sort_key"))
     rank = {y: r for r, y in enumerate(symbols)}
     single = {sym: {(u, (rank[y],)): n for u, (n, y) in table.items()} for sym, table in pieces.items()}
     return symbols, single
-
-
-def _sort_key(sym):
-    return sym.sort_key
 
 
 def _monomial(ranks: tuple, symbols: list) -> tuple:

@@ -765,6 +765,9 @@ def _family_derive(i: int, k: int, a: BaseElem) -> BaseElem:
 def _family_table(i: int, k: int, a: BaseElem) -> list[BaseElem]:
     """[D_{i,0}(a), ..., D_{i,k}(a)], running the 1/den recursion once for all k."""
     if a.den.is_const():
+        if a.num.is_const():
+            # a constant's positive orders are all zero
+            return [a] + [BaseElem.zero(a.field)] * k
         # a polynomial's derivatives are polynomials, each its own normal form
         return [a] + [_elem(a.num.hasse(i, v), a.den) for v in range(1, k + 1)]
     tables = _quotient_tables(i, k, a)

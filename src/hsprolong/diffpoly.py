@@ -47,9 +47,13 @@ class DiffSymbol:
     var: int
     order: tuple[int, ...]
 
-    @property
-    def sort_key(self):
-        return (self.var, graded_lex_key(self.order))
+    def __post_init__(self) -> None:
+        # symbols key every term dict: hash and sort_key are computed once, here
+        object.__setattr__(self, "_hash", hash((self.var, self.order)))
+        object.__setattr__(self, "sort_key", (self.var, graded_lex_key(self.order)))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def render(self, names: Sequence[str] | None = None) -> str:
         name = names[self.var] if names is not None else f"x{self.var}"

@@ -15,6 +15,13 @@ carrying an outer and an inner order.  This module implements
 
 All layered maps work over a base field with a single derivation (or a
 trivial one), matching the single-derivation setting of the isomorphism.
+
+None of phi, psi and theta takes a symbolic product.  phi and psi send a
+symbol to an integer combination of symbols, so ``termdict.integer_map``
+expands each monomial's image over the integers and multiplies the base
+coefficient in last; theta sends each symbol to one symbol and only relabels
+monomials.  They share no step with ``layered_expand`` and ``outer_derive``,
+the other route of the claims and theta relations checked here.
 """
 
 from __future__ import annotations
@@ -26,7 +33,7 @@ from typing import Mapping, Sequence
 
 from . import termdict
 from .basefield import BaseElem, _family_table, hasse_derive
-from .fields import FieldDescriptor, binom, multinomial
+from .fields import FieldDescriptor, multinomial
 from .diffpoly import DerivationMode, DiffPoly
 from .multiindex import indices_below
 from .series import TruncatedElement, twist_expand, twist_inverse
@@ -50,9 +57,13 @@ class LayeredSymbol:
     inner: int
     inner_kind: DerivationMode
 
-    @property
-    def sort_key(self):
-        return (self.var, self.outer + self.inner, self.outer, self.inner_kind.value)
+    def __post_init__(self) -> None:
+        # symbols key every term dict: hash and sort_key are computed once, here
+        object.__setattr__(self, "_hash", hash((self.var, self.outer, self.inner, self.inner_kind)))
+        object.__setattr__(self, "sort_key", (self.var, self.outer + self.inner, self.outer, self.inner_kind.value))
+
+    def __hash__(self) -> int:
+        return self._hash
 
     def render(self, names: Sequence[str] | None = None) -> str:
         name = names[self.var] if names is not None else f"x{self.var}"
@@ -147,25 +158,26 @@ def outer_derive(l: int, p: LayeredPoly, bound: int) -> LayeredPoly:
 def _phi_psi(p: LayeredPoly, bound: int, sign: int, target: DerivationMode) -> LayeredPoly:
     """The ring map d_i X_j x -> D_i(sum_{k+l=j} sign^k d_k Y_l x), Y = target.
 
-    X is the other inner kind; base coefficients are fixed.
+    X is the other inner kind; base coefficients are fixed.  On one symbol the
+    image is the integer combination sum_k C(i+k, k) sign^k d_{i+k} Y_{j-k} x,
+    so termdict.integer_map expands each monomial over the integers and scales
+    by its coefficient last; no symbolic product is taken.
     """
-    field = p.field
-    for sym in p.symbols():
+    char = p.field.characteristic
+
+    def pieces(sym: LayeredSymbol) -> dict:
         if sym.inner_kind is target:
             raise ValueError(f"expected no symbols with a {target.value} inner layer")
-        _check_outer(sym.outer, bound)
-
-    def image(sym: LayeredSymbol) -> LayeredPoly:
-        out = LayeredPoly.zero(field)
+        # a binomial that vanishes in the field makes no symbol, so it cannot overflow
+        out = {}
         for k in range(sym.inner + 1):
-            c = binom(sym.outer + k, k, field) * sign**k
-            if c:
+            n = math.comb(sym.outer + k, k)
+            if not char or n % char:
                 _check_outer(sym.outer + k, bound)
-                shifted = LayeredSymbol(sym.var, sym.outer + k, sym.inner - k, target)
-                out = out + LayeredPoly.from_symbol(field, shifted, coeff=c)
+                out[(k,)] = (sign**k * n, LayeredSymbol(sym.var, sym.outer + k, sym.inner - k, target))
         return out
 
-    return p.substitute(image)
+    return termdict.integer_map(p, pieces, LayeredPoly)
 
 
 def phi(p: LayeredPoly, bound: int) -> LayeredPoly:
@@ -183,15 +195,33 @@ def psi(p: LayeredPoly, bound: int) -> LayeredPoly:
 
 
 def theta(p: LayeredPoly) -> LayeredPoly:
-    """The swap d_i del_j a -> del_j d_i a between the two layered rings."""
-    for sym in p.symbols():
-        if sym.inner_kind is not DerivationMode.PROLONGATION:
-            raise ValueError("theta expects jet-of-prolongation symbols")
+    """The swap d_i del_j a -> del_j d_i a between the two layered rings.
 
-    def swap(sym: LayeredSymbol) -> LayeredPoly:
-        return LayeredPoly.generator(p.field, sym.var, sym.inner, sym.outer, DerivationMode.JET)
+    theta sends each symbol to one symbol, and distinct symbols to distinct
+    ones, so it relabels monomials: each is re-sorted by sort_key and keeps
+    its coefficient, with no product and no sum.
+    """
+    swapped: dict = {}
 
-    return p.substitute(swap)
+    def swap(sym: LayeredSymbol) -> LayeredSymbol:
+        out = swapped.get(sym)
+        if out is None:
+            if sym.inner_kind is not DerivationMode.PROLONGATION:
+                raise ValueError("theta expects jet-of-prolongation symbols")
+            out = swapped[sym] = LayeredSymbol(sym.var, sym.inner, sym.outer, DerivationMode.JET)
+        return out
+
+    return LayeredPoly._of(
+        p.field,
+        {
+            tuple(sorted(((swap(sym), e) for sym, e in mono), key=_factor_key)): c
+            for mono, c in p.terms.items()
+        },
+    )
+
+
+def _factor_key(factor: tuple):
+    return factor[0].sort_key
 
 
 # -- report-producing checks ------------------------------------------------------

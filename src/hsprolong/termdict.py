@@ -24,6 +24,12 @@ field once, and only then multiplies the base coefficient's table in.  The
 rational-function work is left to that table, D_gamma(c) or c alone, and to
 the sums where two terms meet at the same output monomial.
 
+``integer_map`` is the same expansion read as a ring map: each symbol goes to
+the sum of its pieces n * y, the pieces' indices are left out, and each
+monomial's image is scaled by the term's coefficient alone.  phi and psi are
+such maps, with n = C(i + k, k) (+-1)^k; ``_expand`` holds the monomial loop
+that both engines share.
+
 The text form of a term dict is written here too, by three rules that every
 ring shares: ``render_powers`` writes a key as a power product (``s^2*t1``,
 exponent 0 left out), ``render_product`` writes a rendered coefficient beside
@@ -39,7 +45,7 @@ functions never show up as names of their own in a ring's namespace.
 from __future__ import annotations
 
 from operator import add as _add, attrgetter, le as _le, mul as _mul
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Sequence
 
 
 def _drop_zeros(out: dict) -> dict:
@@ -128,39 +134,22 @@ def leibniz(
     ``pieces_of(x)`` maps multi-indices u to pairs (n, y): d_u(x) = n * y for a
     plain integer n and one symbol y.  It runs once per symbol and may leave
     out the u whose n vanishes in the field.  Each monomial's table
-    {(index, monomial): n} is expanded over the integers, and each entry is
-    reduced into the field once; an entry that vanishes there (C(p, 1) in
-    characteristic p) is dropped.  Only then does ``coeff_table(c)``, a map
-    from multi-indices to base elements, enter: one base-element scale per
-    pair of its entry and a table entry whose index product is collected, and a
-    sum only where two terms of f meet at the same output monomial.
+    {(index, monomial): n} is expanded over the integers (``_expand``), and
+    each entry is reduced into the field once; an entry that vanishes there
+    (C(p, 1) in characteristic p) is dropped.  Only then does
+    ``coeff_table(c)``, a map from multi-indices to base elements, enter: one
+    base-element scale per pair of its entry and a table entry whose index
+    product is collected, and a sum only where two terms of f meet at the same
+    output monomial.
     """
     field = f.field
     scalar = field.scalar
-    symbols, single = _ranked_pieces(f, pieces_of)
-
-    # a table key is (index, sorted ranks): indices add under key, ranks merge
-    def pair_key(a: tuple, b: tuple):
-        k = key(a[0], b[0])
-        return None if k is None else (k, tuple(sorted(a[1] + b[1])))
-
-    unit = {((0,) * len(collect[0]), ()): 1}
-    powers: dict = {}
+    symbols, tables = _expand(f, pieces_of, key, (0,) * len(collect[0]))
     sums: dict = {k: {} for k in collect}
     met = []
-    for mono, coeff in f.terms.items():
+    for coeff, table in tables:
         # (gamma, D_gamma(c), gamma != 0); the zero index moves no table entry
         coeffs = [(g, v, any(g)) for g, v in coeff_table(coeff).items() if v]
-        table = unit
-        for factor in mono:
-            power = powers.get(factor)
-            if power is None:
-                sym, e = factor
-                power = x = single[sym]
-                for _ in range(e - 1):
-                    power = mul(power, x, pair_key)
-                powers[factor] = power
-            table = power if table is unit else mul(table, power, pair_key)
         for (index, ranks), n in table.items():
             if n != 1:
                 n = scalar(n)
@@ -176,13 +165,93 @@ def leibniz(
                     else:
                         terms[ranks] = s + c
                         met.append((terms, ranks))
+    _drop_met(met)
+    return {k: _of_ranks(ring, field, sums[k], symbols) for k in collect}
+
+
+def integer_map(f, pieces_of: Callable, ring):
+    """f with every symbol x replaced by the sum of n * y over its pieces
+    (n, y) = pieces_of(x).values(), a plain integer times one symbol, as an
+    element of ``ring``; base coefficients are fixed.
+
+    The ring-map twin of ``leibniz``, with the pieces' indices left out: each
+    monomial's image is expanded over the integers (``_expand``), each entry
+    is reduced into the field once and dropped if it vanishes there, and only
+    then is it scaled by the term's base coefficient, a base element times a
+    number.  Two terms of f are summed only where they meet at the same
+    output monomial.
+    """
+    field = f.field
+    scalar = field.scalar
+    symbols, tables = _expand(f, pieces_of, _no_index, ())
+    out: dict = {}
+    met = []
+    for coeff, table in tables:
+        for (_, ranks), n in table.items():
+            if n != 1:
+                n = scalar(n)
+                if not n:
+                    continue
+            c = coeff if n == 1 else coeff * n
+            s = out.get(ranks)
+            if s is None:
+                out[ranks] = c
+            else:
+                out[ranks] = s + c
+                met.append((out, ranks))
+    _drop_met(met)
+    return _of_ranks(ring, field, out, symbols)
+
+
+def _no_index(a: tuple, b: tuple) -> tuple:
+    return ()
+
+
+def _expand(f, pieces_of: Callable, key: Callable, zero: tuple) -> tuple[list, Iterator]:
+    """(symbols, tables): the output symbols in rank order, and for each term
+    c * x_1^e_1 ... of f the pair (c, table) where
+
+        table = {(index, ranks): n}  with  pieces_of(x_1)^e_1 * ... = sum of n * t^index * y_ranks
+
+    over plain integers n, not yet reduced into the field.  Indices multiply
+    under ``key`` from ``zero`` (a None drops the product) and ranks merge;
+    each power pieces_of(x)^e is built once per call."""
+    symbols, single = _ranked_pieces(f, pieces_of)
+
+    # a table key is (index, sorted ranks): indices add under key, ranks merge
+    def pair_key(a: tuple, b: tuple):
+        k = key(a[0], b[0])
+        return None if k is None else (k, tuple(sorted(a[1] + b[1])))
+
+    def tables():
+        unit = {(zero, ()): 1}
+        powers: dict = {}
+        for mono, coeff in f.terms.items():
+            table = unit
+            for factor in mono:
+                power = powers.get(factor)
+                if power is None:
+                    sym, e = factor
+                    power = x = single[sym]
+                    for _ in range(e - 1):
+                        power = mul(power, x, pair_key)
+                    powers[factor] = power
+                table = power if table is unit else mul(table, power, pair_key)
+            yield coeff, table
+
+    return symbols, tables()
+
+
+def _drop_met(met: list) -> None:
+    """Delete the sums that cancelled, for the (terms, ranks) where two terms met."""
     for terms, ranks in met:
         if ranks in terms and not terms[ranks]:
             del terms[ranks]
-    return {
-        k: ring._of(field, {_monomial(ranks, symbols): c for ranks, c in sums[k].items()})
-        for k in collect
-    }
+
+
+def _of_ranks(ring, field, terms: dict, symbols: list):
+    """The ring element on a zero-free {ranks: coefficient} dict."""
+    return ring._of(field, {_monomial(ranks, symbols): c for ranks, c in terms.items()})
 
 
 def _ranked_pieces(f, pieces_of: Callable) -> tuple[list, dict]:

@@ -9,6 +9,7 @@ from hsprolong import (
     FieldDescriptor,
     ParamPoly,
     comp_coeff,
+    enumerate_multiindices,
     hasse_derive,
     index_add,
     poly_divexact,
@@ -17,7 +18,7 @@ from hsprolong import (
     twist_expand,
     trunc_inverse,
 )
-from hsprolong.basefield import _monic
+from hsprolong.basefield import _monic, hasse_table
 from hsprolong.sampling import (
     random_base_elem,
     random_multiindex,
@@ -212,3 +213,31 @@ class TestRendering:
         s = s_elem()
         assert (1 / s**2).render() == "1/s^2"
         assert ((s + 2) / s).render() == "(s + 2)/s"
+
+
+@pytest.mark.parametrize("field", [Q_s, Q_su, F5_s], ids=["Q(s)", "Q(s,u)", "F5(s)"])
+def test_constant_hasse_table_takes_no_parameter_derivative(field, monkeypatch):
+    # a constant's table is the constant at order 0 and zeros above it, with
+    # no ParamPoly.hasse call per order and family
+    calls = []
+    real = ParamPoly.hasse
+
+    def counted(self, i, k):
+        calls.append((i, k))
+        return real(self, i, k)
+
+    monkeypatch.setattr(ParamPoly, "hasse", counted)
+    s = BaseElem.param(field, 0)
+    assert hasse_table(s, 4)[(1,) + (0,) * (field.derivation_count - 1)] == BaseElem.one(field)
+    assert calls, "the counter must see the polynomial route"
+    for c in (BaseElem.const(field, 3), BaseElem.const(field, 7, 3), BaseElem.zero(field)):
+        calls.clear()
+        table = hasse_table(c, 4)
+        assert calls == [], c
+        assert set(table) == set(enumerate_multiindices(field.derivation_count, 4))
+        # the same values as the per-order polynomial route of hasse_derive
+        monkeypatch.setattr(ParamPoly, "hasse", real)
+        for alpha, d in table.items():
+            assert d == hasse_derive(alpha, c), (c, alpha)
+            assert d.den == ParamPoly.const(field, 1)
+        monkeypatch.setattr(ParamPoly, "hasse", counted)

@@ -190,3 +190,31 @@ class TestEval:
         x = DiffPoly.variable(Q_s, 0)
         with pytest.raises(ValueError):
             x.evaluate({})
+
+
+def test_symbol_hash_and_sort_key_are_computed_once(monkeypatch):
+    from hsprolong import diffpoly
+    from hsprolong.layered import LayeredSymbol
+    from hsprolong.multiindex import graded_lex_key
+
+    calls = []
+
+    def counted(order):
+        calls.append(order)
+        return graded_lex_key(order)
+
+    monkeypatch.setattr(diffpoly, "graded_lex_key", counted)
+    a = DiffSymbol(1, (2, 0))
+    for _ in range(3):
+        assert a.sort_key == (1, graded_lex_key((2, 0)))
+    assert calls == [(2, 0)]
+    # the hash of the fields, as the frozen dataclass wrote it; equality and
+    # text come from the fields alone
+    assert hash(a) == hash((1, (2, 0)))
+    assert a == DiffSymbol(1, (2, 0)) and a != DiffSymbol(1, (0, 2))
+    assert repr(a) == "d[2,0]x1" and str(a) == "d[2,0]x1"
+    b = LayeredSymbol(0, 2, 1, J)
+    assert hash(b) == hash((0, 2, 1, J))
+    assert b.sort_key == (0, 3, 2, "jet")
+    assert b == LayeredSymbol(0, 2, 1, J) and b != LayeredSymbol(0, 2, 1, P)
+    assert repr(b) == "d2pd1x0"

@@ -1,8 +1,15 @@
-"""Layered two-ring maps: theta, phi/psi, tensor normal forms, partitions."""
+"""Layered two-ring maps: theta, phi/psi, tensor normal forms, partitions.
+
+phi and psi send a symbol to an integer combination of symbols, and theta
+sends it to one symbol, so none of the three takes a symbolic product: the
+count guards pin that, and a hypothesis property checks all three against the
+substitution route, ``SparsePoly.substitute`` on the per-symbol images.
+"""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsprolong import (
     BaseElem,
@@ -29,8 +36,13 @@ from hsprolong import (
     twisted_tensor_check,
 )
 from hsprolong import layered
-from hsprolong.layered import _d_table
+from hsprolong.fields import binom
+from hsprolong.layered import LayeredSymbol, _d_table
 from hsprolong.sampling import random_base_elem
+
+from test_coefficients import normalizations  # noqa: F401 (fixture)
+from test_expansion import base_elems
+from test_fold import fold_ops  # noqa: F401 (fixture)
 
 P = DerivationMode.PROLONGATION
 J = DerivationMode.JET
@@ -124,6 +136,140 @@ class TestPhiPsi:
         assert report_passed(lines)
         g = LayeredPoly.generator(Q0, 0, 0, 1, P)
         assert phi(g, 3) == LayeredPoly.generator(Q0, 0, 0, 1, J) + LayeredPoly.generator(Q0, 0, 1, 0, J)
+
+
+# -- the substitution route, kept as the oracle -------------------------------------
+
+
+def substituted_phi_psi(p, bound, sign, target):
+    """phi (sign 1, target JET) or psi (sign -1, target PROLONGATION) as
+    LayeredPoly.substitute on each symbol's image, summed term by term."""
+    field = p.field
+
+    def image(sym):
+        if sym.inner_kind is target:
+            raise ValueError(f"expected no symbols with a {target.value} inner layer")
+        out = LayeredPoly.zero(field)
+        for k in range(sym.inner + 1):
+            c = binom(sym.outer + k, k, field) * sign**k
+            if c:
+                if sym.outer + k > bound:
+                    raise TruncationOverflow(f"outer order {sym.outer + k} exceeds bound {bound}")
+                shifted = LayeredSymbol(sym.var, sym.outer + k, sym.inner - k, target)
+                out = out + LayeredPoly.from_symbol(field, shifted, coeff=c)
+        return out
+
+    return p.substitute(image)
+
+
+def substituted_theta(p):
+    def swap(sym):
+        return LayeredPoly.generator(p.field, sym.var, sym.inner, sym.outer, J)
+
+    return p.substitute(swap)
+
+
+ORACLE_FIELDS = {"Q(s)": Q_s, "F5(s)": F5_s}
+
+
+def layered_polys(field, kind, max_outer, max_inner=2):
+    """Up to three terms, each a base element times one to three symbol powers
+    with exponents up to 3."""
+    symbol = st.builds(
+        LayeredSymbol, st.integers(0, 1), st.integers(0, max_outer), st.integers(0, max_inner), st.just(kind)
+    )
+    factors = st.lists(st.tuples(symbol, st.integers(1, 3)), min_size=1, max_size=3)
+    term = st.tuples(base_elems(field), factors)
+
+    def build(terms):
+        out = LayeredPoly.zero(field)
+        for c, powers in terms:
+            t = LayeredPoly.const(field, c)
+            for sym, e in powers:
+                t = t * LayeredPoly.from_symbol(field, sym) ** e
+            out = out + t
+        return out
+
+    return st.lists(term, min_size=1, max_size=3).map(build)
+
+
+def outcome(f, *args):
+    """f(*args), or the TruncationOverflow class if it raises one."""
+    try:
+        return f(*args)
+    except TruncationOverflow:
+        return TruncationOverflow
+
+
+class TestAgainstSubstitution:
+    @pytest.mark.parametrize("field", ORACLE_FIELDS.values(), ids=ORACLE_FIELDS.keys())
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_phi_and_psi_equal_the_substitution_route(self, field, data):
+        # outer orders reach the bound, so an overflow must happen on both
+        # routes or on neither
+        bound = data.draw(st.integers(1, 4), label="bound")
+        p = data.draw(layered_polys(field, P, bound), label="p")
+        q = data.draw(layered_polys(field, J, bound), label="q")
+        for f, g, sign, target in ((phi, p, 1, J), (psi, q, -1, P)):
+            got = outcome(f, g, bound)
+            assert got == outcome(substituted_phi_psi, g, bound, sign, target)
+            if got is not TruncationOverflow:
+                assert all(got.terms.values()), got.terms
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS.values(), ids=ORACLE_FIELDS.keys())
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_theta_equals_the_substitution_route(self, field, data):
+        p = data.draw(layered_polys(field, P, 4, max_inner=4), label="p")
+        assert theta(p) == substituted_theta(p)
+
+    def test_char_five_vanishing_binomials_make_no_symbol(self):
+        # at N = 4 over F5, C(5, 1) and C(5, 2) vanish, so the outer order 5
+        # they would reach is never made and cannot overflow
+        for f, kind, target in ((phi, P, J), (psi, J, P)):
+            assert f(gen(4, 1, kind, field=F5_s), 4) == gen(4, 1, target, field=F5_s)
+            # C(4, 1) = 4 survives with its sign, C(5, 2) = 10 does not
+            sign = 1 if f is phi else -1
+            expected = gen(3, 2, target, field=F5_s) + gen(4, 1, target, field=F5_s).scale(4 * sign)
+            assert f(gen(3, 2, kind, field=F5_s), 4) == expected
+            # C(5, 5) = 1 does not vanish, so d0X5x reaches outer order 5
+            with pytest.raises(TruncationOverflow):
+                f(gen(0, 5, kind, field=F5_s), 4)
+            assert f(gen(0, 5, kind, field=F5_s), 5) == substituted_phi_psi(
+                gen(0, 5, kind, field=F5_s), 5, sign, target
+            )
+
+
+class TestMapCounts:
+    @pytest.mark.parametrize("field", ORACLE_FIELDS.values(), ids=ORACLE_FIELDS.keys())
+    def test_phi_and_psi_take_no_symbolic_product_and_no_gcd(self, field, fold_ops, normalizations):
+        s = BaseElem.param(field, 0)
+        c = (s**2 + 1) / (s + 2)
+        for f, kind in ((phi, P), (psi, J)):
+            # c * d1X2x^2 * d0X1y: nine products of image terms before collection
+            term = (gen(1, 2, kind, field=field) ** 2 * gen(0, 1, kind, var=1, field=field)).scale(c)
+            for ops in (fold_ops, normalizations):
+                for key in ops:
+                    ops[key] = 0
+            got = f(term, 4)
+            assert got
+            assert fold_ops["SparsePoly.__mul__"] == 0, fold_ops
+            assert fold_ops["BaseElem.__add__"] == 0, fold_ops
+            assert fold_ops["BaseElem.__mul__"] <= len(got.terms), fold_ops
+            assert normalizations["poly_gcd"] == 0, normalizations
+
+    @pytest.mark.parametrize("field", ORACLE_FIELDS.values(), ids=ORACLE_FIELDS.keys())
+    def test_theta_takes_no_base_product_and_no_base_sum(self, field, fold_ops):
+        s = BaseElem.param(field, 0)
+        x, y = DiffPoly.variable(field, 0), DiffPoly.variable(field, 1)
+        h = (x**2 * y).scale(s / (s + 1)) + x * y**2 - DiffPoly.const(field, s)
+        p = layered_expand(2, 2, h, J, P)
+        for key in fold_ops:
+            fold_ops[key] = 0
+        got = theta(p)
+        assert len(got.terms) == len(p.terms)
+        assert fold_ops == {"SparsePoly.__mul__": 0, "BaseElem.__add__": 0, "BaseElem.__mul__": 0}
 
 
 class TestTheta:

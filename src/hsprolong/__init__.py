@@ -11,13 +11,7 @@ from .multiindex import (
     splittings,
 )
 from .basefield import BaseElem, ParamPoly, hasse_derive, poly_divexact, poly_gcd
-from .series import (
-    TruncatedElement,
-    trunc_inverse,
-    twist_expand,
-    twist_inverse,
-    twist_psi,
-)
+from .series import TruncatedElement, twist_expand, twist_inverse, twist_psi
 from .diffpoly import (
     DerivationMode,
     DiffPoly,
@@ -74,8 +68,7 @@ __all__ = [
     "enumerate_multiindices", "graded_lex_key", "index_add", "index_leq",
     "index_size", "indices_below", "splittings",
     "BaseElem", "ParamPoly", "hasse_derive", "poly_divexact", "poly_gcd",
-    "TruncatedElement", "trunc_inverse", "twist_expand", "twist_inverse",
-    "twist_psi",
+    "TruncatedElement", "twist_expand", "twist_inverse", "twist_psi",
     "DerivationMode", "DiffPoly", "DiffSymbol", "apply_d",
     "symbol_derive", "taylor_oracle",
     "PointNotOnVariety", "VarietyPresentation",

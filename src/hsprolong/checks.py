@@ -88,13 +88,16 @@ def check_twist(seed: int, trials: int, *, order: int, **_) -> list[str]:
         field = fields[t % len(fields)]
         c = _random_truncated(rng, field, m)
         b = _random_truncated(rng, field, m)
-        if twist_inverse(twist_psi(c)) != c:
-            return [f"FAIL twist at=trial{t},dir=inv.psi lhs={twist_inverse(twist_psi(c))} rhs={c}"]
-        if twist_psi(twist_inverse(b)) != b:
-            return [f"FAIL twist at=trial{t},dir=psi.inv lhs={twist_psi(twist_inverse(b))} rhs={b}"]
+        psi_c = twist_psi(c)
+        back = twist_inverse(psi_c)
+        if back != c:
+            return [f"FAIL twist at=trial{t},dir=inv.psi lhs={back} rhs={c}"]
+        back = twist_psi(twist_inverse(b))
+        if back != b:
+            return [f"FAIL twist at=trial{t},dir=psi.inv lhs={back} rhs={b}"]
         r = random_base_elem(rng, field)
         lhs = twist_psi(c.scale(r))
-        rhs = twist_expand(r, m) * twist_psi(c)
+        rhs = twist_expand(r, m) * psi_c
         if lhs != rhs:
             return [f"FAIL twist at=trial{t},scalar={r} lhs={lhs} rhs={rhs}"]
         a1 = random_base_elem(rng, field)

@@ -1,7 +1,7 @@
 """Multi-indices for n commuting derivation families.
 
 A multi-index is a plain tuple of naturals of length n.  The canonical order
-everywhere (enumeration, elimination, rendering) is graded lexicographic:
+everywhere (enumeration, rendering) is graded lexicographic:
 ascending total size, and within one size descending tuple order, so for
 n = 2 the order starts (0,0), (1,0), (0,1), (2,0), (1,1), (0,2).
 """

@@ -17,8 +17,12 @@ a numerator over den^(|alpha|+1), normalized once as a BaseElem.  This is
 deliberately *not* the quotient-rule route of basefield: that one takes the
 binomials of ParamPoly.hasse and solves D(den * 1/den) = 0, this one only
 substitutes and sums a geometric series, so the two routes check each other.
-twist_psi applies the expansion coefficientwise and twist_inverse undoes it
-by graded elimination.
+twist_psi applies the expansion coefficientwise: for iterative derivations
+e(r)(t) = r(s + t), so psi is the Taylor shift X(s, t) -> X(s + t, t), and
+twist_inverse is the shift back, s -> s - t, read off the same expansion with
+the t^beta coefficient times (-1)^|beta|.  Both run one loop over the input's
+coefficients, expanding the coefficient at t^alpha only to the bound
+m - |alpha| that the shift by t^alpha leaves.
 """
 
 from __future__ import annotations
@@ -27,9 +31,7 @@ from typing import Callable, Mapping
 
 from . import termdict
 from .basefield import BaseElem, ParamPoly
-from .fields import FieldDescriptor
 from .multiindex import (
-    enumerate_multiindices,
     graded_lex_key,
     index_add,
     index_size,
@@ -175,30 +177,6 @@ def _poly_twist(p: ParamPoly, m: int) -> TruncatedElement:
     return TruncatedElement(total, m, n)
 
 
-def trunc_inverse(e: TruncatedElement) -> TruncatedElement:
-    """Inverse of a truncated element over BaseElem with invertible constant term."""
-    m, n = e.order_bound, e.t_count
-    c0 = e.coeff_or(zero_index(n), None)
-    if c0 is None or not c0:
-        raise ZeroDivisionError("constant term is not invertible")
-    inv0 = c0.inverse()
-    w = e.scale(inv0) - TruncatedElement.constant(BaseElem.one(_field_of(e)), m, n)
-    out = TruncatedElement.constant(BaseElem.one(_field_of(e)), m, n)
-    power = None
-    sign = 1
-    for _ in range(1, m + 1):
-        power = w if power is None else power * w
-        if not power:
-            break
-        sign = -sign
-        out = out + power if sign > 0 else out - power
-    return out.scale(inv0)
-
-
-def _field_of(e: TruncatedElement) -> FieldDescriptor:
-    return next(iter(e.coeffs.values())).field
-
-
 def twist_expand(r: BaseElem, m: int) -> TruncatedElement:
     """The twisted homomorphism e(r) = sum over |alpha| <= m of D_alpha(r) t^alpha.
 
@@ -238,37 +216,33 @@ def twist_expand(r: BaseElem, m: int) -> TruncatedElement:
     )
 
 
-def twist_psi(c: TruncatedElement) -> TruncatedElement:
-    """Apply twist_expand coefficientwise and recollect: psi(sum b_a t^a)."""
+def _twist_sum(c: TruncatedElement, sign: int) -> TruncatedElement:
+    """sum over alpha of t^alpha * e(c_alpha)(sign * t), truncated at m.
+
+    The t^alpha shift keeps only the terms of e(c_alpha) of size <= m - |alpha|,
+    so each coefficient is expanded to that bound and no further.
+    """
     m, n = c.order_bound, c.t_count
-    out = TruncatedElement.zero(m, n)
+    out: dict = {}
     for alpha, b in c.coeffs.items():
-        out = out + twist_expand(b, m).shift(alpha)
-    return out
+        e = twist_expand(b, m - index_size(alpha)).coeffs
+        if sign < 0:
+            e = {beta: -x if index_size(beta) % 2 else x for beta, x in e.items()}
+        out = termdict.add(out, ((index_add(beta, alpha), x) for beta, x in e.items()))
+    return TruncatedElement(out, m, n)
+
+
+def twist_psi(c: TruncatedElement) -> TruncatedElement:
+    """psi(sum b_a t^a) = sum t^a e(b_a)(t): the Taylor shift s -> s + t."""
+    return _twist_sum(c, 1)
 
 
 def twist_inverse(b: TruncatedElement) -> TruncatedElement:
-    """The unique c with twist_psi(c) = b, by graded elimination.
+    """psi^-1(sum b_a t^a) = sum t^a e(b_a)(-t): the shift back, s -> s - t.
 
-    Multi-indices are processed in the canonical graded-lex order; fixing the
-    coefficient at one index never disturbs indices of size <= its own.
+    The derivations are iterative, so e(b)(t) = b(s + t) and the inverse
+    substitutes s -> s - t: e(b)(-t) is e(b) with its t^beta coefficient
+    times (-1)^|beta|.  Nothing is solved for, so a non-iterative
+    twist_expand breaks the round trip instead of being inverted.
     """
-    m, n = b.order_bound, b.t_count
-    out: dict = {}
-    image = TruncatedElement.zero(m, n)
-    for alpha in enumerate_multiindices(n, m):
-        got = image.coeff_or(alpha, None)
-        want = b.coeff_or(alpha, None)
-        if want is None and got is None:
-            continue
-        if want is None:
-            defect = -got
-        elif got is None:
-            defect = want
-        else:
-            defect = want - got
-        if not defect:
-            continue
-        out[alpha] = defect
-        image = image + twist_expand(defect, m).shift(alpha)
-    return TruncatedElement(out, m, n)
+    return _twist_sum(b, -1)

@@ -15,8 +15,8 @@ from hsprolong import (
     poly_divexact,
     poly_gcd,
     splittings,
+    TruncatedElement,
     twist_expand,
-    trunc_inverse,
 )
 from hsprolong.basefield import _monic, hasse_table
 from hsprolong.sampling import (
@@ -31,6 +31,29 @@ Q_su = FieldDescriptor(0, ("s", "u"), 2)
 F5_s = FieldDescriptor(5, ("s",), 1)
 
 FIELDS = [Q_s, Q_su, F5_s, FieldDescriptor(2, ("s", "u"), 2), FieldDescriptor(0, ("a", "b", "c"), 3)]
+
+
+def trunc_inverse(e):
+    """The inverse of a truncated element with invertible constant term, by the
+    geometric series 1/(c0 (1 + w)) = (1/c0) sum over k of (-w)^k.
+
+    An oracle for the base field's quotient rule, built on the carrier
+    arithmetic alone: w^k has no term below size k, so k runs to m.
+    """
+    m, n = e.order_bound, e.t_count
+    c0 = e.coeff_or((0,) * n, None)
+    if c0 is None:
+        raise ZeroDivisionError("constant term is not invertible")
+    inv0 = c0.inverse()
+    one = TruncatedElement.constant(BaseElem.one(c0.field), m, n)
+    w = e.scale(inv0) - one
+    out, power = one, one
+    for _ in range(m):
+        power = power * -w
+        if not power:
+            break
+        out = out + power
+    return out.scale(inv0)
 
 
 def s_elem(field=Q_s):

@@ -1,8 +1,16 @@
-"""Truncated t-rings, the twisted expansion, and its graded-elimination inverse."""
+"""Truncated t-rings, the twisted expansion, and the twist isomorphism.
+
+twist_inverse is the closed form psi^-1(sum b_a t^a) = sum t^a e(b_a)(-t).
+Its oracle here solves psi(c) = b by graded elimination instead, which
+inverts any expansion whose constant term is right; that is why the
+production route must not solve for its inverse, and why a non-iterative
+twist_expand has to fail ``check twist``.
+"""
 
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsprolong import (
     BaseElem,
@@ -14,7 +22,11 @@ from hsprolong import (
     twist_inverse,
     twist_psi,
 )
-from hsprolong.sampling import random_base_elem, random_multiindex
+from hsprolong import checks, cli, series
+from hsprolong.multiindex import index_add, index_size, unit_index
+from hsprolong.sampling import random_base_elem, random_multiindex, random_nonzero_base_elem
+
+from test_expansion import base_elems
 
 Q_s = FieldDescriptor(0, ("s",), 1)
 Q_su = FieldDescriptor(0, ("s1", "s2"), 2)
@@ -176,3 +188,112 @@ class TestTwistInverse:
             c = TruncatedElement(coeffs, m, n)
             r = random_base_elem(rng, field)
             assert twist_psi(c.scale(r)) == twist_expand(r, m) * twist_psi(c)
+
+
+def graded_elimination_inverse(b):
+    """The unique c with twist_psi(c) = b, solved index by index.
+
+    Multi-indices are processed in the canonical graded-lex order; fixing the
+    coefficient at one index never disturbs indices of size <= its own.
+    """
+    m, n = b.order_bound, b.t_count
+    out: dict = {}
+    image = TruncatedElement.zero(m, n)
+    for alpha in enumerate_multiindices(n, m):
+        got = image.coeff_or(alpha, None)
+        want = b.coeff_or(alpha, None)
+        if want is None and got is None:
+            continue
+        if want is None:
+            defect = -got
+        elif got is None:
+            defect = want
+        else:
+            defect = want - got
+        if not defect:
+            continue
+        out[alpha] = defect
+        image = image + twist_expand(defect, m).shift(alpha)
+    return TruncatedElement(out, m, n)
+
+
+ORACLE_FIELDS = {
+    "Q(s)": Q_s,
+    "Q(s1,s2)": Q_su,
+    "F5(s)": F5_s,
+    "Q(s;u inert)": FieldDescriptor(0, ("s", "u"), 1),
+}
+
+
+def truncated_elems(field, m):
+    n = field.derivation_count
+    keys = st.sampled_from(enumerate_multiindices(n, m))
+    return st.dictionaries(keys, base_elems(field), max_size=4).map(
+        lambda coeffs: TruncatedElement(coeffs, m, n)
+    )
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS.values(), ids=ORACLE_FIELDS.keys())
+@settings(max_examples=50, deadline=None)
+@given(data=st.data())
+def test_closed_form_inverse_matches_graded_elimination(field, data):
+    m = data.draw(st.integers(0, 3), label="m")
+    b = data.draw(truncated_elems(field, m), label="b")
+    c = twist_inverse(b)
+    assert c == graded_elimination_inverse(b)
+    assert twist_psi(c) == b
+
+
+@pytest.fixture
+def expand_calls(monkeypatch):
+    """The (r, m) of every twist_expand call made by the series module from here on."""
+    calls = []
+    real = series.twist_expand
+
+    def counted(r, m):
+        calls.append((r, m))
+        return real(r, m)
+
+    monkeypatch.setattr(series, "twist_expand", counted)
+    return calls
+
+
+@pytest.mark.parametrize("route", [twist_psi, twist_inverse], ids=["psi", "inverse"])
+@pytest.mark.parametrize("field", [Q_s, Q_su, F5_s], ids=["Q(s)", "Q(s1,s2)", "F5(s)"])
+def test_each_coefficient_is_expanded_once_to_its_bound(route, field, expand_calls):
+    # the coefficient at t^alpha is expanded once, to m - |alpha|: the shift
+    # by t^alpha drops every term past that bound
+    rng = random.Random(43)
+    n = field.derivation_count
+    for m in range(4):
+        coeffs = {alpha: random_nonzero_base_elem(rng, field) for alpha in enumerate_multiindices(n, m)}
+        c = TruncatedElement(coeffs, m, n)
+        expand_calls.clear()
+        route(c)
+        expected = [(b, m - index_size(alpha)) for alpha, b in coeffs.items()]
+        assert len(expand_calls) == len(expected), (m, expand_calls)
+        for call in expand_calls:
+            expected.remove(call)
+
+
+def test_non_iterative_expansion_fails_check_twist(monkeypatch, capsys):
+    # D_2 += D_1 in each direction is e(t + t^2): still a ring homomorphism
+    # at m = 2, but not iterative, so s -> s - t no longer undoes it
+    real = series.twist_expand
+
+    def mutant(r, m):
+        e = real(r, m)
+        coeffs = dict(e.coeffs)
+        for i in range(e.t_count):
+            once = unit_index(e.t_count, i)
+            twice = index_add(once, once)
+            if once in coeffs:
+                coeffs[twice] = coeffs[twice] + coeffs[once] if twice in coeffs else coeffs[once]
+        return TruncatedElement(coeffs, e.order_bound, e.t_count)
+
+    monkeypatch.setattr(series, "twist_expand", mutant)
+    monkeypatch.setattr(checks, "twist_expand", mutant)
+    rc = cli.main(["check", "twist", "--seed", "42"])
+    out = capsys.readouterr().out
+    assert "FAIL twist" in out
+    assert rc == 1

@@ -39,18 +39,20 @@ from .presentations import (
 from .layered import (
     LayeredPoly,
     TruncationOverflow,
-    check_phi_psi_inverse,
-    check_theta_relations,
     layered_expand,
-    multinomial_identity_check,
-    ordered_partitions,
     outer_derive,
     phi,
     psi,
-    report_passed,
     tensor_left_action,
     tensor_right_action,
     theta,
+)
+from .checks import (
+    check_phi_psi_inverse,
+    check_theta_relations,
+    multinomial_identity_check,
+    ordered_partitions,
+    report_passed,
     twisted_tensor_check,
 )
 from .docparse import (
@@ -76,11 +78,10 @@ __all__ = [
     "ideal_membership_witness", "lift_morphism", "nabla", "point_projection",
     "point_to_base", "projection_restrict",
     "prolong_presentation", "render_presentation",
-    "LayeredPoly", "TruncationOverflow",
-    "check_phi_psi_inverse", "check_theta_relations", "layered_expand",
-    "multinomial_identity_check", "ordered_partitions", "outer_derive",
-    "phi", "psi", "report_passed", "tensor_left_action", "tensor_right_action",
-    "theta", "twisted_tensor_check",
+    "LayeredPoly", "TruncationOverflow", "layered_expand", "outer_derive",
+    "phi", "psi", "tensor_left_action", "tensor_right_action", "theta",
+    "check_phi_psi_inverse", "check_theta_relations", "multinomial_identity_check",
+    "ordered_partitions", "report_passed", "twisted_tensor_check",
     "InputDocument", "ParseError", "parse_assignments", "parse_document",
     "render_document",
 ]

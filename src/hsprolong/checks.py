@@ -1,74 +1,86 @@
-"""Named verification suites behind the `check` command.
+"""Named verification suites behind the `check` command, and the one trial loop.
 
-Each suite returns report lines in the shared format
+Every suite is a list of loops run by ``_run``, which owns the field
+rotation, the stop policy and the report format
 
     OK <check> params=<...> trials=<T>
     FAIL <check> at=<witness> lhs=<canonical> rhs=<canonical>
 
-and draws all randomness from seeds derived deterministically from the
-top-level seed, so identical invocations produce identical reports.
+A trial gives only its comparison: None when both routes agree, or
+(check, witness, lhs, rhs) for the first pair that differs.  The first FAIL
+ends the report, so a failing suite's FAIL line is its last line.  All
+randomness comes from seeds derived deterministically from the top-level
+seed, so identical invocations produce identical reports.
 """
 
 from __future__ import annotations
 
 import random
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
+from . import termdict
 from .basefield import BaseElem, hasse_derive
-from .fields import FieldDescriptor, comp_coeff
+from .fields import FieldDescriptor, comp_coeff, multinomial
 from .diffpoly import DerivationMode, DiffPoly, apply_d, taylor_oracle
-from .layered import (
-    check_phi_psi_inverse,
-    check_theta_relations,
-    multinomial_identity_check,
-    report_passed,
-    twisted_tensor_check,
-)
+from .layered import LayeredPoly, LayeredSymbol, layered_expand, outer_derive, phi, psi, theta
+from .layered import tensor_left_action, tensor_right_action
 from .multiindex import index_add, splittings
 from .presentations import ideal_membership_witness
-from .sampling import (
-    random_base_elem,
-    random_diffpoly,
-    random_multiindex,
-    random_variety_with_point,
-)
+from .sampling import random_base_elem, random_diffpoly, random_multiindex, random_nonzero_base_elem
+from .sampling import random_variety_with_point
 from .series import twist_expand, twist_inverse, twist_psi, TruncatedElement
 
-CHECK_NAMES = (
-    "oracle",
-    "twist",
-    "iterative",
-    "leibniz",
-    "theta",
-    "phi-psi",
-    "tensor",
-    "multinomial",
-)
+P, J = DerivationMode.PROLONGATION, DerivationMode.JET
 
-_FIELDS = {
-    "Q(s)": FieldDescriptor(0, ("s",), 1),
-    "Q(s1,s2)": FieldDescriptor(0, ("s1", "s2"), 2),
-    "F5(s)": FieldDescriptor(5, ("s",), 1),
-}
+_Q_S = FieldDescriptor(0, ("s",), 1)
+_Q_S12 = FieldDescriptor(0, ("s1", "s2"), 2)
+_F5_S = FieldDescriptor(5, ("s",), 1)
+_ROTATION = (_Q_S, _Q_S12, _F5_S)
+
+
+class _Loop(NamedTuple):
+    """``trials`` calls of ``trial(t, field)``, with field t rotating through ``fields``."""
+
+    check: str
+    params: str
+    trials: int
+    trial: Callable[[int, FieldDescriptor], "tuple | None"]
+    fields: Sequence[FieldDescriptor] = (_Q_S,)
+
+
+def _run(loops: Sequence[_Loop]) -> list[str]:
+    """Run the loops in order: one OK line per loop, or one FAIL line that ends the report."""
+    lines: list[str] = []
+    for check, params, trials, trial, fields in loops:
+        for t in range(trials):
+            failed = trial(t, fields[t % len(fields)])
+            if failed is not None:
+                label, witness, lhs, rhs = failed
+                lines.append(f"FAIL {label} at={witness} lhs={lhs} rhs={rhs}")
+                return lines
+        lines.append(f"OK {check} params={params} trials={trials}")
+    return lines
+
+
+def report_passed(lines: Sequence[str]) -> bool:
+    return all(not line.startswith("FAIL") for line in lines)
 
 
 def check_oracle(seed: int, trials: int, **_) -> list[str]:
     """apply_d against the Taylor substitution oracle, both modes."""
     rng = random.Random(seed)
-    fields = [_FIELDS["Q(s)"], _FIELDS["Q(s1,s2)"], _FIELDS["F5(s)"]]
-    for t in range(trials):
-        field = fields[t % len(fields)]
-        n = field.derivation_count
+
+    def trial(t, field):
         f = random_diffpoly(rng, field, var_count=3, max_terms=3, max_factors=3, max_order=1)
-        alpha = random_multiindex(rng, n, 4)
-        for mode in (DerivationMode.PROLONGATION, DerivationMode.JET):
+        alpha = random_multiindex(rng, field.derivation_count, 4)
+        for mode in (P, J):
             a = apply_d(alpha, f, mode)
             b = taylor_oracle(alpha, f, mode)
             if a != b:
-                return [
-                    f"FAIL oracle at=trial{t},alpha={alpha},mode={mode.value},f={f} lhs={a} rhs={b}"
-                ]
-    return [f"OK oracle params=modes=2,orders<=4 trials={trials}"]
+                return "oracle", f"trial{t},alpha={alpha},mode={mode.value},f={f}", a, b
+        return None
+
+    return _run([_Loop("oracle", "modes=2,orders<=4", trials, trial, _ROTATION)])
 
 
 def _random_truncated(rng: random.Random, field: FieldDescriptor, m: int) -> TruncatedElement:
@@ -82,37 +94,37 @@ def _random_truncated(rng: random.Random, field: FieldDescriptor, m: int) -> Tru
 def check_twist(seed: int, trials: int, *, order: int, **_) -> list[str]:
     """Twist isomorphism: psi round-trips and the twisted scalar action."""
     rng = random.Random(seed)
-    fields = [_FIELDS["Q(s1,s2)"], _FIELDS["F5(s)"]]
     m = min(order, 3)
-    for t in range(trials):
-        field = fields[t % len(fields)]
+
+    def trial(t, field):
         c = _random_truncated(rng, field, m)
         b = _random_truncated(rng, field, m)
         psi_c = twist_psi(c)
         back = twist_inverse(psi_c)
         if back != c:
-            return [f"FAIL twist at=trial{t},dir=inv.psi lhs={back} rhs={c}"]
+            return "twist", f"trial{t},dir=inv.psi", back, c
         back = twist_psi(twist_inverse(b))
         if back != b:
-            return [f"FAIL twist at=trial{t},dir=psi.inv lhs={back} rhs={b}"]
+            return "twist", f"trial{t},dir=psi.inv", back, b
         r = random_base_elem(rng, field)
         lhs = twist_psi(c.scale(r))
         rhs = twist_expand(r, m) * psi_c
         if lhs != rhs:
-            return [f"FAIL twist at=trial{t},scalar={r} lhs={lhs} rhs={rhs}"]
+            return "twist", f"trial{t},scalar={r}", lhs, rhs
         a1 = random_base_elem(rng, field)
         a2 = random_base_elem(rng, field)
         if twist_expand(a1 * a2, m) != twist_expand(a1, m) * twist_expand(a2, m):
-            return [f"FAIL twist at=trial{t},hom={a1},{a2} lhs=e(ab) rhs=e(a)e(b)"]
-    return [f"OK twist params=m<={m},n<=2 trials={trials}"]
+            return "twist", f"trial{t},hom={a1},{a2}", "e(ab)", "e(a)e(b)"
+        return None
+
+    return _run([_Loop("twist", f"m<={m},n<=2", trials, trial, (_Q_S12, _F5_S))])
 
 
 def check_iterative(seed: int, trials: int, **_) -> list[str]:
     """Iterativity and commutativity, on the base field and on symbols."""
     rng = random.Random(seed)
-    fields = [_FIELDS["Q(s)"], _FIELDS["Q(s1,s2)"], _FIELDS["F5(s)"]]
-    for t in range(trials):
-        field = fields[t % len(fields)]
+
+    def trial(t, field):
         n = field.derivation_count
         a = random_base_elem(rng, field)
         alpha = random_multiindex(rng, n, 2)
@@ -120,83 +132,286 @@ def check_iterative(seed: int, trials: int, **_) -> list[str]:
         lhs = hasse_derive(alpha, hasse_derive(beta, a))
         rhs = hasse_derive(index_add(alpha, beta), a) * comp_coeff(alpha, beta, field)
         if lhs != rhs:
-            return [f"FAIL iterative at=trial{t},a={a},alpha={alpha},beta={beta} lhs={lhs} rhs={rhs}"]
+            return "iterative", f"trial{t},a={a},alpha={alpha},beta={beta}", lhs, rhs
         if n >= 2:
             e1, e2 = (1, 0), (0, 1)
             if hasse_derive(e1, hasse_derive(e2, a)) != hasse_derive(e2, hasse_derive(e1, a)):
-                return [f"FAIL commute at=trial{t},a={a} lhs=D1D2 rhs=D2D1"]
+                return "commute", f"trial{t},a={a}", "D1D2", "D2D1"
         f = random_diffpoly(rng, field, var_count=2, max_terms=2, max_factors=2)
-        for mode in (DerivationMode.PROLONGATION, DerivationMode.JET):
+        for mode in (P, J):
             l2 = apply_d(alpha, apply_d(beta, f, mode), mode)
             r2 = apply_d(index_add(alpha, beta), f, mode).scale(comp_coeff(alpha, beta, field))
             if l2 != r2:
-                return [
-                    f"FAIL iterative-symbols at=trial{t},mode={mode.value},f={f} lhs={l2} rhs={r2}"
-                ]
-    return [f"OK iterative params=|alpha|+|beta|<=4 trials={trials}"]
+                return "iterative-symbols", f"trial{t},mode={mode.value},f={f}", l2, r2
+        return None
+
+    return _run([_Loop("iterative", "|alpha|+|beta|<=4", trials, trial, _ROTATION)])
 
 
 def check_leibniz(seed: int, trials: int, **_) -> list[str]:
     """Generalized Leibniz rule and the membership-witness identity."""
     rng = random.Random(seed)
-    fields = [_FIELDS["Q(s)"], _FIELDS["Q(s1,s2)"], _FIELDS["F5(s)"]]
-    for t in range(trials):
-        field = fields[t % len(fields)]
-        n = field.derivation_count
+
+    def trial(t, field):
         a = random_base_elem(rng, field)
         b = random_base_elem(rng, field)
-        alpha = random_multiindex(rng, n, 3)
+        alpha = random_multiindex(rng, field.derivation_count, 3)
         lhs = hasse_derive(alpha, a * b)
         rhs = BaseElem.zero(field)
         for be, ga in splittings(alpha):
             rhs = rhs + hasse_derive(be, a) * hasse_derive(ga, b)
         if lhs != rhs:
-            return [f"FAIL leibniz at=trial{t},a={a},b={b},alpha={alpha} lhs={lhs} rhs={rhs}"]
+            return "leibniz", f"trial{t},a={a},b={b},alpha={alpha}", lhs, rhs
         h = random_diffpoly(rng, field, var_count=2, max_terms=2, max_factors=2, order_zero_only=True)
         f = random_diffpoly(rng, field, var_count=2, max_terms=2, max_factors=2, order_zero_only=True)
-        mode = DerivationMode.PROLONGATION if t % 2 else DerivationMode.JET
-        witness = ideal_membership_witness(alpha, h, f, mode)
+        mode = P if t % 2 else J
         total = DiffPoly.zero(field)
-        for cof, gamma in witness:
+        for cof, gamma in ideal_membership_witness(alpha, h, f, mode):
             total = total + cof * apply_d(gamma, f, mode)
         direct = apply_d(alpha, h * f, mode)
         if total != direct:
-            return [f"FAIL witness at=trial{t},alpha={alpha},h={h},f={f} lhs={total} rhs={direct}"]
-    return [f"OK leibniz params=|alpha|<=3 trials={trials}"]
+            return "witness", f"trial{t},alpha={alpha},h={h},f={f}", total, direct
+        return None
+
+    return _run([_Loop("leibniz", "|alpha|<=3", trials, trial, _ROTATION)])
+
+
+def _theta_loop(m: int, q: int, varieties: Sequence, params: str, prefix: str) -> _Loop:
+    """theta(d_i del_j f) = del_j d_i f for i <= m, j <= q and every generator f.
+
+    One trial per (variety, i, j) case, comparing every generator of the
+    variety; a FAIL witness opens with ``prefix.format(v=<variety index>)``.
+    """
+    per = (m + 1) * (q + 1)
+
+    def trial(t, _):
+        v, ij = divmod(t, per)
+        i, j = divmod(ij, q + 1)
+        for gi, f in enumerate(varieties[v].generators):
+            lhs = theta(layered_expand(i, j, f, outer=J, inner=P))
+            rhs = layered_expand(j, i, f, outer=P, inner=J)
+            if lhs != rhs:
+                return "theta", f"({prefix.format(v=v)}i={i},j={j},gen={gi})", lhs, rhs
+        return None
+
+    return _Loop("theta", params, len(varieties) * per, trial)
+
+
+def check_theta_relations(m: int, q: int, variety) -> list[str]:
+    """theta(d_i del_j f) = del_j d_i f for every generator and i <= m, j <= q."""
+    return _run([_theta_loop(m, q, [variety], f"m={m},q={q},gens={len(variety.generators)}", "")])
 
 
 def check_theta(seed: int, trials: int, *, order: int, inner: int, **_) -> list[str]:
-    """Layer commutation on randomly constructed small varieties."""
+    """Layer commutation on randomly constructed small varieties.
+
+    The pinned ``trials=`` counts (variety, i, j) cases, not generators:
+    ``check all --seed 42`` reports trials=90 for the 180 relations that it
+    compares, on 10 two-generator varieties at i, j <= 2.
+    """
     rng = random.Random(seed)
-    field = _FIELDS["Q(s)"]
-    varieties = max(1, trials // 10)
     m, q = min(order, 3), min(inner, 3)
-    for t in range(varieties):
-        variety, _ = random_variety_with_point(rng, field, var_count=2)
-        lines = check_theta_relations(m, q, variety)
-        if not report_passed(lines):
-            return [line.replace("at=(", f"at=(variety{t},", 1) for line in lines]
-    return [f"OK theta params=m={m},q={q},varieties={varieties} trials={varieties * (m + 1) * (q + 1)}"]
+    varieties = [random_variety_with_point(rng, _Q_S, var_count=2)[0] for _ in range(max(1, trials // 10))]
+    params = f"m={m},q={q},varieties={len(varieties)}"
+    return _run([_theta_loop(m, q, varieties, params, "variety{v},")])
+
+
+def _random_layered(
+    rng: random.Random, field: FieldDescriptor, max_outer: int, max_inner: int, kind: DerivationMode
+) -> LayeredPoly:
+    out = LayeredPoly.zero(field)
+    for _ in range(rng.randint(1, 3)):
+        term = LayeredPoly.const(field, random_base_elem(rng, field, max_deg=1, max_terms=2))
+        for _ in range(rng.randint(0, 2)):
+            sym = LayeredSymbol(rng.randrange(2), rng.randint(0, max_outer), rng.randint(0, max_inner), kind)
+            term = term * LayeredPoly.from_symbol(field, sym)
+        out = out + term
+    return out
+
+
+def _phi_psi_loops(bound: int, m: int, trials: int, seed: int, field: FieldDescriptor) -> list[_Loop]:
+    """The generator sweep, the random round trips and Claims 1-2 over one field."""
+    rng = random.Random(seed)
+    params = f"N={bound},m={m}"
+
+    def sweep(t, field):
+        i, j = divmod(t, m + 1)
+        for kind, there, back, way in ((P, phi, psi, "psi.phi"), (J, psi, phi, "phi.psi")):
+            g = LayeredPoly.generator(field, 0, i, j, kind)
+            if back(there(g, bound), bound) != g:
+                return "phi-psi-sweep", f"(i={i},j={j},dir={way})", "roundtrip", "identity"
+        return None
+
+    def roundtrip(t, field):
+        p = _random_layered(rng, field, bound - m, m, P)
+        q = _random_layered(rng, field, bound - m, m, P)
+        phi_p = phi(p, bound)
+        back = psi(phi_p, bound)
+        if back != p:
+            return "phi-psi-roundtrip", f"trial{t}", back, p
+        lhs = phi(p * q, bound)
+        rhs = phi_p * phi(q, bound)
+        if lhs != rhs:
+            return "phi-multiplicative", f"trial{t}", lhs, rhs
+        return None
+
+    def claims(t, field):
+        h = random_diffpoly(rng, field, var_count=2, max_terms=2, max_factors=2, order_zero_only=True)
+        i = rng.randint(0, max(0, bound - m))
+        j = rng.randint(0, m)
+        lhs = phi(layered_expand(i, j, h, P, P), bound)
+        rhs = LayeredPoly.zero(field)
+        for k in range(j + 1):
+            rhs = rhs + layered_expand(k, j - k, h, P, J)
+        rhs = outer_derive(i, rhs, bound)
+        if lhs != rhs:
+            return "claim1", f"trial{t},i={i},j={j},h={h}", lhs, rhs
+        lhs = psi(layered_expand(i, j, h, P, J), bound)
+        rhs = LayeredPoly.zero(field)
+        minus = field.scalar(-1)
+        for k in range(j + 1):
+            rhs = rhs + layered_expand(k, j - k, h, P, P).scale(minus**k)
+        rhs = outer_derive(i, rhs, bound)
+        if lhs != rhs:
+            return "claim2", f"trial{t},i={i},j={j},h={h}", lhs, rhs
+        return None
+
+    return [
+        _Loop("phi-psi-sweep", params, (bound - m + 1) * (m + 1), sweep, (field,)),
+        _Loop("phi-psi-random", params, trials, roundtrip, (field,)),
+        _Loop("phi-psi-claims", params, trials, claims, (field,)),
+    ]
+
+
+def check_phi_psi_inverse(bound: int, m: int, trials: int, seed: int, field: FieldDescriptor = _Q_S) -> list[str]:
+    """Generator sweep and randomized verification that phi and psi invert.
+
+    Sweeps every layered generator with outer order <= bound - m and inner
+    order <= m, round-trips random layered polynomials, checks that phi is
+    multiplicative, and verifies Claims 1-2 on random order-0 polynomials.
+    """
+    return _run(_phi_psi_loops(bound, m, trials, seed, field))
 
 
 def check_phi_psi(seed: int, trials: int, *, outer: int, inner: int, **_) -> list[str]:
-    lines = check_phi_psi_inverse(outer, inner, trials, seed, _FIELDS["Q(s)"])
-    lines += check_phi_psi_inverse(outer, inner, trials, seed + 1, _FIELDS["F5(s)"])
-    return lines
+    return _run(
+        _phi_psi_loops(outer, inner, trials, seed, _Q_S) + _phi_psi_loops(outer, inner, trials, seed + 1, _F5_S)
+    )
+
+
+def _tensor_loops(m: int, q: int, samples: int, seed: int, field: FieldDescriptor) -> list[_Loop]:
+    """K-linearity and surjectivity of the tensor swap, on random normal forms.
+
+    In normal form the swap b (x) u^j (x) t^i -> b (x) t^i (x) u^j is the
+    identity on (t, u) keys, so linearity compares the quotient-rule left
+    action with the series right action directly.
+    """
+    if field.derivation_count != 1:
+        raise ValueError("the tensor check runs over a single-derivation field")
+    rng = random.Random(seed)
+    params = f"m={m},q={q}"
+
+    def linearity(t, field):
+        v = {
+            (rng.randint(0, m), rng.randint(0, q)): random_base_elem(rng, field)
+            for _ in range(rng.randint(1, 3))
+        }
+        v = {k: b for k, b in v.items() if b}
+        c = random_base_elem(rng, field)
+        c2 = random_base_elem(rng, field)
+        lhs = tensor_left_action(c, v, q)
+        rhs = tensor_right_action(c, v, q)
+        if lhs != rhs:
+            return "tensor-linearity", f"trial{t}", lhs, rhs
+        lhs = tensor_left_action(c * c2, v, q)
+        rhs = tensor_left_action(c, tensor_left_action(c2, v, q), q)
+        if lhs != rhs:
+            return "tensor-associative", f"trial{t}", lhs, rhs
+        return None
+
+    def surjectivity(t, field):
+        c = random_nonzero_base_elem(rng, field)
+        one = BaseElem.one(field)
+        got: dict = {}
+        for (g,), cg in twist_inverse(TruncatedElement.constant(c, q, 1)).coeffs.items():
+            got = termdict.add(got, tensor_left_action(cg, {(0, g): one}, q).items())
+        target = {(0, 0): c}
+        return None if got == target else ("tensor-surjectivity", f"trial{t},c={c}", got, target)
+
+    return [
+        _Loop("tensor-linearity", params, samples, linearity, (field,)),
+        _Loop("tensor-surjectivity", params, samples, surjectivity, (field,)),
+    ]
+
+
+def twisted_tensor_check(m: int, q: int, samples: int, seed: int, field: FieldDescriptor = _Q_S) -> list[str]:
+    return _run(_tensor_loops(m, q, samples, seed, field))
 
 
 def check_tensor(seed: int, trials: int, *, order: int, inner: int, **_) -> list[str]:
-    lines = twisted_tensor_check(min(order, 3), min(inner, 3), trials, seed, _FIELDS["Q(s)"])
-    lines += twisted_tensor_check(min(order, 3), min(inner, 3), trials, seed + 1, _FIELDS["F5(s)"])
-    return lines
+    m, q = min(order, 3), min(inner, 3)
+    return _run(_tensor_loops(m, q, trials, seed, _Q_S) + _tensor_loops(m, q, trials, seed + 1, _F5_S))
+
+
+def ordered_partitions(k: int) -> list[tuple[int, ...]]:
+    """All compositions of k into positive parts; |P[k]| = 2^(k-1)."""
+    if k < 1:
+        raise ValueError("ordered partitions need k >= 1")
+    out: list[tuple[int, ...]] = []
+
+    def rec(remaining: int, prefix: tuple):
+        if remaining == 0:
+            out.append(prefix)
+            return
+        for first in range(1, remaining + 1):
+            rec(remaining - first, prefix + (first,))
+
+    rec(k, ())
+    return out
+
+
+def multinomial_identity_check(
+    k: int,
+    field: FieldDescriptor | None = None,
+    rng: random.Random | None = None,
+    trials: int = 5,
+) -> bool:
+    """Signed multinomial sum over compositions of k equals (-1)^k.
+
+    Also cross-checks |P[k]| = 2^(k-1) and, when a field is supplied, the
+    operator identity D_pi = mu(pi) D_k on random elements.
+    """
+    parts = ordered_partitions(k)
+    if len(parts) != 2 ** (k - 1):
+        return False
+    total = sum((-1) ** len(pi) * multinomial(pi) for pi in parts)
+    if total != (-1) ** k:
+        return False
+    if field is not None:
+        rng = rng or random.Random(0)
+        if field.derivation_count != 1:
+            raise ValueError("the operator identity check runs over a single derivation")
+        for _ in range(trials):
+            a = random_base_elem(rng, field)
+            pi = rng.choice(parts)
+            lhs = a
+            for part in reversed(pi):
+                lhs = hasse_derive((part,), lhs)
+            rhs = hasse_derive((k,), a) * field.scalar(multinomial(pi))
+            if lhs != rhs:
+                return False
+    return True
 
 
 def check_multinomial(seed: int, trials: int, *, max_k: int, **_) -> list[str]:
     rng = random.Random(seed)
-    for k in range(1, max_k + 1):
-        if not multinomial_identity_check(k, _FIELDS["Q(s)"], rng, trials=3):
-            return [f"FAIL multinomial at=k={k} lhs=signed-sum rhs=(-1)^k"]
-    return [f"OK multinomial params=k<=({max_k}) trials={max_k}"]
+
+    def trial(t, field):
+        if multinomial_identity_check(t + 1, field, rng, trials=3):
+            return None
+        return "multinomial", f"k={t + 1}", "signed-sum", "(-1)^k"
+
+    return _run([_Loop("multinomial", f"k<=({max_k})", max_k, trial)])
 
 
 _SUITES: dict[str, Callable[..., list[str]]] = {
@@ -209,12 +424,16 @@ _SUITES: dict[str, Callable[..., list[str]]] = {
     "tensor": check_tensor,
     "multinomial": check_multinomial,
 }
+CHECK_NAMES = tuple(_SUITES)
 
 
 def run_checks(
     names: Sequence[str], *, seed: int, trials: int, order: int, outer: int, inner: int, max_k: int
 ) -> tuple[bool, list[str]]:
-    """Run the named suites; returns (all_passed, report_lines)."""
+    """Run the named suites; returns (all_passed, report_lines).
+
+    Each suite's report ends at its own first FAIL; later suites still run.
+    """
     top = random.Random(seed)
     lines: list[str] = []
     for name in names:

@@ -36,7 +36,7 @@ from .multiindex import (
     indices_below,
     zero_index,
 )
-from .series import TruncatedElement
+from .series import TruncatedElement, twist_expand
 from .sparsepoly import SparsePoly
 
 
@@ -167,8 +167,6 @@ def taylor_oracle(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> Di
         if mode is DerivationMode.JET:
             acc = TruncatedElement.constant(DiffPoly.const(field, coeff), bound, n)
         else:
-            from .series import twist_expand
-
             acc = twist_expand(coeff, bound).map_coeffs(lambda b: DiffPoly.const(field, b))
         for sym, e in mono:
             expansion = TruncatedElement(

@@ -1,44 +1,43 @@
-"""Machine verification of the layered isomorphisms at finite truncation.
+"""The layered maps behind the commuting isomorphisms, at finite truncation.
 
 Two-layer rings arise by deriving a prolongation or jet presentation once
 more: their generators d_i(delta_j x) or d_i(del_j x) are individual symbols
 carrying an outer and an inner order.  This module implements
 
   * the two-layer expansion of an order-0 polynomial under any combination
-    of outer/inner coefficient rules,
+    of outer/inner coefficient rules, and the outer derivation D_l,
   * the swap map theta between jets-of-prolongations and
     prolongations-of-jets,
   * the phi/psi pair identifying infinite prolongations of P_m and J_m,
-    truncated at a hard outer bound N (overflow raises, never truncates),
-  * the twisted tensor normal forms behind the second commutation proof, and
-  * ordered partitions with the alternating multinomial identity.
+    truncated at a hard outer bound N (overflow raises, never truncates), and
+  * the two scalar actions on the twisted tensor normal forms behind the
+    second commutation proof.
 
 All layered maps work over a base field with a single derivation (or a
 trivial one), matching the single-derivation setting of the isomorphism.
+The checks that compare these maps live in ``hsprolong.checks``.
 
 None of phi, psi and theta takes a symbolic product.  phi and psi send a
 symbol to an integer combination of symbols, so ``termdict.integer_map``
 expands each monomial's image over the integers and multiplies the base
 coefficient in last; theta sends each symbol to one symbol and only relabels
 monomials.  They share no step with ``layered_expand`` and ``outer_derive``,
-the other route of the claims and theta relations checked here.
+the other route of the claims and theta relations that the checks compare.
 """
 
 from __future__ import annotations
 
 import math
-import random
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import termdict
-from .basefield import BaseElem, _family_table, hasse_derive
-from .fields import FieldDescriptor, multinomial
+from .basefield import BaseElem, _family_table
+from .fields import FieldDescriptor
 from .diffpoly import DerivationMode, DiffPoly
 from .multiindex import indices_below
-from .series import TruncatedElement, twist_expand, twist_inverse
+from .series import twist_expand
 from .sparsepoly import SparsePoly
-from .sampling import random_base_elem, random_diffpoly, random_nonzero_base_elem
 
 
 class TruncationOverflow(ValueError):
@@ -224,121 +223,6 @@ def _factor_key(factor: tuple):
     return factor[0].sort_key
 
 
-# -- report-producing checks ------------------------------------------------------
-
-
-def report_passed(lines: Sequence[str]) -> bool:
-    return all(not line.startswith("FAIL") for line in lines)
-
-
-def check_phi_psi_inverse(
-    bound: int,
-    m: int,
-    trials: int,
-    seed: int,
-    field: FieldDescriptor | None = None,
-) -> list[str]:
-    """Generator sweep and randomized verification that phi and psi invert.
-
-    Sweeps every layered generator with outer order <= bound - m and inner
-    order <= m, round-trips random layered polynomials, checks that phi is
-    multiplicative, and verifies Claims 1-2 on random order-0 polynomials.
-    """
-    if field is None:
-        field = FieldDescriptor(0, ("s",), 1)
-    rng = random.Random(seed)
-    lines: list[str] = []
-    P, J = DerivationMode.PROLONGATION, DerivationMode.JET
-
-    bad = None
-    for i in range(bound - m + 1):
-        for j in range(m + 1):
-            g = LayeredPoly.generator(field, 0, i, j, P)
-            if psi(phi(g, bound), bound) != g:
-                bad = (i, j, "psi.phi")
-                break
-            gj = LayeredPoly.generator(field, 0, i, j, J)
-            if phi(psi(gj, bound), bound) != gj:
-                bad = (i, j, "phi.psi")
-                break
-        if bad:
-            break
-    if bad:
-        lines.append(f"FAIL phi-psi-sweep at={bad} lhs=roundtrip rhs=identity")
-    else:
-        lines.append(f"OK phi-psi-sweep params=N={bound},m={m} trials={(bound - m + 1) * (m + 1)}")
-
-    for t in range(trials):
-        p = _random_layered(rng, field, bound - m, m, P)
-        q = _random_layered(rng, field, bound - m, m, P)
-        if psi(phi(p, bound), bound) != p:
-            lines.append(f"FAIL phi-psi-roundtrip at=trial{t} lhs={psi(phi(p, bound), bound)} rhs={p}")
-            break
-        if phi(p * q, bound) != phi(p, bound) * phi(q, bound):
-            lines.append(f"FAIL phi-multiplicative at=trial{t} lhs={phi(p * q, bound)} rhs=product")
-            break
-    else:
-        lines.append(f"OK phi-psi-random params=N={bound},m={m} trials={trials}")
-
-    for t in range(trials):
-        h = random_diffpoly(rng, field, var_count=2, max_terms=2, max_factors=2, order_zero_only=True)
-        i = rng.randint(0, max(0, bound - m))
-        j = rng.randint(0, m)
-        lhs1 = phi(layered_expand(i, j, h, P, P), bound)
-        rhs1 = LayeredPoly.zero(field)
-        for k in range(j + 1):
-            rhs1 = rhs1 + layered_expand(k, j - k, h, P, J)
-        rhs1 = outer_derive(i, rhs1, bound)
-        if lhs1 != rhs1:
-            lines.append(f"FAIL claim1 at=trial{t},i={i},j={j},h={h} lhs={lhs1} rhs={rhs1}")
-            break
-        lhs2 = psi(layered_expand(i, j, h, P, J), bound)
-        rhs2 = LayeredPoly.zero(field)
-        minus = field.scalar(-1)
-        for k in range(j + 1):
-            rhs2 = rhs2 + layered_expand(k, j - k, h, P, P).scale(minus**k)
-        rhs2 = outer_derive(i, rhs2, bound)
-        if lhs2 != rhs2:
-            lines.append(f"FAIL claim2 at=trial{t},i={i},j={j},h={h} lhs={lhs2} rhs={rhs2}")
-            break
-    else:
-        lines.append(f"OK phi-psi-claims params=N={bound},m={m} trials={trials}")
-    return lines
-
-
-def _random_layered(
-    rng: random.Random, field: FieldDescriptor, max_outer: int, max_inner: int, kind: DerivationMode
-) -> LayeredPoly:
-    out = LayeredPoly.zero(field)
-    for _ in range(rng.randint(1, 3)):
-        term = LayeredPoly.const(field, random_base_elem(rng, field, max_deg=1, max_terms=2))
-        for _ in range(rng.randint(0, 2)):
-            sym = LayeredSymbol(rng.randrange(2), rng.randint(0, max_outer), rng.randint(0, max_inner), kind)
-            term = term * LayeredPoly.from_symbol(field, sym)
-        out = out + term
-    return out
-
-
-def check_theta_relations(m: int, q: int, variety) -> list[str]:
-    """theta(d_i del_j f) = del_j d_i f for every generator and i <= m, j <= q."""
-    P, J = DerivationMode.PROLONGATION, DerivationMode.JET
-    lines: list[str] = []
-    checked = 0
-    for gi, f in enumerate(variety.generators):
-        for i in range(m + 1):
-            for j in range(q + 1):
-                lhs = theta(layered_expand(i, j, f, outer=J, inner=P))
-                rhs = layered_expand(j, i, f, outer=P, inner=J)
-                checked += 1
-                if lhs != rhs:
-                    lines.append(
-                        f"FAIL theta at=(i={i},j={j},gen={gi}) lhs={lhs} rhs={rhs}"
-                    )
-                    return lines
-    lines.append(f"OK theta params=m={m},q={q},gens={len(variety.generators)} trials={checked}")
-    return lines
-
-
 # -- twisted tensor normal forms ----------------------------------------------------
 
 
@@ -375,108 +259,3 @@ def tensor_right_action(c: BaseElem, v: Mapping[tuple, BaseElem], q: int) -> dic
     series ``twist_expand(c, q)``, the route independent of the left action.
     """
     return termdict.mul(v, twist_expand(c, _u_reach(v, q)).coeffs, _u_shift(q))
-
-
-def twisted_tensor_check(
-    m: int, q: int, samples: int, seed: int, field: FieldDescriptor | None = None
-) -> list[str]:
-    """K-linearity and surjectivity of the tensor swap, on random normal forms.
-
-    In normal form the swap b (x) u^j (x) t^i -> b (x) t^i (x) u^j is the
-    identity on (t, u) keys, so linearity compares the quotient-rule left
-    action with the series right action directly.
-    """
-    if field is None:
-        field = FieldDescriptor(0, ("s",), 1)
-    if field.derivation_count != 1:
-        raise ValueError("the tensor check runs over a single-derivation field")
-    rng = random.Random(seed)
-    lines: list[str] = []
-
-    for t in range(samples):
-        v = {
-            (rng.randint(0, m), rng.randint(0, q)): random_base_elem(rng, field)
-            for _ in range(rng.randint(1, 3))
-        }
-        v = {k: b for k, b in v.items() if b}
-        c = random_base_elem(rng, field)
-        c2 = random_base_elem(rng, field)
-        lhs = tensor_left_action(c, v, q)
-        rhs = tensor_right_action(c, v, q)
-        if lhs != rhs:
-            lines.append(f"FAIL tensor-linearity at=trial{t} lhs={lhs} rhs={rhs}")
-            return lines
-        assoc_l = tensor_left_action(c * c2, v, q)
-        assoc_r = tensor_left_action(c, tensor_left_action(c2, v, q), q)
-        if assoc_l != assoc_r:
-            lines.append(f"FAIL tensor-associative at=trial{t} lhs={assoc_l} rhs={assoc_r}")
-            return lines
-    lines.append(f"OK tensor-linearity params=m={m},q={q} trials={samples}")
-
-    one = BaseElem.one(field)
-    for t in range(samples):
-        c = random_nonzero_base_elem(rng, field)
-        embedded = TruncatedElement.constant(c, q, 1)
-        cs = twist_inverse(embedded)
-        got: dict = {}
-        for (g,), cg in cs.coeffs.items():
-            got = termdict.add(got, tensor_left_action(cg, {(0, g): one}, q).items())
-        target = {(0, 0): c}
-        if got != target:
-            lines.append(f"FAIL tensor-surjectivity at=trial{t},c={c} lhs={got} rhs={target}")
-            return lines
-    lines.append(f"OK tensor-surjectivity params=m={m},q={q} trials={samples}")
-    return lines
-
-
-# -- ordered partitions ---------------------------------------------------------------
-
-
-def ordered_partitions(k: int) -> list[tuple[int, ...]]:
-    """All compositions of k into positive parts; |P[k]| = 2^(k-1)."""
-    if k < 1:
-        raise ValueError("ordered partitions need k >= 1")
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, prefix: tuple):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for first in range(1, remaining + 1):
-            rec(remaining - first, prefix + (first,))
-
-    rec(k, ())
-    return out
-
-
-def multinomial_identity_check(
-    k: int,
-    field: FieldDescriptor | None = None,
-    rng: random.Random | None = None,
-    trials: int = 5,
-) -> bool:
-    """Signed multinomial sum over compositions of k equals (-1)^k.
-
-    Also cross-checks |P[k]| = 2^(k-1) and, when a field is supplied, the
-    operator identity D_pi = mu(pi) D_k on random elements.
-    """
-    parts = ordered_partitions(k)
-    if len(parts) != 2 ** (k - 1):
-        return False
-    total = sum((-1) ** len(pi) * multinomial(pi) for pi in parts)
-    if total != (-1) ** k:
-        return False
-    if field is not None:
-        rng = rng or random.Random(0)
-        if field.derivation_count != 1:
-            raise ValueError("the operator identity check runs over a single derivation")
-        for _ in range(trials):
-            a = random_base_elem(rng, field)
-            pi = rng.choice(parts)
-            lhs = a
-            for part in reversed(pi):
-                lhs = hasse_derive((part,), lhs)
-            rhs = hasse_derive((k,), a) * field.scalar(multinomial(pi))
-            if lhs != rhs:
-                return False
-    return True

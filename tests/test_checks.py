@@ -1,0 +1,100 @@
+"""The one trial loop behind every suite of the `check` command.
+
+Each suite is run with a defect planted at a name that ``checks`` calls.  The
+suite must fail, and its report must end at the first FAIL: that line is the
+last one, and no OK line of a later sub-check or a later field follows it.
+"""
+
+import pytest
+
+from hsprolong import checks
+from hsprolong.checks import CHECK_NAMES, check_theta_relations, run_checks
+from hsprolong.diffpoly import DiffPoly
+from hsprolong.fields import FieldDescriptor
+from hsprolong.presentations import VarietyPresentation
+
+ARGS = dict(seed=42, trials=100, order=2, outer=4, inner=2, max_k=12)
+
+
+def _hasse_doubling_order_one(real):
+    return lambda alpha, a: real(alpha, a) * 2 if sum(alpha) == 1 else real(alpha, a)
+
+
+# suite -> (name in checks, planted version of it, label of the expected FAIL)
+PLANTED = {
+    "oracle": ("taylor_oracle", lambda real: lambda alpha, f, mode: real(alpha, f, mode) + DiffPoly.const(f.field, 1),
+               "oracle"),
+    "twist": ("twist_psi", lambda real: lambda c: c, "twist"),
+    "iterative": ("hasse_derive", _hasse_doubling_order_one, "iterative"),
+    "leibniz": ("hasse_derive", _hasse_doubling_order_one, "leibniz"),
+    "theta": ("theta", lambda real: lambda p: p, "theta"),
+    "phi-psi": ("psi", lambda real: lambda p, bound: real(p, bound).scale(2), "phi-psi-sweep"),
+    "tensor": ("tensor_right_action", lambda real: lambda c, v, q: {k: b * 2 for k, b in real(c, v, q).items()},
+               "tensor-linearity"),
+    "multinomial": ("multinomial", lambda real: lambda pi: real(pi) + 1, "multinomial"),
+}
+
+
+def test_every_suite_has_a_planted_defect():
+    assert set(PLANTED) == set(CHECK_NAMES)
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_suite_passes_unplanted(name):
+    ok, lines = run_checks([name], **ARGS)
+    assert ok and lines and all(line.startswith(f"OK {name}") for line in lines)
+
+
+@pytest.mark.parametrize("name", CHECK_NAMES)
+def test_planted_defect_ends_the_report_at_its_fail(name, monkeypatch):
+    attr, plant, label = PLANTED[name]
+    monkeypatch.setattr(checks, attr, plant(getattr(checks, attr)))
+    ok, lines = run_checks([name], **ARGS)
+    assert not ok
+    assert [line for line in lines if line.startswith("FAIL")] == [lines[-1]]
+    assert lines[-1].startswith(f"FAIL {label} at=")
+    assert " lhs=" in lines[-1] and " rhs=" in lines[-1]
+
+
+def test_later_suites_still_run_after_a_fail(monkeypatch):
+    monkeypatch.setattr(checks, "theta", lambda p: p)
+    ok, lines = run_checks(["theta", "multinomial"], **ARGS)
+    assert not ok
+    assert lines[0].startswith("FAIL theta at=(variety0,")
+    assert lines[1].startswith("OK multinomial ")
+
+
+def test_theta_witness_prefix(monkeypatch):
+    field = FieldDescriptor(0, ("s",), 1)
+    x = DiffPoly.variable(field, 0)
+    variety = VarietyPresentation(field, 1, [x * x - DiffPoly.const(field, 2)])
+    assert check_theta_relations(1, 1, variety) == ["OK theta params=m=1,q=1,gens=1 trials=4"]
+    monkeypatch.setattr(checks, "theta", lambda p: p)
+    [line] = check_theta_relations(1, 1, variety)
+    assert line.startswith("FAIL theta at=(i=0,j=0,gen=0) lhs=")
+
+
+def test_loop_rotates_fields_and_stops_at_the_first_failure():
+    seen = []
+
+    def trial(t, field):
+        seen.append((t, field))
+        return ("demo-b", f"trial{t}", 1, 2) if t == 4 else None
+
+    fields = ("A", "B", "C")
+    lines = checks._run([
+        checks._Loop("demo-a", "p=1", 3, lambda t, field: None),
+        checks._Loop("demo-b", "p=2", 10, trial, fields),
+        checks._Loop("demo-c", "p=3", 3, lambda t, field: pytest.fail("ran after a FAIL")),
+    ])
+    assert lines == ["OK demo-a params=p=1 trials=3", "FAIL demo-b at=trial4 lhs=1 rhs=2"]
+    assert seen == [(t, fields[t % 3]) for t in range(5)]
+
+
+def test_layered_holds_only_the_maps():
+    from hsprolong import layered
+
+    names = vars(layered)
+    assert "random" not in names and not any(name.startswith("random_") for name in names)
+    assert not any(name.startswith("check") or name.endswith("_check") for name in names)
+    assert "report_passed" not in names and "ordered_partitions" not in names

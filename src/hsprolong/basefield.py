@@ -2,8 +2,11 @@
 
 Polynomials in the parameters are sparse maps from exponent tuples to plain
 coefficients: Fractions in characteristic 0, ints in [0, p) in characteristic
-p.  Arithmetic on raw term dicts leaves unreduced ints; the ParamPoly
-constructor is the one place that folds them back into [0, p).  A BaseElem is
+p.  The ParamPoly constructor checks outside input and maps each coefficient
+into the field; ring results skip it.  Arithmetic on raw term dicts leaves
+unreduced ints, and ``_make``, which builds every ring result, is the one
+place that folds them back into [0, p); over Q termdict's dicts are taken
+as they are.  A BaseElem is
 a normalized quotient num/den of two such polynomials: the gcd is cancelled
 (content/primitive-part recursion with a primitive pseudo-remainder sequence)
 and the denominator's leading coefficient under graded-lex is scaled to 1, so
@@ -56,23 +59,32 @@ def _nonzero(terms: Mapping, p: int) -> dict:
 
 
 class ParamPoly:
-    """Sparse polynomial in the field parameters with exact coefficients."""
+    """Sparse polynomial in the field parameters with exact coefficients.
+
+    The constructor checks outside input; ring results are built by ``_make``."""
 
     __slots__ = ("terms", "field")
 
     def __init__(self, terms: Mapping[tuple, int | Fraction], field: FieldDescriptor):
-        self.terms = _nonzero(terms, field.characteristic)
+        r = field.param_count
+        for e, c in terms.items():
+            if type(e) is not tuple or len(e) != r or not all(type(k) is int and k >= 0 for k in e):
+                raise ValueError(f"exponent {e!r} is not a tuple of {r} naturals")
+            if not isinstance(c, (int, Fraction)):
+                raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
+        self.terms = {e: x for e, c in terms.items() if (x := field.scalar(c))}
         self.field = field
 
     # -- constructors ------------------------------------------------------
 
     @classmethod
     def zero(cls, field: FieldDescriptor) -> "ParamPoly":
-        return cls({}, field)
+        return _make({}, field)
 
     @classmethod
     def const(cls, field: FieldDescriptor, value: int | Fraction) -> "ParamPoly":
-        return cls({(0,) * field.param_count: field.scalar(value)}, field)
+        c = field.scalar(value)
+        return _make({(0,) * field.param_count: c} if c else {}, field)
 
     @classmethod
     def var(cls, field: FieldDescriptor, i: int) -> "ParamPoly":
@@ -80,11 +92,11 @@ class ParamPoly:
             raise ValueError(f"no parameter with index {i}")
         e = [0] * field.param_count
         e[i] = 1
-        return cls({tuple(e): field.scalar(1)}, field)
+        return _make({tuple(e): field.scalar(1)}, field)
 
     @classmethod
     def monomial(cls, field: FieldDescriptor, exps: Sequence[int], coeff: int | Fraction = 1) -> "ParamPoly":
-        return cls({tuple(exps): field.scalar(coeff)}, field)
+        return cls({tuple(exps): coeff}, field)
 
     # -- ring structure ----------------------------------------------------
 
@@ -102,17 +114,17 @@ class ParamPoly:
 
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
         self._check(other)
-        return ParamPoly(termdict.add(self.terms, other.terms.items()), self.field)
+        return _make(termdict.add(self.terms, other.terms.items()), self.field)
 
     def __neg__(self) -> "ParamPoly":
-        return ParamPoly({e: -c for e, c in self.terms.items()}, self.field)
+        return _make({e: -c for e, c in self.terms.items()}, self.field)
 
     def __sub__(self, other: "ParamPoly") -> "ParamPoly":
         return self + (-other)
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
         self._check(other)
-        return ParamPoly(termdict.mul(self.terms, other.terms, termdict.exp_add), self.field)
+        return _make(termdict.mul(self.terms, other.terms, termdict.exp_add), self.field)
 
     def __pow__(self, k: int) -> "ParamPoly":
         if k < 0:
@@ -120,7 +132,7 @@ class ParamPoly:
         return termdict.power(self, k, ParamPoly.const(self.field, 1))
 
     def scale(self, c: int | Fraction) -> "ParamPoly":
-        return ParamPoly(termdict.scale(self.terms, self.field.scalar(c)), self.field)
+        return _make(termdict.scale(self.terms, self.field.scalar(c)), self.field)
 
     # -- structure queries -------------------------------------------------
 
@@ -155,8 +167,10 @@ class ParamPoly:
         """D_{i,k} of the polynomial: C(e_i, k) s_i^{e_i - k} per monomial."""
         if k == 0:
             return self
+        if k < 0:
+            raise ValueError(f"derivative order must be a natural, got {k}")
         # e -> e - k*unit_i is injective, so no two terms collide
-        return ParamPoly(
+        return _make(
             {
                 e[:i] + (e[i] - k,) + e[i + 1 :]: binom(e[i], k, self.field) * c
                 for e, c in self.terms.items()
@@ -181,6 +195,16 @@ class ParamPoly:
         return f"ParamPoly({self.render()})"
 
 
+def _make(terms: dict, field: FieldDescriptor) -> ParamPoly:
+    """The polynomial on a zero-free dict of valid keys, taken as is; only in
+    characteristic p are its int coefficients reduced and zeros dropped."""
+    out = ParamPoly.__new__(ParamPoly)
+    p = field.characteristic
+    out.terms = _nonzero(terms, p) if p else terms
+    out.field = field
+    return out
+
+
 # -- gcd machinery ----------------------------------------------------------
 
 
@@ -198,9 +222,7 @@ def _monomial_content(f: ParamPoly) -> tuple:
 def _shift_down(f: ParamPoly, exps: Sequence[int]) -> ParamPoly:
     if not any(exps):
         return f
-    return ParamPoly(
-        {tuple(a - b for a, b in zip(e, exps)): c for e, c in f.terms.items()}, f.field
-    )
+    return _make({tuple(a - b for a, b in zip(e, exps)): c for e, c in f.terms.items()}, f.field)
 
 
 def _monic(f: ParamPoly) -> ParamPoly:
@@ -220,7 +242,7 @@ def _coeffs_in(f: ParamPoly, v: int) -> dict[int, ParamPoly]:
         rest = list(e)
         rest[v] = 0
         out.setdefault(d, {})[tuple(rest)] = c
-    return {d: ParamPoly(t, f.field) for d, t in out.items()}
+    return {d: _make(t, f.field) for d, t in out.items()}
 
 
 def _from_coeffs(coeffs: Mapping[int, ParamPoly], v: int, field: FieldDescriptor) -> ParamPoly:
@@ -230,7 +252,7 @@ def _from_coeffs(coeffs: Mapping[int, ParamPoly], v: int, field: FieldDescriptor
             ne = list(e)
             ne[v] += d
             out[tuple(ne)] = c
-    return ParamPoly(out, field)
+    return _make(out, field)
 
 
 def _scalar_rescale(r: dict[int, ParamPoly]) -> dict[int, ParamPoly]:
@@ -322,7 +344,7 @@ def _gcd_univar(f: ParamPoly, g: ParamPoly, v: int) -> ParamPoly:
         e = proto[:]
         e[v] = d
         out[tuple(e)] = c
-    return _monic(ParamPoly(out, field))
+    return _monic(_make(out, field))
 
 
 def _eval_except(p: ParamPoly, v: int, values: dict[int, int | Fraction]) -> ParamPoly:
@@ -334,7 +356,7 @@ def _eval_except(p: ParamPoly, v: int, values: dict[int, int | Fraction]) -> Par
             if i != v and k:
                 c = c * values[i] ** k
         pairs.append((proto[:v] + (e[v],) + proto[v + 1 :], c))
-    return ParamPoly(termdict.add({}, pairs), p.field)
+    return _make(termdict.add({}, pairs), p.field)
 
 
 def _eval_points(field: FieldDescriptor) -> list[int]:
@@ -379,7 +401,7 @@ def poly_gcd(f: ParamPoly, g: ParamPoly) -> ParamPoly:
     mf, mg = _monomial_content(f), _monomial_content(g)
     common = tuple(min(a, b) for a, b in zip(mf, mg))
     f0, g0 = _shift_down(f, mf), _shift_down(g, mg)
-    mono = ParamPoly.monomial(f.field, common)
+    mono = _make({common: f.field.scalar(1)}, f.field)
 
     if len(f0.terms) == 1 or len(g0.terms) == 1:
         # after content removal a monomial shares no further factor
@@ -442,10 +464,10 @@ def poly_divexact(f: ParamPoly, g: ParamPoly) -> ParamPoly:
             raise ValueError("inexact polynomial division")
         qc = fc * inv
         out[qe] = qc
-        rem = rem - g * ParamPoly.monomial(f.field, qe, qc)
+        rem = rem - g * _make({qe: qc}, field)
         if rem and _monomial_key(rem.leading()[0]) >= _monomial_key(fe):
             raise ValueError("inexact polynomial division")
-    return ParamPoly(out, f.field)
+    return _make(out, field)
 
 
 # -- rational functions -------------------------------------------------------

@@ -17,12 +17,14 @@ All layered maps work over a base field with a single derivation (or a
 trivial one), matching the single-derivation setting of the isomorphism.
 The checks that compare these maps live in ``hsprolong.checks``.
 
-None of phi, psi and theta takes a symbolic product.  phi and psi send a
-symbol to an integer combination of symbols, so ``termdict.integer_map``
-expands each monomial's image over the integers and multiplies the base
-coefficient in last; theta sends each symbol to one symbol and only relabels
-monomials.  They share no step with ``layered_expand`` and ``outer_derive``,
-the other route of the claims and theta relations that the checks compare.
+None of phi, psi and theta takes a symbolic product.  Each is one
+``termdict.integer_map`` call: phi and psi send a symbol to an integer
+combination of symbols, theta sends it to one symbol, and the map expands
+each monomial's image over the integers and multiplies the base coefficient
+in last.  ``layered_expand`` and ``outer_derive``, the other route of the
+claims and theta relations that the checks compare, run the same Leibniz
+fold with indices kept and with derivatives of the base coefficients, and
+they build their symbol pieces on their own.
 """
 
 from __future__ import annotations
@@ -196,31 +198,17 @@ def psi(p: LayeredPoly, bound: int) -> LayeredPoly:
 def theta(p: LayeredPoly) -> LayeredPoly:
     """The swap d_i del_j a -> del_j d_i a between the two layered rings.
 
-    theta sends each symbol to one symbol, and distinct symbols to distinct
-    ones, so it relabels monomials: each is re-sorted by sort_key and keeps
-    its coefficient, with no product and no sum.
+    termdict.integer_map with the single piece 1 * del_j d_i a per symbol:
+    distinct symbols go to distinct ones, so no two terms meet and each
+    monomial keeps its coefficient, with no product and no sum.
     """
-    swapped: dict = {}
 
-    def swap(sym: LayeredSymbol) -> LayeredSymbol:
-        out = swapped.get(sym)
-        if out is None:
-            if sym.inner_kind is not DerivationMode.PROLONGATION:
-                raise ValueError("theta expects jet-of-prolongation symbols")
-            out = swapped[sym] = LayeredSymbol(sym.var, sym.inner, sym.outer, DerivationMode.JET)
-        return out
+    def pieces(sym: LayeredSymbol) -> dict:
+        if sym.inner_kind is not DerivationMode.PROLONGATION:
+            raise ValueError("theta expects jet-of-prolongation symbols")
+        return {(): (1, LayeredSymbol(sym.var, sym.inner, sym.outer, DerivationMode.JET))}
 
-    return LayeredPoly._of(
-        p.field,
-        {
-            tuple(sorted(((swap(sym), e) for sym, e in mono), key=_factor_key)): c
-            for mono, c in p.terms.items()
-        },
-    )
-
-
-def _factor_key(factor: tuple):
-    return factor[0].sort_key
+    return termdict.integer_map(p, pieces, LayeredPoly)
 
 
 # -- twisted tensor normal forms ----------------------------------------------------

@@ -41,20 +41,35 @@ from .multiindex import (
 
 
 class TruncatedElement:
-    """Element of a truncated polynomial ring over an exact carrier ring."""
+    """Element of a truncated polynomial ring over an exact carrier ring.
+
+    The constructor checks outside input; ring results are built by ``_of``."""
 
     __slots__ = ("coeffs", "order_bound", "t_count")
 
     def __init__(self, coeffs: Mapping[tuple, object], order_bound: int, t_count: int):
+        if order_bound < 0:
+            raise ValueError(f"order bound must be a natural, got {order_bound}")
         kept = {}
         for a, c in coeffs.items():
             if len(a) != t_count:
                 raise ValueError(f"t-exponent {a} has wrong length for {t_count} variables")
+            if min(a, default=0) < 0:
+                raise ValueError(f"t-exponent {a} has a negative entry")
             if c and sum(a) <= order_bound:
                 kept[a] = c
         self.coeffs = kept
         self.order_bound = order_bound
         self.t_count = t_count
+
+    @classmethod
+    def _of(cls, coeffs: dict, order_bound: int, t_count: int) -> "TruncatedElement":
+        """The element on a zero-free dict of in-range multi-indices, taken as is."""
+        out = cls.__new__(cls)
+        out.coeffs = coeffs
+        out.order_bound = order_bound
+        out.t_count = t_count
+        return out
 
     @classmethod
     def zero(cls, order_bound: int, t_count: int) -> "TruncatedElement":
@@ -87,14 +102,12 @@ class TruncatedElement:
 
     def __add__(self, other: "TruncatedElement") -> "TruncatedElement":
         self._check(other)
-        return TruncatedElement(
+        return TruncatedElement._of(
             termdict.add(self.coeffs, other.coeffs.items()), self.order_bound, self.t_count
         )
 
     def __neg__(self) -> "TruncatedElement":
-        return TruncatedElement(
-            {a: -c for a, c in self.coeffs.items()}, self.order_bound, self.t_count
-        )
+        return TruncatedElement._of({a: -c for a, c in self.coeffs.items()}, self.order_bound, self.t_count)
 
     def __sub__(self, other: "TruncatedElement") -> "TruncatedElement":
         return self + (-other)
@@ -102,7 +115,7 @@ class TruncatedElement:
     def __mul__(self, other: "TruncatedElement") -> "TruncatedElement":
         self._check(other)
         m = self.order_bound
-        return TruncatedElement(
+        return TruncatedElement._of(
             termdict.mul(self.coeffs, other.coeffs, termdict.size_key(m)), m, self.t_count
         )
 
@@ -114,7 +127,7 @@ class TruncatedElement:
         return termdict.power(self, k - 1, self)
 
     def scale(self, c) -> "TruncatedElement":
-        return TruncatedElement(termdict.scale(self.coeffs, c), self.order_bound, self.t_count)
+        return TruncatedElement._of(termdict.scale(self.coeffs, c), self.order_bound, self.t_count)
 
     def shift(self, alpha: tuple) -> "TruncatedElement":
         """Multiply by t^alpha, discarding overflowing terms."""

@@ -24,11 +24,15 @@ field once, and only then multiplies the base coefficient's table in.  The
 rational-function work is left to that table, D_gamma(c) or c alone, and to
 the sums where two terms meet at the same output monomial.
 
-``integer_map`` is the same expansion read as a ring map: each symbol goes to
-the sum of its pieces n * y, the pieces' indices are left out, and each
-monomial's image is scaled by the term's coefficient alone.  phi and psi are
-such maps, with n = C(i + k, k) (+-1)^k; ``_expand`` holds the monomial loop
-that both engines share.
+``integer_map`` is the same fold read as a ring map: each symbol goes to the
+sum of its pieces n * y, and each monomial's image is scaled by the term's
+coefficient alone.  It is one ``leibniz`` call whose key product drops every
+index: a piece's index enters the fold as key(zero, u), so here it is (), and
+the pieces of one symbol must be distinct symbols.  phi and psi are such
+maps, with n = C(i + k, k) (+-1)^k, and so is theta, with one piece per
+symbol.  ``leibniz`` holds the module's one accumulation loop, and a sum that
+cancels is dropped by one ``_drop_zeros`` pass per collected index, as in
+``add`` and ``mul``.
 
 The text form of a term dict is written here too, by three rules that every
 ring shares: ``render_powers`` writes a key as a power product (``s^2*t1``,
@@ -132,21 +136,22 @@ def leibniz(
     truncating key product ``key``.
 
     ``pieces_of(x)`` maps multi-indices u to pairs (n, y): d_u(x) = n * y for a
-    plain integer n and one symbol y.  It runs once per symbol and may leave
-    out the u whose n vanishes in the field.  Each monomial's table
+    plain integer n and one symbol y, a distinct y for each u.  It runs once
+    per symbol and may leave out the u whose n vanishes in the field; a
+    piece's index is key(zero, u), so a key product that drops indices
+    (``integer_map``) maps every piece to the index ().  Each monomial's table
     {(index, monomial): n} is expanded over the integers (``_expand``), and
     each entry is reduced into the field once; an entry that vanishes there
     (C(p, 1) in characteristic p) is dropped.  Only then does
     ``coeff_table(c)``, a map from multi-indices to base elements, enter: one
     base-element scale per pair of its entry and a table entry whose index
     product is collected, and a sum only where two terms of f meet at the same
-    output monomial.
+    output monomial.  This is the module's one accumulation loop.
     """
     field = f.field
     scalar = field.scalar
     symbols, tables = _expand(f, pieces_of, key, (0,) * len(collect[0]))
     sums: dict = {k: {} for k in collect}
-    met = []
     for coeff, table in tables:
         # (gamma, D_gamma(c), gamma != 0); the zero index moves no table entry
         coeffs = [(g, v, any(g)) for g, v in coeff_table(coeff).items() if v]
@@ -160,13 +165,8 @@ def leibniz(
                 if terms is not None:
                     c = v if n == 1 else v * n
                     s = terms.get(ranks)
-                    if s is None:
-                        terms[ranks] = c
-                    else:
-                        terms[ranks] = s + c
-                        met.append((terms, ranks))
-    _drop_met(met)
-    return {k: _of_ranks(ring, field, sums[k], symbols) for k in collect}
+                    terms[ranks] = c if s is None else s + c
+    return {k: _of_ranks(ring, field, _drop_zeros(sums[k]), symbols) for k in collect}
 
 
 def integer_map(f, pieces_of: Callable, ring):
@@ -174,33 +174,13 @@ def integer_map(f, pieces_of: Callable, ring):
     (n, y) = pieces_of(x).values(), a plain integer times one symbol, as an
     element of ``ring``; base coefficients are fixed.
 
-    The ring-map twin of ``leibniz``, with the pieces' indices left out: each
-    monomial's image is expanded over the integers (``_expand``), each entry
-    is reduced into the field once and dropped if it vanishes there, and only
-    then is it scaled by the term's base coefficient, a base element times a
-    number.  Two terms of f are summed only where they meet at the same
-    output monomial.
+    ``leibniz`` with a key product that drops every index: each monomial's
+    image is expanded over the integers and reduced into the field once, and
+    only then scaled by the term's base coefficient.  The pieces of one
+    symbol must be distinct symbols, since their indices no longer tell them
+    apart.
     """
-    field = f.field
-    scalar = field.scalar
-    symbols, tables = _expand(f, pieces_of, _no_index, ())
-    out: dict = {}
-    met = []
-    for coeff, table in tables:
-        for (_, ranks), n in table.items():
-            if n != 1:
-                n = scalar(n)
-                if not n:
-                    continue
-            c = coeff if n == 1 else coeff * n
-            s = out.get(ranks)
-            if s is None:
-                out[ranks] = c
-            else:
-                out[ranks] = s + c
-                met.append((out, ranks))
-    _drop_met(met)
-    return _of_ranks(ring, field, out, symbols)
+    return leibniz(f, _no_index, [()], lambda c: {(): c}, pieces_of, ring)[()]
 
 
 def _no_index(a: tuple, b: tuple) -> tuple:
@@ -216,7 +196,7 @@ def _expand(f, pieces_of: Callable, key: Callable, zero: tuple) -> tuple[list, I
     over plain integers n, not yet reduced into the field.  Indices multiply
     under ``key`` from ``zero`` (a None drops the product) and ranks merge;
     each power pieces_of(x)^e is built once per call."""
-    symbols, single = _ranked_pieces(f, pieces_of)
+    symbols, single = _ranked_pieces(f, pieces_of, key, zero)
 
     # a table key is (index, sorted ranks): indices add under key, ranks merge
     def pair_key(a: tuple, b: tuple):
@@ -242,22 +222,15 @@ def _expand(f, pieces_of: Callable, key: Callable, zero: tuple) -> tuple[list, I
     return symbols, tables()
 
 
-def _drop_met(met: list) -> None:
-    """Delete the sums that cancelled, for the (terms, ranks) where two terms met."""
-    for terms, ranks in met:
-        if ranks in terms and not terms[ranks]:
-            del terms[ranks]
-
-
 def _of_ranks(ring, field, terms: dict, symbols: list):
     """The ring element on a zero-free {ranks: coefficient} dict."""
     return ring._of(field, {_monomial(ranks, symbols): c for ranks, c in terms.items()})
 
 
-def _ranked_pieces(f, pieces_of: Callable) -> tuple[list, dict]:
-    """(symbols, {x: {(u, (rank of y,)): n}}) for the pieces (n, y) of every
-    symbol x of f.  Output symbols are ranked in sort_key order, so a sorted
-    tuple of ranks names a monomial by a key of plain ints."""
+def _ranked_pieces(f, pieces_of: Callable, key: Callable, zero: tuple) -> tuple[list, dict]:
+    """(symbols, {x: {(key(zero, u), (rank of y,)): n}}) for the pieces (n, y)
+    of every symbol x of f.  Output symbols are ranked in sort_key order, so a
+    sorted tuple of ranks names a monomial by a key of plain ints."""
     pieces: dict = {}
     for mono in f.terms:
         for sym, _ in mono:
@@ -266,7 +239,9 @@ def _ranked_pieces(f, pieces_of: Callable) -> tuple[list, dict]:
     outputs = {y for table in pieces.values() for _, y in table.values()}
     symbols = sorted(outputs, key=attrgetter("sort_key"))
     rank = {y: r for r, y in enumerate(symbols)}
-    single = {sym: {(u, (rank[y],)): n for u, (n, y) in table.items()} for sym, table in pieces.items()}
+    single = {
+        sym: {(key(zero, u), (rank[y],)): n for u, (n, y) in table.items()} for sym, table in pieces.items()
+    }
     return symbols, single
 
 

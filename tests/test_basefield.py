@@ -1,6 +1,7 @@
 """Rational functions with Hasse derivatives: normalization, gcd, quotient rule."""
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -264,3 +265,31 @@ def test_constant_hasse_table_takes_no_parameter_derivative(field, monkeypatch):
             assert d == hasse_derive(alpha, c), (c, alpha)
             assert d.den == ParamPoly.const(field, 1)
         monkeypatch.setattr(ParamPoly, "hasse", counted)
+
+
+class TestOutsideInput:
+    def test_monomial_rejects_a_key_of_the_wrong_length(self):
+        # (1, 2) over one parameter would print as 3*s and equal no 3*s
+        with pytest.raises(ValueError, match="1 naturals"):
+            ParamPoly.monomial(Q_s, (1, 2), 3)
+        assert ParamPoly.monomial(Q_s, (1,), 3).render() == "3*s"
+
+    def test_constructor_rejects_a_negative_exponent(self):
+        for terms in ({(-1,): 1}, {(0,): 1, (-1,): 0}):
+            with pytest.raises(ValueError, match="naturals"):
+                ParamPoly(terms, Q_s)
+        with pytest.raises(ValueError, match="naturals"):
+            ParamPoly({(1, -2): 1}, Q_su)
+
+    def test_const_zero_is_the_zero_polynomial(self):
+        for field in FIELDS:
+            zero = ParamPoly.const(field, 0)
+            assert not zero and zero == ParamPoly.zero(field) and zero.terms == {}
+
+    def test_constructor_maps_coefficients_into_the_field(self):
+        # an int coefficient over Q used to stay an int, and a float was kept
+        p = ParamPoly({(1,): 3, (0,): Fraction(1, 2)}, Q_s)
+        assert all(type(c) is Fraction for c in p.terms.values())
+        assert p == ParamPoly.monomial(Q_s, (1,), 3) + ParamPoly.const(Q_s, Fraction(1, 2))
+        with pytest.raises(TypeError, match="int or a Fraction"):
+            ParamPoly({(1,): 1.5}, Q_s)

@@ -260,3 +260,35 @@ def test_substitute_builds_each_power_once():
     assert len(asked) == 4
     u, v = x + y + s, x - 1
     assert g == u**2 + u**2 * v + s * u * v + 3 * u**2 * v**2 + u * v**2
+
+
+# -- ring results are built on termdict's zero-free dicts -----------------------
+
+
+@pytest.mark.parametrize("field", PROPERTY_FIELDS.values(), ids=PROPERTY_FIELDS.keys())
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_ring_results_take_no_second_zero_filter(field, data):
+    # termdict already drops zeros, so over Q no result passes through
+    # _nonzero; over F_p its int residues are reduced, once
+    a = data.draw(param_polys(field, 2, 3), label="a")
+    b = data.draw(param_polys(field, 2, 3), label="b")
+    calls = []
+    real = basefield._nonzero
+
+    def counted(terms, p):
+        calls.append(p)
+        return real(terms, p)
+
+    basefield._nonzero = counted
+    try:
+        results = [a + b, a - b, a * b, -a, a.scale(3)]
+    finally:
+        basefield._nonzero = real
+    if field.characteristic:
+        assert calls
+        for r in results:
+            assert r == ParamPoly(r.terms, field), r
+    else:
+        assert calls == []
+    assert_plain_coefficients(*results)

@@ -23,6 +23,7 @@ from hsprolong import (
     twist_psi,
 )
 from hsprolong import checks, cli, series
+from hsprolong.basefield import hasse_table
 from hsprolong.multiindex import index_add, index_size, unit_index
 from hsprolong.sampling import random_base_elem, random_multiindex, random_nonzero_base_elem
 
@@ -297,3 +298,26 @@ def test_non_iterative_expansion_fails_check_twist(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "FAIL twist" in out
     assert rc == 1
+
+
+class TestOutsideInput:
+    def test_negative_key_rejected(self):
+        # {(-1,): c} used to print as t1^-1
+        with pytest.raises(ValueError, match="negative"):
+            TruncatedElement({(-1,): BaseElem.one(Q_s)}, 2, 1)
+        with pytest.raises(ValueError, match="negative"):
+            TruncatedElement({(0, -1): BaseElem.one(Q_su)}, 2, 2)
+
+    def test_negative_order_bound_rejected(self):
+        with pytest.raises(ValueError, match="natural"):
+            TruncatedElement({}, -1, 1)
+        with pytest.raises(ValueError, match="natural"):
+            TruncatedElement.zero(-1, 1)
+
+    def test_twist_expand_rejects_a_negative_order_like_hasse_table(self):
+        s = BaseElem.param(Q_s, "s")
+        with pytest.raises(ValueError):
+            hasse_table(s, -1)
+        for r in (s, 1 / (s + 1), BaseElem.const(Q_s, 2)):
+            with pytest.raises(ValueError, match="natural"):
+                twist_expand(r, -1)

@@ -235,6 +235,25 @@ def test_presentation_output_is_pinned(field, command, order, tmp_path, capsys):
     assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_DIGESTS[field, command, order]
 
 
+# Check reports that reach order-3 derivative tables, which `check all` does
+# not; CI compares the installed console script with these lines too.
+CHECK_ORDER_3_SEED_42_SHA256 = {
+    "check phi-psi --outer 6 --inner 3": "0c408786bb8fb383d06a67c3f7f418a4e39da7b96fe72bfb59ab9c509f278804",
+    "check theta --order 3 --inner 3": "09c2ec75bc876fa2a5e66dbbbd5432aeb3d33bf5d223d72d8a81a3ab79592611",
+    "check twist --order 3": "c1f7e81337aaad75a738768182e58667b6d1054e8cc1e60647fa864302bd5e57",
+    "check tensor --order 3 --inner 3": "dfd484c222b0e046d531a0f4cd0a7b645e176c2c5ddd140440c0f0a3fc7b25c7",
+}
+
+
+@pytest.mark.parametrize("command", sorted(CHECK_ORDER_3_SEED_42_SHA256))
+def test_order_3_check_output_is_pinned(command, capsys):
+    from hsprolong import cli
+
+    assert cli.main([*command.split(), "--seed", "42"]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == CHECK_ORDER_3_SEED_42_SHA256[command]
+
+
 def test_directory_file_is_an_input_error(tmp_path, capsys):
     from hsprolong import cli
 

@@ -32,9 +32,16 @@ D_k(1/den).  That work stays in polynomials: D_k(1/den) is a numerator M_k
 over den^(k+1), and D_k(num/den) is the numerator
 sum over u of D_u(num) * den^u * M_{k-u} over den^(k+1), so each output
 coefficient takes one normalization and no BaseElem sum or product on the
-way.  The truncated-series route to the same values lives in the series
-module (substitution s -> s + t and a geometric series, no binomials and no
-D(den * 1/den) recursion) and is kept independent as a cross-check.
+way.  One table routine computes every D_alpha on base elements:
+``_hasse_table`` walks the families from n-1 down to 0, and
+``_family_table`` gives one family's derivatives at a range of orders from
+one recursion up to the top order.  ``hasse_derive`` reads the single entry
+of a walk that asks each family for its one order, ``hasse_table`` and
+diffpoly's box read all-orders tables, and the layered maps call
+``_family_table`` directly.  The truncated-series route to the same values
+lives in the series module (substitution s -> s + t and a geometric series,
+no binomials and no D(den * 1/den) recursion) and is kept independent as a
+cross-check.
 """
 
 from __future__ import annotations
@@ -775,25 +782,21 @@ def _quotient_rule(v: int, nums: list[ParamPoly], ms: list[ParamPoly], powers: l
     return BaseElem(total, powers[v + 1])
 
 
-def _family_derive(i: int, k: int, a: BaseElem) -> BaseElem:
-    """D_{i,k}(a) for the single derivation family i, via the quotient rule."""
-    if k == 0:
-        return a
-    if a.den.is_const():
-        return _elem(a.num.hasse(i, k), a.den)
-    return _quotient_rule(k, *_quotient_tables(i, k, a))
-
-
-def _family_table(i: int, k: int, a: BaseElem) -> list[BaseElem]:
-    """[D_{i,0}(a), ..., D_{i,k}(a)], running the 1/den recursion once for all k."""
+def _family_table(i: int, orders: range, a: BaseElem) -> list[BaseElem]:
+    """[D_{i,k}(a) for k in orders], running the 1/den recursion once up to the
+    top order; an order-0 family is a itself and runs none."""
+    top = orders[-1]
+    if not top:
+        return [a]
     if a.den.is_const():
         if a.num.is_const():
             # a constant's positive orders are all zero
-            return [a] + [BaseElem.zero(a.field)] * k
+            zero = _elem(ParamPoly.zero(a.field), a.den)
+            return [zero if k else a for k in orders]
         # a polynomial's derivatives are polynomials, each its own normal form
-        return [a] + [_elem(a.num.hasse(i, v), a.den) for v in range(1, k + 1)]
-    tables = _quotient_tables(i, k, a)
-    return [a] + [_quotient_rule(v, *tables) for v in range(1, k + 1)]
+        return [_elem(a.num.hasse(i, k), a.den) if k else a for k in orders]
+    tables = _quotient_tables(i, top, a)
+    return [_quotient_rule(k, *tables) if k else a for k in orders]
 
 
 def hasse_derive(alpha: Sequence[int], a: BaseElem) -> BaseElem:
@@ -803,33 +806,31 @@ def hasse_derive(alpha: Sequence[int], a: BaseElem) -> BaseElem:
         raise ValueError(f"multi-index length {len(alpha)} != derivation count {n}")
     if any(k < 0 for k in alpha):
         raise ValueError(f"multi-index entries must be naturals, got {tuple(alpha)}")
-    out = a
-    for i in range(n - 1, -1, -1):
-        if alpha[i]:
-            out = _family_derive(i, alpha[i], out)
-    return out
+    return _hasse_table(a, lambda i, rest: range(alpha[i], alpha[i] + 1))[tuple(alpha)]
 
 
 def hasse_table(a: BaseElem, m: int) -> dict[tuple, BaseElem]:
     """{alpha: D_alpha(a)} for every multi-index alpha with |alpha| <= m.
 
-    Family by family from n-1 down to 0, as hasse_derive composes them, so each
-    entry equals hasse_derive(alpha, a); each element met in a family's pass
-    runs the D_l(1/den) recursion once for every order it needs.
+    Each element met in a family's pass runs the D_l(1/den) recursion once for
+    every order it needs.
     """
     if m < 0:
         raise ValueError(f"derivative order must be a natural, got {m}")
-    return _hasse_table(a, lambda i, rest: m - sum(rest))
+    return _hasse_table(a, lambda i, rest: range(m - sum(rest) + 1))
 
 
-def _hasse_table(a: BaseElem, top: Callable[[int, tuple], int]) -> dict[tuple, BaseElem]:
-    """{alpha: D_alpha(a)}, family i running to order top(i, rest) below the
-    coordinates rest it comes after: one _family_table pass per element and family."""
+def _hasse_table(a: BaseElem, orders: Callable[[int, tuple], range]) -> dict[tuple, BaseElem]:
+    """{alpha: D_alpha(a)} with alpha_i in orders(i, rest) below the coordinates
+    rest it comes after: family by family from n-1 down to 0, one _family_table
+    pass per element and family.  hasse_derive, hasse_table and diffpoly's box
+    all run this walk."""
     table: dict[tuple, BaseElem] = {(): a}
     for i in range(a.field.derivation_count - 1, -1, -1):
         table = {
             (k,) + rest: d
             for rest, b in table.items()
-            for k, d in enumerate(_family_table(i, top(i, rest), b))
+            for ks in (orders(i, rest),)
+            for k, d in zip(ks, _family_table(i, ks, b))
         }
     return table

@@ -113,8 +113,10 @@ def check_twist(seed: int, trials: int, *, order: int, **_) -> list[str]:
             return "twist", f"trial{t},scalar={r}", lhs, rhs
         a1 = random_base_elem(rng, field)
         a2 = random_base_elem(rng, field)
-        if twist_expand(a1 * a2, m) != twist_expand(a1, m) * twist_expand(a2, m):
-            return "twist", f"trial{t},hom={a1},{a2}", "e(ab)", "e(a)e(b)"
+        lhs = twist_expand(a1 * a2, m)
+        rhs = twist_expand(a1, m) * twist_expand(a2, m)
+        if lhs != rhs:
+            return "twist", f"trial{t},hom={a1},{a2}", lhs, rhs
         return None
 
     return _run([_Loop("twist", f"m<={m},n<=2", trials, trial, (_Q_S12, _F5_S))])
@@ -135,8 +137,10 @@ def check_iterative(seed: int, trials: int, **_) -> list[str]:
             return "iterative", f"trial{t},a={a},alpha={alpha},beta={beta}", lhs, rhs
         if n >= 2:
             e1, e2 = (1, 0), (0, 1)
-            if hasse_derive(e1, hasse_derive(e2, a)) != hasse_derive(e2, hasse_derive(e1, a)):
-                return "commute", f"trial{t},a={a}", "D1D2", "D2D1"
+            lhs = hasse_derive(e1, hasse_derive(e2, a))
+            rhs = hasse_derive(e2, hasse_derive(e1, a))
+            if lhs != rhs:
+                return "commute", f"trial{t},a={a}", lhs, rhs
         f = random_diffpoly(rng, field, var_count=2, max_terms=2, max_factors=2)
         for mode in (P, J):
             l2 = apply_d(alpha, apply_d(beta, f, mode), mode)
@@ -238,8 +242,9 @@ def _phi_psi_loops(bound: int, m: int, trials: int, seed: int, field: FieldDescr
         i, j = divmod(t, m + 1)
         for kind, there, back, way in ((P, phi, psi, "psi.phi"), (J, psi, phi, "phi.psi")):
             g = LayeredPoly.generator(field, 0, i, j, kind)
-            if back(there(g, bound), bound) != g:
-                return "phi-psi-sweep", f"(i={i},j={j},dir={way})", "roundtrip", "identity"
+            round_trip = back(there(g, bound), bound)
+            if round_trip != g:
+                return "phi-psi-sweep", f"(i={i},j={j},dir={way})", round_trip, g
         return None
 
     def roundtrip(t, field):
@@ -370,16 +375,11 @@ def ordered_partitions(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def multinomial_identity_check(
-    k: int,
-    field: FieldDescriptor | None = None,
-    rng: random.Random | None = None,
-    trials: int = 5,
-) -> bool:
+def multinomial_identity_check(k: int, field: FieldDescriptor, rng: random.Random, trials: int) -> bool:
     """Signed multinomial sum over compositions of k equals (-1)^k.
 
-    Also cross-checks |P[k]| = 2^(k-1) and, when a field is supplied, the
-    operator identity D_pi = mu(pi) D_k on random elements.
+    Also cross-checks |P[k]| = 2^(k-1) and the operator identity
+    D_pi = mu(pi) D_k on random elements of the field.
     """
     parts = ordered_partitions(k)
     if len(parts) != 2 ** (k - 1):
@@ -387,19 +387,17 @@ def multinomial_identity_check(
     total = sum((-1) ** len(pi) * multinomial(pi) for pi in parts)
     if total != (-1) ** k:
         return False
-    if field is not None:
-        rng = rng or random.Random(0)
-        if field.derivation_count != 1:
-            raise ValueError("the operator identity check runs over a single derivation")
-        for _ in range(trials):
-            a = random_base_elem(rng, field)
-            pi = rng.choice(parts)
-            lhs = a
-            for part in reversed(pi):
-                lhs = hasse_derive((part,), lhs)
-            rhs = hasse_derive((k,), a) * field.scalar(multinomial(pi))
-            if lhs != rhs:
-                return False
+    if field.derivation_count != 1:
+        raise ValueError("the operator identity check runs over a single derivation")
+    for _ in range(trials):
+        a = random_base_elem(rng, field)
+        pi = rng.choice(parts)
+        lhs = a
+        for part in reversed(pi):
+            lhs = hasse_derive((part,), lhs)
+        rhs = hasse_derive((k,), a) * field.scalar(multinomial(pi))
+        if lhs != rhs:
+            return False
     return True
 
 

@@ -130,7 +130,7 @@ def apply_d(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly
 
     def derivatives(c):
         # the box below alpha, from one quotient-rule pass per family
-        return _hasse_table(c, lambda i, rest: alpha[i])
+        return _hasse_table(c, lambda i, rest: range(alpha[i] + 1))
 
     return _fold(f, mode, termdict.box_key(alpha), indices_below(alpha), (alpha,), derivatives)[alpha]
 

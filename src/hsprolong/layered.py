@@ -89,7 +89,7 @@ def _d_table(l: int, c: BaseElem) -> list[BaseElem]:
     a trivial field kills every positive order."""
     if c.field.derivation_count == 0:
         return [c] + [BaseElem.zero(c.field)] * l
-    return _family_table(0, l, c)
+    return _family_table(0, range(l + 1), c)
 
 
 def layered_expand(

@@ -12,6 +12,7 @@ from .basefield import BaseElem, ParamPoly
 from .fields import FieldDescriptor
 from .diffpoly import DiffPoly, DiffSymbol
 from .multiindex import zero_index
+from .presentations import VarietyPresentation
 
 
 def random_scalar(rng: random.Random, field: FieldDescriptor, span: int = 6):
@@ -99,8 +100,6 @@ def random_variety_with_point(
     Generators have the shape (x_i - a_i) * g, which vanish at the chosen
     point by construction, so no system solving is needed.
     """
-    from .presentations import VarietyPresentation
-
     point = random_point(rng, field, var_count)
     gens = []
     for _ in range(gen_count):

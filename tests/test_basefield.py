@@ -259,12 +259,34 @@ def test_constant_hasse_table_takes_no_parameter_derivative(field, monkeypatch):
         table = hasse_table(c, 4)
         assert calls == [], c
         assert set(table) == set(enumerate_multiindices(field.derivation_count, 4))
-        # the same values as the per-order polynomial route of hasse_derive
+        # the same values as hasse_derive, which asks each family for one order
         monkeypatch.setattr(ParamPoly, "hasse", real)
         for alpha, d in table.items():
             assert d == hasse_derive(alpha, c), (c, alpha)
             assert d.den == ParamPoly.const(field, 1)
         monkeypatch.setattr(ParamPoly, "hasse", counted)
+
+
+def test_hasse_derive_runs_one_recursion_per_nonzero_family(monkeypatch):
+    # hasse_derive reads one entry of the shared table walk: each family with a
+    # nonzero order runs the 1/den recursion once, to that order, and an
+    # order-0 family runs none
+    from hsprolong import basefield
+
+    calls = []
+    real = basefield._quotient_tables
+
+    def counted(i, k, a):
+        calls.append((i, k))
+        return real(i, k, a)
+
+    monkeypatch.setattr(basefield, "_quotient_tables", counted)
+    s, u = BaseElem.param(Q_su, "s"), BaseElem.param(Q_su, "u")
+    a = (s + u) / (s * u + 1)
+    for alpha, want in [((0, 0), []), ((2, 0), [(0, 2)]), ((0, 3), [(1, 3)]), ((1, 2), [(1, 2), (0, 1)])]:
+        calls.clear()
+        hasse_derive(alpha, a)
+        assert calls == want, alpha
 
 
 class TestOutsideInput:

@@ -98,3 +98,31 @@ def test_layered_holds_only_the_maps():
     assert "random" not in names and not any(name.startswith("random_") for name in names)
     assert not any(name.startswith("check") or name.endswith("_check") for name in names)
     assert "report_passed" not in names and "ordered_partitions" not in names
+
+
+def test_multinomial_reads_the_table_that_prolong_runs(monkeypatch, capsys):
+    # the D_alpha routine behind prolong, nabla and the layered maps: a defect
+    # there must fail the suite that checks the multinomial lemma
+    from hsprolong import basefield, cli
+
+    real = basefield._family_table
+
+    def planted(i, orders, a):
+        out = real(i, orders, a)
+        if a.den.is_const():
+            return out
+        return [d * 2 if k == 2 else d for k, d in zip(orders, out)]
+
+    monkeypatch.setattr(basefield, "_family_table", planted)
+    assert cli.main(["check", "multinomial", "--seed", "42"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert any(line.startswith("FAIL multinomial at=") for line in lines), lines
+
+
+def test_sweep_fail_line_carries_the_compared_polynomials(monkeypatch):
+    # the round-trip value and the generator, rendered, not two fixed words
+    real = checks.psi
+    monkeypatch.setattr(checks, "psi", lambda p, bound: real(p, bound).scale(2))
+    ok, lines = run_checks(["phi-psi"], **ARGS)
+    assert not ok
+    assert lines[-1] == "FAIL phi-psi-sweep at=(i=0,j=0,dir=psi.phi) lhs=2*d0del0x0 rhs=d0del0x0"

@@ -27,7 +27,7 @@ from .layered import tensor_left_action, tensor_right_action
 from .multiindex import index_add, splittings
 from .presentations import ideal_membership_witness
 from .sampling import random_base_elem, random_diffpoly, random_multiindex, random_nonzero_base_elem
-from .sampling import random_variety_with_point
+from .sampling import random_sparse_poly, random_variety_with_point
 from .series import twist_expand, twist_inverse, twist_psi, TruncatedElement
 
 P, J = DerivationMode.PROLONGATION, DerivationMode.JET
@@ -223,14 +223,10 @@ def check_theta(seed: int, trials: int, *, order: int, inner: int, **_) -> list[
 def _random_layered(
     rng: random.Random, field: FieldDescriptor, max_outer: int, max_inner: int, kind: DerivationMode
 ) -> LayeredPoly:
-    out = LayeredPoly.zero(field)
-    for _ in range(rng.randint(1, 3)):
-        term = LayeredPoly.const(field, random_base_elem(rng, field, max_deg=1, max_terms=2))
-        for _ in range(rng.randint(0, 2)):
-            sym = LayeredSymbol(rng.randrange(2), rng.randint(0, max_outer), rng.randint(0, max_inner), kind)
-            term = term * LayeredPoly.from_symbol(field, sym)
-        out = out + term
-    return out
+    def symbol():
+        return LayeredSymbol(rng.randrange(2), rng.randint(0, max_outer), rng.randint(0, max_inner), kind)
+
+    return random_sparse_poly(rng, field, LayeredPoly, 3, 2, symbol)
 
 
 def _phi_psi_loops(bound: int, m: int, trials: int, seed: int, field: FieldDescriptor) -> list[_Loop]:
@@ -375,18 +371,35 @@ def ordered_partitions(k: int) -> list[tuple[int, ...]]:
     return out
 
 
-def multinomial_identity_check(k: int, field: FieldDescriptor, rng: random.Random, trials: int) -> bool:
-    """Signed multinomial sum over compositions of k equals (-1)^k.
+def _factorials(k: int) -> list[int]:
+    """[0!, 1!, ..., k!]."""
+    fact = [1]
+    for i in range(1, k + 1):
+        fact.append(fact[-1] * i)
+    return fact
 
-    Also cross-checks |P[k]| = 2^(k-1) and the operator identity
-    D_pi = mu(pi) D_k on random elements of the field.
-    """
+
+def _signed_multinomial_sum(k: int, parts: Sequence[tuple[int, ...]]) -> int:
+    """sum over pi in parts of (-1)^len(pi) * k!/(a_1!...a_r!), off one factorial table."""
+    fact = _factorials(k)
+    top = fact[k]
+    total = 0
+    for pi in parts:
+        den = 1
+        for a in pi:
+            den *= fact[a]
+        total += -(top // den) if len(pi) % 2 else top // den
+    return total
+
+
+def _multinomial_failure(k: int, field: FieldDescriptor, rng: random.Random, trials: int) -> "tuple | None":
+    """The first comparison of the multinomial lemma at k that fails, as a trial gives it."""
     parts = ordered_partitions(k)
     if len(parts) != 2 ** (k - 1):
-        return False
-    total = sum((-1) ** len(pi) * multinomial(pi) for pi in parts)
+        return "multinomial", f"k={k},count", len(parts), 2 ** (k - 1)
+    total = _signed_multinomial_sum(k, parts)
     if total != (-1) ** k:
-        return False
+        return "multinomial", f"k={k},signed-sum", total, (-1) ** k
     if field.derivation_count != 1:
         raise ValueError("the operator identity check runs over a single derivation")
     for _ in range(trials):
@@ -397,17 +410,27 @@ def multinomial_identity_check(k: int, field: FieldDescriptor, rng: random.Rando
             lhs = hasse_derive((part,), lhs)
         rhs = hasse_derive((k,), a) * field.scalar(multinomial(pi))
         if lhs != rhs:
-            return False
-    return True
+            return "multinomial", f"k={k},a={a},pi={pi}", lhs, rhs
+    return None
+
+
+def multinomial_identity_check(k: int, field: FieldDescriptor, rng: random.Random, trials: int) -> bool:
+    """Signed multinomial sum over compositions of k equals (-1)^k.
+
+    The sum runs over ``ordered_partitions(k)``, each composition's
+    multinomial k!/(a_1!...a_r!) read off one factorial table built for the
+    call.  Also cross-checks |P[k]| = 2^(k-1) and the operator identity
+    D_pi = mu(pi) D_k on random elements of the field, with mu(pi) from
+    ``fields.multinomial``.
+    """
+    return _multinomial_failure(k, field, rng, trials) is None
 
 
 def check_multinomial(seed: int, trials: int, *, max_k: int, **_) -> list[str]:
     rng = random.Random(seed)
 
     def trial(t, field):
-        if multinomial_identity_check(t + 1, field, rng, trials=3):
-            return None
-        return "multinomial", f"k={t + 1}", "signed-sum", "(-1)^k"
+        return _multinomial_failure(t + 1, field, rng, trials=3)
 
     return _run([_Loop("multinomial", f"k<=({max_k})", max_k, trial)])
 

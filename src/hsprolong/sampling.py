@@ -2,23 +2,56 @@
 
 Everything takes an explicit random.Random so identical seeds reproduce
 identical streams; checks never touch global randomness.
+
+A random polynomial is one term dict per draw: each term's monomial is the
+product of its drawn factors (``monomial_mul``), equal monomials are summed
+into one entry, and the result is built by one constructor call.  The
+generator calls come in the order that a chain of ring products and sums
+would make them, and a sum that cancels drops its monomial just as that
+chain does, so each draw is the value, and the term order, of that chain.
+A rational function still takes its one ``BaseElem(num, den)``
+normalization.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from typing import Callable, Iterable
+
 from .basefield import BaseElem, ParamPoly
 from .fields import FieldDescriptor
 from .diffpoly import DiffPoly, DiffSymbol
 from .multiindex import zero_index
 from .presentations import VarietyPresentation
+from .sparsepoly import SparsePoly, monomial_mul
 
 
 def random_scalar(rng: random.Random, field: FieldDescriptor, span: int = 6):
     if field.characteristic:
         return field.scalar(rng.randrange(field.characteristic))
     return field.scalar(Fraction(rng.randint(-span, span), rng.randint(1, 4)))
+
+
+def _summed(pairs: Iterable, p: int = 0) -> dict:
+    """The (key, coeff) pairs summed into one term dict, in the order they come.
+
+    Equal keys are summed (mod p when p), a zero coefficient adds nothing, and
+    a key whose sum cancels is deleted, so a later term on it comes last, as
+    in a chain of ring sums.
+    """
+    out: dict = {}
+    for k, c in pairs:
+        if not c:
+            continue
+        s = out.get(k)
+        if s is not None:
+            c = (s + c) % p if p else s + c
+            if not c:
+                del out[k]
+                continue
+        out[k] = c
+    return out
 
 
 def random_param_poly(
@@ -29,13 +62,14 @@ def random_param_poly(
     nonzero: bool = False,
 ) -> ParamPoly:
     r = field.param_count
-    out = ParamPoly.zero(field)
-    for _ in range(rng.randint(0, max_terms)):
-        exps = tuple(rng.randint(0, max_deg) for _ in range(r))
-        out = out + ParamPoly.monomial(field, exps, random_scalar(rng, field))
-    if nonzero and not out:
+    terms = _summed(
+        ((tuple(rng.randint(0, max_deg) for _ in range(r)), random_scalar(rng, field))
+         for _ in range(rng.randint(0, max_terms))),
+        field.characteristic,
+    )
+    if nonzero and not terms:
         return ParamPoly.const(field, 1)
-    return out
+    return ParamPoly(terms, field)
 
 
 def random_base_elem(
@@ -67,6 +101,27 @@ def random_multiindex(rng: random.Random, n: int, max_size: int) -> tuple:
     return tuple(out)
 
 
+def random_sparse_poly(
+    rng: random.Random,
+    field: FieldDescriptor,
+    cls: type[SparsePoly],
+    max_terms: int,
+    max_factors: int,
+    symbol: Callable[[], object],
+) -> SparsePoly:
+    """1..max_terms terms, each a random base element times 0..max_factors
+    symbols from ``symbol()``, which draws one symbol from the same rng."""
+
+    def term():
+        c = random_base_elem(rng, field, max_deg=1, max_terms=2)
+        mono = ()
+        for _ in range(rng.randint(0, max_factors)):
+            mono = monomial_mul(mono, ((symbol(), 1),))
+        return mono, c
+
+    return cls(_summed(term() for _ in range(rng.randint(1, max_terms))), field)
+
+
 def random_diffpoly(
     rng: random.Random,
     field: FieldDescriptor,
@@ -77,15 +132,12 @@ def random_diffpoly(
     order_zero_only: bool = False,
 ) -> DiffPoly:
     n = field.derivation_count
-    out = DiffPoly.zero(field)
-    for _ in range(rng.randint(1, max_terms)):
-        term = DiffPoly.const(field, random_base_elem(rng, field, max_deg=1, max_terms=2))
-        for _ in range(rng.randint(0, max_factors)):
-            order = zero_index(n) if order_zero_only else random_multiindex(rng, n, max_order)
-            sym = DiffSymbol(rng.randrange(var_count), order)
-            term = term * DiffPoly.from_symbol(field, sym)
-        out = out + term
-    return out
+
+    def symbol():
+        order = zero_index(n) if order_zero_only else random_multiindex(rng, n, max_order)
+        return DiffSymbol(rng.randrange(var_count), order)
+
+    return random_sparse_poly(rng, field, DiffPoly, max_terms, max_factors, symbol)
 
 
 def random_point(rng: random.Random, field: FieldDescriptor, var_count: int) -> dict:

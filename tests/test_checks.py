@@ -10,7 +10,7 @@ import pytest
 from hsprolong import checks
 from hsprolong.checks import CHECK_NAMES, check_theta_relations, run_checks
 from hsprolong.diffpoly import DiffPoly
-from hsprolong.fields import FieldDescriptor
+from hsprolong.fields import FieldDescriptor, multinomial
 from hsprolong.presentations import VarietyPresentation
 
 ARGS = dict(seed=42, trials=100, order=2, outer=4, inner=2, max_k=12)
@@ -100,10 +100,9 @@ def test_layered_holds_only_the_maps():
     assert "report_passed" not in names and "ordered_partitions" not in names
 
 
-def test_multinomial_reads_the_table_that_prolong_runs(monkeypatch, capsys):
-    # the D_alpha routine behind prolong, nabla and the layered maps: a defect
-    # there must fail the suite that checks the multinomial lemma
-    from hsprolong import basefield, cli
+def _plant_doubled_order_two(monkeypatch):
+    # doubles the order-2 entries of the family table on non-polynomial elements
+    from hsprolong import basefield
 
     real = basefield._family_table
 
@@ -114,9 +113,62 @@ def test_multinomial_reads_the_table_that_prolong_runs(monkeypatch, capsys):
         return [d * 2 if k == 2 else d for k, d in zip(orders, out)]
 
     monkeypatch.setattr(basefield, "_family_table", planted)
+
+
+def test_multinomial_reads_the_table_that_prolong_runs(monkeypatch, capsys):
+    # the D_alpha routine behind prolong, nabla and the layered maps: a defect
+    # there must fail the suite that checks the multinomial lemma
+    from hsprolong import cli
+
+    _plant_doubled_order_two(monkeypatch)
     assert cli.main(["check", "multinomial", "--seed", "42"]) == 1
     lines = capsys.readouterr().out.splitlines()
     assert any(line.startswith("FAIL multinomial at=") for line in lines), lines
+
+
+def test_multinomial_fail_line_names_the_operator_comparison(monkeypatch, capsys):
+    # the signed sum holds here; the FAIL line carries the element, the
+    # composition and both rendered derivatives D_pi(a) and mu(pi)*D_k(a)
+    from hsprolong import cli
+
+    _plant_doubled_order_two(monkeypatch)
+    assert cli.main(["check", "multinomial", "--seed", "42"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["FAIL multinomial at=k=4,a=-3/s,pi=(1, 2, 1) lhs=-72/s^5 rhs=-36/s^5"]
+
+
+def test_multinomial_fail_line_names_the_composition_count(monkeypatch):
+    real = checks.ordered_partitions
+    monkeypatch.setattr(checks, "ordered_partitions", lambda k: real(k)[:-1] if k >= 3 else real(k))
+    ok, lines = run_checks(["multinomial"], **ARGS)
+    assert not ok
+    assert lines[-1] == "FAIL multinomial at=k=3,count lhs=3 rhs=4"
+
+
+@pytest.mark.parametrize("k", range(1, 15))
+def test_signed_sum_matches_the_multinomial_reference(k):
+    parts = checks.ordered_partitions(k)
+    reference = sum((-1) ** len(pi) * multinomial(pi) for pi in parts)
+    assert checks._signed_multinomial_sum(k, parts) == reference == (-1) ** k
+
+
+@pytest.mark.parametrize("entry", range(1, 13))
+def test_one_wrong_factorial_fails_the_suite(entry, monkeypatch, capsys):
+    from hsprolong import cli
+
+    real = checks._factorials
+
+    def planted(k):
+        fact = real(k)
+        if entry <= k:
+            fact[entry] += 1
+        return fact
+
+    monkeypatch.setattr(checks, "_factorials", planted)
+    assert cli.main(["check", "multinomial", "--seed", "42"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL multinomial at=k=")
+    assert ",signed-sum lhs=" in fails[0]
 
 
 def test_sweep_fail_line_carries_the_compared_polynomials(monkeypatch):

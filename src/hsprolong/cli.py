@@ -8,9 +8,12 @@ Exit codes: 0 success / all checks pass, 1 check failure, 2 input error
 parse), 3 internal error (any other ValueError or ZeroDivisionError: a fault
 of the program, not of the input).
 
-COMMANDS is the one table of commands.  ``main`` builds the top-level parser
-and only the subparser of the command named by its first argument; help, a
-missing or an unknown command get every subparser.
+COMMANDS is the one table of commands.  A call that names a command builds
+one parser, that command's, with prog "hsprolong <name>"; it prints the same
+usage and errors as the command's subparser would.  The full parser, with
+every command as a subparser, is built only for help, for a missing or
+unknown command, and to report the two errors that belong to the top level:
+arguments the command does not recognize, and --inner above --outer.
 """
 
 from __future__ import annotations
@@ -213,20 +216,25 @@ COMMANDS = (
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
-    """The argument parser, with only the subparser of ``command`` if it names one.
+    """The parser of ``command`` alone if COMMANDS names it, else the full parser.
 
-    Anything else (None, an option, an unknown name) gets every subparser, so
-    help and choice errors list them all.  The one-subparser parser spells out
-    the full command list as its metavar, so its usage line is the same.
+    The one-command parser is what the full parser would build as that
+    command's subparser: same prog, arguments and defaults, and ``command``
+    set to its name.  The full parser has every command as a subparser, so
+    help and choice errors list them all.
     """
+    for name, _, add_arguments in COMMANDS:
+        if name == command:
+            ap = argparse.ArgumentParser(prog=f"hsprolong {name}")
+            add_arguments(ap)
+            ap.set_defaults(command=name)
+            return ap
     ap = argparse.ArgumentParser(
         prog="hsprolong",
         description="Prolongations and jet spaces over fields with Hasse derivations",
     )
-    chosen = [c for c in COMMANDS if c[0] == command]
-    metavar = "{" + ",".join(name for name, _, _ in COMMANDS) + "}" if chosen else None
-    sub = ap.add_subparsers(dest="command", required=True, metavar=metavar)
-    for name, help_text, add_arguments in chosen or COMMANDS:
+    sub = ap.add_subparsers(dest="command", required=True)
+    for name, help_text, add_arguments in COMMANDS:
         add_arguments(sub.add_parser(name, help=help_text))
     return ap
 
@@ -234,10 +242,15 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    ap = build_parser(argv[0] if argv else None)
-    args = ap.parse_args(argv)
+    if argv and argv[0] in (name for name, _, _ in COMMANDS):
+        # the command's parser gets what its subparser would: every argument after the name
+        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
+        if extras:
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+    else:
+        args = build_parser().parse_args(argv)
     if args.command == "check" and args.suite in ("phi-psi", "all") and args.inner > args.outer:
-        ap.error(f"argument --inner: must not exceed --outer ({args.outer}) for phi-psi, got {args.inner}")
+        build_parser().error(f"argument --inner: must not exceed --outer ({args.outer}) for phi-psi, got {args.inner}")
     try:
         return args.fn(args)
     except (ParseError, _UnreadableInput) as exc:

@@ -20,14 +20,20 @@ and appears once.  Diagnostics carry line and column, counted in the text
 that was parsed: the document, or the flag value.
 
 An expression is read into a term dict from variety exponent tuples to
-coefficients num/den, each a numerator and a denominator ParamPoly.  Sums,
-products, powers and division by a base constant combine these dicts with no
-gcd, and every output coefficient is normalized once, as one
+coefficients num/den, each a numerator and a denominator ParamPoly.  A term
+folds its run of number, parameter and variable factors, powers and
+divisions by numbers and parameters included, into one monomial: a scalar,
+parameter exponents (negative ones go to the denominator) and variable
+exponents.  Ring arithmetic is left to what the fold cannot do: a product is
+taken only for a parenthesized factor and for a parenthesized divisor, which
+must be constant and nonzero.  Sums, products and powers combine term dicts
+with no gcd, and every output coefficient is normalized once, as one
 BaseElem(num, den), when the expression becomes a DiffPoly or a point
 coordinate.  Each monomial keeps its own denominator, so the denominators of
 other terms never enter its gcd.  A quotient is zero exactly when its
 numerator is, so the zero tests behind "division by zero" and "variety
-variable in a denominator" read the unreduced dicts.
+variable in a denominator" read the unreduced values, at the divisor that
+fails them.
 """
 
 from __future__ import annotations
@@ -37,7 +43,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 from . import termdict
-from .basefield import BaseElem, ParamPoly
+from .basefield import BaseElem, ParamPoly, _elem, _make
 from .fields import FieldDescriptor, is_prime
 from .diffpoly import DiffPoly, DiffSymbol
 from .multiindex import zero_index
@@ -53,30 +59,27 @@ class ParseError(ValueError):
         super().__init__(f"{message} (line {line}, column {col})")
 
 
-@dataclass(slots=True)
-class Token:
-    kind: str  # NAT, IDENT, PUNCT, EOF
-    text: str
-    offset: int
-
-
 def _where(text: str, offset: int) -> tuple[int, int]:
     """(line, column) of an offset, both counted from 1."""
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-# One group per token kind (NAT, IDENT, PUNCT), then any other non-space character.
-_TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^();,=])|(\S)")
-_KINDS = (None, "NAT", "IDENT", "PUNCT")
+# One group per token kind, numbered as the kinds below.  A token is a tuple
+# (kind, text, offset); the end of input is (EOF, "", len(text)).  Punctuation
+# text never equals the text of a number or an identifier, so the parser
+# tells punctuation and keywords apart by their text alone.
+_TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^();,=])")
+EOF, NAT, IDENT, PUNCT = range(4)
+# any non-space character that starts no token
+_STRAY = re.compile(r"[^\w\s+*/^();,=-]")
 
 
-def _tokenize(text: str) -> list[Token]:
-    toks: list[Token] = []
-    for match in _TOKEN.finditer(text):
-        if match.lastindex == 4:
-            raise ParseError(f"unexpected character {match.group()!r}", *_where(text, match.start()))
-        toks.append(Token(_KINDS[match.lastindex], match.group(), match.start()))
-    toks.append(Token("EOF", "", len(text)))
+def _tokenize(text: str) -> list[tuple[int, str, int]]:
+    stray = _STRAY.search(text)
+    if stray:
+        raise ParseError(f"unexpected character {stray.group()!r}", *_where(text, stray.start()))
+    toks = [(m.lastindex, m.group(), m.start()) for m in _TOKEN.finditer(text)]
+    toks.append((EOF, "", len(text)))
     return toks
 
 
@@ -108,15 +111,9 @@ class _Fraction:
     def __mul__(self, other: "_Fraction") -> "_Fraction":
         return _Fraction(self.num * other.num, _times(self.den, other.den))
 
-    def divide(self, other: "_Fraction") -> "_Fraction":
-        """self / other for a nonzero other."""
-        num = _times(self.num, other.den)
-        if other.num.is_const():
-            return _Fraction(num.scale(num.field.inverse(other.num.const_value())), self.den)
-        return _Fraction(num, _times(self.den, other.num))
-
-    def normalize(self) -> BaseElem:
-        return BaseElem(self.num, self.den)
+    def normalize(self, one: ParamPoly) -> BaseElem:
+        """The BaseElem num/den; with no denominator, num/1 is its own normal form."""
+        return _elem(self.num, one) if self.den is None else BaseElem(self.num, self.den)
 
 
 def _times(a: Optional[ParamPoly], b: Optional[ParamPoly]) -> Optional[ParamPoly]:
@@ -154,56 +151,54 @@ class _Parser:
         self.syms = tuple(DiffSymbol(i, zero_index(field.derivation_count)) for i in range(len(var_names)))
         self.origin = (0,) * len(var_names)
         self.one = ParamPoly.const(field, 1)
+        # identifier -> (is a variety variable, index); a variable shadows a parameter
+        self.names = {name: (False, i) for i, name in enumerate(field.parameter_names)}
+        self.names.update((name, (True, i)) for i, name in enumerate(var_names))
 
     # -- token plumbing ----------------------------------------------------
 
-    def error(self, message: str, tok: Token) -> ParseError:
-        return ParseError(message, *_where(self.text, tok.offset))
+    def error(self, message: str, tok: tuple) -> ParseError:
+        return ParseError(message, *_where(self.text, tok[2]))
 
-    def peek(self) -> Token:
+    def peek(self) -> tuple:
         return self.toks[self.pos]
 
-    def next(self) -> Token:
+    def next(self) -> tuple:
         tok = self.toks[self.pos]
         self.pos += 1
         return tok
 
-    def expect_punct(self, ch: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "PUNCT" or tok.text != ch:
-            raise self.error(f"expected {ch!r}, found {tok.text or 'end of input'!r}", tok)
-        return self.next()
-
-    def expect_keyword(self, word: str) -> Token:
-        tok = self.peek()
-        if tok.kind != "IDENT" or tok.text != word:
-            raise self.error(f"expected {word!r}, found {tok.text or 'end of input'!r}", tok)
-        return self.next()
+    def expect(self, text: str) -> tuple:
+        """The next token, which must be the punctuation or keyword ``text``."""
+        tok = self.toks[self.pos]
+        if tok[1] != text:
+            raise self.error(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok)
+        self.pos += 1
+        return tok
 
     def expect_nat(self) -> int:
         tok = self.peek()
-        if tok.kind != "NAT":
-            raise self.error(f"expected a natural number, found {tok.text!r}", tok)
-        self.next()
-        return int(tok.text)
+        if tok[0] != NAT:
+            raise self.error(f"expected a natural number, found {tok[1]!r}", tok)
+        self.pos += 1
+        return int(tok[1])
 
-    def expect_end(self) -> Token:
+    def expect_end(self) -> tuple:
         tok = self.peek()
-        if tok.kind != "EOF":
-            raise self.error(f"unexpected trailing input {tok.text!r}", tok)
+        if tok[0] != EOF:
+            raise self.error(f"unexpected trailing input {tok[1]!r}", tok)
         return tok
 
-    def accept_punct(self, ch: str) -> bool:
-        tok = self.peek()
-        if tok.kind == "PUNCT" and tok.text == ch:
-            self.next()
+    def accept(self, text: str) -> bool:
+        if self.toks[self.pos][1] == text:
+            self.pos += 1
             return True
         return False
 
     def name_list(self, at_least_one: bool) -> list[str]:
         names: list[str] = []
-        while self.peek().kind == "IDENT" and self.peek().text not in KEYWORDS:
-            names.append(self.next().text)
+        while self.peek()[0] == IDENT and self.peek()[1] not in KEYWORDS:
+            names.append(self.next()[1])
         if at_least_one and not names:
             raise self.error("expected at least one identifier", self.peek())
         return names
@@ -211,23 +206,23 @@ class _Parser:
     # -- document structure ---------------------------------------------------
 
     def parse_document(self) -> InputDocument:
-        char_tok = self.expect_keyword("char")
+        char_tok = self.expect("char")
         char = self.expect_nat()
         if char != 0 and not is_prime(char):
             raise self.error(f"characteristic {char} is not 0 or prime", char_tok)
-        self.expect_punct(";")
-        self.expect_keyword("params")
+        self.expect(";")
+        self.expect("params")
         params = self.name_list(at_least_one=False)
-        self.expect_punct(";")
-        der_tok = self.expect_keyword("derivations")
+        self.expect(";")
+        der_tok = self.expect("derivations")
         n = self.expect_nat()
-        self.expect_punct(";")
+        self.expect(";")
         try:
             field = FieldDescriptor(char, tuple(params), n)
         except ValueError as exc:
             raise self.error(str(exc), der_tok) from None
 
-        self.expect_keyword("vars")
+        self.expect("vars")
         var_tok = self.peek()
         var_names = self.name_list(at_least_one=True)
         if len(set(var_names)) != len(var_names):
@@ -236,47 +231,46 @@ class _Parser:
         if clash:
             raise self.error(f"identifier {clash.pop()!r} is both a parameter and a variable", var_tok)
         self._bind(field, tuple(var_names))
-        self.expect_punct(";")
+        self.expect(";")
 
-        self.expect_keyword("gens")
+        self.expect("gens")
         gens = [self.parse_poly()]
-        while self.accept_punct(","):
+        while self.accept(","):
             gens.append(self.parse_poly())
-        self.expect_punct(";")
+        self.expect(";")
         gens = [self.diffpoly(g) for g in gens]
 
         point = None
-        if self.peek().kind == "IDENT" and self.peek().text == "point":
-            self.next()
+        if self.accept("point"):
             pairs = self.assignments()
-            point = self.point(pairs, "point block", self.expect_punct(";"))
+            point = self.point(pairs, "point block", self.expect(";"))
         self.expect_end()
 
         variety = VarietyPresentation(self.field, len(self.var_names), gens)
         return InputDocument(self.field, self.var_names, variety, point)
 
-    def assignments(self) -> list[tuple[Token, dict]]:
+    def assignments(self) -> list[tuple[tuple, dict]]:
         """IDENT "=" poly ("," IDENT "=" poly)*, as (name token, value) pairs.
 
         A name that is not one identifier, is a keyword, or repeats an earlier
         name is rejected at its own position.
         """
-        pairs: list[tuple[Token, dict]] = []
+        pairs: list[tuple[tuple, dict]] = []
         while True:
             tok = self.peek()
-            if tok.kind != "IDENT" or tok.text in KEYWORDS:
-                stop = next(t for t in self.toks[self.pos:] if t.kind == "EOF" or t.text in ("=", ",", ";"))
-                got = self.text[tok.offset:stop.offset].strip()
+            if tok[0] != IDENT or tok[1] in KEYWORDS:
+                stop = next(t for t in self.toks[self.pos:] if t[0] == EOF or t[1] in ("=", ",", ";"))
+                got = self.text[tok[2]:stop[2]].strip()
                 raise self.error(f"expected a name before '=', got {got!r}", tok)
-            if any(tok.text == name.text for name, _ in pairs):
-                raise self.error(f"{tok.text!r} is assigned twice", tok)
-            self.next()
-            self.expect_punct("=")
+            if any(tok[1] == name[1] for name, _ in pairs):
+                raise self.error(f"{tok[1]!r} is assigned twice", tok)
+            self.pos += 1
+            self.expect("=")
             pairs.append((tok, self.parse_poly()))
-            if not self.accept_punct(","):
+            if not self.accept(","):
                 return pairs
 
-    def point(self, pairs: list[tuple[Token, dict]], where: str, end: Token) -> dict[int, BaseElem]:
+    def point(self, pairs: list[tuple[tuple, dict]], where: str, end: tuple) -> dict[int, BaseElem]:
         """The point given by assignments: every variable once, each a constant.
 
         A missing variable is reported at ``end``, the token that closed the
@@ -284,12 +278,12 @@ class _Parser:
         """
         point = {}
         for tok, value in pairs:
-            if tok.text not in self.var_names:
-                raise self.error(f"undeclared variable {tok.text!r} in {where}", tok)
+            if tok[1] not in self.var_names:
+                raise self.error(f"undeclared variable {tok[1]!r} in {where}", tok)
             if any(map(any, value)):
                 raise self.error("point coordinates must not involve variety variables", tok)
             c = value.get(self.origin)
-            point[self.var_names.index(tok.text)] = c.normalize() if c else BaseElem.zero(self.field)
+            point[self.var_names.index(tok[1])] = c.normalize(self.one) if c else BaseElem.zero(self.field)
         missing = [v for i, v in enumerate(self.var_names) if i not in point]
         if missing:
             raise self.error(f"{where} is missing {missing[0]!r}", end)
@@ -301,82 +295,110 @@ class _Parser:
 
     def diffpoly(self, terms: dict) -> DiffPoly:
         """The DiffPoly of a parsed expression: one normalization per term."""
-        return DiffPoly(
-            {tuple((sym, k) for sym, k in zip(self.syms, e) if k): c.normalize() for e, c in terms.items()},
+        one = self.one
+        return DiffPoly._of(
             self.field,
+            {tuple((sym, k) for sym, k in zip(self.syms, e) if k): c.normalize(one) for e, c in terms.items()},
         )
 
-    def constant(self, c: ParamPoly) -> dict:
-        return {self.origin: _Fraction(c)} if c else {}
-
     def parse_poly(self) -> dict:
-        tok = self.peek()
         negate = False
-        if tok.kind == "PUNCT" and tok.text in "+-":
-            self.next()
-            negate = tok.text == "-"
+        if self.peek()[1] in ("+", "-"):
+            negate = self.next()[1] == "-"
         acc = self.parse_term()
         if negate:
             acc = {e: -c for e, c in acc.items()}
-        while True:
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.text in "+-":
-                self.next()
-                rhs = self.parse_term().items()
-                acc = termdict.add(acc, rhs if tok.text == "+" else ((e, -c) for e, c in rhs))
-            else:
-                return acc
+        while self.peek()[1] in ("+", "-"):
+            sign = self.next()[1]
+            rhs = self.parse_term().items()
+            acc = termdict.add(acc, rhs if sign == "+" else ((e, -c) for e, c in rhs))
+        return acc
 
     def parse_term(self) -> dict:
-        acc = self.parse_factor()
-        while True:
-            tok = self.peek()
-            if tok.kind == "PUNCT" and tok.text == "*":
-                self.next()
-                acc = _mul_terms(acc, self.parse_factor())
-            elif tok.kind == "PUNCT" and tok.text == "/":
-                self.next()
-                divisor = self.parse_factor()
-                if any(map(any, divisor)):
-                    raise self.error("variety variable in a denominator", tok)
-                if not divisor:
-                    raise self.error("division by zero", tok)
-                d = divisor[self.origin]
-                acc = {e: c.divide(d) for e, c in acc.items()}
-            else:
-                return acc
+        """factor (("*"|"/") factor)*, with factor := atom ["^" NAT].
 
-    def parse_factor(self) -> dict:
-        base = self.parse_atom()
-        if self.accept_punct("^"):
-            exp = self.expect_nat()
-            return termdict.power(base, exp, self.constant(self.one), _mul_terms)
-        return base
-
-    def parse_atom(self) -> dict:
-        tok = self.peek()
+        Number, parameter and variable factors fold into the monomial
+        top/bottom * s^pexp * x^vexp, with top and bottom integers; each
+        diagnostic fires once its divisor is read.
+        """
         field = self.field
-        assert field is not None
-        if tok.kind == "NAT":
-            self.next()
-            return self.constant(ParamPoly.const(field, int(tok.text)))
-        if tok.kind == "IDENT":
-            if tok.text in KEYWORDS:
-                raise self.error(f"keyword {tok.text!r} cannot be used in an expression", tok)
-            self.next()
-            if tok.text in self.var_names:
-                i = self.var_names.index(tok.text)
-                e = self.origin[:i] + (1,) + self.origin[i + 1 :]
-                return {e: _Fraction(self.one)}
-            if tok.text in field.parameter_names:
-                return self.constant(ParamPoly.var(field, field.param_index(tok.text)))
-            raise self.error(f"undeclared identifier {tok.text!r}", tok)
-        if tok.kind == "PUNCT" and tok.text == "(":
-            self.next()
-            inner = self.parse_poly()
-            self.expect_punct(")")
-            return inner
-        raise self.error(f"expected a value, found {tok.text or 'end of input'!r}", tok)
+        p = field.characteristic
+        names = self.names
+        top = bottom = 1
+        pexp = [0] * field.param_count
+        vexp = [0] * len(self.var_names)
+        product = None  # the product of the parenthesized factors; None is 1
+        num = den = None  # what the parenthesized divisors contribute; None is 1
+        op = None  # the "*" or "/" token before the factor; None before the first
+        while True:
+            tok = self.next()
+            kind, text = tok[0], tok[1]
+            if kind == IDENT:
+                if text in KEYWORDS:
+                    raise self.error(f"keyword {text!r} cannot be used in an expression", tok)
+                name = names.get(text)
+                if name is None:
+                    raise self.error(f"undeclared identifier {text!r}", tok)
+            elif text == "(":
+                value = self.parse_poly()
+                self.expect(")")
+            elif kind != NAT:
+                raise self.error(f"expected a value, found {text or 'end of input'!r}", tok)
+            k = self.expect_nat() if self.accept("^") else 1
+            divide = op is not None and op[1] == "/"
+
+            if kind == NAT:
+                c = pow(int(text), k, p) if p else int(text) ** k
+                if not divide:
+                    top *= c
+                elif c:
+                    bottom *= c
+                else:
+                    raise self.error("division by zero", op)
+            elif kind == IDENT:
+                is_var, i = name
+                if not is_var:
+                    pexp[i] += -k if divide else k
+                elif not divide:
+                    vexp[i] += k
+                elif k:
+                    raise self.error("variety variable in a denominator", op)
+            else:
+                if k != 1:
+                    value = termdict.power(value, k, {self.origin: _Fraction(self.one)}, _mul_terms)
+                if not divide:
+                    product = value if product is None else _mul_terms(product, value)
+                else:
+                    if any(map(any, value)):
+                        raise self.error("variety variable in a denominator", op)
+                    if not value:
+                        raise self.error("division by zero", op)
+                    d = value[self.origin]
+                    if d.num.is_const():
+                        # an int or a Fraction: either has a numerator and a denominator
+                        c = d.num.const_value()
+                        top *= c.denominator
+                        bottom *= c.numerator
+                    else:
+                        den = _times(den, d.num)
+                    num = _times(num, d.den)
+
+            op = self.toks[self.pos]
+            if op[1] not in ("*", "/"):
+                break
+            self.pos += 1
+
+        scalar = field.scalar(top, bottom)
+        if not scalar:
+            return {}
+        num = _times(_make({tuple(e if e > 0 else 0 for e in pexp): scalar}, field), num)
+        if min(pexp, default=0) < 0:
+            den = _times(den, _make({tuple(-e if e < 0 else 0 for e in pexp): self.one.const_value()}, field))
+        if product is None:
+            return {tuple(vexp): _Fraction(num, den)}
+        return {
+            termdict.exp_add(e, vexp): _Fraction(c.num * num, _times(c.den, den)) for e, c in product.items()
+        }
 
 
 def parse_document(text: str) -> InputDocument:
@@ -388,7 +410,7 @@ def parse_assignments(field: FieldDescriptor, var_names: tuple[str, ...], text: 
     parser = _Parser(text, field, var_names)
     pairs = parser.assignments()
     parser.expect_end()
-    return {tok.text: parser.diffpoly(value) for tok, value in pairs}
+    return {tok[1]: parser.diffpoly(value) for tok, value in pairs}
 
 
 def parse_point(field: FieldDescriptor, var_names: tuple[str, ...], text: str) -> dict[int, BaseElem]:

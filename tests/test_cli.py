@@ -353,12 +353,18 @@ def test_empty_point_flag_is_an_input_error(hyperbola_file, capsys):
 USAGE_CASES = json.loads((Path(__file__).parent / "data" / "cli_usage.json").read_text(encoding="utf-8"))
 
 
-@pytest.mark.parametrize("via_sys_argv", [False, True], ids=["argv", "sys.argv"])
-@pytest.mark.parametrize("case", USAGE_CASES, ids=lambda case: " ".join(case["argv"]) or "no-arguments")
-def test_usage_and_argument_errors_are_pinned(case, via_sys_argv, monkeypatch, capsys):
+# Argument shapes that a named command's own parser handles, captured when a
+# call built the top-level parser and that command's subparser: arguments the
+# command does not know, a missing --map, an abbreviated and a repeated option,
+# help before the command, a missing suite, and --point taking FILE as its
+# value.  No FILE named here exists in the working directory.
+ROUTE_CASES = json.loads((Path(__file__).parent / "data" / "cli_routes.json").read_text(encoding="utf-8"))
+
+
+def run_main(argv, via_sys_argv, monkeypatch, capsys) -> dict:
+    """argv, exit code, stdout and stderr of one cli.main call, with COLUMNS=80."""
     from hsprolong import cli
 
-    argv = case["argv"]
     monkeypatch.setenv("COLUMNS", "80")
     if via_sys_argv:
         monkeypatch.setattr(sys, "argv", ["hsprolong", *argv])
@@ -367,7 +373,20 @@ def test_usage_and_argument_errors_are_pinned(case, via_sys_argv, monkeypatch, c
     except SystemExit as exc:
         code = exc.code
     captured = capsys.readouterr()
-    assert {"argv": argv, "code": code, "stdout": captured.out, "stderr": captured.err} == case
+    return {"argv": argv, "code": code, "stdout": captured.out, "stderr": captured.err}
+
+
+@pytest.mark.parametrize("via_sys_argv", [False, True], ids=["argv", "sys.argv"])
+@pytest.mark.parametrize("case", USAGE_CASES, ids=lambda case: " ".join(case["argv"]) or "no-arguments")
+def test_usage_and_argument_errors_are_pinned(case, via_sys_argv, monkeypatch, capsys):
+    assert run_main(case["argv"], via_sys_argv, monkeypatch, capsys) == case
+
+
+@pytest.mark.parametrize("via_sys_argv", [False, True], ids=["argv", "sys.argv"])
+@pytest.mark.parametrize("case", ROUTE_CASES, ids=lambda case: " ".join(case["argv"]))
+def test_argument_routes_are_pinned(case, via_sys_argv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert run_main(case["argv"], via_sys_argv, monkeypatch, capsys) == case
 
 
 def test_main_builds_only_the_named_subparser(witt_file, monkeypatch, capsys):
@@ -387,7 +406,7 @@ def test_main_builds_only_the_named_subparser(witt_file, monkeypatch, capsys):
         # each call builds its own parser: nothing is cached across calls
         built.clear()
         assert cli.main(["prolong", "--order", "1", witt_file]) == 0
-        assert built == ["hsprolong", "hsprolong prolong"]
+        assert built == ["hsprolong prolong"]
     built.clear()
     with pytest.raises(SystemExit):
         cli.main(["--help"])

@@ -113,6 +113,65 @@ def test_diagnostic_position():
     assert exc.value.line == 3
 
 
+# (characteristic, generator text, message, line, column) of each diagnostic
+# that a term's folded run of numbers, parameters and variables can meet,
+# captured when every factor was a term dict of its own; the generators sit
+# on line 3, after "gens ".
+FOLD_DIAGNOSTICS = [
+    (5, "x/5", "division by zero", 3, 7),
+    (0, "2/0", "division by zero", 3, 7),
+    (0, "x/0^2", "division by zero", 3, 7),
+    (5, "s/5^2", "division by zero", 3, 7),
+    (0, "x*s/(s - s)", "division by zero", 3, 9),
+    (0, "x/(0*x)", "division by zero", 3, 7),
+    (0, "x/(x - x)", "division by zero", 3, 7),
+    (0, "2*(x/0)", "division by zero", 3, 10),
+    (0, "s/x", "variety variable in a denominator", 3, 7),
+    (0, "s/x^2", "variety variable in a denominator", 3, 7),
+    (0, "0/x", "variety variable in a denominator", 3, 7),
+    (0, "s^2*x/(s*y)", "variety variable in a denominator", 3, 11),
+    (0, "2*gens", "keyword 'gens' cannot be used in an expression", 3, 8),
+    (0, "x*w", "undeclared identifier 'w'", 3, 8),
+    (0, "x^", "expected a natural number, found ';'", 3, 8),
+    (0, "x*/s", "expected a value, found '/'", 3, 8),
+    (0, "x/s/", "expected a value, found ';'", 3, 10),
+]
+
+
+@pytest.mark.parametrize(
+    "char, gens, message, line, col", FOLD_DIAGNOSTICS, ids=[case[1] for case in FOLD_DIAGNOSTICS]
+)
+def test_fold_diagnostics_fire_at_the_same_token(char, gens, message, line, col):
+    with pytest.raises(ParseError) as exc:
+        parse_document(f"char {char}; params s; derivations 1;\nvars x y;\ngens {gens};")
+    assert str(exc.value) == f"{message} (line {line}, column {col})"
+    assert (exc.value.line, exc.value.col) == (line, col)
+
+
+@pytest.mark.parametrize(
+    "gens, message",
+    [
+        ("x & y", "unexpected character '&' (line 3, column 8)"),
+        ("x*y - 1 # note\n", "unexpected character '#' (line 3, column 14)"),
+        ("x\u00b2", "undeclared identifier 'x\u00b2' (line 3, column 6)"),
+    ],
+    ids=["ampersand", "comment", "superscript"],
+)
+def test_stray_characters_are_reported_where_they_stand(gens, message):
+    # "\u00b2" is a word character but no digit, so it continues the identifier
+    with pytest.raises(ParseError) as exc:
+        parse_document(f"char 0; params s; derivations 1;\nvars x y;\ngens {gens};")
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize(
+    "gens, rendered", [("s/x^0", "s"), ("x/s^0", "x"), ("x/0^0", "x"), ("2^3*s^2*x/4/s^3*y^0", "2/s*x")]
+)
+def test_zeroth_powers_in_a_folded_run_are_one(gens, rendered):
+    doc = parse_document(f"char 0; params s; derivations 1; vars x y; gens {gens};")
+    assert doc.variety.generators[0].render(doc.var_names) == rendered
+
+
 def docs_equal(a, b):
     return (
         a.field == b.field

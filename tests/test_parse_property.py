@@ -4,9 +4,11 @@ Random expression trees over Q(s1,s2) and F5(s) are evaluated twice: once
 node by node with DiffPoly and BaseElem arithmetic, which normalizes after
 every operation, and once by rendering the tree as text that is not in
 canonical form (nested and redundant parentheses, powers, division by base
-constants, one denominator repeated across the terms of a sum) and parsing
-it, which normalizes each output coefficient once.  Both must give the same
-normal form, and the parse must reduce no coefficient twice.
+constants, one denominator repeated across the terms of a sum, and flat
+products such as ``2^3*s*x^2/3/s^2``, which the parser folds into one
+monomial) and parsing it, which normalizes each output coefficient once.
+Both must give the same normal form, and the parse must reduce no
+coefficient twice.
 """
 
 from unittest import mock
@@ -24,10 +26,26 @@ FIELDS = {
 VARS = ("x", "y")
 
 
+def flat_products(field, variables=st.nothing()):
+    """("flat", factors, divisors): powers of numbers, parameters and
+    variables, divided by powers of numbers and parameters, with no
+    parentheses; an exponent of None writes no "^"."""
+    numbers = st.integers(0, 7).map(lambda n: ("nat", n))
+    params = st.sampled_from(field.parameter_names).map(lambda name: ("param", name))
+    factors = st.one_of(numbers, params, variables)
+    exponents = st.one_of(st.none(), st.integers(0, 3))
+    return st.tuples(
+        st.just("flat"),
+        st.lists(st.tuples(factors, exponents), min_size=1, max_size=4),
+        st.lists(st.tuples(st.one_of(numbers, params), exponents), max_size=3),
+    )
+
+
 def constant_trees(field):
     leaves = st.one_of(
         st.integers(0, 7).map(lambda n: ("nat", n)),
         st.sampled_from(field.parameter_names).map(lambda name: ("param", name)),
+        flat_products(field),
     )
 
     def extend(kids):
@@ -43,7 +61,8 @@ def constant_trees(field):
 
 def trees(field):
     consts = constant_trees(field)
-    leaves = st.one_of(consts, st.sampled_from(VARS).map(lambda name: ("var", name)))
+    variables = st.sampled_from(VARS).map(lambda name: ("var", name))
+    leaves = st.one_of(consts, variables, flat_products(field, variables))
 
     def extend(kids):
         return st.one_of(
@@ -72,6 +91,13 @@ def value(tree, field) -> DiffPoly:
         return DiffPoly.variable(field, VARS.index(tree[1]))
     if kind == "neg":
         return -value(tree[1], field)
+    if kind == "flat":
+        out = DiffPoly.const(field, 1)
+        for leaf, k in tree[1]:
+            out = out * value(leaf, field) ** (1 if k is None else k)
+        for leaf, k in tree[2]:
+            out = out.scale(inverse(("^", leaf, 1 if k is None else k), field))
+        return out
     if kind == "^":
         return value(tree[1], field) ** tree[2]
     if kind == "/":
@@ -95,19 +121,31 @@ def render(tree, draw) -> str:
     kind = tree[0]
     if kind in ("nat", "param", "var"):
         text = str(tree[1])
+    elif kind == "flat":
+        text = "*".join(power(leaf, k) for leaf, k in tree[1]) + "".join(f"/{power(leaf, k)}" for leaf, k in tree[2])
     elif kind == "neg":
         text = f"(-{render(tree[1], draw)})"
     elif kind == "^":
-        text = f"({render(tree[1], draw)}^{tree[2]})"
+        text = f"({tight(tree[1], draw)}^{tree[2]})"
     elif kind == "/":
-        text = f"({render(tree[1], draw)}/{render(tree[2], draw)})"
+        text = f"({render(tree[1], draw)}/{tight(tree[2], draw)})"
     elif kind == "shared":
-        den = render(tree[2], draw)
+        den = tight(tree[2], draw)
         text = "(" + " + ".join(f"{render(t, draw)}/{den}" for t in tree[1]) + ")"
     else:
         op = " * " if kind == "*" else f" {kind} "
         text = f"({render(tree[1], draw)}{op}{render(tree[2], draw)})"
     return f"({text})" if draw(st.booleans()) else text
+
+
+def power(leaf, k) -> str:
+    return str(leaf[1]) if k is None else f"{leaf[1]}^{k}"
+
+
+def tight(tree, draw) -> str:
+    """Text for a tree that is a power's base or a divisor: a flat product is parenthesized."""
+    text = render(tree, draw)
+    return f"({text})" if tree[0] == "flat" else text
 
 
 def header(field) -> str:

@@ -12,6 +12,21 @@ a normalized quotient num/den of two such polynomials: the gcd is cancelled
 and the denominator's leading coefficient under graded-lex is scaled to 1, so
 equality is structural.
 
+Two integer routines sit inside the gcd machinery, where no coefficient type
+shows.  ``poly_divexact`` updates one remainder dict in place: cancelling
+the head term adds only terms below it in the monomial order, so the head
+falls at every step, and a head that the divisor's leading monomial does not
+divide proves the division inexact.  The coprimality certificate decides
+"the gcd is free of s_v" from the images of both operands in F_P[s_v], every
+other parameter sent to one point, with P the characteristic or, over Q, the
+word prime ``_WORD_PRIME`` (after Brown's modular gcd): a constant gcd of
+the images, by Euclid on integer lists, proves it.  There is no certificate
+when a denominator is divisible by P, when the leading v-coefficient
+vanishes at every point, or when the images share a factor that the
+operands do not (an unlucky P or point); the exact route then runs.  The
+univariate branch of ``poly_gcd`` asks the same certificate before its
+Euclid over the field.
+
 Constants take a lane that never runs a gcd.  The constant c is c/1, its own
 normal form.  For num/den in normal form and a coefficient c, c*num/den is
 again in normal form when c != 0, since a unit factor changes no gcd, and so
@@ -47,6 +62,7 @@ cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Callable, Iterable, Mapping, Sequence, Union
 
 from . import termdict
@@ -354,16 +370,56 @@ def _gcd_univar(f: ParamPoly, g: ParamPoly, v: int) -> ParamPoly:
     return _monic(_make(out, field))
 
 
-def _eval_except(p: ParamPoly, v: int, values: dict[int, int | Fraction]) -> ParamPoly:
-    """Substitute scalars for every variable except v, leaving a univariate poly."""
-    proto = (0,) * p.field.param_count
-    pairs = []
-    for e, c in p.terms.items():
-        for i, k in enumerate(e):
-            if i != v and k:
-                c = c * values[i] ** k
-        pairs.append((proto[:v] + (e[v],) + proto[v + 1 :], c))
-    return _make(termdict.add({}, pairs), p.field)
+# the image field F_P of the coprimality certificate over Q: a prime below 2^31
+_WORD_PRIME = 2**31 - 1
+
+
+def _residues(f: ParamPoly, prime: int) -> dict | None:
+    """f's coefficients mod prime, or None when a denominator is divisible by it."""
+    if f.field.characteristic:
+        return f.terms
+    out = {}
+    for e, c in f.terms.items():
+        d = c.denominator
+        if d == 1:
+            out[e] = c.numerator % prime
+        elif d % prime:
+            out[e] = c.numerator * pow(d, -1, prime) % prime
+        else:
+            return None
+    return out
+
+
+def _image(res: dict, v: int, point: int, prime: int, deg: int) -> list[int]:
+    """The residues res in F_P[s_v], every other parameter sent to point:
+    dense coefficients, lowest degree first."""
+    dense = [0] * (deg + 1)
+    for e, c in res.items():
+        d = e[v]
+        dense[d] += c * pow(point, sum(e) - d, prime)
+    return [x % prime for x in dense]
+
+
+def _coprime_mod(a: list[int], b: list[int], prime: int) -> bool:
+    """Whether two dense polynomials over F_P have a constant gcd: Euclid on
+    the coefficient lists, which it consumes."""
+    while b and not b[-1]:
+        b.pop()
+    while b:
+        if len(b) == 1:
+            return True
+        db = len(b) - 1
+        inv = pow(b[-1], -1, prime)
+        for top in range(len(a) - 1, db - 1, -1):
+            q = a[top] * inv % prime
+            if q:
+                off = top - db
+                a[off:top] = [(x - q * y) % prime for x, y in zip(a[off:top], b)]
+        del a[db:]
+        while a and not a[-1]:
+            a.pop()
+        a, b = b, a
+    return len(a) == 1
 
 
 def _eval_points(field: FieldDescriptor) -> list[int]:
@@ -375,22 +431,29 @@ def _eval_points(field: FieldDescriptor) -> list[int]:
 def _coprime_by_evaluation(f0: ParamPoly, g0: ParamPoly, v: int) -> bool:
     """Exact certificate that gcd(f0, g0) has degree 0 in variable v.
 
-    Evaluating all other variables can only enlarge the gcd while the leading
-    v-coefficient survives, so a constant evaluated gcd is conclusive; an
-    inconclusive evaluation just falls back to the remainder sequence.
+    The images live in F_P[s_v]: P is the characteristic, or _WORD_PRIME over
+    Q, and every other parameter goes to one point.  Write f0 = h*f1 and
+    g0 = h*g1 with h the gcd, taken over Z with content 1 in characteristic 0;
+    by Gauss's lemma f1 and g1 then have no denominator divisible by P when f0
+    and g0 have none.  The image of h divides both images, and it keeps its
+    v-degree while the leading v-coefficient of f0 does not vanish, so a
+    constant gcd of the images proves that h is free of v.  A denominator
+    divisible by P or a vanishing leading coefficient gives no certificate,
+    and neither does a P or point where the images share a factor that f0
+    and g0 do not; the caller then runs the exact route.
     """
-    field = f0.field
-    others = (f0.variables() | g0.variables()) - {v}
-    lead_f = _coeffs_in(f0, v)[max(e[v] for e in f0.terms)]
-    for point in _eval_points(field):
-        values = {i: field.scalar(point) for i in others}
-        if not _eval_except(lead_f, v, values):
+    prime = f0.field.characteristic or _WORD_PRIME
+    rf, rg = _residues(f0, prime), _residues(g0, prime)
+    if rf is None or rg is None:
+        return False
+    df = max(e[v] for e in f0.terms)
+    dg = max(e[v] for e in g0.terms)
+    others = any(sum(e) != e[v] for t in (f0.terms, g0.terms) for e in t)
+    for point in _eval_points(f0.field) if others else (1,):
+        fe = _image(rf, v, point, prime, df)
+        if not fe[-1]:
             continue
-        fe = _eval_except(f0, v, values)
-        ge = _eval_except(g0, v, values)
-        if not ge:
-            continue
-        if _gcd_univar(fe, ge, v).is_const():
+        if _coprime_mod(fe, _image(rg, v, point, prime, dg), prime):
             return True
     return False
 
@@ -419,7 +482,10 @@ def poly_gcd(f: ParamPoly, g: ParamPoly) -> ParamPoly:
         return _monic(mono)
     vf, vg = f0.variables(), g0.variables()
     if len(vf) == 1 and vf == vg:
-        return _monic(mono * _gcd_univar(f0, g0, next(iter(vf))))
+        v = next(iter(vf))
+        if _coprime_by_evaluation(f0, g0, v):
+            return mono
+        return _monic(mono * _gcd_univar(f0, g0, v))
     v = min(shared)
 
     if _coprime_by_evaluation(f0, g0, v):
@@ -452,7 +518,13 @@ def poly_gcd(f: ParamPoly, g: ParamPoly) -> ParamPoly:
 
 
 def poly_divexact(f: ParamPoly, g: ParamPoly) -> ParamPoly:
-    """Exact division f/g; raises ValueError when g does not divide f."""
+    """Exact division f/g; raises ValueError when g does not divide f.
+
+    One remainder dict is updated in place.  Cancelling the head term of the
+    remainder adds only terms below it in the monomial order, so the head
+    falls at every step, and a head that g's leading monomial does not divide
+    proves the division inexact.
+    """
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     if not f:
@@ -460,20 +532,31 @@ def poly_divexact(f: ParamPoly, g: ParamPoly) -> ParamPoly:
     field = f.field
     if g.is_const():
         return f.scale(field.inverse(g.const_value()))
+    p = field.characteristic
     ge, gc = g.leading()
     inv = field.inverse(gc)
-    rem = f
+    tail = [(e, c) for e, c in g.terms.items() if e != ge]
+    rem = dict(f.terms)
+    get = rem.get
     out: dict = {}
     while rem:
-        fe, fc = rem.leading()
+        fe = max(rem, key=_monomial_key)
         qe = tuple(a - b for a, b in zip(fe, ge))
-        if any(e < 0 for e in qe):
+        if min(qe) < 0:
             raise ValueError("inexact polynomial division")
-        qc = fc * inv
+        qc = rem.pop(fe) * inv
+        if p:
+            qc %= p
         out[qe] = qc
-        rem = rem - g * _make({qe: qc}, field)
-        if rem and _monomial_key(rem.leading()[0]) >= _monomial_key(fe):
-            raise ValueError("inexact polynomial division")
+        for e, c in tail:
+            k = tuple(map(add, e, qe))
+            x = get(k, 0) - qc * c
+            if p:
+                x %= p
+            if x:
+                rem[k] = x
+            else:
+                rem.pop(k, None)
     return _make(out, field)
 
 

@@ -355,19 +355,23 @@ def check_tensor(seed: int, trials: int, *, order: int, inner: int, **_) -> list
 
 
 def ordered_partitions(k: int) -> list[tuple[int, ...]]:
-    """All compositions of k into positive parts; |P[k]| = 2^(k-1)."""
+    """All compositions of k into positive parts, in lexicographic order;
+    |P[k]| = 2^(k-1).
+
+    Built by doubling: P[j] is (1,) before each composition of P[j-1], then
+    P[j-1] again with its first part raised by one, both halves in order.
+    The second half overwrites P[j-1] in place, so at most one list of the
+    final size is alive.
+    """
     if k < 1:
         raise ValueError("ordered partitions need k >= 1")
-    out: list[tuple[int, ...]] = []
-
-    def rec(remaining: int, prefix: tuple):
-        if remaining == 0:
-            out.append(prefix)
-            return
-        for first in range(1, remaining + 1):
-            rec(remaining - first, prefix + (first,))
-
-    rec(k, ())
+    out: list[tuple[int, ...]] = [(1,)]
+    for _ in range(k - 1):
+        head = [(1,) + pi for pi in out]
+        for i, pi in enumerate(out):
+            out[i] = (pi[0] + 1,) + pi[1:]
+        head += out
+        out = head
     return out
 
 

@@ -9,14 +9,18 @@ with render_coeff, and termdict joins the pieces.
 
 The twisted structure lives here too: twist_expand sends a base element
 r = num/den to its truncated Taylor expansion sum D_alpha(r) t^alpha.  It
-substitutes s_i -> s_i + t_i into num and den, multiplying the factors
-(s_i + t_i) out over ParamPoly carriers, and inverts den(s + t) by the
-truncated geometric series.  With each t^alpha coefficient scaled by
-den^|alpha|, every step stays in polynomials, and the t^alpha coefficient is
-a numerator over den^(|alpha|+1), normalized once as a BaseElem.  This is
-deliberately *not* the quotient-rule route of basefield: that one takes the
-binomials of ParamPoly.hasse and solves D(den * 1/den) = 0, this one only
-substitutes and sums a geometric series, so the two routes check each other.
+substitutes s_i -> s_i + t_i into num and den and inverts den(s + t) by the
+truncated geometric series.  The substitution runs on flat integer tables:
+the counts of (s_i + t_i)^e are a Pascal row, built by repeated
+multiplication by (s_i + t_i) and never read off a binomial routine, and each
+term's coefficient is multiplied in once per output monomial.  With each
+t^alpha coefficient scaled by den^|alpha|, every step stays in polynomials,
+and the t^alpha coefficient is a numerator over den^(|alpha|+1), normalized
+once as a BaseElem.  This is deliberately *not* the quotient-rule route of
+basefield: that one takes the binomials of ParamPoly.hasse and solves
+D(den * 1/den) = 0, this one only substitutes and sums a geometric series,
+and it takes no binomial from fields, math or ParamPoly.hasse, so the two
+routes check each other.
 twist_psi applies the expansion coefficientwise: for iterative derivations
 e(r)(t) = r(s + t), so psi is the Taylor shift X(s, t) -> X(s + t, t), and
 twist_inverse is the shift back, s -> s - t, read off the same expansion with
@@ -27,15 +31,15 @@ m - |alpha| that the shift by t^alpha leaves.
 
 from __future__ import annotations
 
+from operator import add
 from typing import Callable, Mapping
 
 from . import termdict
-from .basefield import BaseElem, ParamPoly
+from .basefield import BaseElem, ParamPoly, _make
 from .multiindex import (
     graded_lex_key,
     index_add,
     index_size,
-    unit_index,
     zero_index,
 )
 
@@ -163,31 +167,38 @@ class TruncatedElement:
 
 
 def _poly_twist(p: ParamPoly, m: int) -> TruncatedElement:
-    """The shift p(s + t) over ParamPoly carriers: each term's factors
-    (s_i + t_i) multiplied out, with the powers built once per call."""
+    """The shift p(s + t), truncated at m, on flat integer tables.
+
+    Row e of rows holds the integer counts of (s_i + t_i)^e, each row the one
+    before times (s_i + t_i).  A term c*s^e sends c times the product of the
+    counts rows[e_i][a_i] to s^(e - a) at t^a, for each a <= e with |a| <= m.
+    For a fixed a, e -> e - a is injective, so no two terms meet: every output
+    coefficient is one product, and one ParamPoly is built per t^a.
+    """
     field = p.field
     n = field.derivation_count
-    one = ParamPoly.const(field, 1)
-    zero = zero_index(n)
-    # powers[i][e] = (s_i + t_i)^e, extended one factor at a time as terms ask
-    powers = [
-        [None, TruncatedElement({zero: ParamPoly.var(field, i), unit_index(n, i): one}, m, n)]
-        for i in range(n)
-    ]
-    total: dict = {}
+    rows = [[1]]
+    out: dict = {}
     for exps, c in p.terms.items():
-        acc = None
-        for i, e in enumerate(exps[:n]):
-            if e:
-                row = powers[i]
-                while len(row) <= e:
-                    row.append(row[-1] * row[1])
-                acc = row[e] if acc is None else acc * row[e]
+        # (t-exponent, its size, count, shifted s-exponents) over the derivations
+        cells = [((), 0, 1, ())]
+        for e in exps[:n]:
+            while len(rows) <= e:
+                last = rows[-1]
+                rows.append([1, *map(add, last, last[1:]), 1])
+            row = rows[e]
+            cells = [
+                (a + (j,), size + j, k * row[j], x + (e - j,))
+                for a, size, k, x in cells
+                for j in range(min(e, m - size) + 1)
+            ]
         # the parameters past the derivations stay in the coefficient
-        mono = ParamPoly.monomial(field, zero + exps[n:], c)
-        terms = {zero: one} if acc is None else acc.coeffs
-        total = termdict.add(total, ((a, x * mono) for a, x in terms.items()))
-    return TruncatedElement(total, m, n)
+        rest = exps[n:]
+        for a, _, k, x in cells:
+            out.setdefault(a, {})[x + rest] = c if k == 1 else c * k
+    return TruncatedElement._of(
+        {a: q for a, t in out.items() if (q := _make(t, field))}, m, n
+    )
 
 
 def twist_expand(r: BaseElem, m: int) -> TruncatedElement:

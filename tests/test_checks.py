@@ -178,3 +178,26 @@ def test_sweep_fail_line_carries_the_compared_polynomials(monkeypatch):
     ok, lines = run_checks(["phi-psi"], **ARGS)
     assert not ok
     assert lines[-1] == "FAIL phi-psi-sweep at=(i=0,j=0,dir=psi.phi) lhs=2*d0del0x0 rhs=d0del0x0"
+
+
+def _compositions_by_recursion(k):
+    """The compositions of k, first part smallest first, by one call per tree node."""
+    out = []
+
+    def rec(remaining, prefix):
+        if remaining == 0:
+            out.append(prefix)
+            return
+        for first in range(1, remaining + 1):
+            rec(remaining - first, prefix + (first,))
+
+    rec(k, ())
+    return out
+
+
+@pytest.mark.parametrize("k", range(1, 15))
+def test_ordered_partitions_match_the_recursive_reference(k):
+    # the same list in the same order, so every rng.choice draw picks the same composition
+    parts = checks.ordered_partitions(k)
+    assert type(parts) is list
+    assert parts == _compositions_by_recursion(k)

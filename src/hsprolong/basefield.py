@@ -41,32 +41,32 @@ through the term-sum rules in termdict, so a coefficient of 4 in F5 stays
 ``4*s`` in a ParamPoly but is the sign of ``-x`` in a DiffPoly.
 
 The mixed Hasse derivative D_alpha acts on the standard monomial basis by
-D_{i,k}(s_i^j) = C(j,k) s_i^{j-k} and reaches denominators through the
-quotient-rule recursion obtained by solving D_k(den * 1/den) = 0 for
-D_k(1/den).  That work stays in polynomials: D_k(1/den) is a numerator M_k
-over den^(k+1), and D_k(num/den) is the numerator
-sum over u of D_u(num) * den^u * M_{k-u} over den^(k+1), so each output
-coefficient takes one normalization and no BaseElem sum or product on the
-way.  One table routine computes every D_alpha on base elements:
-``_hasse_table`` walks the families from n-1 down to 0, and
-``_family_table`` gives one family's derivatives at a range of orders from
-one recursion up to the top order.  ``hasse_derive`` reads the single entry
-of a walk that asks each family for its one order, ``hasse_table`` and
-diffpoly's box read all-orders tables, and the layered maps call
-``_family_table`` directly.  The truncated-series route to the same values
-lives in the series module (substitution s -> s + t and a geometric series,
-no binomials and no D(den * 1/den) recursion) and is kept independent as a
-cross-check.
+D_{i,k}(s_i^j) = C(j,k) s_i^{j-k}, one family at a time, and reaches
+denominators through one recursion over multi-indices: the n families
+commute and are iterative, so the Leibniz rule solves
+D_gamma(den * 1/den) = 0 for D_gamma(1/den).  That work stays in
+polynomials: D_gamma(1/den) is a numerator M_gamma over den^(|gamma|+1), and
+D_alpha(num/den) is the numerator sum over beta <= alpha of
+D_beta(num) * den^|beta| * M_{alpha-beta} over den^(|alpha|+1), so each
+output takes one normalization and no BaseElem sum or product on the way.
+``_hasse_values`` runs this recursion over the down-closure of the
+multi-indices it is asked for, in graded order; ``hasse_derive`` asks it for
+one alpha, ``hasse_table`` for the simplex |alpha| <= m, diffpoly's
+``apply_d`` for the box below alpha and the layered maps for the orders
+k*e_0.  The truncated-series route to the same values lives in the series
+module (substitution s -> s + t and a geometric series, no binomials and no
+D(den * 1/den) recursion) and is kept independent as a cross-check.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from operator import add
-from typing import Callable, Iterable, Mapping, Sequence, Union
+from operator import add, sub
+from typing import Iterable, Mapping, Sequence, Union
 
 from . import termdict
 from .fields import FieldDescriptor, binom
+from .multiindex import enumerate_multiindices, indices_below
 
 
 def _monomial_key(exps: Sequence[int]) -> tuple:
@@ -831,55 +831,64 @@ def _reduce(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
 # -- Hasse derivatives --------------------------------------------------------
 
 
-def _quotient_tables(i: int, k: int, a: BaseElem) -> tuple[list, list, list]:
-    """(nums, ms, powers) for a = num/den and l = 0..k: nums[l] = D_{i,l}(num) * den^l,
-    the numerators M_l of D_{i,l}(1/den) = M_l / den^(l+1), and den^0..den^(k+1).
+def _poly_hasse(f: ParamPoly, alpha: Sequence[int]) -> ParamPoly:
+    """D_alpha of a polynomial: one ParamPoly.hasse per family with a nonzero order."""
+    for i, k in enumerate(alpha):
+        if k:
+            f = f.hasse(i, k)
+    return f
 
-    D_{i,v}(den * 1/den) = 0 for v >= 1 gives M_0 = 1 and
-    M_v = -sum over l = 1..v of D_{i,l}(den) * den^(l-1) * M_{v-l}.
+
+def _convolve(left: dict, right: dict, gamma: tuple, zero: ParamPoly) -> ParamPoly:
+    """The sum over beta <= gamma of left[beta] * right[gamma - beta], over the
+    beta that left holds."""
+    total = zero
+    for beta in indices_below(gamma):
+        x = left.get(beta)
+        if x:
+            y = right[tuple(map(sub, gamma, beta))]
+            if y:
+                total = total + x * y
+    return total
+
+
+def _hasse_values(a: BaseElem, wanted: Sequence[tuple]) -> dict[tuple, BaseElem]:
+    """{alpha: D_alpha(a)} for alpha in wanted, from one recursion over the
+    down-closure S of wanted, walked in graded order.
+
+    For a = num/den, D_gamma(den * 1/den) = 0 for gamma != 0 gives
+    D_gamma(1/den) = M_gamma / den^(|gamma|+1) with M_0 = 1 and
+    M_gamma = -sum over 0 < beta <= gamma of D_beta(den) * den^(|beta|-1) * M_{gamma-beta},
+    and the Leibniz rule gives D_alpha(a) as the numerator
+    sum over beta <= alpha of D_beta(num) * den^|beta| * M_{alpha-beta}
+    over den^(|alpha|+1), normalized once.  D_0(a) is a itself.
     """
     num, den = a.num, a.den
-    powers = [ParamPoly.const(a.field, 1), den]
-    for _ in range(k):
-        powers.append(powers[-1] * den)
-    # steps[l] = D_{i,l}(den) * den^(l-1), once per l
-    steps = [None] + [den.hasse(i, l) * powers[l - 1] for l in range(1, k + 1)]
-    ms = [powers[0]]
-    for v in range(1, k + 1):
-        total = ParamPoly.zero(a.field)
-        for l in range(1, v + 1):
-            if steps[l] and ms[v - l]:
-                total = total + steps[l] * ms[v - l]
-        ms.append(-total)
-    nums = [num.hasse(i, l) * powers[l] for l in range(k + 1)]
-    return nums, ms, powers
-
-
-def _quotient_rule(v: int, nums: list[ParamPoly], ms: list[ParamPoly], powers: list[ParamPoly]) -> BaseElem:
-    """D_v(num/den) = sum over u of D_u(num) D_{v-u}(1/den), from _quotient_tables:
-    the numerator sum of nums[u] * M_{v-u} over den^(v+1), normalized once."""
-    total = ParamPoly.zero(powers[0].field)
-    for u in range(v + 1):
-        if nums[u] and ms[v - u]:
-            total = total + nums[u] * ms[v - u]
-    return BaseElem(total, powers[v + 1])
-
-
-def _family_table(i: int, orders: range, a: BaseElem) -> list[BaseElem]:
-    """[D_{i,k}(a) for k in orders], running the 1/den recursion once up to the
-    top order; an order-0 family is a itself and runs none."""
-    top = orders[-1]
-    if not top:
-        return [a]
-    if a.den.is_const():
-        if a.num.is_const():
+    if den.is_const():
+        if num.is_const():
             # a constant's positive orders are all zero
-            zero = _elem(ParamPoly.zero(a.field), a.den)
-            return [zero if k else a for k in orders]
+            zero = _elem(ParamPoly.zero(a.field), den)
+            return {alpha: zero if any(alpha) else a for alpha in wanted}
         # a polynomial's derivatives are polynomials, each its own normal form
-        return [_elem(a.num.hasse(i, k), a.den) if k else a for k in orders]
-    tables = _quotient_tables(i, top, a)
-    return [_quotient_rule(k, *tables) if k else a for k in orders]
+        return {alpha: _elem(_poly_hasse(num, alpha), den) for alpha in wanted}
+    # the down-closure in graded order: the zero index first, and each
+    # M_{gamma-beta} before M_gamma
+    closure = sorted(dict.fromkeys(beta for alpha in wanted for beta in indices_below(alpha)), key=sum)
+    powers = [ParamPoly.const(a.field, 1), den]
+    for _ in range(sum(closure[-1])):
+        powers.append(powers[-1] * den)
+    zero = ParamPoly.zero(a.field)
+    # nums[gamma] = D_gamma(num) * den^|gamma|, steps[gamma] = D_gamma(den) * den^(|gamma|-1)
+    nums, steps, ms = {closure[0]: num}, {}, {closure[0]: powers[0]}
+    for gamma in closure[1:]:
+        size = sum(gamma)
+        nums[gamma] = _poly_hasse(num, gamma) * powers[size]
+        steps[gamma] = _poly_hasse(den, gamma) * powers[size - 1]
+        ms[gamma] = -_convolve(steps, ms, gamma, zero)
+    return {
+        alpha: BaseElem(_convolve(nums, ms, alpha, zero), powers[sum(alpha) + 1]) if any(alpha) else a
+        for alpha in wanted
+    }
 
 
 def hasse_derive(alpha: Sequence[int], a: BaseElem) -> BaseElem:
@@ -889,31 +898,13 @@ def hasse_derive(alpha: Sequence[int], a: BaseElem) -> BaseElem:
         raise ValueError(f"multi-index length {len(alpha)} != derivation count {n}")
     if any(k < 0 for k in alpha):
         raise ValueError(f"multi-index entries must be naturals, got {tuple(alpha)}")
-    return _hasse_table(a, lambda i, rest: range(alpha[i], alpha[i] + 1))[tuple(alpha)]
+    alpha = tuple(alpha)
+    return _hasse_values(a, [alpha])[alpha]
 
 
 def hasse_table(a: BaseElem, m: int) -> dict[tuple, BaseElem]:
-    """{alpha: D_alpha(a)} for every multi-index alpha with |alpha| <= m.
-
-    Each element met in a family's pass runs the D_l(1/den) recursion once for
-    every order it needs.
-    """
+    """{alpha: D_alpha(a)} for every multi-index alpha with |alpha| <= m, in
+    graded-lex order, from one recursion over the simplex."""
     if m < 0:
         raise ValueError(f"derivative order must be a natural, got {m}")
-    return _hasse_table(a, lambda i, rest: range(m - sum(rest) + 1))
-
-
-def _hasse_table(a: BaseElem, orders: Callable[[int, tuple], range]) -> dict[tuple, BaseElem]:
-    """{alpha: D_alpha(a)} with alpha_i in orders(i, rest) below the coordinates
-    rest it comes after: family by family from n-1 down to 0, one _family_table
-    pass per element and family.  hasse_derive, hasse_table and diffpoly's box
-    all run this walk."""
-    table: dict[tuple, BaseElem] = {(): a}
-    for i in range(a.field.derivation_count - 1, -1, -1):
-        table = {
-            (k,) + rest: d
-            for rest, b in table.items()
-            for ks in (orders(i, rest),)
-            for k, d in zip(ks, _family_table(i, ks, b))
-        }
-    return table
+    return _hasse_values(a, enumerate_multiindices(a.field.derivation_count, m))

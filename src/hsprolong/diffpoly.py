@@ -26,7 +26,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from . import termdict
-from .basefield import _hasse_table, hasse_table
+from .basefield import _hasse_values, hasse_table
 from .fields import FieldDescriptor, comp_coeff, comp_count
 from .multiindex import (
     enumerate_multiindices,
@@ -128,11 +128,10 @@ def apply_d(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly
     if any(k < 0 for k in alpha):
         raise ValueError(f"multi-index entries must be naturals, got {alpha}")
 
-    def derivatives(c):
-        # the box below alpha, from one quotient-rule pass per family
-        return _hasse_table(c, lambda i, rest: range(alpha[i] + 1))
-
-    return _fold(f, mode, termdict.box_key(alpha), indices_below(alpha), (alpha,), derivatives)[alpha]
+    # the coefficient tables D_gamma(c) over the box below alpha, each from
+    # one quotient recursion over that box
+    box = indices_below(alpha)
+    return _fold(f, mode, termdict.box_key(alpha), box, (alpha,), lambda c: _hasse_values(c, box))[alpha]
 
 
 def derive_upto(f: DiffPoly, m: int, mode: DerivationMode) -> dict[tuple, DiffPoly]:

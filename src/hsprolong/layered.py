@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import termdict
-from .basefield import BaseElem, _family_table
+from .basefield import BaseElem, _hasse_values
 from .fields import FieldDescriptor
 from .diffpoly import DerivationMode, DiffPoly
 from .multiindex import indices_below
@@ -85,11 +85,13 @@ class LayeredPoly(SparsePoly):
 
 
 def _d_table(l: int, c: BaseElem) -> list[BaseElem]:
-    """[D_0(c), ..., D_l(c)] on base coefficients, from one quotient-rule pass;
-    a trivial field kills every positive order."""
-    if c.field.derivation_count == 0:
+    """[D_0(c), ..., D_l(c)] on base coefficients, the orders k*e_0 of the one
+    D_alpha recursion; a trivial field kills every positive order."""
+    n = c.field.derivation_count
+    if n == 0:
         return [c] + [BaseElem.zero(c.field)] * l
-    return _family_table(0, range(l + 1), c)
+    orders = [(k,) + (0,) * (n - 1) for k in range(l + 1)]
+    return list(_hasse_values(c, orders).values())
 
 
 def layered_expand(

@@ -267,26 +267,31 @@ def test_constant_hasse_table_takes_no_parameter_derivative(field, monkeypatch):
         monkeypatch.setattr(ParamPoly, "hasse", counted)
 
 
-def test_hasse_derive_runs_one_recursion_per_nonzero_family(monkeypatch):
-    # hasse_derive reads one entry of the shared table walk: each family with a
-    # nonzero order runs the 1/den recursion once, to that order, and an
-    # order-0 family runs none
+def test_hasse_derive_makes_one_normalization(monkeypatch):
+    # hasse_derive runs one recursion over the box below alpha and normalizes
+    # its one output once, whatever the number of families with a nonzero
+    # order; alpha = 0, a constant and a polynomial take no normalization
     from hsprolong import basefield
 
     calls = []
-    real = basefield._quotient_tables
+    real = basefield._reduce
 
-    def counted(i, k, a):
-        calls.append((i, k))
-        return real(i, k, a)
+    def counted(num, den):
+        calls.append(den)
+        return real(num, den)
 
-    monkeypatch.setattr(basefield, "_quotient_tables", counted)
+    monkeypatch.setattr(basefield, "_reduce", counted)
     s, u = BaseElem.param(Q_su, "s"), BaseElem.param(Q_su, "u")
-    a = (s + u) / (s * u + 1)
-    for alpha, want in [((0, 0), []), ((2, 0), [(0, 2)]), ((0, 3), [(1, 3)]), ((1, 2), [(1, 2), (0, 1)])]:
+    cases = [((s + u) / (s * u + 1), 1), (3 * s * u**2 + s + 2, 0), (BaseElem.const(Q_su, 7, 3), 0)]
+    for a, want in cases:
+        for alpha in [(2, 0), (0, 3), (1, 2), (2, 2)]:
+            calls.clear()
+            # a zero numerator would skip the normalization
+            assert hasse_derive(alpha, a) or not want
+            assert len(calls) == want, (a, alpha)
         calls.clear()
-        hasse_derive(alpha, a)
-        assert calls == want, alpha
+        assert hasse_derive((0, 0), a) == a
+        assert calls == [], a
 
 
 class TestOutsideInput:

@@ -101,18 +101,18 @@ def test_layered_holds_only_the_maps():
 
 
 def _plant_doubled_order_two(monkeypatch):
-    # doubles the order-2 entries of the family table on non-polynomial elements
+    # doubles the |alpha| = 2 values of the D_alpha recursion on non-polynomial elements
     from hsprolong import basefield
 
-    real = basefield._family_table
+    real = basefield._hasse_values
 
-    def planted(i, orders, a):
-        out = real(i, orders, a)
+    def planted(a, wanted):
+        out = real(a, wanted)
         if a.den.is_const():
             return out
-        return [d * 2 if k == 2 else d for k, d in zip(orders, out)]
+        return {alpha: d * 2 if sum(alpha) == 2 else d for alpha, d in out.items()}
 
-    monkeypatch.setattr(basefield, "_family_table", planted)
+    monkeypatch.setattr(basefield, "_hasse_values", planted)
 
 
 def test_multinomial_reads_the_table_that_prolong_runs(monkeypatch, capsys):

@@ -235,6 +235,31 @@ def test_presentation_output_is_pinned(field, command, order, tmp_path, capsys):
     assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_DIGESTS[field, command, order]
 
 
+# Two derivations and point coordinates whose denominators are not monomials,
+# so each mixed D_alpha of the point runs the quotient recursion across both
+# families; CI compares the installed console script with these lines too.
+RATIONAL_N2_DOC = (
+    "char 0; params s1 s2; derivations 2;\nvars x y z;\n"
+    "gens x*y - s1, (s1 + 2*s2)*z/(s1*s2 + 1) - (s2 + 1)/(s1*s2 + 1);\n"
+    "point x = (s1*s2 + 1)/(s1 - s2 + 3), y = s1*(s1 - s2 + 3)/(s1*s2 + 1), z = (s2 + 1)/(s1 + 2*s2);\n"
+)
+RATIONAL_N2_SHA256 = {
+    "prolong --order 5": "32fe23112db94f3fe97461999f439757bd540812453ec951e1bb7b57f15b5f12",
+    "nabla --order 5": "7f9a7efc28d7e8a7d39c179abfe3ce1dc89cb9a5bdfaa42777ac8ea381826e26",
+}
+
+
+@pytest.mark.parametrize("command", sorted(RATIONAL_N2_SHA256))
+def test_rational_n2_output_is_pinned(command, tmp_path, capsys):
+    from hsprolong import cli
+
+    path = tmp_path / "doc.txt"
+    path.write_text(RATIONAL_N2_DOC, encoding="utf-8")
+    assert cli.main([*command.split(), str(path)]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == RATIONAL_N2_SHA256[command]
+
+
 # Check reports that reach order-3 derivative tables, which `check all` does
 # not; CI compares the installed console script with these lines too.
 CHECK_ORDER_3_SEED_42_SHA256 = {
@@ -412,3 +437,8 @@ def test_main_builds_only_the_named_subparser(witt_file, monkeypatch, capsys):
         cli.main(["--help"])
     assert len(built) == 1 + len(cli.COMMANDS)
     capsys.readouterr()
+
+
+if __name__ == "__main__":
+    # writes the document of RATIONAL_N2_SHA256 to the path given
+    Path(sys.argv[1]).write_text(RATIONAL_N2_DOC, encoding="utf-8")

@@ -1,9 +1,10 @@
 """The all-orders routes against the single-index routes and the series oracles.
 
 ``derive_upto`` must agree with ``apply_d`` and ``taylor_oracle`` at every
-multi-index up to its order, and ``hasse_table`` with ``hasse_derive`` and the
-``twist_expand`` coefficients.  Inputs come from hypothesis strategies, so a
-failure shrinks to a small polynomial.
+multi-index up to its order, and ``hasse_table`` and the layered maps'
+``_d_table`` with ``hasse_derive`` and the ``twist_expand`` coefficients.
+Inputs come from hypothesis strategies, so a failure shrinks to a small
+polynomial.
 """
 
 from fractions import Fraction
@@ -24,6 +25,7 @@ from hsprolong import (
     taylor_oracle,
     twist_expand,
 )
+from hsprolong import layered
 from hsprolong.basefield import hasse_table
 from hsprolong.diffpoly import derive_upto
 
@@ -114,6 +116,9 @@ def test_hasse_table_matches_hasse_derive_and_twist_expand(field, data):
     for alpha, value in table.items():
         assert value == hasse_derive(alpha, a)
         assert value == series.coeff_or(alpha, zero)
+    # the layered maps' orders k*e_0; a trivial field has only order 0
+    line = [(k,) + (0,) * (n - 1) for k in range(m + 1)] if n else [()]
+    assert layered._d_table(m, a) == [series.coeff_or(alpha, zero) for alpha in line] + [zero] * (m + 1 - len(line))
 
 
 def test_hasse_table_rejects_negative_order():

@@ -3,8 +3,8 @@
 twist_expand, twist_psi and twist_inverse substitute s -> s + t on integer
 Pascal rows and sum a geometric series; they take no binomial from
 ``fields.binom``, ``math.comb`` or ``ParamPoly.hasse`` and never reach the
-D_l(1/den) recursion of ``basefield._family_table``.  With all of those made
-to raise, the three routes must still give the values they gave before.
+D_alpha(1/den) recursion of ``basefield._hasse_values``.  With all of those
+made to raise, the three routes must still give the values they gave before.
 """
 
 import math
@@ -56,7 +56,7 @@ def test_series_routes_need_no_binomial_of_the_quotient_rule(field, monkeypatch)
     monkeypatch.setattr(ParamPoly, "hasse", _refuse)
     monkeypatch.setattr(fields, "binom", _refuse)
     monkeypatch.setattr(basefield, "binom", _refuse)
-    monkeypatch.setattr(basefield, "_family_table", _refuse)
+    monkeypatch.setattr(basefield, "_hasse_values", _refuse)
     monkeypatch.setattr(math, "comb", _refuse)
     # the quotient-rule route does stop at the patches
     with pytest.raises(AssertionError, match="binomial"):

@@ -35,10 +35,10 @@ product or sum with an int, a Fraction or a constant BaseElem scales or
 shifts the numerator and keeps the denominator, and ``x == k`` for a number k
 compares the constant of x with k reduced into the field.
 
-Text: ParamPoly writes its number coefficients with ``str`` and
-BaseElem.render_coeff writes a rational function beside a power product, both
-through the term-sum rules in termdict, so a coefficient of 4 in F5 stays
-``4*s`` in a ParamPoly but is the sign of ``-x`` in a DiffPoly.
+Text: ParamPoly writes its number coefficients with ``str``, and
+BaseElem.render_head gives what a rational function writes before a power
+product; both feed the term-sum rules in termdict, so a coefficient of 4 in F5
+stays ``4*s`` in a ParamPoly but is the sign of ``-x`` in a DiffPoly.
 
 The mixed Hasse derivative D_alpha acts on the standard monomial basis by
 D_{i,k}(s_i^j) = C(j,k) s_i^{j-k}, one family at a time, and reaches
@@ -772,24 +772,21 @@ class BaseElem:
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 
-    def render_coeff(self, body: str) -> str:
-        """self times the power product body, as one piece of a sum; the plain
-        rendering when body is empty.  The field's -1 (p - 1 in characteristic p)
-        is a bare sign, and a negative leading coefficient gives its sign to the
+    def render_head(self) -> str:
+        """What is written before a power product that self multiplies, for
+        termdict.render_product.  The field's -1 (p - 1 in characteristic p) is
+        a bare sign, and a negative leading coefficient gives its sign to the
         piece."""
-        if not body:
-            return self.render()
         c = self._value()
         if c is not None:
             # characteristic - 1 is -1 in characteristic 0 and p - 1 in p; in
             # characteristic 2 it is also 1, which is no sign
-            s = "-1" if c == self.field.characteristic - 1 and c != 1 else str(c)
-            return termdict.render_product(s, body)
+            return "-1" if c == self.field.characteristic - 1 and c != 1 else str(c)
         x, sign = (-self, "-") if self.num.leading()[1] < 0 else (self, "")
         s = x.render()
         if x.den.is_const() and len(x.num.terms) > 1:
             s = f"({s})"  # a sum beside '*' needs parentheses
-        return termdict.render_product(sign + s, body)
+        return sign + s
 
     def __str__(self) -> str:
         return self.render()

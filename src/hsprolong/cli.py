@@ -34,6 +34,7 @@ from .presentations import (
     prolong_presentation,
     render_presentation,
 )
+from .sparsepoly import render_polys
 
 OK, CHECK_FAILED, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
@@ -102,17 +103,14 @@ def cmd_lift(args: argparse.Namespace) -> int:
     image_map = {i: images[name] for i, name in enumerate(target_names)}
     lift = lift_morphism(image_map, args.order, _mode(args.mode))
     symbols = sorted(lift, key=lambda s: s.sort_key)
+    texts = render_polys([lift[s] for s in symbols], doc.var_names)
+    rows = [(s.render(target_names), text) for s, text in zip(symbols, texts)]
     if args.json:
-        payload = {
-            "order": args.order,
-            "mode": args.mode,
-            "map": {s.render(target_names): lift[s].render(doc.var_names) for s in symbols},
-        }
-        print(json.dumps(payload, indent=2))
+        print(json.dumps({"order": args.order, "mode": args.mode, "map": dict(rows)}, indent=2))
     else:
         print(f"lift order={args.order} mode={args.mode}")
-        for s in symbols:
-            print(f"{s.render(target_names)} -> {lift[s].render(doc.var_names)}")
+        for name, text in rows:
+            print(f"{name} -> {text}")
     return OK
 
 

@@ -16,11 +16,16 @@ apply_d's at each alpha; both stay on the quotient rule plus Leibniz.
 taylor_oracle recomputes the same values through substitution into a
 truncated t-ring with the series expansion of the coefficients, and is kept
 as an independent cross-check.
+
+DiffSymbol is a light value object: a plain ``__slots__`` class, immutable by
+convention like ParamPoly and BaseElem, that stores its fields, hash and
+sort_key once in ``__init__`` and is equal only to a DiffSymbol with the same
+fields.  The fold builds a symbol for every piece it meets, so construction
+is on the hot path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
@@ -40,17 +45,26 @@ from .series import TruncatedElement, twist_expand
 from .sparsepoly import SparsePoly
 
 
-@dataclass(frozen=True)
 class DiffSymbol:
-    """The symbol x_i^(alpha); alpha = 0 denotes the variable itself."""
+    """The symbol x_i^(alpha); alpha = 0 denotes the variable itself.
 
-    var: int
-    order: tuple[int, ...]
+    A value object, immutable by convention: equal to a DiffSymbol with the
+    same fields and to nothing else.  Symbols key every term dict, so the hash
+    and sort_key are computed once, here.
+    """
 
-    def __post_init__(self) -> None:
-        # symbols key every term dict: hash and sort_key are computed once, here
-        object.__setattr__(self, "_hash", hash((self.var, self.order)))
-        object.__setattr__(self, "sort_key", (self.var, graded_lex_key(self.order)))
+    __slots__ = ("var", "order", "_hash", "sort_key")
+
+    def __init__(self, var: int, order: tuple[int, ...]):
+        self.var = var
+        self.order = order
+        self._hash = hash((var, order))
+        self.sort_key = (var, graded_lex_key(order))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not DiffSymbol:
+            return NotImplemented
+        return self.var == other.var and self.order == other.order
 
     def __hash__(self) -> int:
         return self._hash

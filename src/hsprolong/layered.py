@@ -25,12 +25,15 @@ in last.  ``layered_expand`` and ``outer_derive``, the other route of the
 claims and theta relations that the checks compare, run the same Leibniz
 fold with indices kept and with derivatives of the base coefficients, and
 they build their symbol pieces on their own.
+
+LayeredSymbol is a light value object like DiffSymbol: a ``__slots__`` class,
+immutable by convention, with its hash and sort_key stored once, and equal
+only to a LayeredSymbol with the same fields.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 from . import termdict
@@ -49,19 +52,32 @@ class TruncationOverflow(ValueError):
 _KIND_MARK = {DerivationMode.PROLONGATION: "del", DerivationMode.JET: "pd"}
 
 
-@dataclass(frozen=True)
 class LayeredSymbol:
-    """d_i del_j x or d_i pd_j x: outer order i, inner order j."""
+    """d_i del_j x or d_i pd_j x: outer order i, inner order j.
 
-    var: int
-    outer: int
-    inner: int
-    inner_kind: DerivationMode
+    A value object like DiffSymbol: immutable by convention, equal only to a
+    LayeredSymbol with the same fields, its hash and sort_key computed once.
+    """
 
-    def __post_init__(self) -> None:
-        # symbols key every term dict: hash and sort_key are computed once, here
-        object.__setattr__(self, "_hash", hash((self.var, self.outer, self.inner, self.inner_kind)))
-        object.__setattr__(self, "sort_key", (self.var, self.outer + self.inner, self.outer, self.inner_kind.value))
+    __slots__ = ("var", "outer", "inner", "inner_kind", "_hash", "sort_key")
+
+    def __init__(self, var: int, outer: int, inner: int, inner_kind: DerivationMode):
+        self.var = var
+        self.outer = outer
+        self.inner = inner
+        self.inner_kind = inner_kind
+        self._hash = hash((var, outer, inner, inner_kind))
+        self.sort_key = (var, outer + inner, outer, inner_kind.value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not LayeredSymbol:
+            return NotImplemented
+        return (
+            self.var == other.var
+            and self.outer == other.outer
+            and self.inner == other.inner
+            and self.inner_kind is other.inner_kind
+        )
 
     def __hash__(self) -> int:
         return self._hash

@@ -9,6 +9,7 @@ n = 2 the order starts (0,0), (1,0), (0,1), (2,0), (1,1), (0,2).
 from __future__ import annotations
 
 import itertools
+from operator import neg
 from typing import Iterator, Sequence
 
 MultiIndex = tuple[int, ...]
@@ -48,7 +49,7 @@ def index_leq(alpha: Sequence[int], beta: Sequence[int]) -> bool:
 
 def graded_lex_key(alpha: Sequence[int]) -> tuple:
     """Sort key realizing the canonical graded-lex order."""
-    return (sum(alpha), tuple(-e for e in alpha))
+    return (sum(alpha), tuple(map(neg, alpha)))
 
 
 def _compositions(n: int, s: int) -> Iterator[tuple[int, ...]]:

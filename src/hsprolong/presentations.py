@@ -13,6 +13,12 @@ generator or image in one truncated Leibniz pass (derive_upto), which yields
 d_alpha f for all |alpha| <= m together, and nabla takes each coordinate's
 derivatives D_alpha(a_i), |alpha| <= m, from one quotient-rule table
 (hasse_table).
+
+Text: an order-m presentation writes every d_alpha f_j, so the same table
+entries D_gamma(c) and symbols x_i^(alpha) stand beside many monomials.
+render_presentation and presentation_to_json write all the generators in one
+sparsepoly.render_polys call, whose table, alive for that call only, writes
+each of them once.
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from .multiindex import (
     zero_index,
 )
 from .diffpoly import DerivationMode, DiffPoly, DiffSymbol, apply_d, derive_upto
+from .sparsepoly import render_polys
 
 
 class PointNotOnVariety(ValueError):
@@ -253,10 +260,8 @@ def render_presentation(
         f"P_m mode={pres.mode.value} vars={pres.base.var_count} "
         f"derivations={pres.field.derivation_count} order={pres.order}"
     ]
-    for s in pres.symbols:
-        lines.append(f"symbol {s.render(names)}")
-    for g in pres.generators:
-        lines.append(f"generator {g.render(names)}")
+    lines += [f"symbol {s.render(names)}" for s in pres.symbols]
+    lines += [f"generator {text}" for text in render_polys(pres.generators, names)]
     return "\n".join(lines)
 
 
@@ -269,5 +274,5 @@ def presentation_to_json(
         "derivations": pres.field.derivation_count,
         "order": pres.order,
         "symbols": [s.render(names) for s in pres.symbols],
-        "generators": [g.render(names) for g in pres.generators],
+        "generators": render_polys(pres.generators, names),
     }

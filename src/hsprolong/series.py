@@ -3,9 +3,9 @@
 A TruncatedElement maps multi-indices of size <= m to nonzero carrier
 elements; the carrier is duck-typed (BaseElem, a sparse symbol polynomial, or
 a ParamPoly inside twist_expand) and only needs +, -, *, bool and ==, plus
-render_coeff to be written.  Products discard terms of size > m.  The text
-form is termdict's: the carrier writes each coefficient beside its power of t
-with render_coeff, and termdict joins the pieces.
+render and render_head to be written.  Products discard terms of size > m.
+The text form is termdict's: render_term writes each coefficient beside its
+power of t, and render_sum joins the pieces.
 
 The twisted structure lives here too: twist_expand sends a base element
 r = num/den to its truncated Taylor expansion sum D_alpha(r) t^alpha.  It
@@ -155,7 +155,7 @@ class TruncatedElement:
         names = [f"t{i + 1}" for i in range(self.t_count)]
         coeffs = self.coeffs
         return termdict.render_sum(
-            coeffs[a].render_coeff(termdict.render_powers(zip(names, a)))
+            termdict.render_term(coeffs[a], termdict.render_powers(zip(names, a)))
             for a in sorted(coeffs, key=graded_lex_key)
         )
 

@@ -2,15 +2,23 @@
 
 A monomial is a tuple of (symbol, exponent) pairs with exponents >= 1, kept
 sorted by the symbol's ``sort_key``; terms map monomials to nonzero BaseElem
-coefficients.  Symbols only need ``sort_key`` and ``render(names)``, so the
-same machinery carries both the differential symbols x_i^(alpha) and the
+coefficients.  Symbols are value objects that only need ``sort_key``,
+``render(names)`` and value equality with a stored hash, so the same
+machinery carries both the differential symbols x_i^(alpha) and the
 two-layer symbols of the isomorphism checks.
 
 Canonical term order for rendering: descending total degree, then ascending
 factor sequence, which yields e.g. ``x^2 - s`` and ``x*d2y + d1x*d1y + d2x*y``.
 The rules that write a term sum (power product, coefficient beside it, sign
-join) live in termdict; each BaseElem coefficient writes itself beside its
-monomial with ``render_coeff``.
+join) live in termdict; each BaseElem coefficient gives the head it writes
+before its monomial with ``render_head``.
+
+``render_polys`` is the one text route: it writes a sequence of polynomials
+with a table that lives for that call only, so each symbol's text and each
+coefficient's head is written once however many monomials they stand beside
+(a presentation writes the same D_gamma(c) and x_i^(alpha) again and again
+across its generators d_alpha f_j).  ``SparsePoly.render`` is its
+one-polynomial case.
 """
 
 from __future__ import annotations
@@ -185,20 +193,45 @@ class SparsePoly:
     # -- rendering --------------------------------------------------------------
 
     def render(self, names: Sequence[str] | None = None) -> str:
-        terms = self.terms
-        return termdict.render_sum(
-            terms[mono].render_coeff(termdict.render_powers((sym.render(names), e) for sym, e in mono))
-            for mono in sorted(terms, key=_display_key)
-        )
+        return render_polys((self,), names)[0]
 
-    def render_coeff(self, body: str) -> str:
-        """self times the power product body, as one piece of a sum: a
+    def render_head(self) -> str:
+        """What is written before a power product that self multiplies: a
         polynomial coefficient is always parenthesized, and never elided."""
-        s = self.render()
-        return f"({s})*{body}" if body else s
+        return f"({self.render()})"
 
     def __str__(self) -> str:
         return self.render()
 
     def __repr__(self) -> str:
         return f"{type(self).__name__}({self.render()})"
+
+
+def render_polys(polys: Sequence[SparsePoly], names: Sequence[str] | None = None) -> list[str]:
+    """The text of each polynomial, its symbols written under names.
+
+    One table for the call gives each symbol's text and each coefficient's
+    head, so a symbol or a coefficient that stands beside many monomials is
+    written once.  Coefficients are keyed by identity, which is sound only
+    while each of them lives: the call holds every polynomial until it
+    returns, and the tables end with it.
+    """
+    polys = tuple(polys)
+    symbol_text: dict = {}
+    heads: dict[int, str] = {}
+    out = []
+    for f in polys:
+        terms = f.terms
+        pieces = []
+        for mono in sorted(terms, key=_display_key):
+            c = terms[mono]
+            if not mono:
+                pieces.append(c.render())
+                continue
+            head = heads.get(id(c)) or heads.setdefault(id(c), c.render_head())
+            body = termdict.render_powers(
+                (symbol_text.get(sym) or symbol_text.setdefault(sym, sym.render(names)), e) for sym, e in mono
+            )
+            pieces.append(termdict.render_product(head, body))
+        out.append(termdict.render_sum(pieces))
+    return out

@@ -40,7 +40,8 @@ exponent 0 left out), ``render_product`` writes a rendered coefficient beside
 it (a coefficient of 1 or -1 is not written), and ``render_sum`` joins the
 pieces (a piece that starts with ``-`` is subtracted, no pieces give ``0``).
 A ring's coefficient brings its own rendering: a plain number is written with
-``str``, a ring element by its ``render_coeff(body)``.
+``str``, a ring element by ``render_term``, which writes the element alone as
+its ``render()`` and beside a power product as its ``render_head()``.
 
 The module is internal: rings reach it through the module object, so its
 functions never show up as names of their own in a ring's namespace.
@@ -267,6 +268,12 @@ def render_product(coeff: str, body: str) -> str:
     if coeff == "-1":
         return "-" + body
     return f"{coeff}*{body}"
+
+
+def render_term(coeff, body: str) -> str:
+    """A ring element beside the power product body: its own text when body is
+    empty, else its ``render_head()`` before body."""
+    return render_product(coeff.render_head(), body) if body else coeff.render()
 
 
 def render_sum(pieces: Iterable[str]) -> str:

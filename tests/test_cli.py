@@ -235,6 +235,42 @@ def test_presentation_output_is_pinned(field, command, order, tmp_path, capsys):
     assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_DIGESTS[field, command, order]
 
 
+# The --json output of the same commands on the same documents; CI compares the
+# installed console script with these lines too, under two hash seeds, so a
+# table ordered by identity or hash that reached the output would move a digest.
+PINNED_JSON_DIGESTS = {
+    ("F5(s)", "lift", 2): "3650e525448dc9258ef2e4a8dc8b38ca823b94c199759cb653ec5c1eb5bcb693",
+    ("F5(s)", "lift", 4): "73b3f1a42c38af1297049b08eef9e9d103d68e8b0377a0d7fbac34cdc63a9e7b",
+    ("F5(s)", "nabla", 2): "b930b45efe82c3dbc1f244c076e1211b2aa3e689014d0574d2876eb5d431c169",
+    ("F5(s)", "nabla", 4): "e362f19d4296751f56a5c0c82fd694fe37a3df12c8712c6fb886991e9f8743bf",
+    ("F5(s)", "prolong", 2): "54ecacecb92e27af66982839a787f486b7b209a8ba66698af0a9aafddb2ca77d",
+    ("F5(s)", "prolong", 4): "a2df127c9e852c921f5ceaf287e147924488d9946557bec642c11553f501a8dd",
+    ("Q(s1,s2)", "lift", 2): "1e4fe57dd44251fafd93f47971005813e7ac7add1368354df8779064acf4c684",
+    ("Q(s1,s2)", "lift", 4): "94263c5a89e28ee7746bc48530120c1a0f452200031f13f1a2207f92188c2475",
+    ("Q(s1,s2)", "nabla", 2): "0a60e841167e0df496a497b944c6382435631d647bc72efa287f8f83757295e9",
+    ("Q(s1,s2)", "nabla", 4): "5f478e10c9a4fa059b83617022788e4fd4dae9c418707b253e5acf6aa5339d28",
+    ("Q(s1,s2)", "prolong", 2): "3a82c8dd79137b22aca08aea43b3c8752e4c1b302e6085a1f4674a4dd6c51643",
+    ("Q(s1,s2)", "prolong", 4): "fe5288f0cc864766dca808f7d941492f8b31e2842bfa7f9bd789bfd4ea52699d",
+}
+
+
+def pinned_json_argv(field: str, command: str, order: int, path: str) -> list[str]:
+    """The arguments of one JSON pin; lift runs in jet mode, as the text pins do."""
+    extra = ["--mode", "jet", "--map", PINNED_DOCS[field][1]] if command == "lift" else []
+    return [command, *extra, "--json", "--order", str(order), path]
+
+
+@pytest.mark.parametrize("field, command, order", sorted(PINNED_JSON_DIGESTS))
+def test_json_output_is_pinned(field, command, order, tmp_path, capsys):
+    from hsprolong import cli
+
+    path = tmp_path / "doc.txt"
+    path.write_text(PINNED_DOCS[field][0], encoding="utf-8")
+    assert cli.main(pinned_json_argv(field, command, order, str(path))) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == PINNED_JSON_DIGESTS[field, command, order]
+
+
 # Two derivations and point coordinates whose denominators are not monomials,
 # so each mixed D_alpha of the point runs the quotient recursion across both
 # families; CI compares the installed console script with these lines too.
@@ -440,5 +476,14 @@ def test_main_builds_only_the_named_subparser(witt_file, monkeypatch, capsys):
 
 
 if __name__ == "__main__":
-    # writes the document of RATIONAL_N2_SHA256 to the path given
+    # writes the document of RATIONAL_N2_SHA256 to the path given; with a
+    # directory as well, writes each PINNED_DOCS document into it and prints
+    # one line per JSON pin: the digest, then the arguments, separated by tabs
     Path(sys.argv[1]).write_text(RATIONAL_N2_DOC, encoding="utf-8")
+    if len(sys.argv) > 2:
+        docs = {}
+        for k, (field, (text, _)) in enumerate(sorted(PINNED_DOCS.items())):
+            docs[field] = Path(sys.argv[2]) / f"pinned-doc-{k}.txt"
+            docs[field].write_text(text, encoding="utf-8")
+        for key, digest in sorted(PINNED_JSON_DIGESTS.items()):
+            print("\t".join([digest, *pinned_json_argv(*key, str(docs[key[0]]))]))

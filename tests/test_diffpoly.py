@@ -218,3 +218,32 @@ def test_symbol_hash_and_sort_key_are_computed_once(monkeypatch):
     assert b.sort_key == (0, 3, 2, "jet")
     assert b == LayeredSymbol(0, 2, 1, J) and b != LayeredSymbol(0, 2, 1, P)
     assert repr(b) == "d2pd1x0"
+
+
+def test_symbols_are_value_objects():
+    from hsprolong.layered import LayeredSymbol
+
+    a, a2 = DiffSymbol(0, (1,)), DiffSymbol(0, (1,))
+    b, b2 = LayeredSymbol(0, 1, 0, P), LayeredSymbol(0, 1, 0, P)
+    # equality holds within a class, field by field, between distinct objects
+    assert a is not a2 and a == a2 and not a != a2 and hash(a) == hash(a2)
+    assert b is not b2 and b == b2 and not b != b2 and hash(b) == hash(b2)
+    assert a != DiffSymbol(1, (1,)) and a != DiffSymbol(0, (2,))
+    for other in (LayeredSymbol(1, 1, 0, P), LayeredSymbol(0, 2, 0, P), LayeredSymbol(0, 1, 1, P), LayeredSymbol(0, 1, 0, J)):
+        assert b != other
+    # a symbol is never equal to the plain tuple of its fields, either way round
+    assert a != (0, (1,)) and (0, (1,)) != a
+    assert b != (0, 1, 0, P) and (0, 1, 0, P) != b
+    # nor to a symbol of the other class, even when the two hashes collide
+    collide = LayeredSymbol(0, 1, 0, P)
+    collide._hash = hash(a)
+    assert hash(collide) == hash(a)
+    assert a != collide and collide != a
+    assert len({a, collide}) == 2
+    table = {a: "diff", collide: "layered"}
+    assert table[a2] == "diff" and table[collide] == "layered"
+    # as dict keys and set members, equal symbols are one key
+    assert {a: 1, a2: 2} == {a: 2}
+    assert {a, a2, b, b2} == {a, b}
+    assert DiffSymbol(0, (1,)) in {a} and LayeredSymbol(0, 1, 0, P) in {b}
+    assert {b2: "x"}[b] == "x"

@@ -380,3 +380,78 @@ def test_text_form_is_pinned(kind, field, coeff, text):
     else:
         got = build(kind, F, COEFFS[coeff](*_params(F)))
     assert got.render() == text
+
+
+# -- one call, one table ------------------------------------------------------------
+
+
+def test_render_polys_table_belongs_to_one_call():
+    """Three renderings of one presentation in one process, each under other
+    names, each equal to its generator-by-generator rendering: no symbol text
+    or coefficient head carries over from one call to the next."""
+    from hsprolong.presentations import (
+        VarietyPresentation,
+        presentation_to_json,
+        prolong_presentation,
+        render_presentation,
+    )
+    from hsprolong.sparsepoly import render_polys
+
+    one, s, u = _params(Q_SU)
+    x, y = _x(Q_SU, 0), _x(Q_SU, 1)
+    variety = VarietyPresentation(Q_SU, 2, [x * y - s, (x - u) * (s * y + 2) / (s + 1)])
+    pres = prolong_presentation(variety, 2, DerivationMode.PROLONGATION)
+    texts = {}
+    for names in (None, ("x", "y"), ("u", "v"), None):
+        one_by_one = [g.render(names) for g in pres.generators]
+        assert render_polys(pres.generators, names) == one_by_one
+        assert render_presentation(pres, names).splitlines()[1 + len(pres.symbols):] == [
+            f"generator {text}" for text in one_by_one
+        ]
+        assert presentation_to_json(pres, names)["generators"] == one_by_one
+        texts.setdefault(names, one_by_one)
+        assert texts[names] == one_by_one
+    assert texts[None][0] == "x0*x1 - s"
+    assert texts["x", "y"][0] == "x*y - s"
+    assert texts["u", "v"][0] == "u*v - s"
+    assert len(set(map(tuple, texts.values()))) == 3
+
+
+def _beside_and_alone(field, c):
+    """Two polynomials that hold the one object c: beside a monomial and as the
+    constant term of the first, beside another monomial in the second."""
+    x0, x1 = DiffSymbol(0, (0,) * field.derivation_count), DiffSymbol(1, (0,) * field.derivation_count)
+    return [DiffPoly({((x0, 2),): BaseElem.one(field), ((x0, 1),): c, (): c}, field), DiffPoly({((x1, 1),): c}, field)]
+
+
+@pytest.mark.parametrize(
+    "field, coeff, texts",
+    [
+        # the negative leading numerator gives its sign to the piece beside a
+        # monomial, and stays inside the numerator as a constant term
+        ("Q(s,u)", "neg-sum-over-sum", ["x0^2 - (s*u - 1)/(s + 3)*x0 + (-s*u + 1)/(s + 3)", "-(s*u - 1)/(s + 3)*x1"]),
+        # p - 1 is a bare sign beside a monomial, and 4 as a constant term
+        ("F5(s)", "p-minus-one", ["x0^2 - x0 + 4", "-x1"]),
+        ("F2(s)", "one", ["x0^2 + x0 + 1", "x1"]),
+    ],
+)
+def test_render_polys_keeps_the_one_polynomial_text(field, coeff, texts):
+    from hsprolong.sparsepoly import render_polys
+
+    F = FIELDS[field]
+    polys = _beside_and_alone(F, COEFFS[coeff](*_params(F)))
+    assert [f.render() for f in polys] == texts
+    assert render_polys(polys) == texts
+    # the table of a batch serves each polynomial as often as it comes
+    assert render_polys(polys + polys[::-1]) == texts + texts[::-1]
+
+
+def test_truncated_diffpoly_coefficients_keep_their_parentheses():
+    from hsprolong.sparsepoly import render_polys
+
+    one = BaseElem.one(Q_SU)
+    t = build("trunc-diff", Q_SU, one)
+    assert t.render() == "1 + (1)*t1 + (x0)*t1^2"
+    coeffs = [t.coeffs[a] for a in sorted(t.coeffs)]
+    assert render_polys(coeffs) == [c.render() for c in coeffs] == ["1", "1", "x0"]
+    assert [c.render_head() for c in coeffs] == ["(1)", "(1)", "(x0)"]

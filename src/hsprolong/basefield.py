@@ -23,9 +23,13 @@ word prime ``_WORD_PRIME`` (after Brown's modular gcd): a constant gcd of
 the images, by Euclid on integer lists, proves it.  There is no certificate
 when a denominator is divisible by P, when the leading v-coefficient
 vanishes at every point, or when the images share a factor that the
-operands do not (an unlucky P or point); the exact route then runs.  The
-univariate branch of ``poly_gcd`` asks the same certificate before its
-Euclid over the field.
+operands do not (an unlucky P or point); the exact route then runs.
+
+``poly_gcd`` has one route for any number of parameters: strip the monomial
+content, ask the certificate for the smallest shared parameter v, try exact
+division of the larger operand by the smaller, and otherwise run the
+primitive PRS in v over the other parameters.  Over one parameter every
+content is a constant, so the gcd of two contents is 1 with no recursion.
 
 Constants take a lane that never runs a gcd.  The constant c is c/1, its own
 normal form.  For num/den in normal form and a coefficient c, c*num/den is
@@ -43,19 +47,19 @@ stays ``4*s`` in a ParamPoly but is the sign of ``-x`` in a DiffPoly.
 The mixed Hasse derivative D_alpha acts on the standard monomial basis by
 D_{i,k}(s_i^j) = C(j,k) s_i^{j-k}, one family at a time, and reaches
 denominators through one recursion over multi-indices: the n families
-commute and are iterative, so the Leibniz rule solves
-D_gamma(den * 1/den) = 0 for D_gamma(1/den).  That work stays in
-polynomials: D_gamma(1/den) is a numerator M_gamma over den^(|gamma|+1), and
-D_alpha(num/den) is the numerator sum over beta <= alpha of
-D_beta(num) * den^|beta| * M_{alpha-beta} over den^(|alpha|+1), so each
-output takes one normalization and no BaseElem sum or product on the way.
+commute and are iterative, so D_alpha is a ring homomorphism into power
+series, and the Leibniz rule on den * (num/den) = num solves for
+D_gamma(num/den).  That work stays in polynomials: D_gamma(num/den) is a
+numerator T_gamma over den^(|gamma|+1), each T_gamma built from D_gamma(num)
+and the T below it, so each output takes one normalization and no BaseElem
+sum or product on the way.
 ``_hasse_values`` runs this recursion over the down-closure of the
 multi-indices it is asked for, in graded order; ``hasse_derive`` asks it for
 one alpha, ``hasse_table`` for the simplex |alpha| <= m, diffpoly's
 ``apply_d`` for the box below alpha and the layered maps for the orders
 k*e_0.  The truncated-series route to the same values lives in the series
 module (substitution s -> s + t and a geometric series, no binomials and no
-D(den * 1/den) recursion) and is kept independent as a cross-check.
+Leibniz recursion) and is kept independent as a cross-check.
 """
 
 from __future__ import annotations
@@ -340,34 +344,12 @@ def _content_and_pp(coeffs: dict[int, ParamPoly]) -> tuple[ParamPoly, dict[int, 
     return cont, {d: poly_divexact(c, cont) for d, c in coeffs.items()}
 
 
-def _gcd_univar(f: ParamPoly, g: ParamPoly, v: int) -> ParamPoly:
-    """Plain Euclid for polynomials in the single parameter v.
-
-    The degree -> coefficient dicts bypass the ParamPoly constructor, so every
-    step reduces them itself: in characteristic p, max() must not pick a term
-    that is nonzero as an int but zero mod p.
-    """
-    field = f.field
-    p = field.characteristic
-    a = {e[v]: c for e, c in f.terms.items()}
-    b = {e[v]: c for e, c in g.terms.items()}
-    while b:
-        db = max(b)
-        b = _nonzero(termdict.scale(b, field.inverse(b[db])), p)
-        while a:
-            da = max(a)
-            if da < db:
-                break
-            lead = a.pop(da)
-            a = _nonzero(termdict.add(a, ((d + da - db, -c * lead) for d, c in b.items() if d != db)), p)
-        a, b = b, a
-    out = {}
-    proto = [0] * field.param_count
-    for d, c in a.items():
-        e = proto[:]
-        e[v] = d
-        out[tuple(e)] = c
-    return _monic(_make(out, field))
+def _gcd_of_contents(ca: ParamPoly, cb: ParamPoly) -> ParamPoly:
+    """The gcd of two contents; 1 with no poly_gcd call when either is
+    constant, as every content over one parameter is."""
+    if ca.is_const() or cb.is_const():
+        return ParamPoly.const(ca.field, 1)
+    return poly_gcd(ca, cb)
 
 
 # the image field F_P of the coprimality certificate over Q: a prime below 2^31
@@ -480,19 +462,13 @@ def poly_gcd(f: ParamPoly, g: ParamPoly) -> ParamPoly:
     shared = f0.variables() & g0.variables()
     if not shared:
         return _monic(mono)
-    vf, vg = f0.variables(), g0.variables()
-    if len(vf) == 1 and vf == vg:
-        v = next(iter(vf))
-        if _coprime_by_evaluation(f0, g0, v):
-            return mono
-        return _monic(mono * _gcd_univar(f0, g0, v))
     v = min(shared)
 
     if _coprime_by_evaluation(f0, g0, v):
         # the gcd is free of v, hence divides both contents with respect to v
         cf = _content(_coeffs_in(f0, v).values())
         cg = _content(_coeffs_in(g0, v).values())
-        return _monic(mono * poly_gcd(cf, cg))
+        return _monic(mono * _gcd_of_contents(cf, cg))
 
     # denominators are often prefix products of one another; try exact division
     lo, hi = (f0, g0) if f0.degree() <= g0.degree() else (g0, f0)
@@ -504,7 +480,7 @@ def poly_gcd(f: ParamPoly, g: ParamPoly) -> ParamPoly:
 
     ca, a = _content_and_pp(_coeffs_in(f0, v))
     cb, b = _content_and_pp(_coeffs_in(g0, v))
-    cont = poly_gcd(ca, cb)
+    cont = _gcd_of_contents(ca, cb)
 
     if max(a) < max(b):
         a, b = b, a
@@ -836,29 +812,17 @@ def _poly_hasse(f: ParamPoly, alpha: Sequence[int]) -> ParamPoly:
     return f
 
 
-def _convolve(left: dict, right: dict, gamma: tuple, zero: ParamPoly) -> ParamPoly:
-    """The sum over beta <= gamma of left[beta] * right[gamma - beta], over the
-    beta that left holds."""
-    total = zero
-    for beta in indices_below(gamma):
-        x = left.get(beta)
-        if x:
-            y = right[tuple(map(sub, gamma, beta))]
-            if y:
-                total = total + x * y
-    return total
-
-
 def _hasse_values(a: BaseElem, wanted: Sequence[tuple]) -> dict[tuple, BaseElem]:
     """{alpha: D_alpha(a)} for alpha in wanted, from one recursion over the
-    down-closure S of wanted, walked in graded order.
+    down-closure of wanted, walked in graded order.
 
-    For a = num/den, D_gamma(den * 1/den) = 0 for gamma != 0 gives
-    D_gamma(1/den) = M_gamma / den^(|gamma|+1) with M_0 = 1 and
-    M_gamma = -sum over 0 < beta <= gamma of D_beta(den) * den^(|beta|-1) * M_{gamma-beta},
-    and the Leibniz rule gives D_alpha(a) as the numerator
-    sum over beta <= alpha of D_beta(num) * den^|beta| * M_{alpha-beta}
-    over den^(|alpha|+1), normalized once.  D_0(a) is a itself.
+    For a = num/den the Leibniz rule on den * a = num gives
+    D_gamma(num) = sum over beta <= gamma of D_beta(den) * D_{gamma-beta}(a).
+    In numerators T_gamma = D_gamma(a) * den^(|gamma|+1) that is T_0 = num and
+    T_gamma = D_gamma(num) * den^|gamma|
+              - sum over 0 < beta <= gamma of D_beta(den) * den^(|beta|-1) * T_{gamma-beta},
+    and each wanted D_alpha(a) is T_alpha over den^(|alpha|+1), normalized
+    once.  D_0(a) is a itself.
     """
     num, den = a.num, a.den
     if den.is_const():
@@ -869,23 +833,25 @@ def _hasse_values(a: BaseElem, wanted: Sequence[tuple]) -> dict[tuple, BaseElem]
         # a polynomial's derivatives are polynomials, each its own normal form
         return {alpha: _elem(_poly_hasse(num, alpha), den) for alpha in wanted}
     # the down-closure in graded order: the zero index first, and each
-    # M_{gamma-beta} before M_gamma
+    # T_{gamma-beta} before T_gamma
     closure = sorted(dict.fromkeys(beta for alpha in wanted for beta in indices_below(alpha)), key=sum)
     powers = [ParamPoly.const(a.field, 1), den]
     for _ in range(sum(closure[-1])):
         powers.append(powers[-1] * den)
-    zero = ParamPoly.zero(a.field)
-    # nums[gamma] = D_gamma(num) * den^|gamma|, steps[gamma] = D_gamma(den) * den^(|gamma|-1)
-    nums, steps, ms = {closure[0]: num}, {}, {closure[0]: powers[0]}
+    # steps[beta] = D_beta(den) * den^(|beta|-1)
+    steps, ts = {}, {closure[0]: num}
     for gamma in closure[1:]:
         size = sum(gamma)
-        nums[gamma] = _poly_hasse(num, gamma) * powers[size]
         steps[gamma] = _poly_hasse(den, gamma) * powers[size - 1]
-        ms[gamma] = -_convolve(steps, ms, gamma, zero)
-    return {
-        alpha: BaseElem(_convolve(nums, ms, alpha, zero), powers[sum(alpha) + 1]) if any(alpha) else a
-        for alpha in wanted
-    }
+        t = _poly_hasse(num, gamma) * powers[size]
+        for beta in indices_below(gamma):
+            x = steps.get(beta)
+            if x:
+                y = ts[tuple(map(sub, gamma, beta))]
+                if y:
+                    t = t - x * y
+        ts[gamma] = t
+    return {alpha: BaseElem(ts[alpha], powers[sum(alpha) + 1]) if any(alpha) else a for alpha in wanted}
 
 
 def hasse_derive(alpha: Sequence[int], a: BaseElem) -> BaseElem:

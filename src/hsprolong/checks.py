@@ -16,7 +16,7 @@ seed, so identical invocations produce identical reports.
 from __future__ import annotations
 
 import random
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import termdict
 from .basefield import BaseElem, hasse_derive
@@ -375,6 +375,46 @@ def ordered_partitions(k: int) -> list[tuple[int, ...]]:
     return out
 
 
+# the longest list the composition stream holds is ordered_partitions(_BLOCK)
+_BLOCK = 10
+
+
+def _composition_blocks(k: int) -> Iterator[list[tuple[int, ...]]]:
+    """ordered_partitions(k) in its order, as consecutive lists of at most
+    2^(_BLOCK-1) compositions, so that no list of all of them is held.
+
+    Composition i of k reads the k - 1 bits of i, the highest first: bit 1
+    joins two neighbouring units into one part and bit 0 cuts between them.
+    Split i into its low b bits lo and the rest hi: composition
+    hi * 2^b + lo of k glues composition hi of k - b to composition lo of
+    b + 1.  The last unit of the first is the first unit of the second, so
+    their meeting parts merge into one part, one less than their sum.
+    """
+    if k <= _BLOCK:
+        yield ordered_partitions(k)
+        return
+    # b + 1 = _BLOCK, so each head gives one block
+    tails = [(t[0] - 1, t[1:]) for t in ordered_partitions(_BLOCK)]
+    for heads in _composition_blocks(k - _BLOCK + 1):
+        for head in heads:
+            stem, last = head[:-1], head[-1]
+            yield [stem + (last + first,) + rest for first, rest in tails]
+
+
+def _composition(k: int, i: int) -> tuple[int, ...]:
+    """ordered_partitions(k)[i], read off the bits of i as in _composition_blocks."""
+    parts = []
+    part = 1
+    for bit in range(k - 2, -1, -1):
+        if i >> bit & 1:
+            part += 1
+        else:
+            parts.append(part)
+            part = 1
+    parts.append(part)
+    return tuple(parts)
+
+
 def _factorials(k: int) -> list[int]:
     """[0!, 1!, ..., k!]."""
     fact = [1]
@@ -383,7 +423,7 @@ def _factorials(k: int) -> list[int]:
     return fact
 
 
-def _signed_multinomial_sum(k: int, parts: Sequence[tuple[int, ...]]) -> int:
+def _signed_multinomial_sum(k: int, parts: Iterable[tuple[int, ...]]) -> int:
     """sum over pi in parts of (-1)^len(pi) * k!/(a_1!...a_r!), off one factorial table."""
     fact = _factorials(k)
     top = fact[k]
@@ -398,17 +438,20 @@ def _signed_multinomial_sum(k: int, parts: Sequence[tuple[int, ...]]) -> int:
 
 def _multinomial_failure(k: int, field: FieldDescriptor, rng: random.Random, trials: int) -> "tuple | None":
     """The first comparison of the multinomial lemma at k that fails, as a trial gives it."""
-    parts = ordered_partitions(k)
-    if len(parts) != 2 ** (k - 1):
-        return "multinomial", f"k={k},count", len(parts), 2 ** (k - 1)
-    total = _signed_multinomial_sum(k, parts)
+    count = total = 0
+    for block in _composition_blocks(k):
+        count += len(block)
+        total += _signed_multinomial_sum(k, block)
+    if count != 2 ** (k - 1):
+        return "multinomial", f"k={k},count", count, 2 ** (k - 1)
     if total != (-1) ** k:
         return "multinomial", f"k={k},signed-sum", total, (-1) ** k
     if field.derivation_count != 1:
         raise ValueError("the operator identity check runs over a single derivation")
     for _ in range(trials):
         a = random_base_elem(rng, field)
-        pi = rng.choice(parts)
+        # the draw ordered_partitions(k)[i] without the list
+        pi = _composition(k, rng.choice(range(2 ** (k - 1))))
         lhs = a
         for part in reversed(pi):
             lhs = hasse_derive((part,), lhs)
@@ -421,11 +464,12 @@ def _multinomial_failure(k: int, field: FieldDescriptor, rng: random.Random, tri
 def multinomial_identity_check(k: int, field: FieldDescriptor, rng: random.Random, trials: int) -> bool:
     """Signed multinomial sum over compositions of k equals (-1)^k.
 
-    The sum runs over ``ordered_partitions(k)``, each composition's
-    multinomial k!/(a_1!...a_r!) read off one factorial table built for the
-    call.  Also cross-checks |P[k]| = 2^(k-1) and the operator identity
-    D_pi = mu(pi) D_k on random elements of the field, with mu(pi) from
-    ``fields.multinomial``.
+    The sum runs over the compositions of k, streamed in blocks in the order
+    of ``ordered_partitions(k)``, each composition's multinomial
+    k!/(a_1!...a_r!) read off one factorial table per block.  Also
+    cross-checks |P[k]| = 2^(k-1), counted over the same stream, and the
+    operator identity D_pi = mu(pi) D_k on random elements of the field, with
+    mu(pi) from ``fields.multinomial``.
     """
     return _multinomial_failure(k, field, rng, trials) is None
 

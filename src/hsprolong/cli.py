@@ -153,8 +153,8 @@ def _at_least(least: int, most: int | None = None):
     return value
 
 
-# The multinomial suite enumerates all 2^(k-1) ordered partitions of each k up
-# to --max; k = 18 alone takes seconds and each further 2 about four times more.
+# The multinomial suite streams all 2^(k-1) ordered partitions of each k up to
+# --max, so its time doubles with each further k.
 MAX_MULTINOMIAL_K = 20
 
 

@@ -18,7 +18,7 @@ Text: an order-m presentation writes every d_alpha f_j, so the same table
 entries D_gamma(c) and symbols x_i^(alpha) stand beside many monomials.
 render_presentation and presentation_to_json write all the generators in one
 sparsepoly.render_polys call, whose table, alive for that call only, writes
-each of them once.
+each of them once; the symbol lines are written into that table first.
 """
 
 from __future__ import annotations
@@ -253,6 +253,13 @@ def base_change(variety: VarietyPresentation, dst: FieldDescriptor) -> VarietyPr
 # -- rendering -----------------------------------------------------------------
 
 
+def _texts(pres: ProlongationPresentation, names: Sequence[str] | None) -> tuple[list[str], list[str]]:
+    """The texts of the symbols and of the generators, each symbol written once
+    for both."""
+    symbol_text = {s: s.render(names) for s in pres.symbols}
+    return [symbol_text[s] for s in pres.symbols], render_polys(pres.generators, names, symbol_text)
+
+
 def render_presentation(
     pres: ProlongationPresentation, names: Sequence[str] | None = None
 ) -> str:
@@ -260,19 +267,21 @@ def render_presentation(
         f"P_m mode={pres.mode.value} vars={pres.base.var_count} "
         f"derivations={pres.field.derivation_count} order={pres.order}"
     ]
-    lines += [f"symbol {s.render(names)}" for s in pres.symbols]
-    lines += [f"generator {text}" for text in render_polys(pres.generators, names)]
+    symbols, generators = _texts(pres, names)
+    lines += [f"symbol {text}" for text in symbols]
+    lines += [f"generator {text}" for text in generators]
     return "\n".join(lines)
 
 
 def presentation_to_json(
     pres: ProlongationPresentation, names: Sequence[str] | None = None
 ) -> dict:
+    symbols, generators = _texts(pres, names)
     return {
         "mode": pres.mode.value,
         "vars": pres.base.var_count,
         "derivations": pres.field.derivation_count,
         "order": pres.order,
-        "symbols": [s.render(names) for s in pres.symbols],
-        "generators": render_polys(pres.generators, names),
+        "symbols": symbols,
+        "generators": generators,
     }

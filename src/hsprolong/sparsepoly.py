@@ -207,17 +207,22 @@ class SparsePoly:
         return f"{type(self).__name__}({self.render()})"
 
 
-def render_polys(polys: Sequence[SparsePoly], names: Sequence[str] | None = None) -> list[str]:
+def render_polys(
+    polys: Sequence[SparsePoly], names: Sequence[str] | None = None, symbol_text: dict | None = None
+) -> list[str]:
     """The text of each polynomial, its symbols written under names.
 
     One table for the call gives each symbol's text and each coefficient's
     head, so a symbol or a coefficient that stands beside many monomials is
-    written once.  Coefficients are keyed by identity, which is sound only
-    while each of them lives: the call holds every polynomial until it
-    returns, and the tables end with it.
+    written once.  A caller that writes symbols of its own passes their texts
+    under the same names as symbol_text, which the call reads and fills.
+    Coefficients are keyed by identity, which is sound only while each of
+    them lives: the call holds every polynomial until it returns, and the
+    table ends with it.
     """
     polys = tuple(polys)
-    symbol_text: dict = {}
+    if symbol_text is None:
+        symbol_text = {}
     heads: dict[int, str] = {}
     out = []
     for f in polys:

@@ -201,3 +201,43 @@ def test_ordered_partitions_match_the_recursive_reference(k):
     parts = checks.ordered_partitions(k)
     assert type(parts) is list
     assert parts == _compositions_by_recursion(k)
+
+
+@pytest.mark.parametrize("k", range(1, 11))
+def test_unranking_reads_the_same_composition_as_the_list(k):
+    parts = checks.ordered_partitions(k)
+    assert [checks._composition(k, i) for i in range(2 ** (k - 1))] == parts
+
+
+@pytest.mark.parametrize("seed", range(10))
+def test_a_drawn_index_gives_the_composition_a_drawn_element_gave(seed):
+    # rng.choice makes one draw below the length for a list and for a range alike
+    import random
+
+    k = 9
+    assert random.Random(seed).choice(checks.ordered_partitions(k)) == checks._composition(
+        k, random.Random(seed).choice(range(2 ** (k - 1)))
+    )
+
+
+@pytest.mark.parametrize("block", [2, 3, 10])
+@pytest.mark.parametrize("k", range(1, 13))
+def test_composition_blocks_stream_the_list_in_order(k, block, monkeypatch):
+    monkeypatch.setattr(checks, "_BLOCK", block)
+    blocks = list(checks._composition_blocks(k))
+    assert all(len(b) <= 2 ** (block - 1) for b in blocks)
+    assert [pi for b in blocks for pi in b] == _compositions_by_recursion(k)
+
+
+def test_multinomial_suite_holds_no_list_of_all_compositions():
+    # ordered_partitions(18) alone holds 2^17 tuples, about 17 MB
+    import tracemalloc
+
+    tracemalloc.start()
+    try:
+        lines = checks.check_multinomial(seed=1, trials=100, max_k=18)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert lines == ["OK multinomial params=k<=(18) trials=18"]
+    assert peak < 4_000_000, peak

@@ -69,6 +69,30 @@ def test_univariate_gcd_matches_sympy_with_a_planted_factor(a, b, h):
         assert max(sum(e) for e in want) == 0
 
 
+def in_one_parameter(field, v, max_deg):
+    """Polynomials in the parameter s_(v+1) alone, in a field with more parameters."""
+    coeffs = st.lists(scalars(field), min_size=1, max_size=max_deg + 1)
+    exps = [tuple(d if i == v else 0 for i in range(field.param_count)) for d in range(max_deg + 1)]
+    return coeffs.map(lambda cs: poly(field, dict(zip(exps, cs))))
+
+
+@needs_sympy
+@pytest.mark.parametrize("field, v", [(Q_s12, 1), (F5_s12, 0)], ids=["s2 in Q(s1,s2)", "s1 in F5(s1,s2)"])
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_one_parameter_gcd_in_a_two_parameter_field_matches_sympy_with_a_planted_factor(field, v, data):
+    # one-parameter pairs take the same route as every other pair
+    h = data.draw(in_one_parameter(field, v, 2), label="h")
+    f = data.draw(in_one_parameter(field, v, 3), label="a") * h
+    g = data.draw(in_one_parameter(field, v, 3), label="b") * h
+    want = from_sympy(to_sympy(f).gcd(to_sympy(g)), field)
+    if want:
+        (want,) = leading_one(want, field)
+    got = poly_gcd(f, g)
+    assert got.terms == want
+    assert got.variables() <= {v}
+
+
 def bivariate(field):
     exps = st.tuples(st.integers(0, 2), st.integers(0, 2))
     terms = st.dictionaries(exps, scalars(field).filter(bool), min_size=2, max_size=4)

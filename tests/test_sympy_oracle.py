@@ -64,7 +64,7 @@ def binomials_or_more(field, max_deg):
 @given(data=st.data())
 def test_poly_gcd_matches_sympy(field, data):
     # f and g share a factor h and are never monomials, which reaches the
-    # univariate Euclid, the multivariate remainder sequence and its content
+    # remainder sequence over one parameter and over two, and its content
     h = data.draw(binomials_or_more(field, 1), label="h1") * data.draw(
         binomials_or_more(field, 1), label="h2"
     )

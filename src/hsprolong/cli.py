@@ -8,20 +8,32 @@ Exit codes: 0 success / all checks pass, 1 check failure, 2 input error
 parse), 3 internal error (any other ValueError or ZeroDivisionError: a fault
 of the program, not of the input).
 
-COMMANDS is the one table of commands.  A call that names a command builds
-one parser, that command's, with prog "hsprolong <name>"; it prints the same
-usage and errors as the command's subparser would.  The full parser, with
-every command as a subparser, is built only for help, for a missing or
-unknown command, and to report the two errors that belong to the top level:
-arguments the command does not recognize, and --inner above --outer.
+COMMANDS is the one table of commands, and each command's arguments are
+declared there once, as rows that build_parser passes to add_argument.
+main first reads argv with _read_argv, which builds no parser and accepts
+only well-formed argv: argv[0] names a command, and every other token is an
+exact long option of that command, given at most once, or a token that does
+not start with "-".  An option that takes a value is followed by such a
+token, and the value passes the option's type and choices.  The remaining
+tokens are exactly the command's positionals, and every required option is
+given.  The reader then returns the namespace argparse would build.
+
+Any other argv goes to argparse, which prints every help, usage and error
+text.  A call that names a command builds one parser, that command's, with
+prog "hsprolong <name>"; it prints the same usage and errors as the
+command's subparser would.  The full parser, with every command as a
+subparser, is built only for help, for a missing or unknown command, and to
+report the two errors that belong to the top level: arguments the command
+does not recognize, and --inner above --outer.  argparse is imported only
+on that route, and json only for --json.
 """
 
 from __future__ import annotations
 
-import argparse
-import json
 import sys
 from pathlib import Path
+from types import SimpleNamespace
+from typing import TYPE_CHECKING
 
 from .checks import CHECK_NAMES, run_checks
 from .diffpoly import DerivationMode
@@ -35,6 +47,11 @@ from .presentations import (
     render_presentation,
 )
 from .sparsepoly import render_polys
+
+if TYPE_CHECKING:
+    import argparse
+
+    Arguments = argparse.Namespace | SimpleNamespace
 
 OK, CHECK_FAILED, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
 
@@ -55,17 +72,19 @@ def _mode(value: str) -> DerivationMode:
     return DerivationMode.JET if value == "jet" else DerivationMode.PROLONGATION
 
 
-def cmd_prolong(args: argparse.Namespace) -> int:
+def cmd_prolong(args: Arguments) -> int:
     doc = _read_document(args.file)
     pres = prolong_presentation(doc.variety, args.order, _mode(args.mode))
     if args.json:
+        import json
+
         print(json.dumps(presentation_to_json(pres, doc.var_names), indent=2))
     else:
         print(render_presentation(pres, doc.var_names))
     return OK
 
 
-def cmd_nabla(args: argparse.Namespace) -> int:
+def cmd_nabla(args: Arguments) -> int:
     doc = _read_document(args.file)
     if args.point is not None:
         point = parse_point(doc.field, doc.var_names, args.point)
@@ -82,6 +101,8 @@ def cmd_nabla(args: argparse.Namespace) -> int:
         return INPUT_ERROR
     symbols = sorted(values, key=lambda s: s.sort_key)
     if args.json:
+        import json
+
         payload = {
             "order": args.order,
             "values": {s.render(doc.var_names): values[s].render() for s in symbols},
@@ -96,7 +117,7 @@ def cmd_nabla(args: argparse.Namespace) -> int:
     return OK
 
 
-def cmd_lift(args: argparse.Namespace) -> int:
+def cmd_lift(args: Arguments) -> int:
     doc = _read_document(args.file)
     images = parse_assignments(doc.field, doc.var_names, args.map)
     target_names = list(images)
@@ -106,6 +127,8 @@ def cmd_lift(args: argparse.Namespace) -> int:
     texts = render_polys([lift[s] for s in symbols], doc.var_names)
     rows = [(s.render(target_names), text) for s, text in zip(symbols, texts)]
     if args.json:
+        import json
+
         print(json.dumps({"order": args.order, "mode": args.mode, "map": dict(rows)}, indent=2))
     else:
         print(f"lift order={args.order} mode={args.mode}")
@@ -114,7 +137,7 @@ def cmd_lift(args: argparse.Namespace) -> int:
     return OK
 
 
-def cmd_check(args: argparse.Namespace) -> int:
+def cmd_check(args: Arguments) -> int:
     names = list(CHECK_NAMES) if args.suite == "all" else [args.suite]
     ok, lines = run_checks(
         names,
@@ -126,6 +149,8 @@ def cmd_check(args: argparse.Namespace) -> int:
         max_k=args.max,
     )
     if args.json:
+        import json
+
         print(json.dumps({"suite": args.suite, "seed": args.seed, "trials": args.trials,
                           "passed": ok, "lines": lines}, indent=2))
     else:
@@ -136,6 +161,12 @@ def cmd_check(args: argparse.Namespace) -> int:
     return OK if ok else CHECK_FAILED
 
 
+def _type_error(message: str) -> Exception:
+    import argparse
+
+    return argparse.ArgumentTypeError(message)
+
+
 def _at_least(least: int, most: int | None = None):
     """argparse type: an int no smaller than least and, if given, no larger than most."""
 
@@ -143,11 +174,11 @@ def _at_least(least: int, most: int | None = None):
         try:
             n = int(text)
         except ValueError:
-            raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+            raise _type_error(f"invalid int value: {text!r}") from None
         if n < least:
-            raise argparse.ArgumentTypeError(f"must be at least {least}, got {n}")
+            raise _type_error(f"must be at least {least}, got {n}")
         if most is not None and n > most:
-            raise argparse.ArgumentTypeError(f"must be at most {most}, got {n}")
+            raise _type_error(f"must be at most {most}, got {n}")
         return n
 
     return value
@@ -157,60 +188,49 @@ def _at_least(least: int, most: int | None = None):
 # --max, so its time doubles with each further k.
 MAX_MULTINOMIAL_K = 20
 
+# An argument row is (flag, keyword arguments of add_argument).  A flag that
+# starts with "-" is an option, any other a positional.  The keywords are
+# those _read_argv knows: type, choices, required, default and
+# action="store_true", and help, which only argparse reads.
+_FILE = ("file", {})
+_ORDER = ("--order", {"type": _at_least(0), "required": True})
+_MODE = ("--mode", {"choices": ["prolong", "jet"], "default": "prolong"})
+_JSON = ("--json", {"action": "store_true"})
 
-def _prolong_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file", help="input document path, or - for stdin")
-    p.add_argument("--order", type=_at_least(0), required=True)
-    p.add_argument("--mode", choices=["prolong", "jet"], default="prolong")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_prolong)
-
-
-def _jet_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-    p.add_argument("--order", type=_at_least(0), required=True)
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_prolong, mode="jet")
-
-
-def _nabla_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-    p.add_argument("--order", type=_at_least(0), required=True)
-    p.add_argument("--point", help='e.g. "x=s, y=1/s" (overrides the document point block)')
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_nabla)
-
-
-def _lift_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("file")
-    p.add_argument("--order", type=_at_least(0), required=True)
-    p.add_argument("--mode", choices=["prolong", "jet"], default="prolong")
-    p.add_argument("--map", required=True, help='e.g. "y=x^2 - s"')
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_lift)
-
-
-def _check_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("suite", choices=list(CHECK_NAMES) + ["all"])
-    p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--trials", type=_at_least(1), default=100)
-    p.add_argument("--order", type=_at_least(0), default=2, help="truncation order for twist/theta/tensor")
-    p.add_argument("--outer", type=int, default=4, help="outer bound N for phi/psi")
-    p.add_argument("--inner", type=_at_least(0), default=2, help="inner order m for phi/psi, at most --outer")
-    p.add_argument("--max", type=_at_least(1, MAX_MULTINOMIAL_K), default=12,
-                   help="largest k for the multinomial identity")
-    p.add_argument("--json", action="store_true")
-    p.set_defaults(fn=cmd_check)
-
-
-# (name, help, function adding the command's arguments), in --help order
+# (name, help, argument rows in add_argument order, set_defaults), in --help
+# order.  fn names the function that runs the command: main looks it up when
+# it calls it, so a wrapper put on cmd_* after import is the one that runs.
 COMMANDS = (
-    ("prolong", "print the order-m prolongation presentation", _prolong_args),
-    ("jet", "print the order-m jet presentation", _jet_args),
-    ("nabla", "evaluate the nabla section at a point", _nabla_args),
-    ("lift", "lift a polynomial morphism to prolongations", _lift_args),
-    ("check", "run verification suites", _check_args),
+    ("prolong", "print the order-m prolongation presentation",
+     (("file", {"help": "input document path, or - for stdin"}), _ORDER, _MODE, _JSON),
+     {"fn": "cmd_prolong"}),
+    ("jet", "print the order-m jet presentation",
+     (_FILE, _ORDER, _JSON),
+     {"fn": "cmd_prolong", "mode": "jet"}),
+    ("nabla", "evaluate the nabla section at a point",
+     (_FILE, _ORDER, ("--point", {"help": 'e.g. "x=s, y=1/s" (overrides the document point block)'}), _JSON),
+     {"fn": "cmd_nabla"}),
+    ("lift", "lift a polynomial morphism to prolongations",
+     (_FILE, _ORDER, _MODE, ("--map", {"required": True, "help": 'e.g. "y=x^2 - s"'}), _JSON),
+     {"fn": "cmd_lift"}),
+    ("check", "run verification suites",
+     (("suite", {"choices": list(CHECK_NAMES) + ["all"]}),
+      ("--seed", {"type": int, "default": 0}),
+      ("--trials", {"type": _at_least(1), "default": 100}),
+      ("--order", {"type": _at_least(0), "default": 2, "help": "truncation order for twist/theta/tensor"}),
+      ("--outer", {"type": int, "default": 4, "help": "outer bound N for phi/psi"}),
+      ("--inner", {"type": _at_least(0), "default": 2, "help": "inner order m for phi/psi, at most --outer"}),
+      ("--max", {"type": _at_least(1, MAX_MULTINOMIAL_K), "default": 12,
+                 "help": "largest k for the multinomial identity"}),
+      _JSON),
+     {"fn": "cmd_check"}),
 )
+
+
+def _add_arguments(parser: argparse.ArgumentParser, arguments: tuple, defaults: dict) -> None:
+    for flag, row in arguments:
+        parser.add_argument(flag, **row)
+    parser.set_defaults(**defaults)
 
 
 def build_parser(command: str | None = None) -> argparse.ArgumentParser:
@@ -221,10 +241,12 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
     set to its name.  The full parser has every command as a subparser, so
     help and choice errors list them all.
     """
-    for name, _, add_arguments in COMMANDS:
+    import argparse
+
+    for name, _, arguments, defaults in COMMANDS:
         if name == command:
             ap = argparse.ArgumentParser(prog=f"hsprolong {name}")
-            add_arguments(ap)
+            _add_arguments(ap, arguments, defaults)
             ap.set_defaults(command=name)
             return ap
     ap = argparse.ArgumentParser(
@@ -232,25 +254,79 @@ def build_parser(command: str | None = None) -> argparse.ArgumentParser:
         description="Prolongations and jet spaces over fields with Hasse derivations",
     )
     sub = ap.add_subparsers(dest="command", required=True)
-    for name, help_text, add_arguments in COMMANDS:
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, help_text, arguments, defaults in COMMANDS:
+        _add_arguments(sub.add_parser(name, help=help_text), arguments, defaults)
     return ap
+
+
+def _read_argv(argv: list[str]) -> SimpleNamespace | None:
+    """The namespace argparse would build from a well-formed argv, else None.
+
+    Well formed is what the module docstring says.  Every other argv gets
+    None, however argparse would read it, and main hands it to argparse.
+    """
+    for name, _, arguments, defaults in COMMANDS:
+        if argv and argv[0] == name:
+            break
+    else:
+        return None
+    options = {flag: row for flag, row in arguments if flag.startswith("-")}
+    given, positionals = {}, []
+    tokens = iter(argv[1:])
+    for token in tokens:
+        if not token.startswith("-"):
+            positionals.append(token)
+        elif token not in options or token in given:
+            return None
+        elif options[token].get("action") == "store_true":
+            given[token] = True
+        else:
+            text = next(tokens, "-")  # a missing value reads as "-", and is refused
+            if text.startswith("-"):
+                return None
+            given[token] = text
+    if len(positionals) != len(arguments) - len(options):
+        return None
+    given.update(zip((flag for flag, _ in arguments if flag not in options), positionals))
+    namespace = dict(defaults, command=name)
+    for flag, row in arguments:
+        dest = flag.lstrip("-")
+        if flag not in given:
+            if row.get("required"):
+                return None
+            namespace[dest] = row.get("default", False if row.get("action") == "store_true" else None)
+            continue
+        value = given[flag]
+        if "type" in row:
+            try:
+                value = row["type"](value)
+            except Exception:  # argparse reads the same text again, and reports or raises
+                return None
+        if "choices" in row and value not in row["choices"]:
+            return None
+        namespace[dest] = value
+    return SimpleNamespace(**namespace)
+
+
+def _parse_args(argv: list[str]) -> argparse.Namespace:
+    """The namespace argparse reads from argv; help and argument errors print and exit."""
+    if argv and argv[0] in (name for name, *_ in COMMANDS):
+        # the command's parser gets what its subparser would: every argument after the name
+        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
+        if extras:
+            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
+        return args
+    return build_parser().parse_args(argv)
 
 
 def main(argv: list[str] | None = None) -> int:
     if argv is None:
         argv = sys.argv[1:]
-    if argv and argv[0] in (name for name, _, _ in COMMANDS):
-        # the command's parser gets what its subparser would: every argument after the name
-        args, extras = build_parser(argv[0]).parse_known_args(argv[1:])
-        if extras:
-            build_parser().error(f"unrecognized arguments: {' '.join(extras)}")
-    else:
-        args = build_parser().parse_args(argv)
+    args = _read_argv(argv) or _parse_args(argv)
     if args.command == "check" and args.suite in ("phi-psi", "all") and args.inner > args.outer:
         build_parser().error(f"argument --inner: must not exceed --outer ({args.outer}) for phi-psi, got {args.inner}")
     try:
-        return args.fn(args)
+        return globals()[args.fn](args)
     except (ParseError, _UnreadableInput) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR

@@ -450,24 +450,47 @@ def test_argument_routes_are_pinned(case, via_sys_argv, tmp_path, monkeypatch, c
     assert run_main(case["argv"], via_sys_argv, monkeypatch, capsys) == case
 
 
-def test_main_builds_only_the_named_subparser(witt_file, monkeypatch, capsys):
+def test_main_builds_only_the_named_subparser(witt_file, hyperbola_file, monkeypatch, capsys):
     import argparse
 
     from hsprolong import cli
 
-    built = []
+    built, parsed = [], []
     init = argparse.ArgumentParser.__init__
 
     def counting_init(self, *args, **kwargs):
         built.append(kwargs.get("prog"))
         init(self, *args, **kwargs)
 
+    def counting(method):
+        def parse(self, *args, **kwargs):
+            parsed.append(method.__name__)
+            return method(self, *args, **kwargs)
+
+        return parse
+
     monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+    for name in ("parse_args", "parse_known_args"):
+        monkeypatch.setattr(argparse.ArgumentParser, name, counting(getattr(argparse.ArgumentParser, name)))
+    # well-formed calls: the reader's namespace, and no parser built or run
+    outputs = []
+    for argv in (
+        ["prolong", "--order", "1", witt_file],
+        ["jet", witt_file, "--order", "2", "--json"],
+        ["nabla", "--order", "1", hyperbola_file],
+        ["lift", "--mode", "jet", "--order", "1", "--map", "u = x*s", witt_file],
+        ["check", "multinomial", "--max", "3", "--seed", "1"],
+    ):
+        assert cli.main(argv) == 0
+        assert (built, parsed) == ([], []), argv
+        outputs.append(capsys.readouterr().out)
     for _ in range(2):
-        # each call builds its own parser: nothing is cached across calls
+        # an abbreviated option goes to argparse, and each such call builds
+        # its own parser: nothing is cached across calls
         built.clear()
-        assert cli.main(["prolong", "--order", "1", witt_file]) == 0
+        assert cli.main(["prolong", "--ord", "1", witt_file]) == 0
         assert built == ["hsprolong prolong"]
+        assert capsys.readouterr().out == outputs[0]
     built.clear()
     with pytest.raises(SystemExit):
         cli.main(["--help"])

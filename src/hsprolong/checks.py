@@ -6,11 +6,15 @@ rotation, the stop policy and the report format
     OK <check> params=<...> trials=<T>
     FAIL <check> at=<witness> lhs=<canonical> rhs=<canonical>
 
-A trial gives only its comparison: None when both routes agree, or
-(check, witness, lhs, rhs) for the first pair that differs.  The first FAIL
-ends the report, so a failing suite's FAIL line is its last line.  All
-randomness comes from seeds derived deterministically from the top-level
-seed, so identical invocations produce identical reports.
+A trial is a generator that yields one (label, witness, lhs, rhs) per
+comparison, in a fixed order; witness is a zero-argument callable that writes
+the ``at=`` token.  ``_run`` is the only code that compares two sides: at the
+first pair with lhs != rhs it calls that pair's witness (before the trial
+would resume, so the witness may read the trial's loop variables), writes the
+FAIL line and resumes no trial.  So no later comparison is computed, no
+passing pair's witness is written, and a failing suite's FAIL line is its
+last line.  All randomness comes from seeds derived deterministically from the
+top-level seed, so identical invocations produce identical reports.
 """
 
 from __future__ import annotations
@@ -24,7 +28,7 @@ from .fields import FieldDescriptor, comp_coeff, multinomial
 from .diffpoly import DerivationMode, DiffPoly, apply_d, taylor_oracle
 from .layered import LayeredPoly, LayeredSymbol, layered_expand, outer_derive, phi, psi, theta
 from .layered import tensor_left_action, tensor_right_action
-from .multiindex import index_add, splittings
+from .multiindex import graded_lex_key, index_add, splittings
 from .presentations import ideal_membership_witness
 from .sampling import random_base_elem, random_diffpoly, random_multiindex, random_nonzero_base_elem
 from .sampling import random_sparse_poly, random_variety_with_point
@@ -44,7 +48,7 @@ class _Loop(NamedTuple):
     check: str
     params: str
     trials: int
-    trial: Callable[[int, FieldDescriptor], "tuple | None"]
+    trial: Callable[[int, FieldDescriptor], Iterable[tuple]]
     fields: Sequence[FieldDescriptor] = (_Q_S,)
 
 
@@ -53,11 +57,10 @@ def _run(loops: Sequence[_Loop]) -> list[str]:
     lines: list[str] = []
     for check, params, trials, trial, fields in loops:
         for t in range(trials):
-            failed = trial(t, fields[t % len(fields)])
-            if failed is not None:
-                label, witness, lhs, rhs = failed
-                lines.append(f"FAIL {label} at={witness} lhs={lhs} rhs={rhs}")
-                return lines
+            for label, witness, lhs, rhs in trial(t, fields[t % len(fields)]):
+                if lhs != rhs:
+                    lines.append(f"FAIL {label} at={witness()} lhs={lhs} rhs={rhs}")
+                    return lines
         lines.append(f"OK {check} params={params} trials={trials}")
     return lines
 
@@ -74,11 +77,8 @@ def check_oracle(seed: int, trials: int, **_) -> list[str]:
         f = random_diffpoly(rng, field, var_count=3, max_terms=3, max_factors=3, max_order=1)
         alpha = random_multiindex(rng, field.derivation_count, 4)
         for mode in (P, J):
-            a = apply_d(alpha, f, mode)
-            b = taylor_oracle(alpha, f, mode)
-            if a != b:
-                return "oracle", f"trial{t},alpha={alpha},mode={mode.value},f={f}", a, b
-        return None
+            witness = lambda: f"trial{t},alpha={alpha},mode={mode.value},f={f}"
+            yield "oracle", witness, apply_d(alpha, f, mode), taylor_oracle(alpha, f, mode)
 
     return _run([_Loop("oracle", "modes=2,orders<=4", trials, trial, _ROTATION)])
 
@@ -100,24 +100,14 @@ def check_twist(seed: int, trials: int, *, order: int, **_) -> list[str]:
         c = _random_truncated(rng, field, m)
         b = _random_truncated(rng, field, m)
         psi_c = twist_psi(c)
-        back = twist_inverse(psi_c)
-        if back != c:
-            return "twist", f"trial{t},dir=inv.psi", back, c
-        back = twist_psi(twist_inverse(b))
-        if back != b:
-            return "twist", f"trial{t},dir=psi.inv", back, b
+        yield "twist", lambda: f"trial{t},dir=inv.psi", twist_inverse(psi_c), c
+        yield "twist", lambda: f"trial{t},dir=psi.inv", twist_psi(twist_inverse(b)), b
         r = random_base_elem(rng, field)
-        lhs = twist_psi(c.scale(r))
-        rhs = twist_expand(r, m) * psi_c
-        if lhs != rhs:
-            return "twist", f"trial{t},scalar={r}", lhs, rhs
+        yield "twist", lambda: f"trial{t},scalar={r}", twist_psi(c.scale(r)), twist_expand(r, m) * psi_c
         a1 = random_base_elem(rng, field)
         a2 = random_base_elem(rng, field)
         lhs = twist_expand(a1 * a2, m)
-        rhs = twist_expand(a1, m) * twist_expand(a2, m)
-        if lhs != rhs:
-            return "twist", f"trial{t},hom={a1},{a2}", lhs, rhs
-        return None
+        yield "twist", lambda: f"trial{t},hom={a1},{a2}", lhs, twist_expand(a1, m) * twist_expand(a2, m)
 
     return _run([_Loop("twist", f"m<={m},n<=2", trials, trial, (_Q_S12, _F5_S))])
 
@@ -131,23 +121,19 @@ def check_iterative(seed: int, trials: int, **_) -> list[str]:
         a = random_base_elem(rng, field)
         alpha = random_multiindex(rng, n, 2)
         beta = random_multiindex(rng, n, 2)
+        alpha_beta = index_add(alpha, beta)
+        mu = comp_coeff(alpha, beta, field)
         lhs = hasse_derive(alpha, hasse_derive(beta, a))
-        rhs = hasse_derive(index_add(alpha, beta), a) * comp_coeff(alpha, beta, field)
-        if lhs != rhs:
-            return "iterative", f"trial{t},a={a},alpha={alpha},beta={beta}", lhs, rhs
+        yield "iterative", lambda: f"trial{t},a={a},alpha={alpha},beta={beta}", lhs, hasse_derive(alpha_beta, a) * mu
         if n >= 2:
             e1, e2 = (1, 0), (0, 1)
             lhs = hasse_derive(e1, hasse_derive(e2, a))
-            rhs = hasse_derive(e2, hasse_derive(e1, a))
-            if lhs != rhs:
-                return "commute", f"trial{t},a={a}", lhs, rhs
+            yield "commute", lambda: f"trial{t},a={a}", lhs, hasse_derive(e2, hasse_derive(e1, a))
         f = random_diffpoly(rng, field, var_count=2, max_terms=2, max_factors=2)
         for mode in (P, J):
-            l2 = apply_d(alpha, apply_d(beta, f, mode), mode)
-            r2 = apply_d(index_add(alpha, beta), f, mode).scale(comp_coeff(alpha, beta, field))
-            if l2 != r2:
-                return "iterative-symbols", f"trial{t},mode={mode.value},f={f}", l2, r2
-        return None
+            lhs = apply_d(alpha, apply_d(beta, f, mode), mode)
+            rhs = apply_d(alpha_beta, f, mode).scale(mu)
+            yield "iterative-symbols", lambda: f"trial{t},mode={mode.value},f={f}", lhs, rhs
 
     return _run([_Loop("iterative", "|alpha|+|beta|<=4", trials, trial, _ROTATION)])
 
@@ -160,22 +146,17 @@ def check_leibniz(seed: int, trials: int, **_) -> list[str]:
         a = random_base_elem(rng, field)
         b = random_base_elem(rng, field)
         alpha = random_multiindex(rng, field.derivation_count, 3)
-        lhs = hasse_derive(alpha, a * b)
         rhs = BaseElem.zero(field)
         for be, ga in splittings(alpha):
             rhs = rhs + hasse_derive(be, a) * hasse_derive(ga, b)
-        if lhs != rhs:
-            return "leibniz", f"trial{t},a={a},b={b},alpha={alpha}", lhs, rhs
+        yield "leibniz", lambda: f"trial{t},a={a},b={b},alpha={alpha}", hasse_derive(alpha, a * b), rhs
         h = random_diffpoly(rng, field, var_count=2, max_terms=2, max_factors=2, order_zero_only=True)
         f = random_diffpoly(rng, field, var_count=2, max_terms=2, max_factors=2, order_zero_only=True)
         mode = P if t % 2 else J
         total = DiffPoly.zero(field)
         for cof, gamma in ideal_membership_witness(alpha, h, f, mode):
             total = total + cof * apply_d(gamma, f, mode)
-        direct = apply_d(alpha, h * f, mode)
-        if total != direct:
-            return "witness", f"trial{t},alpha={alpha},h={h},f={f}", total, direct
-        return None
+        yield "witness", lambda: f"trial{t},alpha={alpha},h={h},f={f}", total, apply_d(alpha, h * f, mode)
 
     return _run([_Loop("leibniz", "|alpha|<=3", trials, trial, _ROTATION)])
 
@@ -194,9 +175,7 @@ def _theta_loop(m: int, q: int, varieties: Sequence, params: str, prefix: str) -
         for gi, f in enumerate(varieties[v].generators):
             lhs = theta(layered_expand(i, j, f, outer=J, inner=P))
             rhs = layered_expand(j, i, f, outer=P, inner=J)
-            if lhs != rhs:
-                return "theta", f"({prefix.format(v=v)}i={i},j={j},gen={gi})", lhs, rhs
-        return None
+            yield "theta", lambda: f"({prefix.format(v=v)}i={i},j={j},gen={gi})", lhs, rhs
 
     return _Loop("theta", params, len(varieties) * per, trial)
 
@@ -238,44 +217,26 @@ def _phi_psi_loops(bound: int, m: int, trials: int, seed: int, field: FieldDescr
         i, j = divmod(t, m + 1)
         for kind, there, back, way in ((P, phi, psi, "psi.phi"), (J, psi, phi, "phi.psi")):
             g = LayeredPoly.generator(field, 0, i, j, kind)
-            round_trip = back(there(g, bound), bound)
-            if round_trip != g:
-                return "phi-psi-sweep", f"(i={i},j={j},dir={way})", round_trip, g
-        return None
+            yield "phi-psi-sweep", lambda: f"(i={i},j={j},dir={way})", back(there(g, bound), bound), g
 
     def roundtrip(t, field):
         p = _random_layered(rng, field, bound - m, m, P)
         q = _random_layered(rng, field, bound - m, m, P)
         phi_p = phi(p, bound)
-        back = psi(phi_p, bound)
-        if back != p:
-            return "phi-psi-roundtrip", f"trial{t}", back, p
-        lhs = phi(p * q, bound)
-        rhs = phi_p * phi(q, bound)
-        if lhs != rhs:
-            return "phi-multiplicative", f"trial{t}", lhs, rhs
-        return None
+        yield "phi-psi-roundtrip", lambda: f"trial{t}", psi(phi_p, bound), p
+        yield "phi-multiplicative", lambda: f"trial{t}", phi(p * q, bound), phi_p * phi(q, bound)
 
     def claims(t, field):
         h = random_diffpoly(rng, field, var_count=2, max_terms=2, max_factors=2, order_zero_only=True)
         i = rng.randint(0, max(0, bound - m))
         j = rng.randint(0, m)
-        lhs = phi(layered_expand(i, j, h, P, P), bound)
-        rhs = LayeredPoly.zero(field)
-        for k in range(j + 1):
-            rhs = rhs + layered_expand(k, j - k, h, P, J)
-        rhs = outer_derive(i, rhs, bound)
-        if lhs != rhs:
-            return "claim1", f"trial{t},i={i},j={j},h={h}", lhs, rhs
-        lhs = psi(layered_expand(i, j, h, P, J), bound)
-        rhs = LayeredPoly.zero(field)
-        minus = field.scalar(-1)
-        for k in range(j + 1):
-            rhs = rhs + layered_expand(k, j - k, h, P, P).scale(minus**k)
-        rhs = outer_derive(i, rhs, bound)
-        if lhs != rhs:
-            return "claim2", f"trial{t},i={i},j={j},h={h}", lhs, rhs
-        return None
+        # claim, map, inner kind of the mapped symbol, inner kind of the sum, sign
+        for label, there, kind, other, sign in (("claim1", phi, P, J, 1), ("claim2", psi, J, P, -1)):
+            lhs = there(layered_expand(i, j, h, P, kind), bound)
+            rhs = LayeredPoly.zero(field)
+            for k in range(j + 1):
+                rhs = rhs + layered_expand(k, j - k, h, P, other).scale(field.scalar(sign) ** k)
+            yield label, lambda: f"trial{t},i={i},j={j},h={h}", lhs, outer_derive(i, rhs, bound)
 
     return [
         _Loop("phi-psi-sweep", params, (bound - m + 1) * (m + 1), sweep, (field,)),
@@ -300,6 +261,16 @@ def check_phi_psi(seed: int, trials: int, *, outer: int, inner: int, **_) -> lis
     )
 
 
+class _TensorForm(dict):
+    """A tensor normal form {(i, j): b}, written as the sum of b*t^i*u^j in graded order."""
+
+    def __str__(self) -> str:
+        return termdict.render_sum(
+            termdict.render_term(self[k], termdict.render_powers(zip("tu", k)))
+            for k in sorted(self, key=graded_lex_key)
+        )
+
+
 def _tensor_loops(m: int, q: int, samples: int, seed: int, field: FieldDescriptor) -> list[_Loop]:
     """K-linearity and surjectivity of the tensor swap, on random normal forms.
 
@@ -320,15 +291,12 @@ def _tensor_loops(m: int, q: int, samples: int, seed: int, field: FieldDescripto
         v = {k: b for k, b in v.items() if b}
         c = random_base_elem(rng, field)
         c2 = random_base_elem(rng, field)
-        lhs = tensor_left_action(c, v, q)
-        rhs = tensor_right_action(c, v, q)
-        if lhs != rhs:
-            return "tensor-linearity", f"trial{t}", lhs, rhs
+        witness = lambda: f"trial{t}"
+        lhs, rhs = tensor_left_action(c, v, q), tensor_right_action(c, v, q)
+        yield "tensor-linearity", witness, _TensorForm(lhs), _TensorForm(rhs)
         lhs = tensor_left_action(c * c2, v, q)
         rhs = tensor_left_action(c, tensor_left_action(c2, v, q), q)
-        if lhs != rhs:
-            return "tensor-associative", f"trial{t}", lhs, rhs
-        return None
+        yield "tensor-associative", witness, _TensorForm(lhs), _TensorForm(rhs)
 
     def surjectivity(t, field):
         c = random_nonzero_base_elem(rng, field)
@@ -336,8 +304,7 @@ def _tensor_loops(m: int, q: int, samples: int, seed: int, field: FieldDescripto
         got: dict = {}
         for (g,), cg in twist_inverse(TruncatedElement.constant(c, q, 1)).coeffs.items():
             got = termdict.add(got, tensor_left_action(cg, {(0, g): one}, q).items())
-        target = {(0, 0): c}
-        return None if got == target else ("tensor-surjectivity", f"trial{t},c={c}", got, target)
+        yield "tensor-surjectivity", lambda: f"trial{t},c={c}", _TensorForm(got), _TensorForm({(0, 0): c})
 
     return [
         _Loop("tensor-linearity", params, samples, linearity, (field,)),
@@ -436,16 +403,14 @@ def _signed_multinomial_sum(k: int, parts: Iterable[tuple[int, ...]]) -> int:
     return total
 
 
-def _multinomial_failure(k: int, field: FieldDescriptor, rng: random.Random, trials: int) -> "tuple | None":
-    """The first comparison of the multinomial lemma at k that fails, as a trial gives it."""
+def _multinomial_comparisons(k: int, field: FieldDescriptor, rng: random.Random, trials: int) -> Iterator[tuple]:
+    """The comparisons of the multinomial lemma at k, as a trial yields them."""
     count = total = 0
     for block in _composition_blocks(k):
         count += len(block)
         total += _signed_multinomial_sum(k, block)
-    if count != 2 ** (k - 1):
-        return "multinomial", f"k={k},count", count, 2 ** (k - 1)
-    if total != (-1) ** k:
-        return "multinomial", f"k={k},signed-sum", total, (-1) ** k
+    yield "multinomial", lambda: f"k={k},count", count, 2 ** (k - 1)
+    yield "multinomial", lambda: f"k={k},signed-sum", total, (-1) ** k
     if field.derivation_count != 1:
         raise ValueError("the operator identity check runs over a single derivation")
     for _ in range(trials):
@@ -456,9 +421,7 @@ def _multinomial_failure(k: int, field: FieldDescriptor, rng: random.Random, tri
         for part in reversed(pi):
             lhs = hasse_derive((part,), lhs)
         rhs = hasse_derive((k,), a) * field.scalar(multinomial(pi))
-        if lhs != rhs:
-            return "multinomial", f"k={k},a={a},pi={pi}", lhs, rhs
-    return None
+        yield "multinomial", lambda: f"k={k},a={a},pi={pi}", lhs, rhs
 
 
 def multinomial_identity_check(k: int, field: FieldDescriptor, rng: random.Random, trials: int) -> bool:
@@ -471,14 +434,14 @@ def multinomial_identity_check(k: int, field: FieldDescriptor, rng: random.Rando
     operator identity D_pi = mu(pi) D_k on random elements of the field, with
     mu(pi) from ``fields.multinomial``.
     """
-    return _multinomial_failure(k, field, rng, trials) is None
+    return all(lhs == rhs for _, _, lhs, rhs in _multinomial_comparisons(k, field, rng, trials))
 
 
 def check_multinomial(seed: int, trials: int, *, max_k: int, **_) -> list[str]:
     rng = random.Random(seed)
 
     def trial(t, field):
-        return _multinomial_failure(t + 1, field, rng, trials=3)
+        return _multinomial_comparisons(t + 1, field, rng, trials=3)
 
     return _run([_Loop("multinomial", f"k<=({max_k})", max_k, trial)])
 

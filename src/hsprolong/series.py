@@ -17,8 +17,9 @@ term's coefficient is multiplied in once per output monomial.  With each
 t^alpha coefficient scaled by den^|alpha|, every step stays in polynomials,
 and the t^alpha coefficient is a numerator over den^(|alpha|+1), normalized
 once as a BaseElem.  This is deliberately *not* the quotient-rule route of
-basefield: that one takes the binomials of ParamPoly.hasse and solves
-D(den * 1/den) = 0, this one only substitutes and sums a geometric series,
+basefield: that one takes the binomials of ParamPoly.hasse and runs the
+Leibniz rule on den * a = num over the numerators T_gamma of D_gamma(a),
+this one only substitutes and sums a geometric series,
 and it takes no binomial from fields, math or ParamPoly.hasse, so the two
 routes check each other.
 twist_psi applies the expansion coefficientwise: for iterative derivations

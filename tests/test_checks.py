@@ -74,16 +74,68 @@ def test_theta_witness_prefix(monkeypatch):
     assert line.startswith("FAIL theta at=(i=0,j=0,gen=0) lhs=")
 
 
+def _plant_d_table_zero_from_order_three(monkeypatch):
+    # the layered base derivatives D_k(c) read 0 for every k >= 3
+    from hsprolong import layered
+    from hsprolong.basefield import BaseElem
+
+    real = layered._d_table
+    monkeypatch.setattr(
+        layered, "_d_table", lambda l, c: [d if k < 3 else BaseElem.zero(c.field) for k, d in enumerate(real(l, c))]
+    )
+
+
+def test_tensor_suite_kills_the_order_three_d_table_mutant(monkeypatch, capsys):
+    # theta and the phi-psi claims read _d_table on both sides; only the
+    # tensor suite's series right action sees this mutant
+    from hsprolong import cli
+
+    _plant_d_table_zero_from_order_three(monkeypatch)
+    assert cli.main(["check", "tensor", "--order", "3", "--inner", "3", "--seed", "42"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL tensor-"), fails
+
+
+def test_tensor_fail_line_writes_canonical_normal_forms(monkeypatch, capsys):
+    from hsprolong import cli
+
+    _plant_d_table_zero_from_order_three(monkeypatch)
+    assert cli.main(["check", "tensor", "--order", "3", "--inner", "3", "--seed", "42"]) == 1
+    [line] = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert "BaseElem(" not in line and "{" not in line, line
+    assert line.startswith("FAIL tensor-associative at=trial1 lhs=32*s^6*u^2 + (10*s^6 + 8*s^4)*t^3 + ")
+
+
+def test_tensor_normal_form_text_does_not_depend_on_insertion_order():
+    from hsprolong.basefield import BaseElem
+
+    field = FieldDescriptor(0, ("s",), 1)
+    s = BaseElem.param(field, "s")
+    terms = [((0, 0), BaseElem.one(field)), ((2, 1), -s / (s + BaseElem.one(field))), ((0, 1), s * 5)]
+    a, b = checks._TensorForm(terms), checks._TensorForm(reversed(terms))
+    assert a == b == dict(terms)
+    assert str(a) == str(b) == "1 + 5*s*u - s/(s + 1)*t^2*u"
+
+
 def test_loop_rotates_fields_and_stops_at_the_first_failure():
     seen = []
 
+    def unwritten():
+        pytest.fail("wrote the witness of a passing comparison")
+
+    def passing(t, field):
+        yield "demo-a", unwritten, t, t
+
     def trial(t, field):
         seen.append((t, field))
-        return ("demo-b", f"trial{t}", 1, 2) if t == 4 else None
+        yield "demo-b", unwritten, 0, 0
+        if t == 4:
+            yield "demo-b", lambda: f"trial{t}", 1, 2
+            yield "demo-b", unwritten, pytest.fail("computed a comparison after a FAIL"), 0
 
     fields = ("A", "B", "C")
     lines = checks._run([
-        checks._Loop("demo-a", "p=1", 3, lambda t, field: None),
+        checks._Loop("demo-a", "p=1", 3, passing),
         checks._Loop("demo-b", "p=2", 10, trial, fields),
         checks._Loop("demo-c", "p=3", 3, lambda t, field: pytest.fail("ran after a FAIL")),
     ])

@@ -6,11 +6,14 @@ p.  The ParamPoly constructor checks outside input and maps each coefficient
 into the field; ring results skip it.  Arithmetic on raw term dicts leaves
 unreduced ints, and ``_make``, which builds every ring result, is the one
 place that folds them back into [0, p); over Q termdict's dicts are taken
-as they are.  A BaseElem is
-a normalized quotient num/den of two such polynomials: the gcd is cancelled
-(content/primitive-part recursion with a primitive pseudo-remainder sequence)
-and the denominator's leading coefficient under graded-lex is scaled to 1, so
-equality is structural.
+as they are.
+
+A BaseElem is a quotient num/den of two such polynomials in normal form, so
+equality is structural.  The normal form takes three steps, each written
+once: the common monomial factor is stripped, ``_cancel`` divides both by
+their gcd, and ``_monic_den`` scales both so that the denominator's leading
+coefficient under graded-lex is 1.  Sums and products that cancel a gcd on
+the way call ``_cancel`` too.
 
 Two integer routines sit inside the gcd machinery, where no coefficient type
 shows.  ``poly_divexact`` updates one remainder dict in place: cancelling
@@ -28,8 +31,10 @@ operands do not (an unlucky P or point); the exact route then runs.
 ``poly_gcd`` has one route for any number of parameters: strip the monomial
 content, ask the certificate for the smallest shared parameter v, try exact
 division of the larger operand by the smaller, and otherwise run the
-primitive PRS in v over the other parameters.  Over one parameter every
-content is a constant, so the gcd of two contents is 1 with no recursion.
+primitive PRS (pseudo-remainder sequence) in v over the other parameters.
+``_content``, the gcd of a run of polynomials, is 1 with no poly_gcd call
+once the partial gcd or the next polynomial is constant; over one parameter
+every content is a constant, so poly_gcd never recurses there.
 
 Constants take a lane that never runs a gcd.  The constant c is c/1, its own
 normal form.  For num/den in normal form and a coefficient c, c*num/den is
@@ -329,11 +334,12 @@ def _pseudo_rem(a: dict[int, ParamPoly], b: dict[int, ParamPoly]) -> dict[int, P
 
 
 def _content(coeffs: Iterable[ParamPoly]) -> ParamPoly:
-    """The gcd of a nonempty run of polynomials, 1 once a partial gcd is constant."""
+    """The gcd of a nonempty run of nonzero polynomials: 1, with no poly_gcd
+    call, once the partial gcd or the next polynomial is constant."""
     it = iter(coeffs)
     cont = next(it)
     for c in it:
-        if cont.is_const():
+        if cont.is_const() or c.is_const():
             return ParamPoly.const(cont.field, 1)
         cont = poly_gcd(cont, c)
     return cont
@@ -342,14 +348,6 @@ def _content(coeffs: Iterable[ParamPoly]) -> ParamPoly:
 def _content_and_pp(coeffs: dict[int, ParamPoly]) -> tuple[ParamPoly, dict[int, ParamPoly]]:
     cont = _content(coeffs.values())
     return cont, {d: poly_divexact(c, cont) for d, c in coeffs.items()}
-
-
-def _gcd_of_contents(ca: ParamPoly, cb: ParamPoly) -> ParamPoly:
-    """The gcd of two contents; 1 with no poly_gcd call when either is
-    constant, as every content over one parameter is."""
-    if ca.is_const() or cb.is_const():
-        return ParamPoly.const(ca.field, 1)
-    return poly_gcd(ca, cb)
 
 
 # the image field F_P of the coprimality certificate over Q: a prime below 2^31
@@ -455,20 +453,16 @@ def poly_gcd(f: ParamPoly, g: ParamPoly) -> ParamPoly:
     f0, g0 = _shift_down(f, mf), _shift_down(g, mg)
     mono = _make({common: f.field.scalar(1)}, f.field)
 
-    if len(f0.terms) == 1 or len(g0.terms) == 1:
-        # after content removal a monomial shares no further factor
-        return _monic(mono)
-
-    shared = f0.variables() & g0.variables()
-    if not shared:
-        return _monic(mono)
+    if len(f0.terms) == 1 or len(g0.terms) == 1 or not (shared := f0.variables() & g0.variables()):
+        # after content removal a monomial, or a pair with no shared
+        # parameter, shares no further factor; mono is monic
+        return mono
     v = min(shared)
 
     if _coprime_by_evaluation(f0, g0, v):
-        # the gcd is free of v, hence divides both contents with respect to v
-        cf = _content(_coeffs_in(f0, v).values())
-        cg = _content(_coeffs_in(g0, v).values())
-        return _monic(mono * _gcd_of_contents(cf, cg))
+        # the gcd is free of v, hence divides both contents with respect to v;
+        # that gcd of at least two polynomials is 1 or monic, and so is mono
+        return mono * _content([*_coeffs_in(f0, v).values(), *_coeffs_in(g0, v).values()])
 
     # denominators are often prefix products of one another; try exact division
     lo, hi = (f0, g0) if f0.degree() <= g0.degree() else (g0, f0)
@@ -480,7 +474,7 @@ def poly_gcd(f: ParamPoly, g: ParamPoly) -> ParamPoly:
 
     ca, a = _content_and_pp(_coeffs_in(f0, v))
     cb, b = _content_and_pp(_coeffs_in(g0, v))
-    cont = _gcd_of_contents(ca, cb)
+    cont = _content((ca, cb))
 
     if max(a) < max(b):
         a, b = b, a
@@ -584,10 +578,7 @@ class BaseElem:
         if not num:
             den = ParamPoly.const(field, 1)
         else:
-            lc = den.leading()[1]
-            if lc != 1:
-                inv = field.inverse(lc)
-                num, den = num.scale(inv), den.scale(inv)
+            num, den = _monic_den(num, den)
         return _elem(num, den)
 
     # -- field structure ----------------------------------------------------
@@ -654,11 +645,7 @@ class BaseElem:
             # denominators are 1 after normalization
             return BaseElem._raw(a + c, b)
         if b == d:
-            t = a + c
-            h = poly_gcd(t, b)
-            if h.is_const():
-                return BaseElem._raw(t, b)
-            return BaseElem._raw(poly_divexact(t, h), poly_divexact(b, h))
+            return BaseElem._raw(*_cancel(a + c, b))
         g = poly_gcd(b, d)
         if g.is_const():
             return BaseElem._raw(a * d + c * b, b * d)
@@ -700,13 +687,9 @@ class BaseElem:
         c, d = other.num, other.den
         # cross-cancel so the result is coprime with no final gcd
         if not b.is_const() and not c.is_const():
-            g = poly_gcd(c, b)
-            if not g.is_const():
-                c, b = poly_divexact(c, g), poly_divexact(b, g)
+            c, b = _cancel(c, b)
         if not d.is_const() and not a.is_const():
-            g = poly_gcd(a, d)
-            if not g.is_const():
-                a, d = poly_divexact(a, g), poly_divexact(d, g)
+            a, d = _cancel(a, d)
         return BaseElem._raw(a * c, b * d)
 
     __rmul__ = __mul__
@@ -791,14 +774,25 @@ def _reduce(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
     if any(common):
         num, den = _shift_down(num, common), _shift_down(den, common)
     if len(den.terms) > 1 and len(num.terms) > 1:
-        g = poly_gcd(num, den)
-        if not g.is_const():
-            num, den = poly_divexact(num, g), poly_divexact(den, g)
+        num, den = _cancel(num, den)
+    return _monic_den(num, den)
+
+
+def _cancel(p: ParamPoly, q: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
+    """p and q divided by their gcd, or both as they are when it is constant."""
+    g = poly_gcd(p, q)
+    if g.is_const():
+        return p, q
+    return poly_divexact(p, g), poly_divexact(q, g)
+
+
+def _monic_den(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
+    """num and den scaled so that den's leading coefficient is 1."""
     lc = den.leading()[1]
-    if lc != 1:
-        inv = den.field.inverse(lc)
-        num, den = num.scale(inv), den.scale(inv)
-    return num, den
+    if lc == 1:
+        return num, den
+    inv = den.field.inverse(lc)
+    return num.scale(inv), den.scale(inv)
 
 
 # -- Hasse derivatives --------------------------------------------------------

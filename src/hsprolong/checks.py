@@ -25,10 +25,10 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 from . import termdict
 from .basefield import BaseElem, hasse_derive
 from .fields import FieldDescriptor, comp_coeff, multinomial
-from .diffpoly import DerivationMode, DiffPoly, apply_d, taylor_oracle
+from .diffpoly import DerivationMode, DiffPoly, apply_d, derive_upto, taylor_oracle
 from .layered import LayeredPoly, LayeredSymbol, layered_expand, outer_derive, phi, psi, theta
 from .layered import tensor_left_action, tensor_right_action
-from .multiindex import graded_lex_key, index_add, splittings
+from .multiindex import graded_lex_key, index_add, index_size, splittings
 from .presentations import ideal_membership_witness
 from .sampling import random_base_elem, random_diffpoly, random_multiindex, random_nonzero_base_elem
 from .sampling import random_sparse_poly, random_variety_with_point
@@ -113,7 +113,8 @@ def check_twist(seed: int, trials: int, *, order: int, **_) -> list[str]:
 
 
 def check_iterative(seed: int, trials: int, **_) -> list[str]:
-    """Iterativity and commutativity, on the base field and on symbols."""
+    """Iterativity and commutativity, on the base field and on symbols; on
+    symbols, apply_d twice against derive_upto, the all-orders route of the CLI."""
     rng = random.Random(seed)
 
     def trial(t, field):
@@ -132,14 +133,15 @@ def check_iterative(seed: int, trials: int, **_) -> list[str]:
         f = random_diffpoly(rng, field, var_count=2, max_terms=2, max_factors=2)
         for mode in (P, J):
             lhs = apply_d(alpha, apply_d(beta, f, mode), mode)
-            rhs = apply_d(alpha_beta, f, mode).scale(mu)
+            rhs = derive_upto(f, index_size(alpha_beta), mode)[alpha_beta].scale(mu)
             yield "iterative-symbols", lambda: f"trial{t},mode={mode.value},f={f}", lhs, rhs
 
     return _run([_Loop("iterative", "|alpha|+|beta|<=4", trials, trial, _ROTATION)])
 
 
 def check_leibniz(seed: int, trials: int, **_) -> list[str]:
-    """Generalized Leibniz rule and the membership-witness identity."""
+    """Generalized Leibniz rule and the membership-witness identity, whose
+    sum of apply_d terms is compared with derive_upto, the CLI's route."""
     rng = random.Random(seed)
 
     def trial(t, field):
@@ -156,7 +158,8 @@ def check_leibniz(seed: int, trials: int, **_) -> list[str]:
         total = DiffPoly.zero(field)
         for cof, gamma in ideal_membership_witness(alpha, h, f, mode):
             total = total + cof * apply_d(gamma, f, mode)
-        yield "witness", lambda: f"trial{t},alpha={alpha},h={h},f={f}", total, apply_d(alpha, h * f, mode)
+        rhs = derive_upto(h * f, index_size(alpha), mode)[alpha]
+        yield "witness", lambda: f"trial{t},alpha={alpha},h={h},f={f}", total, rhs
 
     return _run([_Loop("leibniz", "|alpha|<=3", trials, trial, _ROTATION)])
 

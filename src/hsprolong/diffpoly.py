@@ -15,7 +15,10 @@ off as the t^alpha coefficient for every |alpha| <= m.  Its values equal
 apply_d's at each alpha; both stay on the quotient rule plus Leibniz.
 taylor_oracle recomputes the same values through substitution into a
 truncated t-ring with the series expansion of the coefficients, and is kept
-as an independent cross-check.
+as an independent cross-check.  The check suites compare the routes: the
+``oracle`` suite apply_d with taylor_oracle, ``iterative`` apply_d applied
+twice with derive_upto, and ``leibniz`` the membership witness's sum of
+apply_d terms with derive_upto of h*f.
 
 DiffSymbol is a light value object: a plain ``__slots__`` class, immutable by
 convention like ParamPoly and BaseElem, that stores its fields, hash and

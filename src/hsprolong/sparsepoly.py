@@ -82,16 +82,16 @@ class SparsePoly:
 
     @classmethod
     def _of(cls, field: FieldDescriptor, terms: dict):
-        """The polynomial on a term dict that is already zero-free, taken as is."""
+        """The polynomial on a term dict that is already zero-free, taken as is.
+
+        Every caller passes such a dict; the ring operations do because
+        termdict's add, mul and scale drop zeros, and a field has no zero
+        divisors for __neg__ to make.
+        """
         out = cls.__new__(cls)
         out.terms = terms
         out.field = field
         return out
-
-    def _make(self, terms: dict) -> "SparsePoly":
-        # every caller passes a zero-free dict: termdict's add, mul and scale
-        # drop zeros, and a field has no zero divisors for __neg__ to make
-        return self._of(self.field, terms)
 
     # -- ring structure -------------------------------------------------------
 
@@ -118,12 +118,12 @@ class SparsePoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._make(termdict.add(self.terms, other.terms.items()))
+        return self._of(self.field, termdict.add(self.terms, other.terms.items()))
 
     __radd__ = __add__
 
     def __neg__(self):
-        return self._make({m: -c for m, c in self.terms.items()})
+        return self._of(self.field, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -138,7 +138,7 @@ class SparsePoly:
         other = self._coerce(other)
         if other is NotImplemented:
             return NotImplemented
-        return self._make(termdict.mul(self.terms, other.terms, monomial_mul))
+        return self._of(self.field, termdict.mul(self.terms, other.terms, monomial_mul))
 
     __rmul__ = __mul__
 
@@ -150,7 +150,7 @@ class SparsePoly:
     def scale(self, c):
         if not isinstance(c, BaseElem):
             c = BaseElem.const(self.field, c)
-        return self._make(termdict.scale(self.terms, c))
+        return self._of(self.field, termdict.scale(self.terms, c))
 
     # -- structure queries ----------------------------------------------------
 

@@ -293,3 +293,15 @@ def test_multinomial_suite_holds_no_list_of_all_compositions():
         tracemalloc.stop()
     assert lines == ["OK multinomial params=k<=(18) trials=18"]
     assert peak < 4_000_000, peak
+
+
+def test_symbol_suites_kill_a_hasse_table_that_drops_orders_from_two(monkeypatch, capsys):
+    # derive_upto, the all-orders route behind prolong, jet and lift, reads its
+    # base derivatives from hasse_table; apply_d reads the box below alpha
+    from hsprolong import cli, diffpoly
+
+    real = diffpoly.hasse_table
+    monkeypatch.setattr(diffpoly, "hasse_table", lambda a, m: {g: d for g, d in real(a, m).items() if sum(g) < 2})
+    assert cli.main(["check", "all", "--seed", "42"]) == 1
+    fails = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert fails == ["iterative-symbols", "witness"]

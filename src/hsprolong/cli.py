@@ -31,7 +31,6 @@ on that route, and json only for --json.
 from __future__ import annotations
 
 import sys
-from pathlib import Path
 from types import SimpleNamespace
 from typing import TYPE_CHECKING
 
@@ -62,7 +61,11 @@ class _UnreadableInput(Exception):
 
 def _read_document(path: str) -> InputDocument:
     try:
-        text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
+        if path == "-":
+            text = sys.stdin.read()
+        else:
+            with open(path, encoding="utf-8") as f:
+                text = f.read()
     except (OSError, UnicodeDecodeError) as exc:
         raise _UnreadableInput(f"cannot read {path}: {exc}") from None
     return parse_document(text)

@@ -19,27 +19,37 @@ a ``--point`` value (``parse_point``) and of a ``--map`` value
 and appears once.  Diagnostics carry line and column, counted in the text
 that was parsed: the document, or the flag value.
 
+A token is its text, one string of a single ``findall``, and the end of input
+is the token "".  Its kind comes from its first character: a number starts
+with a decimal digit (``str.isdecimal``, so "٥" is a number and "²" starts an
+identifier), a punctuation mark is a token of its own, and anything else
+starts an identifier.  A successful parse keeps no offsets; a diagnostic
+names a token by its index and tokenizes the text again to find where that
+token starts.
+
 An expression is read into a term dict from variety exponent tuples to
 coefficients num/den, each a numerator and a denominator ParamPoly.  A term
 folds its run of number, parameter and variable factors, powers and
 divisions by numbers and parameters included, into one monomial: a scalar,
 parameter exponents (negative ones go to the denominator) and variable
-exponents.  Ring arithmetic is left to what the fold cannot do: a product is
-taken only for a parenthesized factor and for a parenthesized divisor, which
-must be constant and nonzero.  Sums, products and powers combine term dicts
-with no gcd, and every output coefficient is normalized once, as one
-BaseElem(num, den), when the expression becomes a DiffPoly or a point
-coordinate.  Each monomial keeps its own denominator, so the denominators of
-other terms never enter its gcd.  A quotient is zero exactly when its
-numerator is, so the zero tests behind "division by zero" and "variety
-variable in a denominator" read the unreduced values, at the divisor that
-fails them.
+exponents; a leading minus sign goes into the scalar.  Ring arithmetic is
+left to what the fold cannot do: a product is taken only for a parenthesized
+factor and for a parenthesized divisor, which must be constant and nonzero.
+A sum adds each term into one term dict in place, dropping a sum that
+cancels as termdict.add does; sums, products and powers take no gcd, and
+every output coefficient is normalized once, as one BaseElem(num, den), when
+the expression becomes a DiffPoly or a point coordinate.  Each monomial
+keeps its own denominator, so the denominators of other terms never enter
+its gcd.  A quotient is zero exactly when its numerator is, so the zero
+tests behind "division by zero" and "variety variable in a denominator" read
+the unreduced values, at the divisor that fails them.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional
 
 from . import termdict
@@ -64,23 +74,37 @@ def _where(text: str, offset: int) -> tuple[int, int]:
     return text.count("\n", 0, offset) + 1, offset - text.rfind("\n", 0, offset)
 
 
-# One group per token kind, numbered as the kinds below.  A token is a tuple
-# (kind, text, offset); the end of input is (EOF, "", len(text)).  Punctuation
-# text never equals the text of a number or an identifier, so the parser
-# tells punctuation and keywords apart by their text alone.
-_TOKEN = re.compile(r"(\d+)|([^\W\d]\w*)|([-+*/^();,=])")
-EOF, NAT, IDENT, PUNCT = range(4)
+# Tried in this order, the alternatives give the tokens of
+# \d+|[^\W\d]\w*|[-+*/^();,=]: \w+ is reached only where \d+ fails, so an
+# identifier starts with no decimal digit.  Punctuation text never equals the
+# text of a number or an identifier, so the parser tells punctuation and
+# keywords apart by their text alone.
+_TOKEN = re.compile(r"[-+*/^();,=]|\d+|\w+")
+_PUNCT = frozenset("-+*/^();,=")
 # any non-space character that starts no token
 _STRAY = re.compile(r"[^\w\s+*/^();,=-]")
 
 
-def _tokenize(text: str) -> list[tuple[int, str, int]]:
+def _tokenize(text: str) -> list[str]:
     stray = _STRAY.search(text)
     if stray:
         raise ParseError(f"unexpected character {stray.group()!r}", *_where(text, stray.start()))
-    toks = [(m.lastindex, m.group(), m.start()) for m in _TOKEN.finditer(text)]
-    toks.append((EOF, "", len(text)))
+    toks = _TOKEN.findall(text)
+    toks.append("")
     return toks
+
+
+def _offsets(text: str) -> list[int]:
+    """Where each token of text starts, then the end of input; only a
+    diagnostic needs them, so only a diagnostic tokenizes the text again."""
+    out = [m.start() for m in _TOKEN.finditer(text)]
+    out.append(len(text))
+    return out
+
+
+def _is_name(tok: str) -> bool:
+    """Whether a token is an identifier: not the end of input, a number or punctuation."""
+    return tok != "" and not tok[0].isdecimal() and tok not in _PUNCT
 
 
 class _Fraction:
@@ -105,9 +129,6 @@ class _Fraction:
             return _Fraction(self.num + other.num, self.den)
         return _Fraction(_times(self.num, other.den) + _times(other.num, self.den), _times(self.den, other.den))
 
-    def __neg__(self) -> "_Fraction":
-        return _Fraction(-self.num, self.den)
-
     def __mul__(self, other: "_Fraction") -> "_Fraction":
         return _Fraction(self.num * other.num, _times(self.den, other.den))
 
@@ -127,6 +148,19 @@ def _mul_terms(a: dict, b: dict) -> dict:
     return termdict.mul(a, b, termdict.exp_add)
 
 
+def _add_term(acc: dict, key: tuple, c: _Fraction) -> None:
+    """acc[key] += c in place; a sum that cancels is dropped, as in termdict.add."""
+    s = acc.get(key)
+    if s is None:
+        acc[key] = c
+    else:
+        s += c
+        if s:
+            acc[key] = s
+        else:
+            del acc[key]
+
+
 @dataclass
 class InputDocument:
     field: FieldDescriptor
@@ -144,149 +178,154 @@ class _Parser:
         self.var_names = var_names
         if field is not None:
             self._bind(field, var_names)
+            # names from the caller: an identifier token spells no keyword,
+            # number or punctuation, so a name that is one names nothing
+            self.names = {name: v for name, v in self.names.items() if _is_name(name) and name not in KEYWORDS}
 
     def _bind(self, field: FieldDescriptor, var_names: tuple[str, ...]) -> None:
         self.field = field
         self.var_names = var_names
-        self.syms = tuple(DiffSymbol(i, zero_index(field.derivation_count)) for i in range(len(var_names)))
+        zero = zero_index(field.derivation_count)
+        self.syms = tuple([DiffSymbol(i, zero) for i in range(len(var_names))])
         self.origin = (0,) * len(var_names)
+        self.param_count = field.param_count
         self.one = ParamPoly.const(field, 1)
         # identifier -> (is a variety variable, index); a variable shadows a parameter
-        self.names = {name: (False, i) for i, name in enumerate(field.parameter_names)}
-        self.names.update((name, (True, i)) for i, name in enumerate(var_names))
+        self.names = names = {name: (False, i) for i, name in enumerate(field.parameter_names)}
+        for i, name in enumerate(var_names):
+            names[name] = (True, i)
 
     # -- token plumbing ----------------------------------------------------
 
-    def error(self, message: str, tok: tuple) -> ParseError:
-        return ParseError(message, *_where(self.text, tok[2]))
+    def error(self, message: str, i: int) -> ParseError:
+        """A diagnostic at token i."""
+        return ParseError(message, *_where(self.text, _offsets(self.text)[i]))
 
-    def peek(self) -> tuple:
-        return self.toks[self.pos]
-
-    def next(self) -> tuple:
-        tok = self.toks[self.pos]
-        self.pos += 1
-        return tok
-
-    def expect(self, text: str) -> tuple:
-        """The next token, which must be the punctuation or keyword ``text``."""
-        tok = self.toks[self.pos]
-        if tok[1] != text:
-            raise self.error(f"expected {text!r}, found {tok[1] or 'end of input'!r}", tok)
-        self.pos += 1
-        return tok
+    def expect(self, text: str) -> int:
+        """The index of the next token, which must be the punctuation or keyword ``text``."""
+        i = self.pos
+        tok = self.toks[i]
+        if tok != text:
+            raise self.error(f"expected {text!r}, found {tok or 'end of input'!r}", i)
+        self.pos = i + 1
+        return i
 
     def expect_nat(self) -> int:
-        tok = self.peek()
-        if tok[0] != NAT:
-            raise self.error(f"expected a natural number, found {tok[1]!r}", tok)
-        self.pos += 1
-        return int(tok[1])
+        i = self.pos
+        tok = self.toks[i]
+        if not tok.isdecimal():
+            raise self.error(f"expected a natural number, found {tok!r}", i)
+        self.pos = i + 1
+        return int(tok)
 
-    def expect_end(self) -> tuple:
-        tok = self.peek()
-        if tok[0] != EOF:
-            raise self.error(f"unexpected trailing input {tok[1]!r}", tok)
-        return tok
-
-    def accept(self, text: str) -> bool:
-        if self.toks[self.pos][1] == text:
-            self.pos += 1
-            return True
-        return False
+    def expect_end(self) -> int:
+        i = self.pos
+        if self.toks[i]:
+            raise self.error(f"unexpected trailing input {self.toks[i]!r}", i)
+        return i
 
     def name_list(self, at_least_one: bool) -> list[str]:
-        names: list[str] = []
-        while self.peek()[0] == IDENT and self.peek()[1] not in KEYWORDS:
-            names.append(self.next()[1])
-        if at_least_one and not names:
-            raise self.error("expected at least one identifier", self.peek())
-        return names
+        toks = self.toks
+        start = i = self.pos
+        while toks[i] not in KEYWORDS and _is_name(toks[i]):
+            i += 1
+        if at_least_one and i == start:
+            raise self.error("expected at least one identifier", i)
+        self.pos = i
+        return toks[start:i]
 
     # -- document structure ---------------------------------------------------
 
     def parse_document(self) -> InputDocument:
-        char_tok = self.expect("char")
+        toks = self.toks
+        char_at = self.expect("char")
         char = self.expect_nat()
         if char != 0 and not is_prime(char):
-            raise self.error(f"characteristic {char} is not 0 or prime", char_tok)
+            raise self.error(f"characteristic {char} is not 0 or prime", char_at)
         self.expect(";")
         self.expect("params")
         params = self.name_list(at_least_one=False)
         self.expect(";")
-        der_tok = self.expect("derivations")
+        der_at = self.expect("derivations")
         n = self.expect_nat()
         self.expect(";")
         try:
             field = FieldDescriptor(char, tuple(params), n)
         except ValueError as exc:
-            raise self.error(str(exc), der_tok) from None
+            raise self.error(str(exc), der_at) from None
 
         self.expect("vars")
-        var_tok = self.peek()
+        var_at = self.pos
         var_names = self.name_list(at_least_one=True)
         if len(set(var_names)) != len(var_names):
-            raise self.error("variety variables must be distinct", var_tok)
+            raise self.error("variety variables must be distinct", var_at)
         clash = set(var_names) & set(params)
         if clash:
-            raise self.error(f"identifier {clash.pop()!r} is both a parameter and a variable", var_tok)
+            raise self.error(f"identifier {clash.pop()!r} is both a parameter and a variable", var_at)
         self._bind(field, tuple(var_names))
         self.expect(";")
 
         self.expect("gens")
         gens = [self.parse_poly()]
-        while self.accept(","):
+        while toks[self.pos] == ",":
+            self.pos += 1
             gens.append(self.parse_poly())
         self.expect(";")
         gens = [self.diffpoly(g) for g in gens]
 
         point = None
-        if self.accept("point"):
+        if toks[self.pos] == "point":
+            self.pos += 1
             pairs = self.assignments()
             point = self.point(pairs, "point block", self.expect(";"))
         self.expect_end()
 
-        variety = VarietyPresentation(self.field, len(self.var_names), gens)
-        return InputDocument(self.field, self.var_names, variety, point)
+        variety = VarietyPresentation(field, len(var_names), gens)
+        return InputDocument(field, self.var_names, variety, point)
 
-    def assignments(self) -> list[tuple[tuple, dict]]:
-        """IDENT "=" poly ("," IDENT "=" poly)*, as (name token, value) pairs.
+    def assignments(self) -> dict[str, tuple[int, dict]]:
+        """IDENT "=" poly ("," IDENT "=" poly)*, as name -> (token index, value).
 
         A name that is not one identifier, is a keyword, or repeats an earlier
         name is rejected at its own position.
         """
-        pairs: list[tuple[tuple, dict]] = []
+        toks = self.toks
+        pairs: dict[str, tuple[int, dict]] = {}
         while True:
-            tok = self.peek()
-            if tok[0] != IDENT or tok[1] in KEYWORDS:
-                stop = next(t for t in self.toks[self.pos:] if t[0] == EOF or t[1] in ("=", ",", ";"))
-                got = self.text[tok[2]:stop[2]].strip()
-                raise self.error(f"expected a name before '=', got {got!r}", tok)
-            if any(tok[1] == name[1] for name, _ in pairs):
-                raise self.error(f"{tok[1]!r} is assigned twice", tok)
-            self.pos += 1
+            i = self.pos
+            tok = toks[i]
+            if not _is_name(tok) or tok in KEYWORDS:
+                stop = next(j for j in range(i, len(toks)) if toks[j] in ("", "=", ",", ";"))
+                offsets = _offsets(self.text)
+                got = self.text[offsets[i]:offsets[stop]].strip()
+                raise self.error(f"expected a name before '=', got {got!r}", i)
+            if tok in pairs:
+                raise self.error(f"{tok!r} is assigned twice", i)
+            self.pos = i + 1
             self.expect("=")
-            pairs.append((tok, self.parse_poly()))
-            if not self.accept(","):
+            pairs[tok] = (i, self.parse_poly())
+            if toks[self.pos] != ",":
                 return pairs
+            self.pos += 1
 
-    def point(self, pairs: list[tuple[tuple, dict]], where: str, end: tuple) -> dict[int, BaseElem]:
+    def point(self, pairs: dict[str, tuple[int, dict]], where: str, end: int) -> dict[int, BaseElem]:
         """The point given by assignments: every variable once, each a constant.
 
-        A missing variable is reported at ``end``, the token that closed the
-        assignments.
+        A missing variable is reported at token ``end``, the one that closed
+        the assignments.
         """
+        var_names = self.var_names
         point = {}
-        for tok, value in pairs:
-            if tok[1] not in self.var_names:
-                raise self.error(f"undeclared variable {tok[1]!r} in {where}", tok)
+        for name, (i, value) in pairs.items():
+            if name not in var_names:
+                raise self.error(f"undeclared variable {name!r} in {where}", i)
             if any(map(any, value)):
-                raise self.error("point coordinates must not involve variety variables", tok)
+                raise self.error("point coordinates must not involve variety variables", i)
             c = value.get(self.origin)
-            point[self.var_names.index(tok[1])] = c.normalize(self.one) if c else BaseElem.zero(self.field)
-        missing = [v for i, v in enumerate(self.var_names) if i not in point]
-        if missing:
-            raise self.error(f"{where} is missing {missing[0]!r}", end)
+            point[var_names.index(name)] = c.normalize(self.one) if c else _elem(_make({}, self.field), self.one)
+        if len(point) < len(var_names):
+            missing = next(v for i, v in enumerate(var_names) if i not in point)
+            raise self.error(f"{where} is missing {missing!r}", end)
         return point
 
     # -- polynomial expressions ---------------------------------------------------
@@ -296,73 +335,95 @@ class _Parser:
     def diffpoly(self, terms: dict) -> DiffPoly:
         """The DiffPoly of a parsed expression: one normalization per term."""
         one = self.one
+        syms = self.syms
         return DiffPoly._of(
             self.field,
-            {tuple((sym, k) for sym, k in zip(self.syms, e) if k): c.normalize(one) for e, c in terms.items()},
+            {tuple([(sym, k) for sym, k in zip(syms, e) if k]): c.normalize(one) for e, c in terms.items()},
         )
 
     def parse_poly(self) -> dict:
-        negate = False
-        if self.peek()[1] in ("+", "-"):
-            negate = self.next()[1] == "-"
-        acc = self.parse_term()
-        if negate:
-            acc = {e: -c for e, c in acc.items()}
-        while self.peek()[1] in ("+", "-"):
-            sign = self.next()[1]
-            rhs = self.parse_term().items()
-            acc = termdict.add(acc, rhs if sign == "+" else ((e, -c) for e, c in rhs))
-        return acc
+        """["+"|"-"] term (("+"|"-") term)*, each term summed into one dict in place."""
+        toks = self.toks
+        acc: dict = {}
+        sign = toks[self.pos]
+        if sign == "+" or sign == "-":
+            self.pos += 1
+        while True:
+            self.parse_term(acc, sign == "-")
+            sign = toks[self.pos]
+            if sign != "+" and sign != "-":
+                return acc
+            self.pos += 1
 
-    def parse_term(self) -> dict:
-        """factor (("*"|"/") factor)*, with factor := atom ["^" NAT].
+    def parse_term(self, acc: dict, negative: bool) -> None:
+        """factor (("*"|"/") factor)*, with factor := atom ["^" NAT], added to acc.
 
         Number, parameter and variable factors fold into the monomial
-        top/bottom * s^pexp * x^vexp, with top and bottom integers; each
-        diagnostic fires once its divisor is read.
+        top/bottom * s^pexp * x^vexp, with top and bottom integers and the
+        term's sign in top; each diagnostic fires once its divisor is read.
         """
+        toks = self.toks
         field = self.field
         p = field.characteristic
         names = self.names
-        top = bottom = 1
-        pexp = [0] * field.param_count
-        vexp = [0] * len(self.var_names)
+        top = -1 if negative else 1
+        bottom = 1
+        pexp = [0] * self.param_count
+        vexp = list(self.origin)
         product = None  # the product of the parenthesized factors; None is 1
         num = den = None  # what the parenthesized divisors contribute; None is 1
-        op = None  # the "*" or "/" token before the factor; None before the first
+        op = -1  # the index of the "/" before the factor; -1 before a "*" or the first
+        inverted = False  # whether a parameter was divided by
+        i = self.pos
         while True:
-            tok = self.next()
-            kind, text = tok[0], tok[1]
-            if kind == IDENT:
-                if text in KEYWORDS:
-                    raise self.error(f"keyword {text!r} cannot be used in an expression", tok)
-                name = names.get(text)
-                if name is None:
-                    raise self.error(f"undeclared identifier {text!r}", tok)
-            elif text == "(":
+            tok = toks[i]
+            name = names.get(tok)
+            if name is not None or tok.isdecimal():
+                i += 1
+            elif tok == "(":
+                self.pos = i + 1
                 value = self.parse_poly()
-                self.expect(")")
-            elif kind != NAT:
-                raise self.error(f"expected a value, found {text or 'end of input'!r}", tok)
-            k = self.expect_nat() if self.accept("^") else 1
-            divide = op is not None and op[1] == "/"
+                i = self.expect(")") + 1
+            elif _is_name(tok):
+                if tok in KEYWORDS:
+                    raise self.error(f"keyword {tok!r} cannot be used in an expression", i)
+                raise self.error(f"undeclared identifier {tok!r}", i)
+            else:
+                raise self.error(f"expected a value, found {tok or 'end of input'!r}", i)
+            if toks[i] == "^":
+                i += 1
+                if not toks[i].isdecimal():
+                    raise self.error(f"expected a natural number, found {toks[i]!r}", i)
+                k = int(toks[i])
+                i += 1
+            else:
+                k = 1
+            divide = op >= 0
 
-            if kind == NAT:
-                c = pow(int(text), k, p) if p else int(text) ** k
+            if name is not None:
+                is_var, j = name
+                if not is_var:
+                    if divide:
+                        pexp[j] -= k
+                        inverted = True
+                    else:
+                        pexp[j] += k
+                elif not divide:
+                    vexp[j] += k
+                elif k:
+                    raise self.error("variety variable in a denominator", op)
+            elif tok != "(":
+                c = int(tok)
+                if k != 1:
+                    c = pow(c, k, p) if p else c**k
+                elif p:
+                    c %= p
                 if not divide:
                     top *= c
                 elif c:
                     bottom *= c
                 else:
                     raise self.error("division by zero", op)
-            elif kind == IDENT:
-                is_var, i = name
-                if not is_var:
-                    pexp[i] += -k if divide else k
-                elif not divide:
-                    vexp[i] += k
-                elif k:
-                    raise self.error("variety variable in a denominator", op)
             else:
                 if k != 1:
                     value = termdict.power(value, k, {self.origin: _Fraction(self.one)}, _mul_terms)
@@ -383,22 +444,33 @@ class _Parser:
                         den = _times(den, d.num)
                     num = _times(num, d.den)
 
-            op = self.toks[self.pos]
-            if op[1] not in ("*", "/"):
+            tok = toks[i]
+            if tok == "/":
+                op = i
+            elif tok == "*":
+                op = -1
+            else:
                 break
-            self.pos += 1
+            i += 1
+        self.pos = i
 
-        scalar = field.scalar(top, bottom)
+        # top/bottom as a coefficient; bottom is a unit in characteristic p
+        if p:
+            scalar = (top if bottom == 1 else top * pow(bottom, p - 2, p)) % p
+        else:
+            scalar = Fraction(top) if bottom == 1 else Fraction(top, bottom)
         if not scalar:
-            return {}
-        num = _times(_make({tuple(e if e > 0 else 0 for e in pexp): scalar}, field), num)
-        if min(pexp, default=0) < 0:
+            return
+        if inverted and min(pexp) < 0:
             den = _times(den, _make({tuple(-e if e < 0 else 0 for e in pexp): self.one.const_value()}, field))
+            pexp = [e if e > 0 else 0 for e in pexp]
+        mono = _make({tuple(pexp): scalar}, field)
+        num = mono if num is None else mono * num
         if product is None:
-            return {tuple(vexp): _Fraction(num, den)}
-        return {
-            termdict.exp_add(e, vexp): _Fraction(c.num * num, _times(c.den, den)) for e, c in product.items()
-        }
+            _add_term(acc, tuple(vexp), _Fraction(num, den))
+        else:
+            for e, c in product.items():
+                _add_term(acc, termdict.exp_add(e, vexp), _Fraction(c.num * num, _times(c.den, den)))
 
 
 def parse_document(text: str) -> InputDocument:
@@ -410,7 +482,7 @@ def parse_assignments(field: FieldDescriptor, var_names: tuple[str, ...], text: 
     parser = _Parser(text, field, var_names)
     pairs = parser.assignments()
     parser.expect_end()
-    return {tok[1]: parser.diffpoly(value) for tok, value in pairs}
+    return {name: parser.diffpoly(value) for name, (_, value) in pairs.items()}
 
 
 def parse_point(field: FieldDescriptor, var_names: tuple[str, ...], text: str) -> dict[int, BaseElem]:

@@ -324,8 +324,6 @@ def test_directory_file_is_an_input_error(tmp_path, capsys):
 
 
 def test_unreadable_file_is_an_input_error(tmp_path, monkeypatch, capsys):
-    from pathlib import Path
-
     from hsprolong import cli
 
     binary = tmp_path / "doc.bin"
@@ -333,10 +331,11 @@ def test_unreadable_file_is_an_input_error(tmp_path, monkeypatch, capsys):
     assert cli.main(["prolong", "--order", "1", str(binary)]) == 2
     assert capsys.readouterr().err.startswith("input error: cannot read")
 
-    def denied(self, *args, **kwargs):
-        raise PermissionError(13, "Permission denied", str(self))
+    def denied(path, *args, **kwargs):
+        raise PermissionError(13, "Permission denied", str(path))
 
-    monkeypatch.setattr(Path, "read_text", denied)
+    # the reader opens a document file with the builtin open
+    monkeypatch.setattr(cli, "open", denied, raising=False)
     assert cli.main(["jet", "--order", "1", str(binary)]) == 2
     assert "Permission denied" in capsys.readouterr().err
 

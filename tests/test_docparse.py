@@ -238,3 +238,51 @@ def test_seeded_document_round_trip():
         variety, point = random_variety_with_point(rng, Q_S1S2, var_count=2)
         doc = InputDocument(Q_S1S2, ("x", "y"), variety, point)
         assert docs_equal(parse_document(render_document(doc)), doc)
+
+
+# The token contract: a token's kind follows from its first character.  A
+# number starts with a decimal digit of any script (str.isdecimal), so "٥" and
+# "٢" are numbers; "²" is a digit to str.isdigit but no decimal, so it starts
+# an identifier; "_" starts a name.
+
+
+def test_arabic_indic_digits_are_numbers():
+    doc = parse_document("char ٥; params s; derivations 1; vars x; gens x - s;")
+    assert doc.field == FieldDescriptor(5, ("s",), 1)
+    assert doc.variety.generators[0].render(doc.var_names) == "x + 4*s"
+    doc = parse_document("char 0; params s; derivations 1; vars x; gens x^٢ - s;")
+    assert doc.variety.generators[0].render(doc.var_names) == "x^2 - s"
+
+
+def test_a_superscript_starts_an_identifier():
+    with pytest.raises(ParseError) as exc:
+        parse_document("char 0; params s; derivations 1; vars x; gens 2²;")
+    assert str(exc.value) == "expected ';', found '²' (line 1, column 48)"
+
+
+def test_an_underscore_starts_a_name():
+    doc = parse_document("char 0; params _s; derivations 1; vars x_1; gens x_1 - _s;")
+    assert doc.field.parameter_names == ("_s",)
+    assert doc.var_names == ("x_1",)
+    assert doc.variety.generators[0].render(doc.var_names) == "x_1 - _s"
+
+
+def test_a_superscript_after_a_number_is_an_input_error(tmp_path, capsys):
+    # int("²") raises a plain ValueError, which the CLI would report as an
+    # internal error (exit 3); a superscript must stay a parse error (exit 2)
+    from hsprolong import cli
+
+    path = tmp_path / "doc.txt"
+    path.write_text("char 0; params s; derivations 1; vars x; gens 2²;", encoding="utf-8")
+    assert cli.main(["prolong", "--order", "1", str(path)]) == 2
+    assert capsys.readouterr().err == "input error: expected ';', found '²' (line 1, column 48)\n"
+
+
+def test_a_caller_name_no_identifier_can_spell_names_nothing():
+    # parse_assignments takes its field from the caller: a parameter named as a
+    # keyword or a number is still read as that keyword or number
+    with pytest.raises(ParseError) as exc:
+        parse_assignments(FieldDescriptor(0, ("gens",), 0), ("x",), "y = gens")
+    assert str(exc.value) == "keyword 'gens' cannot be used in an expression (line 1, column 5)"
+    images = parse_assignments(FieldDescriptor(0, ("1",), 0), ("x",), "y = 1*x")
+    assert images["y"].render(("x",)) == "x"

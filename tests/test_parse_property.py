@@ -11,13 +11,14 @@ Both must give the same normal form, and the parse must reduce no
 coefficient twice.
 """
 
+import re
 from unittest import mock
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from hsprolong import BaseElem, DiffPoly, FieldDescriptor, ParseError, basefield
-from hsprolong.docparse import parse_document, parse_point
+from hsprolong.docparse import parse_assignments, parse_document, parse_point
 
 FIELDS = {
     "Q(s1,s2)": FieldDescriptor(0, ("s1", "s2"), 2),
@@ -194,3 +195,68 @@ def test_parsed_point_coordinate_matches_node_by_node_arithmetic(name, data):
         point = parse_point(field, ("x",), f"x = {text}")
     assert point == {0: expected}, text
     assert reduce.call_count <= 1
+
+
+# -- diagnostic positions -------------------------------------------------------
+
+# Soup pieces: keywords, declared and undeclared names, numbers (one an
+# Arabic-Indic digit), every punctuation mark, and characters that start no
+# token ("&", "#") or that continue a word ("²" starts an identifier).
+SOUP_PIECES = ["char", "params", "derivations", "vars", "gens", "point", "x", "y", "s", "w", "_t",
+               "0", "1", "2", "5", "٣", "+", "-", "*", "/", "^", "(", ")", ";", ",", "=", "&", "#", "²"]
+SOUP_HEADS = ["", "char 0; params s; derivations 1; vars x y;",
+              "char 5; params s; derivations 1;\nvars x y;\ngens x*y - 1;"]
+SOUP_TOKEN = re.compile(r"\d+|[^\W\d]\w*|[-+*/^();,=]")
+SOUP_STRAY = re.compile(r"[^\w\s+*/^();,=-]")
+
+
+@st.composite
+def soups(draw, heads=("",)):
+    """Token soup text; two numbers never touch, so every exponent is one digit."""
+    text = draw(st.sampled_from(heads))
+    for piece in draw(st.lists(st.sampled_from(SOUP_PIECES), max_size=30)):
+        sep = draw(st.sampled_from(["", " ", "  ", "\n", "\t"]))
+        if not sep and text[-1:].isdecimal() and piece[0].isdecimal():
+            sep = " "
+        text += sep + piece
+    return text + draw(st.sampled_from(["", " ", "\n"]))
+
+
+def token_starts(text) -> set:
+    """(line, column) of every token start, every stray character and the end of input."""
+    offsets = [m.start() for m in SOUP_TOKEN.finditer(text)]
+    offsets += [m.start() for m in SOUP_STRAY.finditer(text)]
+    offsets.append(len(text))
+    out = set()
+    for offset in offsets:
+        lines = text[:offset].split("\n")
+        out.add((len(lines), len(lines[-1]) + 1))
+    return out
+
+
+def assert_points_at_a_token(parse, text):
+    try:
+        parse(text)
+    except ParseError as exc:
+        assert (exc.line, exc.col) in token_starts(text), (text, str(exc))
+
+
+Q_S = FieldDescriptor(0, ("s",), 1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=soups(SOUP_HEADS))
+def test_document_diagnostics_point_at_a_token_or_the_end(text):
+    assert_points_at_a_token(parse_document, text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=soups())
+def test_assignment_diagnostics_point_at_a_token_or_the_end(text):
+    assert_points_at_a_token(lambda t: parse_assignments(Q_S, VARS, t), text)
+
+
+@settings(max_examples=300, deadline=None)
+@given(text=soups())
+def test_point_diagnostics_point_at_a_token_or_the_end(text):
+    assert_points_at_a_token(lambda t: parse_point(Q_S, VARS, t), text)

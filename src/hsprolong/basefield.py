@@ -75,7 +75,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from . import termdict
 from .fields import FieldDescriptor, binom
-from .multiindex import enumerate_multiindices, indices_below
+from .multiindex import enumerate_multiindices, indices_below, multiindex
 
 
 def _monomial_key(exps: Sequence[int]) -> tuple:
@@ -850,12 +850,7 @@ def _hasse_values(a: BaseElem, wanted: Sequence[tuple]) -> dict[tuple, BaseElem]
 
 def hasse_derive(alpha: Sequence[int], a: BaseElem) -> BaseElem:
     """The mixed derivative D_alpha(a); D_0 is the identity."""
-    n = a.field.derivation_count
-    if len(alpha) != n:
-        raise ValueError(f"multi-index length {len(alpha)} != derivation count {n}")
-    if any(k < 0 for k in alpha):
-        raise ValueError(f"multi-index entries must be naturals, got {tuple(alpha)}")
-    alpha = tuple(alpha)
+    alpha = multiindex(alpha, a.field.derivation_count)
     return _hasse_values(a, [alpha])[alpha]
 
 

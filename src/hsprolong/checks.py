@@ -23,7 +23,7 @@ import random
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from . import termdict
-from .basefield import BaseElem, hasse_derive
+from .basefield import BaseElem, ParamPoly, hasse_derive
 from .fields import FieldDescriptor, comp_coeff, multinomial
 from .diffpoly import DerivationMode, DiffPoly, apply_d, derive_upto, taylor_oracle
 from .layered import LayeredPoly, LayeredSymbol, layered_expand, outer_derive, phi, psi, theta
@@ -114,7 +114,9 @@ def check_twist(seed: int, trials: int, *, order: int, **_) -> list[str]:
 
 def check_iterative(seed: int, trials: int, **_) -> list[str]:
     """Iterativity and commutativity, on the base field and on symbols; on
-    symbols, apply_d twice against derive_upto, the all-orders route of the CLI."""
+    symbols, apply_d twice against derive_upto, the all-orders route of the CLI.
+    In characteristic p, D_p on the base field against twist_expand, at the
+    order where D_p differs from d^p/p!."""
     rng = random.Random(seed)
 
     def trial(t, field):
@@ -135,6 +137,15 @@ def check_iterative(seed: int, trials: int, **_) -> list[str]:
             lhs = apply_d(alpha, apply_d(beta, f, mode), mode)
             rhs = derive_upto(f, index_size(alpha_beta), mode)[alpha_beta].scale(mu)
             yield "iterative-symbols", lambda: f"trial{t},mode={mode.value},f={f}", lhs, rhs
+        p = field.characteristic
+        if p:
+            # c = (s*num(a) + 1)*s^(2p) is nonzero, and its degree of at least 2p
+            # reaches past the last base-p digit of C(deg, p)
+            s = ParamPoly.var(field, 0)
+            c = BaseElem((s * a.num + ParamPoly.const(field, 1)) * s ** (2 * p))
+            order_p = (p,) + (0,) * (n - 1)
+            rhs = twist_expand(c, p).coeff_or(order_p, BaseElem.zero(field))
+            yield "iterative-char-p", lambda: f"trial{t},c={c}", hasse_derive(order_p, c), rhs
 
     return _run([_Loop("iterative", "|alpha|+|beta|<=4", trials, trial, _ROTATION)])
 

@@ -32,7 +32,7 @@ from __future__ import annotations
 
 import sys
 from types import SimpleNamespace
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Iterable
 
 from .checks import CHECK_NAMES, run_checks
 from .diffpoly import DerivationMode
@@ -71,17 +71,21 @@ def _read_document(path: str) -> InputDocument:
     return parse_document(text)
 
 
-def _mode(value: str) -> DerivationMode:
-    return DerivationMode.JET if value == "jet" else DerivationMode.PROLONGATION
+def _write(args: Arguments, payload: dict, lines: Iterable[str]) -> None:
+    """The command's payload as indented JSON under --json, else its text lines."""
+    if args.json:
+        import json
+
+        print(json.dumps(payload, indent=2))
+    else:
+        print("\n".join(lines))
 
 
 def cmd_prolong(args: Arguments) -> int:
     doc = _read_document(args.file)
-    pres = prolong_presentation(doc.variety, args.order, _mode(args.mode))
+    pres = prolong_presentation(doc.variety, args.order, DerivationMode(args.mode))
     if args.json:
-        import json
-
-        print(json.dumps(presentation_to_json(pres, doc.var_names), indent=2))
+        _write(args, presentation_to_json(pres, doc.var_names), ())
     else:
         print(render_presentation(pres, doc.var_names))
     return OK
@@ -102,21 +106,9 @@ def cmd_nabla(args: Arguments) -> int:
         print(f"ON-VARIETY: no (generator {exc.generator.render(doc.var_names)} "
               f"evaluates to {exc.value.render()})", file=sys.stderr)
         return INPUT_ERROR
-    symbols = sorted(values, key=lambda s: s.sort_key)
-    if args.json:
-        import json
-
-        payload = {
-            "order": args.order,
-            "values": {s.render(doc.var_names): values[s].render() for s in symbols},
-            "on_variety": True,
-        }
-        print(json.dumps(payload, indent=2))
-    else:
-        print(f"nabla order={args.order}")
-        for s in symbols:
-            print(f"{s.render(doc.var_names)} = {values[s].render()}")
-        print("ON-VARIETY: yes")
+    rows = [(s.render(doc.var_names), values[s].render()) for s in sorted(values, key=lambda s: s.sort_key)]
+    _write(args, {"order": args.order, "values": dict(rows), "on_variety": True},
+           [f"nabla order={args.order}", *(f"{name} = {text}" for name, text in rows), "ON-VARIETY: yes"])
     return OK
 
 
@@ -125,18 +117,12 @@ def cmd_lift(args: Arguments) -> int:
     images = parse_assignments(doc.field, doc.var_names, args.map)
     target_names = list(images)
     image_map = {i: images[name] for i, name in enumerate(target_names)}
-    lift = lift_morphism(image_map, args.order, _mode(args.mode))
+    lift = lift_morphism(image_map, args.order, DerivationMode(args.mode))
     symbols = sorted(lift, key=lambda s: s.sort_key)
     texts = render_polys([lift[s] for s in symbols], doc.var_names)
     rows = [(s.render(target_names), text) for s, text in zip(symbols, texts)]
-    if args.json:
-        import json
-
-        print(json.dumps({"order": args.order, "mode": args.mode, "map": dict(rows)}, indent=2))
-    else:
-        print(f"lift order={args.order} mode={args.mode}")
-        for name, text in rows:
-            print(f"{name} -> {text}")
+    _write(args, {"order": args.order, "mode": args.mode, "map": dict(rows)},
+           [f"lift order={args.order} mode={args.mode}", *(f"{name} -> {text}" for name, text in rows)])
     return OK
 
 
@@ -151,16 +137,9 @@ def cmd_check(args: Arguments) -> int:
         inner=args.inner,
         max_k=args.max,
     )
-    if args.json:
-        import json
-
-        print(json.dumps({"suite": args.suite, "seed": args.seed, "trials": args.trials,
-                          "passed": ok, "lines": lines}, indent=2))
-    else:
-        print(f"check suite={args.suite} seed={args.seed} trials={args.trials}")
-        for line in lines:
-            print(line)
-        print("RESULT: pass" if ok else "RESULT: fail")
+    _write(args, {"suite": args.suite, "seed": args.seed, "trials": args.trials, "passed": ok, "lines": lines},
+           [f"check suite={args.suite} seed={args.seed} trials={args.trials}", *lines,
+            "RESULT: pass" if ok else "RESULT: fail"])
     return OK if ok else CHECK_FAILED
 
 

@@ -42,6 +42,7 @@ from .multiindex import (
     index_add,
     index_size,
     indices_below,
+    multiindex,
     zero_index,
 )
 from .series import TruncatedElement, twist_expand
@@ -139,11 +140,7 @@ def apply_d(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly
     any presentation the caller has in mind, and is then read in the larger
     ring.  Bounds are the presentation layer's concern.
     """
-    alpha = tuple(alpha)
-    if len(alpha) != f.field.derivation_count:
-        raise ValueError("multi-index length does not match the derivation count")
-    if any(k < 0 for k in alpha):
-        raise ValueError(f"multi-index entries must be naturals, got {alpha}")
+    alpha = multiindex(alpha, f.field.derivation_count)
 
     # the coefficient tables D_gamma(c) over the box below alpha, each from
     # one quotient recursion over that box
@@ -169,10 +166,8 @@ def taylor_oracle(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> Di
     JET mode); the t^alpha coefficient of the expanded product is the answer.
     """
     field = f.field
-    alpha = tuple(alpha)
     n = field.derivation_count
-    if len(alpha) != n:
-        raise ValueError("multi-index length does not match the derivation count")
+    alpha = multiindex(alpha, n)
     bound = index_size(alpha)
     zero = DiffPoly.zero(field)
     if not f:

@@ -9,10 +9,20 @@ n = 2 the order starts (0,0), (1,0), (0,1), (2,0), (1,1), (0,2).
 from __future__ import annotations
 
 import itertools
-from operator import neg
+from operator import neg, sub
 from typing import Iterator, Sequence
 
 MultiIndex = tuple[int, ...]
+
+
+def multiindex(alpha: Sequence[int], n: int) -> tuple[int, ...]:
+    """alpha as a tuple, once it is checked to be n naturals."""
+    alpha = tuple(alpha)
+    if len(alpha) != n:
+        raise ValueError(f"multi-index length {len(alpha)} != derivation count {n}")
+    if any(k < 0 for k in alpha):
+        raise ValueError(f"multi-index entries must be naturals, got {alpha}")
+    return alpha
 
 
 def zero_index(n: int) -> tuple[int, ...]:
@@ -33,13 +43,6 @@ def index_add(alpha: Sequence[int], beta: Sequence[int]) -> tuple[int, ...]:
     if len(alpha) != len(beta):
         raise ValueError("multi-index length mismatch")
     return tuple(a + b for a, b in zip(alpha, beta))
-
-
-def index_sub(alpha: Sequence[int], beta: Sequence[int]) -> tuple[int, ...]:
-    out = tuple(a - b for a, b in zip(alpha, beta))
-    if any(e < 0 for e in out):
-        raise ValueError("multi-index subtraction went negative")
-    return out
 
 
 def index_leq(alpha: Sequence[int], beta: Sequence[int]) -> bool:
@@ -87,5 +90,4 @@ def indices_below(alpha: Sequence[int]) -> list[tuple[int, ...]]:
 
 def splittings(alpha: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
     """All ordered pairs (beta, gamma) with beta + gamma = alpha (Leibniz sums)."""
-    alpha = tuple(alpha)
-    return [(beta, index_sub(alpha, beta)) for beta in indices_below(alpha)]
+    return [(beta, tuple(map(sub, alpha, beta))) for beta in indices_below(alpha)]

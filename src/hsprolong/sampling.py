@@ -4,21 +4,21 @@ Everything takes an explicit random.Random so identical seeds reproduce
 identical streams; checks never touch global randomness.
 
 A random polynomial is one term dict per draw: each term's monomial is the
-product of its drawn factors (``monomial_mul``), equal monomials are summed
-into one entry, and the result is built by one constructor call.  The
+product of its drawn factors (``monomial_mul``), the drawn (monomial,
+coefficient) pairs are summed by ``termdict.add``, and the result is built by
+one public constructor call, which reduces mod p and drops zeros.  The
 generator calls come in the order that a chain of ring products and sums
-would make them, and a sum that cancels drops its monomial just as that
-chain does, so each draw is the value, and the term order, of that chain.
-A rational function still takes its one ``BaseElem(num, den)``
-normalization.
+would make them, so each draw is the value of that chain.  A rational
+function still takes its one ``BaseElem(num, den)`` normalization.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Callable
 
+from . import termdict
 from .basefield import BaseElem, ParamPoly
 from .fields import FieldDescriptor
 from .diffpoly import DiffPoly, DiffSymbol
@@ -27,31 +27,16 @@ from .presentations import VarietyPresentation
 from .sparsepoly import SparsePoly, monomial_mul
 
 
-def random_scalar(rng: random.Random, field: FieldDescriptor, span: int = 6):
+# the numerator bound of a random rational scalar, and the generator count of
+# a random variety
+SCALAR_SPAN = 6
+GEN_COUNT = 2
+
+
+def random_scalar(rng: random.Random, field: FieldDescriptor):
     if field.characteristic:
         return field.scalar(rng.randrange(field.characteristic))
-    return field.scalar(Fraction(rng.randint(-span, span), rng.randint(1, 4)))
-
-
-def _summed(pairs: Iterable, p: int = 0) -> dict:
-    """The (key, coeff) pairs summed into one term dict, in the order they come.
-
-    Equal keys are summed (mod p when p), a zero coefficient adds nothing, and
-    a key whose sum cancels is deleted, so a later term on it comes last, as
-    in a chain of ring sums.
-    """
-    out: dict = {}
-    for k, c in pairs:
-        if not c:
-            continue
-        s = out.get(k)
-        if s is not None:
-            c = (s + c) % p if p else s + c
-            if not c:
-                del out[k]
-                continue
-        out[k] = c
-    return out
+    return field.scalar(Fraction(rng.randint(-SCALAR_SPAN, SCALAR_SPAN), rng.randint(1, 4)))
 
 
 def random_param_poly(
@@ -62,14 +47,10 @@ def random_param_poly(
     nonzero: bool = False,
 ) -> ParamPoly:
     r = field.param_count
-    terms = _summed(
-        ((tuple(rng.randint(0, max_deg) for _ in range(r)), random_scalar(rng, field))
-         for _ in range(rng.randint(0, max_terms))),
-        field.characteristic,
-    )
-    if nonzero and not terms:
-        return ParamPoly.const(field, 1)
-    return ParamPoly(terms, field)
+    pairs = ((tuple(rng.randint(0, max_deg) for _ in range(r)), random_scalar(rng, field))
+             for _ in range(rng.randint(0, max_terms)))
+    poly = ParamPoly(termdict.add({}, pairs), field)
+    return ParamPoly.const(field, 1) if nonzero and not poly else poly
 
 
 def random_base_elem(
@@ -119,7 +100,7 @@ def random_sparse_poly(
             mono = monomial_mul(mono, ((symbol(), 1),))
         return mono, c
 
-    return cls(_summed(term() for _ in range(rng.randint(1, max_terms))), field)
+    return cls(termdict.add({}, (term() for _ in range(rng.randint(1, max_terms)))), field)
 
 
 def random_diffpoly(
@@ -144,9 +125,7 @@ def random_point(rng: random.Random, field: FieldDescriptor, var_count: int) -> 
     return {i: random_base_elem(rng, field, max_deg=2, max_terms=2) for i in range(var_count)}
 
 
-def random_variety_with_point(
-    rng: random.Random, field: FieldDescriptor, var_count: int, gen_count: int = 2
-):
+def random_variety_with_point(rng: random.Random, field: FieldDescriptor, var_count: int):
     """A presentation plus a point that provably lies on it.
 
     Generators have the shape (x_i - a_i) * g, which vanish at the chosen
@@ -154,7 +133,7 @@ def random_variety_with_point(
     """
     point = random_point(rng, field, var_count)
     gens = []
-    for _ in range(gen_count):
+    for _ in range(GEN_COUNT):
         i = rng.randrange(var_count)
         linear = DiffPoly.variable(field, i) - DiffPoly.const(field, point[i])
         g = random_diffpoly(rng, field, var_count, max_terms=2, max_factors=1, order_zero_only=True)

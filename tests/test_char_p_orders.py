@@ -7,10 +7,12 @@ values here come from those digits and a Pascal triangle mod p, never from
 independent build.
 """
 
+import math
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsprolong import FieldDescriptor, cli
+from hsprolong import FieldDescriptor, basefield, cli
 from hsprolong.basefield import ParamPoly
 
 PRIMES = (2, 3, 5)
@@ -82,3 +84,30 @@ def test_outputs_at_orders_past_the_characteristic(tmp_path, capsys, doc, argv, 
     path.write_text(doc + "\n", encoding="utf-8")
     assert cli.main([*argv, str(path)]) == 0
     assert capsys.readouterr().out == stdout
+
+
+_hasse = ParamPoly.hasse
+
+
+def _hasse_zero_past_p(self, i, k):
+    p = self.field.characteristic
+    return ParamPoly.zero(self.field) if p and k >= p else _hasse(self, i, k)
+
+
+def _binom_last_digit(n, k, field):
+    # Lucas' first factor alone: C(n mod p, k mod p)
+    p = field.characteristic
+    if k < 0 or k > n:
+        return field.scalar(0)
+    return field.scalar(math.comb(n % p, k % p) if p else math.comb(n, k))
+
+
+@pytest.mark.parametrize("owner, name, mutant", [
+    (ParamPoly, "hasse", _hasse_zero_past_p),
+    (basefield, "binom", _binom_last_digit),
+], ids=["hasse-zero-past-p", "binom-last-digit"])
+def test_check_all_catches_a_defect_past_the_characteristic(monkeypatch, capsys, owner, name, mutant):
+    monkeypatch.setattr(owner, name, mutant)
+    assert cli.main(["check", "all", "--seed", "42"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL iterative-char-p ")

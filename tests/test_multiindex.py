@@ -1,16 +1,26 @@
-"""Graded-lex enumeration and Leibniz splittings of multi-indices."""
+"""Graded-lex enumeration and Leibniz splittings of multi-indices, and the
+index check that every derivative route shares."""
 
 import itertools
 import math
 
+import pytest
+
 from hsprolong import (
+    BaseElem,
+    DerivationMode,
+    DiffPoly,
+    FieldDescriptor,
+    apply_d,
     enumerate_multiindices,
     graded_lex_key,
+    hasse_derive,
     index_add,
     index_leq,
     index_size,
     indices_below,
     splittings,
+    taylor_oracle,
 )
 
 
@@ -68,3 +78,19 @@ def test_indices_below():
     below = indices_below((1, 2))
     assert len(below) == 6
     assert all(index_leq(b, (1, 2)) for b in below)
+
+
+@pytest.mark.parametrize("alpha, message", [
+    ((1,), "multi-index length 1 != derivation count 2"),
+    ((2, -1), "multi-index entries must be naturals, got (2, -1)"),
+], ids=["wrong-length", "negative-entry"])
+def test_every_route_rejects_a_bad_index_alike(alpha, message):
+    field = FieldDescriptor(0, ("s1", "s2"), 2)
+    x0 = DiffPoly.variable(field, 0)
+    calls = [lambda: hasse_derive(alpha, BaseElem.param(field, 0))]
+    for mode in DerivationMode:
+        calls += [lambda m=mode: apply_d(alpha, x0 * x0, m), lambda m=mode: taylor_oracle(alpha, x0 * x0, m)]
+    for call in calls:
+        with pytest.raises(ValueError) as exc:
+            call()
+        assert str(exc.value) == message

@@ -70,3 +70,26 @@ def test_stream_draws_every_shape():
     # the pin means something only if the draws are not all zero
     lines = [line for field in FIELDS for seed in SEEDS for line in _stream(seed, field)]
     assert sum(line != "0" for line in lines) > len(lines) // 2
+
+
+class _Scripted:
+    """A generator stub that returns the scripted values in turn, each within the asked bounds."""
+
+    def __init__(self, values):
+        self._values = iter(values)
+
+    def randint(self, a, b):
+        v = next(self._values)
+        assert a <= v <= b
+        return v
+
+    def randrange(self, n):
+        v = next(self._values)
+        assert 0 <= v < n
+        return v
+
+
+def test_nonzero_draw_whose_terms_cancel_mod_p_is_nonzero():
+    # two terms, 3*s and 2*s, which sum to 5*s = 0 over F5
+    rng = _Scripted([2, 1, 3, 1, 2])
+    assert random_param_poly(rng, FieldDescriptor(5, ("s",), 1), nonzero=True)

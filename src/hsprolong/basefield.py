@@ -90,7 +90,7 @@ def _nonzero(terms: Mapping, p: int) -> dict:
     return {k: c for k, c in terms.items() if c}
 
 
-class ParamPoly:
+class ParamPoly(termdict.Ring):
     """Sparse polynomial in the field parameters with exact coefficients.
 
     The constructor checks outside input; ring results are built by ``_make``."""
@@ -150,9 +150,6 @@ class ParamPoly:
 
     def __neg__(self) -> "ParamPoly":
         return _make({e: -c for e, c in self.terms.items()}, self.field)
-
-    def __sub__(self, other: "ParamPoly") -> "ParamPoly":
-        return self + (-other)
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
         self._check(other)
@@ -219,12 +216,6 @@ class ParamPoly:
             termdict.render_product(str(self.terms[e]), termdict.render_powers(zip(names, e)))
             for e in sorted(self.terms, key=_monomial_key, reverse=True)
         )
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"ParamPoly({self.render()})"
 
 
 def _make(terms: dict, field: FieldDescriptor) -> ParamPoly:
@@ -533,7 +524,7 @@ def poly_divexact(f: ParamPoly, g: ParamPoly) -> ParamPoly:
 # -- rational functions -------------------------------------------------------
 
 
-class BaseElem:
+class BaseElem(termdict.Ring):
     """A rational function in the base parameters, kept in normal form."""
 
     __slots__ = ("num", "den", "field")
@@ -661,12 +652,6 @@ class BaseElem:
     def __neg__(self) -> "BaseElem":
         return _elem(-self.num, self.den)
 
-    def __sub__(self, other) -> "BaseElem":
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
     def __rsub__(self, other) -> "BaseElem":
         return (-self) + other
 
@@ -746,12 +731,6 @@ class BaseElem:
         if x.den.is_const() and len(x.num.terms) > 1:
             s = f"({s})"  # a sum beside '*' needs parentheses
         return sign + s
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"BaseElem({self.render()})"
 
 
 def _elem(num: ParamPoly, den: ParamPoly) -> BaseElem:

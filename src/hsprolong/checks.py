@@ -94,22 +94,21 @@ def _random_truncated(rng: random.Random, field: FieldDescriptor, m: int) -> Tru
 def check_twist(seed: int, trials: int, *, order: int, **_) -> list[str]:
     """Twist isomorphism: psi round-trips and the twisted scalar action."""
     rng = random.Random(seed)
-    m = min(order, 3)
 
     def trial(t, field):
-        c = _random_truncated(rng, field, m)
-        b = _random_truncated(rng, field, m)
+        c = _random_truncated(rng, field, order)
+        b = _random_truncated(rng, field, order)
         psi_c = twist_psi(c)
         yield "twist", lambda: f"trial{t},dir=inv.psi", twist_inverse(psi_c), c
         yield "twist", lambda: f"trial{t},dir=psi.inv", twist_psi(twist_inverse(b)), b
         r = random_base_elem(rng, field)
-        yield "twist", lambda: f"trial{t},scalar={r}", twist_psi(c.scale(r)), twist_expand(r, m) * psi_c
+        yield "twist", lambda: f"trial{t},scalar={r}", twist_psi(c.scale(r)), twist_expand(r, order) * psi_c
         a1 = random_base_elem(rng, field)
         a2 = random_base_elem(rng, field)
-        lhs = twist_expand(a1 * a2, m)
-        yield "twist", lambda: f"trial{t},hom={a1},{a2}", lhs, twist_expand(a1, m) * twist_expand(a2, m)
+        lhs = twist_expand(a1 * a2, order)
+        yield "twist", lambda: f"trial{t},hom={a1},{a2}", lhs, twist_expand(a1, order) * twist_expand(a2, order)
 
-    return _run([_Loop("twist", f"m<={m},n<=2", trials, trial, (_Q_S12, _F5_S))])
+    return _run([_Loop("twist", f"m<={order},n<=2", trials, trial, (_Q_S12, _F5_S))])
 
 
 def check_iterative(seed: int, trials: int, **_) -> list[str]:
@@ -207,10 +206,9 @@ def check_theta(seed: int, trials: int, *, order: int, inner: int, **_) -> list[
     compares, on 10 two-generator varieties at i, j <= 2.
     """
     rng = random.Random(seed)
-    m, q = min(order, 3), min(inner, 3)
     varieties = [random_variety_with_point(rng, _Q_S, var_count=2)[0] for _ in range(max(1, trials // 10))]
-    params = f"m={m},q={q},varieties={len(varieties)}"
-    return _run([_theta_loop(m, q, varieties, params, "variety{v},")])
+    params = f"m={order},q={inner},varieties={len(varieties)}"
+    return _run([_theta_loop(order, inner, varieties, params, "variety{v},")])
 
 
 def _random_layered(
@@ -331,8 +329,7 @@ def twisted_tensor_check(m: int, q: int, samples: int, seed: int, field: FieldDe
 
 
 def check_tensor(seed: int, trials: int, *, order: int, inner: int, **_) -> list[str]:
-    m, q = min(order, 3), min(inner, 3)
-    return _run(_tensor_loops(m, q, trials, seed, _Q_S) + _tensor_loops(m, q, trials, seed + 1, _F5_S))
+    return _run(_tensor_loops(order, inner, trials, seed, _Q_S) + _tensor_loops(order, inner, trials, seed + 1, _F5_S))
 
 
 def ordered_partitions(k: int) -> list[tuple[int, ...]]:

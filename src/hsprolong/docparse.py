@@ -15,9 +15,11 @@ Grammar (whitespace-insensitive)::
 Identifiers must be declared parameters or variety variables; a divisor may
 not involve variety variables.  ``assignments`` is also the whole grammar of
 a ``--point`` value (``parse_point``) and of a ``--map`` value
-(``parse_assignments``); an assigned name is an identifier, not a keyword,
-and appears once.  Diagnostics carry line and column, counted in the text
-that was parsed: the document, or the flag value.
+(``parse_assignments``); an assigned name is an identifier, not a keyword.
+A declared or assigned name appears once, and no variable is a parameter;
+a name that breaks this is reported at its own token.  Diagnostics carry
+line and column, counted in the text that was parsed: the document, or the
+flag value.
 
 A token is its text, one string of a single ``findall``, and the end of input
 is the token "".  Its kind comes from its first character: a number starts
@@ -50,7 +52,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
+from typing import Optional, Sequence
 
 from . import termdict
 from .basefield import BaseElem, ParamPoly, _elem, _make
@@ -224,15 +226,25 @@ class _Parser:
             raise self.error(f"unexpected trailing input {self.toks[i]!r}", i)
         return i
 
-    def name_list(self, at_least_one: bool) -> list[str]:
+    def name_list(self, repeated: str, params: Sequence[str] = (), at_least_one: bool = False) -> list[str]:
+        """The identifiers up to the next keyword or punctuation.  A name read
+        earlier in the list (message ``repeated``) or among ``params`` is
+        rejected at its own token."""
         toks = self.toks
-        start = i = self.pos
+        names: list[str] = []
+        i = self.pos
         while toks[i] not in KEYWORDS and _is_name(toks[i]):
+            tok = toks[i]
+            if tok in names:
+                raise self.error(repeated, i)
+            if tok in params:
+                raise self.error(f"identifier {tok!r} is both a parameter and a variable", i)
+            names.append(tok)
             i += 1
-        if at_least_one and i == start:
+        if at_least_one and not names:
             raise self.error("expected at least one identifier", i)
         self.pos = i
-        return toks[start:i]
+        return names
 
     # -- document structure ---------------------------------------------------
 
@@ -244,7 +256,7 @@ class _Parser:
             raise self.error(f"characteristic {char} is not 0 or prime", char_at)
         self.expect(";")
         self.expect("params")
-        params = self.name_list(at_least_one=False)
+        params = self.name_list("parameter names must be distinct")
         self.expect(";")
         der_at = self.expect("derivations")
         n = self.expect_nat()
@@ -255,13 +267,7 @@ class _Parser:
             raise self.error(str(exc), der_at) from None
 
         self.expect("vars")
-        var_at = self.pos
-        var_names = self.name_list(at_least_one=True)
-        if len(set(var_names)) != len(var_names):
-            raise self.error("variety variables must be distinct", var_at)
-        clash = set(var_names) & set(params)
-        if clash:
-            raise self.error(f"identifier {clash.pop()!r} is both a parameter and a variable", var_at)
+        var_names = self.name_list("variety variables must be distinct", params, at_least_one=True)
         self._bind(field, tuple(var_names))
         self.expect(";")
 

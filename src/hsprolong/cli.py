@@ -60,12 +60,17 @@ class _UnreadableInput(Exception):
 
 
 def _read_document(path: str) -> InputDocument:
+    """The document at path, or on stdin for "-".  A file is read as bytes and
+    decoded once, with no text wrapper; its line ends are then read as
+    universal newlines read them: "\\r\\n" and a lone "\\r" are "\\n"."""
     try:
         if path == "-":
             text = sys.stdin.read()
         else:
-            with open(path, encoding="utf-8") as f:
-                text = f.read()
+            with open(path, "rb") as f:
+                text = f.read().decode("utf-8")
+            if "\r" in text:
+                text = text.replace("\r\n", "\n").replace("\r", "\n")
     except (OSError, UnicodeDecodeError) as exc:
         raise _UnreadableInput(f"cannot read {path}: {exc}") from None
     return parse_document(text)

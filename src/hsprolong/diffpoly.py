@@ -11,7 +11,12 @@ expands the monomial's table d_u(x^e ...), |u| <= m, over the integers from
 the symbols' pieces comp_count(u, beta) * x^(beta+u) (built once per symbol),
 reduces each entry into the field once, and scales it by the coefficient's
 table D_gamma(c), |gamma + u| <= m (one hasse_table call), reading d_alpha f
-off as the t^alpha coefficient for every |alpha| <= m.  Its values equal
+off as the t^alpha coefficient for every |alpha| <= m.  It is the
+one-polynomial case of derive_each, which derives a sequence of polynomials
+in one pass: the pieces, their powers and the output monomials are built
+once for the sequence, and each piece's DiffSymbol comes from one table
+(var, order) -> DiffSymbol, which a caller may pass in and so share with the
+symbols it builds itself.  Its values equal
 apply_d's at each alpha; both stay on the quotient rule plus Leibniz.
 taylor_oracle recomputes the same values through substitution into a
 truncated t-ring with the series expansion of the coefficients, and is kept
@@ -23,8 +28,8 @@ apply_d terms with derive_upto of h*f.
 DiffSymbol is a light value object: a plain ``__slots__`` class, immutable by
 convention like ParamPoly and BaseElem, that stores its fields, hash and
 sort_key once in ``__init__`` and is equal only to a DiffSymbol with the same
-fields.  The fold builds a symbol for every piece it meets, so construction
-is on the hot path.
+fields.  The fold's pieces take their symbols from a per-call table, so each
+one is built once per call.
 """
 
 from __future__ import annotations
@@ -105,10 +110,20 @@ def symbol_derive(beta: Sequence[int], sym: DiffSymbol, field: FieldDescriptor) 
     return c, DiffSymbol(sym.var, index_add(sym.order, beta))
 
 
-def _fold(f: DiffPoly, mode: DerivationMode, key, indices: list, collect: Sequence, derivatives):
-    """termdict.leibniz over f with the symbol pieces d_u(x), u in indices, and
-    the coefficient tables derivatives(c) (PROLONGATION) or {0: c} (JET)."""
-    field = f.field
+def _fold(
+    fs: Sequence[DiffPoly], mode: DerivationMode, key, indices: list, collect: Sequence, derivatives,
+    symbols: dict | None = None,
+) -> list[dict]:
+    """termdict.leibniz over fs, not empty, with the symbol pieces d_u(x), u in
+    indices, and the coefficient tables derivatives(c) (PROLONGATION) or
+    {0: c} (JET).
+
+    The shifts (u, comp_count(u, beta), beta + u) are listed once per order
+    beta, and the pieces take their symbols from ``symbols``, a table
+    (var, order) -> DiffSymbol that the call fills, so each symbol is built
+    once however many pieces and polynomials it stands in; a caller that
+    builds symbols of its own passes the table it built them in."""
+    field = fs[0].field
     if mode is DerivationMode.JET:
         zero = zero_index(field.derivation_count)
 
@@ -119,18 +134,31 @@ def _fold(f: DiffPoly, mode: DerivationMode, key, indices: list, collect: Sequen
         coeff_table = derivatives
 
     p = field.characteristic
+    if symbols is None:
+        symbols = {}
+    shifts: dict = {}  # beta -> [(u, n, beta + u)], one list for all the symbols of order beta
 
     def pieces(sym: DiffSymbol) -> dict:
         # d_u(x^(beta)) = comp_count(u, beta) * x^(beta+u), kept where the
-        # count does not vanish in the field
+        # count n does not vanish in the field
+        beta = sym.order
+        row = shifts.get(beta)
+        if row is None:
+            row = shifts[beta] = []
+            for u in indices:
+                n = comp_count(u, beta)
+                if not p or n % p:
+                    row.append((u, n, index_add(beta, u)))
         out = {}
-        for u in indices:
-            n = comp_count(u, sym.order)
-            if not p or n % p:
-                out[u] = (n, DiffSymbol(sym.var, index_add(sym.order, u)))
+        for u, n, order in row:
+            k = (sym.var, order)
+            y = symbols.get(k)
+            if y is None:
+                y = symbols[k] = DiffSymbol(*k)
+            out[u] = (n, y)
         return out
 
-    return termdict.leibniz(f, key, collect, coeff_table, pieces, DiffPoly)
+    return termdict.leibniz(fs, key, collect, coeff_table, pieces, DiffPoly)
 
 
 def apply_d(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly:
@@ -145,17 +173,30 @@ def apply_d(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly
     # the coefficient tables D_gamma(c) over the box below alpha, each from
     # one quotient recursion over that box
     box = indices_below(alpha)
-    return _fold(f, mode, termdict.box_key(alpha), box, (alpha,), lambda c: _hasse_values(c, box))[alpha]
+    return _fold((f,), mode, termdict.box_key(alpha), box, (alpha,), lambda c: _hasse_values(c, box))[0][alpha]
 
 
 def derive_upto(f: DiffPoly, m: int, mode: DerivationMode) -> dict[tuple, DiffPoly]:
     """{alpha: d_alpha f} for every |alpha| <= m, in graded-lex order.
 
     One truncated Leibniz pass over f gives every order at once; each value
-    equals apply_d(alpha, f, mode).
+    equals apply_d(alpha, f, mode).  The one-polynomial case of derive_each.
     """
-    alphas = enumerate_multiindices(f.field.derivation_count, m)
-    return _fold(f, mode, termdict.size_key(m), alphas, alphas, lambda c: hasse_table(c, m))
+    return derive_each((f,), m, mode)[0]
+
+
+def derive_each(
+    fs: Sequence[DiffPoly], m: int, mode: DerivationMode, symbols: dict | None = None
+) -> list[dict[tuple, DiffPoly]]:
+    """derive_upto(f, m, mode) for each f of fs, polynomials over one field, in
+    one truncated Leibniz pass: the symbols, their pieces and the powers of
+    the pieces are built once for all of fs.  ``symbols``, if given, is the
+    table (var, order) -> DiffSymbol the pieces take their symbols from."""
+    if not fs:
+        return []
+    alphas = enumerate_multiindices(fs[0].field.derivation_count, m)
+    # hasse_table is read from the module at call time, where a test may patch it
+    return _fold(fs, mode, termdict.size_key(m), alphas, alphas, lambda c: hasse_table(c, m), symbols)
 
 
 def taylor_oracle(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly:

@@ -140,8 +140,7 @@ def layered_expand(
             raise ValueError("layered expansion requires order-0 symbols")
         return {(u, v): (1, LayeredSymbol(sym.var, u, v, inner)) for u, v in box}
 
-    out = termdict.leibniz(h, termdict.box_key(top), (top,), coeff_table, pieces, LayeredPoly)
-    return out[top]
+    return termdict.leibniz((h,), termdict.box_key(top), (top,), coeff_table, pieces, LayeredPoly)[0][top]
 
 
 def _check_outer(order: int, bound: int) -> None:
@@ -167,8 +166,7 @@ def outer_derive(l: int, p: LayeredPoly, bound: int) -> LayeredPoly:
         return out
 
     top = (l,)
-    out = termdict.leibniz(p, termdict.box_key(top), (top,), coeff_table, pieces, LayeredPoly)
-    return out[top]
+    return termdict.leibniz((p,), termdict.box_key(top), (top,), coeff_table, pieces, LayeredPoly)[0][top]
 
 
 # -- the phi / psi pair ---------------------------------------------------------

@@ -8,9 +8,12 @@ point-level section nabla, projections, morphism lifts, base change, and the
 Leibniz cofactor witnesses for membership of d_alpha(h f) in the derived
 ideal.
 
-Every order at once: prolong_presentation and lift_morphism expand each
-generator or image in one truncated Leibniz pass (derive_upto), which yields
-d_alpha f for all |alpha| <= m together, and nabla takes each coordinate's
+Every order at once, in one pass: prolong_presentation and lift_morphism
+expand all their generators or images in one truncated Leibniz pass
+(derive_each), which yields d_alpha f for all |alpha| <= m and every f
+together.  Each builds the symbols x_i^(alpha) once, in one table that the
+pass takes its pieces from, so a symbol is one object in the symbol list,
+the lift's keys and every generator.  nabla takes each coordinate's
 derivatives D_alpha(a_i), |alpha| <= m, from one quotient-rule table
 (hasse_table).
 
@@ -34,7 +37,7 @@ from .multiindex import (
     splittings,
     zero_index,
 )
-from .diffpoly import DerivationMode, DiffPoly, DiffSymbol, apply_d, derive_upto
+from .diffpoly import DerivationMode, DiffPoly, DiffSymbol, apply_d, derive_each
 from .sparsepoly import render_polys
 
 
@@ -97,14 +100,12 @@ def prolong_presentation(
     variety: VarietyPresentation, m: int, mode: DerivationMode
 ) -> ProlongationPresentation:
     """Generators d_alpha f_j for all |alpha| <= m, in graded-lex order."""
-    n = variety.field.derivation_count
-    alphas = enumerate_multiindices(n, m)
-    symbols = [
-        DiffSymbol(i, a) for i in range(variety.var_count) for a in alphas
-    ]
-    tables = [derive_upto(g, m, mode) for g in variety.generators]
+    alphas = enumerate_multiindices(variety.field.derivation_count, m)
+    # every symbol of the presentation, built once: the fold's pieces are these
+    table = {(i, a): DiffSymbol(i, a) for i in range(variety.var_count) for a in alphas}
+    tables = derive_each(variety.generators, m, mode, table)
     generators = [t[alpha] for alpha in alphas for t in tables]
-    return ProlongationPresentation(variety, m, mode, symbols, generators)
+    return ProlongationPresentation(variety, m, mode, list(table.values()), generators)
 
 
 def nabla(
@@ -149,12 +150,12 @@ def lift_morphism(
         for sym in f.symbols():
             if any(sym.order):
                 raise ValueError(f"morphism image for variable {j} must be order-0")
-    tables = {j: derive_upto(f, m, mode) for j, f in images.items()}
-    return {
-        DiffSymbol(j, alpha): t[alpha]
-        for alpha in enumerate_multiindices(n, m)
-        for j, t in tables.items()
-    }
+    alphas = enumerate_multiindices(n, m)
+    # the lifted symbols d_alpha y_j, built once; a DiffSymbol is a value, so
+    # the fold's piece x_j^(alpha) is the same object
+    table = {(j, a): DiffSymbol(j, a) for a in alphas for j in images}
+    tables = derive_each(list(images.values()), m, mode, table)
+    return {table[j, alpha]: t[alpha] for alpha in alphas for j, t in zip(images, tables)}
 
 
 def apply_lift(lift: Mapping[DiffSymbol, DiffPoly], g: DiffPoly) -> DiffPoly:

@@ -14,7 +14,8 @@ join) live in termdict; each BaseElem coefficient gives the head it writes
 before its monomial with ``render_head``.
 
 ``render_polys`` is the one text route: it writes a sequence of polynomials
-with a table that lives for that call only, so each symbol's text and each
+with a table that lives for that call only, so each symbol's text, each
+factor x^e's sort key and text (termdict's one-factor rule) and each
 coefficient's head is written once however many monomials they stand beside
 (a presentation writes the same D_gamma(c) and x_i^(alpha) again and again
 across its generators d_alpha f_j).  ``SparsePoly.render`` is its
@@ -24,6 +25,7 @@ one-polynomial case.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import itemgetter
 from typing import Callable, Mapping, Sequence, Union
 
 from . import termdict
@@ -42,14 +44,6 @@ def monomial_mul(a, b):
     for sym, e in b:
         exps[sym] = exps.get(sym, 0) + e
     return tuple(sorted(exps.items(), key=lambda p: p[0].sort_key))
-
-
-def monomial_degree(mono) -> int:
-    return sum(e for _, e in mono)
-
-
-def _display_key(mono):
-    return (-monomial_degree(mono), tuple((sym.sort_key, e) for sym, e in mono))
 
 
 class SparsePoly(termdict.Ring):
@@ -200,10 +194,12 @@ def render_polys(
 ) -> list[str]:
     """The text of each polynomial, its symbols written under names.
 
-    One table for the call gives each symbol's text and each coefficient's
-    head, so a symbol or a coefficient that stands beside many monomials is
-    written once.  A caller that writes symbols of its own passes their texts
-    under the same names as symbol_text, which the call reads and fills.
+    One table for the call gives each symbol's text, each (symbol, exponent)
+    factor's sort key and text, and each coefficient's head, so a symbol, a
+    power of it or a coefficient that stands beside many monomials is written
+    once.  A caller that writes symbols of its own passes their texts under
+    the same names as symbol_text, which the call reads and fills.  Terms are
+    sorted on (-degree, factor sort keys), the canonical order above.
     Coefficients are keyed by identity, which is sound only while each of
     them lives: the call holds every polynomial until it returns, and the
     table ends with it.
@@ -211,20 +207,29 @@ def render_polys(
     polys = tuple(polys)
     if symbol_text is None:
         symbol_text = {}
+    factors: dict = {}  # (symbol, exponent) -> (sort key, text)
     heads: dict[int, str] = {}
+
+    def factor(pair: tuple) -> tuple:
+        sym, e = pair
+        text = symbol_text.get(sym) or symbol_text.setdefault(sym, sym.render(names))
+        return factors.setdefault(pair, ((sym.sort_key, e), termdict.render_power(text, e)))
+
     out = []
     for f in polys:
-        terms = f.terms
-        pieces = []
-        for mono in sorted(terms, key=_display_key):
-            c = terms[mono]
+        rows = []  # (order key, text) per term; the constant term's (0, ()) sorts last
+        for mono, c in f.terms.items():
             if not mono:
-                pieces.append(c.render())
+                rows.append(((0, ()), c.render()))
                 continue
+            degree, keys, texts = 0, [], []
+            for pair in mono:
+                k, text = factors.get(pair) or factor(pair)
+                degree += pair[1]
+                keys.append(k)
+                texts.append(text)
             head = heads.get(id(c)) or heads.setdefault(id(c), c.render_head())
-            body = termdict.render_powers(
-                (symbol_text.get(sym) or symbol_text.setdefault(sym, sym.render(names)), e) for sym, e in mono
-            )
-            pieces.append(termdict.render_product(head, body))
-        out.append(termdict.render_sum(pieces))
+            rows.append(((-degree, tuple(keys)), termdict.render_product(head, "*".join(texts))))
+        rows.sort(key=itemgetter(0))
+        out.append(termdict.render_sum([text for _, text in rows]))
     return out

@@ -7,12 +7,21 @@ product returns None for a product that falls outside a truncation, and that
 term is dropped.
 
 ``leibniz`` is the one expansion engine behind ``apply_d``,
-``layered_expand``, ``outer_derive`` and ``derive_upto``: the Hasse-Schmidt
+``layered_expand``, ``outer_derive`` and ``derive_each``: the Hasse-Schmidt
 Leibniz rule d_alpha(gh) = sum over beta + gamma = alpha of d_beta(g) d_gamma(h),
 read as a product of multi-index tables under a truncating key product.  The
 single-index callers truncate to the box below their index (``box_key``); the
 all-orders table truncates to total size <= m (``size_key``) and reads every
 d_alpha, |alpha| <= m, off one pass per term.
+
+The fold takes a sequence of polynomials over one field and returns one
+table per polynomial.  Everything that depends only on symbols is built once
+for the sequence: each distinct symbol's pieces, one ranking of the output
+symbols, each power of a symbol's pieces, and the monomial named by each
+sorted tuple of ranks, so an output monomial that recurs across the sequence
+is one object.  A presentation's generators d_alpha f_j share their symbols
+x_i^(alpha), so ``derive_each`` derives all of them in one call; the
+single-index callers and ``integer_map`` pass one polynomial.
 
 On a symbol the rule is integer combinatorics, and every caller's pieces say
 so: d_u(x) is a plain integer n times one symbol y.  For ``apply_d`` and
@@ -31,14 +40,16 @@ index: a piece's index enters the fold as key(zero, u), so here it is (), and
 the pieces of one symbol must be distinct symbols.  phi and psi are such
 maps, with n = C(i + k, k) (+-1)^k, and so is theta, with one piece per
 symbol.  ``leibniz`` holds the module's one accumulation loop, and a sum that
-cancels is dropped by one ``_drop_zeros`` pass per collected index, as in
-``add`` and ``mul``.
+cancels is left out as each collected index's output is built.
 
-The text form of a term dict is written here too, by three rules that every
-ring shares: ``render_powers`` writes a key as a power product (``s^2*t1``,
-exponent 0 left out), ``render_product`` writes a rendered coefficient beside
-it (a coefficient of 1 or -1 is not written), and ``render_sum`` joins the
-pieces (a piece that starts with ``-`` is subtracted, no pieces give ``0``).
+The text form of a term dict is written here too, by four rules that every
+ring shares: ``render_power`` writes one factor (``s`` or ``s^2``),
+``render_powers`` writes a key as a power product of such factors
+(``s^2*t1``, exponent 0 left out), ``render_product`` writes a rendered
+coefficient beside it (a coefficient of 1 or -1 is not written), and
+``render_sum`` joins the pieces (a piece that starts with ``-`` is
+subtracted, no pieces give ``0``).  ``sparsepoly.render_polys`` writes each
+of its factors once per call, with ``render_power``.
 A ring's coefficient brings its own rendering: a plain number is written with
 ``str``, a ring element by ``render_term``, which writes the element alone as
 its ``render()`` and beside a power product as its ``render_head()``.
@@ -53,7 +64,7 @@ functions never show up as names of their own in a ring's namespace.
 from __future__ import annotations
 
 from operator import add as _add, attrgetter, le as _le, mul as _mul
-from typing import Callable, Iterable, Iterator, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 
 class Ring:
@@ -146,48 +157,55 @@ def size_key(m: int) -> Callable:
 
 
 def leibniz(
-    f, key: Callable, collect: Sequence, coeff_table: Callable, pieces_of: Callable, ring
-) -> dict:
-    """{index: the t^index coefficient of the sum over the terms c * x_1^e_1 ... of f of
+    fs: Sequence, key: Callable, collect: Sequence, coeff_table: Callable, pieces_of: Callable, ring
+) -> list[dict]:
+    """For each f of fs, a non-empty sequence of polynomials over one field,
+    the table {index: the t^index coefficient of the sum over the terms c * x_1^e_1 ... of f of
 
         coeff_table(c) * pieces_of(x_1)^e_1 * ...}
 
     for every index in the non-empty ``collect``, in that order (zeros
     included), as elements of ``ring``; products are taken under the
-    truncating key product ``key``.
+    truncating key product ``key``.  One pass serves the whole sequence.
 
     ``pieces_of(x)`` maps multi-indices u to pairs (n, y): d_u(x) = n * y for a
     plain integer n and one symbol y, a distinct y for each u.  It runs once
-    per symbol and may leave out the u whose n vanishes in the field; a
-    piece's index is key(zero, u), so a key product that drops indices
-    (``integer_map``) maps every piece to the index ().  Each monomial's table
-    {(index, monomial): n} is expanded over the integers (``_expand``), and
-    each entry is reduced into the field once; an entry that vanishes there
-    (C(p, 1) in characteristic p) is dropped.  Only then does
+    per distinct symbol of fs and may leave out the u whose n vanishes in the
+    field; a piece's index is key(zero, u), so a key product that drops
+    indices (``integer_map``) maps every piece to the index ().  Each
+    monomial's table {(index, monomial): n} is expanded over the integers
+    (``_expand``, each power of a symbol's pieces built once for all of fs),
+    and each entry is reduced into the field once; an entry that vanishes
+    there (C(p, 1) in characteristic p) is dropped.  Only then does
     ``coeff_table(c)``, a map from multi-indices to base elements, enter: one
     base-element scale per pair of its entry and a table entry whose index
     product is collected, and a sum only where two terms of f meet at the same
-    output monomial.  This is the module's one accumulation loop.
+    output monomial.  An output monomial that recurs across fs is one object.
+    This is the module's one accumulation loop.
     """
-    field = f.field
+    field = fs[0].field
     scalar = field.scalar
-    symbols, tables = _expand(f, pieces_of, key, (0,) * len(collect[0]))
-    sums: dict = {k: {} for k in collect}
-    for coeff, table in tables:
-        # (gamma, D_gamma(c), gamma != 0); the zero index moves no table entry
-        coeffs = [(g, v, any(g)) for g, v in coeff_table(coeff).items() if v]
-        for (index, ranks), n in table.items():
-            if n != 1:
-                n = scalar(n)
-                if not n:
-                    continue
-            for g, v, moved in coeffs:
-                terms = sums.get(key(g, index) if moved else index)
-                if terms is not None:
-                    c = v if n == 1 else v * n
-                    s = terms.get(ranks)
-                    terms[ranks] = c if s is None else s + c
-    return {k: _of_ranks(ring, field, _drop_zeros(sums[k]), symbols) for k in collect}
+    symbols, expand = _expand(fs, pieces_of, key, (0,) * len(collect[0]))
+    monomials: dict = {}  # sorted ranks -> the monomial they name, shared by all of fs
+    out = []
+    for f in fs:
+        sums: dict = {k: {} for k in collect}
+        for coeff, table in expand(f):
+            # (gamma, D_gamma(c), gamma != 0); the zero index moves no table entry
+            coeffs = [(g, v, any(g)) for g, v in coeff_table(coeff).items() if v]
+            for (index, ranks), n in table.items():
+                if n != 1:
+                    n = scalar(n)
+                    if not n:
+                        continue
+                for g, v, moved in coeffs:
+                    terms = sums.get(key(g, index) if moved else index)
+                    if terms is not None:
+                        c = v if n == 1 else v * n
+                        s = terms.get(ranks)
+                        terms[ranks] = c if s is None else s + c
+        out.append({k: _of_ranks(ring, field, sums[k], symbols, monomials) for k in collect})
+    return out
 
 
 def integer_map(f, pieces_of: Callable, ring):
@@ -201,32 +219,34 @@ def integer_map(f, pieces_of: Callable, ring):
     symbol must be distinct symbols, since their indices no longer tell them
     apart.
     """
-    return leibniz(f, _no_index, [()], lambda c: {(): c}, pieces_of, ring)[()]
+    return leibniz((f,), _no_index, [()], lambda c: {(): c}, pieces_of, ring)[0][()]
 
 
 def _no_index(a: tuple, b: tuple) -> tuple:
     return ()
 
 
-def _expand(f, pieces_of: Callable, key: Callable, zero: tuple) -> tuple[list, Iterator]:
-    """(symbols, tables): the output symbols in rank order, and for each term
-    c * x_1^e_1 ... of f the pair (c, table) where
+def _expand(fs: Sequence, pieces_of: Callable, key: Callable, zero: tuple) -> tuple[list, Callable]:
+    """(symbols, expand): the output symbols of all of fs in rank order, and
+    expand(f), which yields for each term c * x_1^e_1 ... of f the pair
+    (c, table) where
 
         table = {(index, ranks): n}  with  pieces_of(x_1)^e_1 * ... = sum of n * t^index * y_ranks
 
     over plain integers n, not yet reduced into the field.  Indices multiply
     under ``key`` from ``zero`` (a None drops the product) and ranks merge;
-    each power pieces_of(x)^e is built once per call."""
-    symbols, single = _ranked_pieces(f, pieces_of, key, zero)
+    each power pieces_of(x)^e is built once for all of fs."""
+    symbols, single = _ranked_pieces(fs, pieces_of, key, zero)
 
     # a table key is (index, sorted ranks): indices add under key, ranks merge
     def pair_key(a: tuple, b: tuple):
         k = key(a[0], b[0])
         return None if k is None else (k, tuple(sorted(a[1] + b[1])))
 
-    def tables():
-        unit = {(zero, ()): 1}
-        powers: dict = {}
+    unit = {(zero, ()): 1}
+    powers: dict = {}
+
+    def expand(f):
         for mono, coeff in f.terms.items():
             table = unit
             for factor in mono:
@@ -240,43 +260,56 @@ def _expand(f, pieces_of: Callable, key: Callable, zero: tuple) -> tuple[list, I
                 table = power if table is unit else mul(table, power, pair_key)
             yield coeff, table
 
-    return symbols, tables()
+    return symbols, expand
 
 
-def _of_ranks(ring, field, terms: dict, symbols: list):
-    """The ring element on a zero-free {ranks: coefficient} dict."""
-    return ring._of(field, {_monomial(ranks, symbols): c for ranks, c in terms.items()})
+def _of_ranks(ring, field, terms: dict, symbols: list, monomials: dict):
+    """The ring element on a {ranks: coefficient} dict, a coefficient that
+    cancelled to zero left out; ``monomials`` holds the monomial of each ranks
+    tuple met so far, and gains the new ones."""
+    out = {}
+    for ranks, c in terms.items():
+        if not c:
+            continue
+        mono = monomials.get(ranks)
+        if mono is None:
+            mono = monomials[ranks] = tuple((symbols[r], ranks.count(r)) for r in dict.fromkeys(ranks))
+        out[mono] = c
+    return ring._of(field, out)
 
 
-def _ranked_pieces(f, pieces_of: Callable, key: Callable, zero: tuple) -> tuple[list, dict]:
+def _ranked_pieces(fs: Sequence, pieces_of: Callable, key: Callable, zero: tuple) -> tuple[list, dict]:
     """(symbols, {x: {(key(zero, u), (rank of y,)): n}}) for the pieces (n, y)
-    of every symbol x of f.  Output symbols are ranked in sort_key order, so a
-    sorted tuple of ranks names a monomial by a key of plain ints."""
+    of every distinct symbol x of fs.  Output symbols are ranked in sort_key
+    order, so a sorted tuple of ranks names a monomial by a key of plain ints."""
     pieces: dict = {}
-    for mono in f.terms:
-        for sym, _ in mono:
-            if sym not in pieces:
-                pieces[sym] = pieces_of(sym)
+    for f in fs:
+        for mono in f.terms:
+            for sym, _ in mono:
+                if sym not in pieces:
+                    pieces[sym] = pieces_of(sym)
     outputs = {y for table in pieces.values() for _, y in table.values()}
     symbols = sorted(outputs, key=attrgetter("sort_key"))
     rank = {y: r for r, y in enumerate(symbols)}
+    # each piece's index, key(zero, u), computed once per distinct u
+    index = {u: key(zero, u) for u in {u for table in pieces.values() for u in table}}
     single = {
-        sym: {(key(zero, u), (rank[y],)): n for u, (n, y) in table.items()} for sym, table in pieces.items()
+        sym: {(index[u], (rank[y],)): n for u, (n, y) in table.items()} for sym, table in pieces.items()
     }
     return symbols, single
-
-
-def _monomial(ranks: tuple, symbols: list) -> tuple:
-    """The monomial ((symbol, exponent), ...) named by a sorted tuple of ranks."""
-    return tuple((symbols[r], ranks.count(r)) for r in dict.fromkeys(ranks))
 
 
 # -- text form -----------------------------------------------------------------
 
 
+def render_power(name: str, e: int) -> str:
+    """One factor of a power product, e >= 1: ``s`` or ``s^2``."""
+    return name if e == 1 else f"{name}^{e}"
+
+
 def render_powers(pairs: Iterable) -> str:
     """The power product of (name, exponent) pairs: ``s^2*t1``, exponent 0 left out."""
-    return "*".join(n if e == 1 else f"{n}^{e}" for n, e in pairs if e)
+    return "*".join(render_power(n, e) for n, e in pairs if e)
 
 
 def render_product(coeff: str, body: str) -> str:

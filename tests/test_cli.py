@@ -340,6 +340,56 @@ def test_unreadable_file_is_an_input_error(tmp_path, monkeypatch, capsys):
     assert "Permission denied" in capsys.readouterr().err
 
 
+WITT_BYTES = WITT.encode()
+# (document bytes, exit code, stderr with the file's path as PATH): line ends
+# read as universal newlines do, a BOM is text, and a byte that is not UTF-8
+# names its offset in the file
+DOCUMENT_BYTES = {
+    "crlf": (WITT_BYTES.replace(b"\n", b"\r\n"), 0, ""),
+    "cr": (WITT_BYTES.replace(b"\n", b"\r"), 0, ""),
+    "mixed": (b"char 0; params s;\r\nderivations 1;\rvars x;\n\r\ngens x^2 -\r s;\r", 0, ""),
+    "nel": ("char 0; params s; derivations 1;\u0085vars x; gens x^2 - s;\n".encode(), 0, ""),
+    "bom": (b"\xef\xbb\xbf" + WITT_BYTES, 2, "input error: unexpected character '\\ufeff' (line 1, column 1)\n"),
+    "invalid": (
+        WITT_BYTES[:20] + b"\xff" + WITT_BYTES[20:],
+        2,
+        "input error: cannot read PATH: 'utf-8' codec can't decode byte 0xff in position 20: invalid start byte\n",
+    ),
+    "crlf-invalid": (
+        b"char 0;\r\n\xc3(",
+        2,
+        "input error: cannot read PATH: 'utf-8' codec can't decode byte 0xc3 in position 9: invalid continuation byte\n",
+    ),
+    "crlf-error": (
+        b"char 0; params s;\r\nderivations 1;\r\nvars x;\r\ngens x^2 - $;\r\n",
+        2,
+        "input error: unexpected character '$' (line 4, column 12)\n",
+    ),
+    "cr-error": (
+        b"char 0; params s;\rderivations 1;\rvars x;\rgens x^2 - q;\r",
+        2,
+        "input error: undeclared identifier 'q' (line 4, column 12)\n",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", DOCUMENT_BYTES)
+def test_document_bytes_read_as_text(name, tmp_path, capsys):
+    from hsprolong import cli
+
+    data, code, err = DOCUMENT_BYTES[name]
+    path = tmp_path / name
+    path.write_bytes(data)
+    assert cli.main(["prolong", "--order", "1", str(path)]) == code
+    out = capsys.readouterr()
+    assert out.err.replace(str(path), "PATH") == err
+    if code == 0:
+        lf = tmp_path / "lf"
+        lf.write_bytes(WITT_BYTES)
+        assert cli.main(["prolong", "--order", "1", str(lf)]) == 0
+        assert out.out == capsys.readouterr().out
+
+
 def test_point_flag_names_the_missing_variable(hyperbola_file, capsys):
     from hsprolong import cli
 

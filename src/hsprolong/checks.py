@@ -26,7 +26,7 @@ from . import termdict
 from .basefield import BaseElem, ParamPoly, hasse_derive
 from .fields import FieldDescriptor, comp_coeff, multinomial
 from .diffpoly import DerivationMode, DiffPoly, apply_d, derive_upto, taylor_oracle
-from .layered import LayeredPoly, LayeredSymbol, layered_expand, outer_derive, phi, psi, theta
+from .layered import LayeredPoly, LayeredSymbol, layered_expand_each, outer_derive, phi, psi, theta
 from .layered import tensor_left_action, tensor_right_action
 from .multiindex import graded_lex_key, index_add, index_size, splittings
 from .presentations import ideal_membership_witness
@@ -179,16 +179,24 @@ def _theta_loop(m: int, q: int, varieties: Sequence, params: str, prefix: str) -
 
     One trial per (variety, i, j) case, comparing every generator of the
     variety; a FAIL witness opens with ``prefix.format(v=<variety index>)``.
+    A variety's first trial expands each generator on each side once, for
+    every (i, j) at once, and its later trials read those tables.
     """
     per = (m + 1) * (q + 1)
+    tops = [(i, j) for i in range(m + 1) for j in range(q + 1)]
+    swapped = [(j, i) for i, j in tops]
+    tables: list = []  # (d_i del_j f, del_j d_i f) for each generator f of the current variety
 
     def trial(t, _):
         v, ij = divmod(t, per)
         i, j = divmod(ij, q + 1)
-        for gi, f in enumerate(varieties[v].generators):
-            lhs = theta(layered_expand(i, j, f, outer=J, inner=P))
-            rhs = layered_expand(j, i, f, outer=P, inner=J)
-            yield "theta", lambda: f"({prefix.format(v=v)}i={i},j={j},gen={gi})", lhs, rhs
+        if not ij:
+            tables[:] = [
+                (layered_expand_each(tops, f, outer=J, inner=P), layered_expand_each(swapped, f, outer=P, inner=J))
+                for f in varieties[v].generators
+            ]
+        for gi, (left, right) in enumerate(tables):
+            yield "theta", lambda: f"({prefix.format(v=v)}i={i},j={j},gen={gi})", theta(left[i, j]), right[j, i]
 
     return _Loop("theta", params, len(varieties) * per, trial)
 
@@ -242,12 +250,15 @@ def _phi_psi_loops(bound: int, m: int, trials: int, seed: int, field: FieldDescr
         h = random_diffpoly(rng, field, var_count=2, max_terms=2, max_factors=2, order_zero_only=True)
         i = rng.randint(0, max(0, bound - m))
         j = rng.randint(0, m)
+        # d_i X_j h and every d_k X_(j-k) h, for both inner kinds X, from one fold per kind
+        tops = [(i, j)] + [(k, j - k) for k in range(j + 1)]
+        expanded = {kind: layered_expand_each(tops, h, P, kind) for kind in (P, J)}
         # claim, map, inner kind of the mapped symbol, inner kind of the sum, sign
         for label, there, kind, other, sign in (("claim1", phi, P, J, 1), ("claim2", psi, J, P, -1)):
-            lhs = there(layered_expand(i, j, h, P, kind), bound)
+            lhs = there(expanded[kind][i, j], bound)
             rhs = LayeredPoly.zero(field)
             for k in range(j + 1):
-                rhs = rhs + layered_expand(k, j - k, h, P, other).scale(field.scalar(sign) ** k)
+                rhs = rhs + expanded[other][k, j - k].scale(field.scalar(sign) ** k)
             yield label, lambda: f"trial{t},i={i},j={j},h={h}", lhs, outer_derive(i, rhs, bound)
 
     return [

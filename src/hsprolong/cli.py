@@ -5,8 +5,10 @@ section, lift morphisms, and run the verification suites.  Output is
 deterministic: identical inputs and seeds produce byte-identical text.
 Exit codes: 0 success / all checks pass, 1 check failure, 2 input error
 (bad arguments, an unreadable FILE, a document or assignment that does not
-parse), 3 internal error (any other ValueError or ZeroDivisionError: a fault
-of the program, not of the input).
+parse), 3 internal error (any other exception: a fault of the program, not
+of the input), 141 stdout closed before the output was written (128 +
+SIGPIPE, as a shell reports a command that a closed pipe ended, as in
+``hsprolong check all | head -1``).
 
 COMMANDS is the one table of commands, and each command's arguments are
 declared there once, as rows that build_parser passes to add_argument.
@@ -30,6 +32,7 @@ on that route, and json only for --json.
 
 from __future__ import annotations
 
+import os
 import sys
 from types import SimpleNamespace
 from typing import TYPE_CHECKING, Iterable
@@ -53,6 +56,7 @@ if TYPE_CHECKING:
     Arguments = argparse.Namespace | SimpleNamespace
 
 OK, CHECK_FAILED, INPUT_ERROR, INTERNAL_ERROR = 0, 1, 2, 3
+CLOSED_STDOUT = 128 + 13  # 128 + SIGPIPE
 
 
 class _UnreadableInput(Exception):
@@ -313,11 +317,19 @@ def main(argv: list[str] | None = None) -> int:
     if args.command == "check" and args.suite in ("phi-psi", "all") and args.inner > args.outer:
         build_parser().error(f"argument --inner: must not exceed --outer ({args.outer}) for phi-psi, got {args.inner}")
     try:
-        return globals()[args.fn](args)
+        code = globals()[args.fn](args)
+        # a closed stdout raises here, inside the try, and not at exit
+        sys.stdout.flush()
+        return code
     except (ParseError, _UnreadableInput) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return INPUT_ERROR
-    except (ValueError, ZeroDivisionError) as exc:
+    except BrokenPipeError:
+        # the reader has gone; write what is left to devnull, so that the
+        # flush at exit raises no second error
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
+    except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
 

@@ -202,9 +202,12 @@ def derive_each(
 def taylor_oracle(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly:
     """d_alpha f recomputed by Taylor substitution into the truncated t-ring.
 
-    Every symbol is replaced by its full expansion sum comp_coeff * x^(b+g) t^g
+    Every symbol is replaced by its expansion sum comp_coeff * x^(b+g) t^g
     and every coefficient by its twisted expansion (or constant embedding in
     JET mode); the t^alpha coefficient of the expanded product is the answer.
+    Only a t^g with g <= alpha can reach t^alpha, so the ring is
+    B[t]/(t_i^(alpha_i+1)): the expansions run over the box below alpha, and
+    each partial product drops its terms that are not <= alpha.
     """
     field = f.field
     n = field.derivation_count
@@ -213,13 +216,19 @@ def taylor_oracle(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> Di
     zero = DiffPoly.zero(field)
     if not f:
         return zero
+
+    def below_alpha(x: TruncatedElement) -> TruncatedElement:
+        # its own test of g <= alpha, shared with no other route
+        kept = {g: c for g, c in x.coeffs.items() if all(a <= b for a, b in zip(g, alpha))}
+        return TruncatedElement._of(kept, bound, n)
+
     total = TruncatedElement.zero(bound, n)
-    gammas = enumerate_multiindices(n, bound)
+    gammas = indices_below(alpha)
     for mono, coeff in f.terms.items():
         if mode is DerivationMode.JET:
             acc = TruncatedElement.constant(DiffPoly.const(field, coeff), bound, n)
         else:
-            acc = twist_expand(coeff, bound).map_coeffs(lambda b: DiffPoly.const(field, b))
+            acc = below_alpha(twist_expand(coeff, bound)).map_coeffs(lambda b: DiffPoly.const(field, b))
         for sym, e in mono:
             expansion = TruncatedElement(
                 {
@@ -231,6 +240,7 @@ def taylor_oracle(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> Di
                 bound,
                 n,
             )
-            acc = acc * expansion**e
+            for _ in range(e):
+                acc = below_alpha(acc * expansion)
         total = total + acc
     return total.coeff_or(alpha, zero)

@@ -21,10 +21,16 @@ None of phi, psi and theta takes a symbolic product.  Each is one
 ``termdict.integer_map`` call: phi and psi send a symbol to an integer
 combination of symbols, theta sends it to one symbol, and the map expands
 each monomial's image over the integers and multiplies the base coefficient
-in last.  ``layered_expand`` and ``outer_derive``, the other route of the
-claims and theta relations that the checks compare, run the same Leibniz
+in last.  ``layered_expand_each`` and ``outer_derive``, the other route of
+the claims and theta relations that the checks compare, run the same Leibniz
 fold with indices kept and with derivatives of the base coefficients, and
-they build their symbol pieces on their own.
+they build their symbol pieces on their own.  ``layered_expand_each``
+expands one polynomial at a whole list of indices (i, j) in one fold,
+truncated to their down-closure, and ``layered_expand`` is its one-index
+case.  Over two PROLONGATION layers it reads D_a D_b c off one table as
+C(a+b, a) D_{a+b} c, by iterativity, while ``outer_derive`` applies D_l to
+coefficients that already carry D_b: so the claims' two sides take the base
+derivatives by two routes, iterated on one side and nested on the other.
 
 LayeredSymbol is a light value object like DiffSymbol: a ``__slots__`` class,
 immutable by convention, with its hash and sort_key stored once, and equal
@@ -110,6 +116,54 @@ def _d_table(l: int, c: BaseElem) -> list[BaseElem]:
     return list(_hasse_values(c, orders).values())
 
 
+def layered_expand_each(
+    tops: Sequence[tuple[int, int]], h: DiffPoly, outer: DerivationMode, inner: DerivationMode
+) -> dict[tuple[int, int], LayeredPoly]:
+    """{(i, j): the canonical representative of u_outer,i v_inner,j (h)} for
+    every (i, j) of tops, not empty, and order-0 h, from one Leibniz fold.
+
+    The fold is truncated to the down-closure of tops, every index at or below
+    some top (``termdict.closure_key``), and the symbol pieces d_u X_v x run
+    over the same closure.  Base coefficients follow the outer/inner mode
+    pair: a JET layer keeps only order 0 of a coefficient, and for two
+    PROLONGATION layers D_a D_b c = C(a+b, a) D_{a+b} c by iterativity, read
+    off one ``_d_table`` per coefficient; an entry whose binomial vanishes in
+    the field drops out.
+    """
+    closure = list(dict.fromkeys(b for top in tops for b in indices_below(top)))
+    P = DerivationMode.PROLONGATION
+    char = h.field.characteristic
+    # the highest order of D a table reads: a + b for two PROLONGATION layers, a or b for one
+    depth = max(a + b for a, b in closure)
+    outer_depth = max(a for a, _ in closure)
+    inner_depth = max(b for _, b in closure)
+
+    # _d_table is read from the module at call time, where a test may patch it
+    def coeff_table(c: BaseElem) -> dict:
+        if outer is P and inner is P:
+            d = _d_table(depth, c)
+            table = {}
+            for a, b in closure:
+                n = math.comb(a + b, a)
+                if not char or n % char:
+                    table[(a, b)] = d[a + b] if n == 1 else d[a + b] * n
+            return table
+        if outer is P:
+            return {(a, 0): d for a, d in enumerate(_d_table(outer_depth, c))}
+        if inner is P:
+            return {(0, b): d for b, d in enumerate(_d_table(inner_depth, c))}
+        return {(0, 0): c}
+
+    def pieces(sym) -> dict:
+        if any(sym.order):
+            raise ValueError("layered expansion requires order-0 symbols")
+        return {(u, v): (1, LayeredSymbol(sym.var, u, v, inner)) for u, v in closure}
+
+    collect = list(dict.fromkeys(tops))
+    key = termdict.closure_key(closure)
+    return termdict.leibniz((h,), key, collect, coeff_table, pieces, LayeredPoly)[0]
+
+
 def layered_expand(
     outer_order: int,
     inner_order: int,
@@ -121,26 +175,10 @@ def layered_expand(
 
     Additivity plus the double Leibniz convolution, with base coefficients
     handled by the outer/inner mode pair; every symbol of h must be order 0.
+    The one-top case of ``layered_expand_each``.
     """
     top = (outer_order, inner_order)
-    box = indices_below(top)
-    P = DerivationMode.PROLONGATION
-
-    def coeff_table(c: BaseElem) -> dict:
-        # a JET layer keeps only order 0 of the base coefficient
-        inner_values = _d_table(inner_order, c) if inner is P else [c]
-        return {
-            (a, b): d
-            for b, v in enumerate(inner_values)
-            for a, d in enumerate(_d_table(outer_order, v) if outer is P else [v])
-        }
-
-    def pieces(sym) -> dict:
-        if any(sym.order):
-            raise ValueError("layered expansion requires order-0 symbols")
-        return {(u, v): (1, LayeredSymbol(sym.var, u, v, inner)) for u, v in box}
-
-    return termdict.leibniz((h,), termdict.box_key(top), (top,), coeff_table, pieces, LayeredPoly)[0][top]
+    return layered_expand_each((top,), h, outer, inner)[top]
 
 
 def _check_outer(order: int, bound: int) -> None:

@@ -7,12 +7,16 @@ product returns None for a product that falls outside a truncation, and that
 term is dropped.
 
 ``leibniz`` is the one expansion engine behind ``apply_d``,
-``layered_expand``, ``outer_derive`` and ``derive_each``: the Hasse-Schmidt
-Leibniz rule d_alpha(gh) = sum over beta + gamma = alpha of d_beta(g) d_gamma(h),
-read as a product of multi-index tables under a truncating key product.  The
-single-index callers truncate to the box below their index (``box_key``); the
-all-orders table truncates to total size <= m (``size_key``) and reads every
-d_alpha, |alpha| <= m, off one pass per term.
+``layered_expand_each``, ``outer_derive`` and ``derive_each``: the
+Hasse-Schmidt Leibniz rule d_alpha(gh) = sum over beta + gamma = alpha of
+d_beta(g) d_gamma(h), read as a product of multi-index tables under a
+truncating key product.  There are three truncation keys.  ``apply_d`` and
+``outer_derive`` truncate to the box below their one index (``box_key``);
+``layered_expand_each`` truncates to the down-closure of its list of
+indices, every index at or below one of them (``closure_key``), and reads
+each of them off one pass; the all-orders table truncates to total size
+<= m (``size_key``) and reads every d_alpha, |alpha| <= m, off one pass per
+term.
 
 The fold takes a sequence of polynomials over one field and returns one
 table per polynomial.  Everything that depends only on symbols is built once
@@ -27,7 +31,7 @@ On a symbol the rule is integer combinatorics, and every caller's pieces say
 so: d_u(x) is a plain integer n times one symbol y.  For ``apply_d`` and
 ``derive_upto`` n is comp_count(u, beta) = C(beta + u, u) and y = x^(beta+u);
 for ``outer_derive`` n is the binomial C(i + w, w) of the outer shift; for
-``layered_expand`` n is 1 and y is the generator d_u X_v x.  So the fold
+``layered_expand_each`` n is 1 and y is the generator d_u X_v x.  So the fold
 expands each monomial's table over the integers, reduces each entry into the
 field once, and only then multiplies the base coefficient's table in.  The
 rational-function work is left to that table, D_gamma(c) or c alone, and to
@@ -152,6 +156,18 @@ def size_key(m: int) -> Callable:
     def key(a: tuple, b: tuple):
         k = exp_add(a, b)
         return k if sum(k) <= m else None
+
+    return key
+
+
+def closure_key(closure: Iterable[tuple]) -> Callable:
+    """Multi-index sum, None unless the sum lies in ``closure``, a down-closed
+    set of indices: every index at or below one of its members is a member."""
+    members = frozenset(closure)
+
+    def key(a: tuple, b: tuple):
+        k = exp_add(a, b)
+        return k if k in members else None
 
     return key
 

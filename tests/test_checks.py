@@ -86,14 +86,26 @@ def _plant_d_table_zero_from_order_three(monkeypatch):
 
 
 def test_tensor_suite_kills_the_order_three_d_table_mutant(monkeypatch, capsys):
-    # theta and the phi-psi claims read _d_table on both sides; only the
-    # tensor suite's series right action sees this mutant
+    # theta reads _d_table the same way on both sides and misses this mutant;
+    # the tensor suite's series right action sees it, and so do the phi-psi claims
     from hsprolong import cli
 
     _plant_d_table_zero_from_order_three(monkeypatch)
     assert cli.main(["check", "tensor", "--order", "3", "--inner", "3", "--seed", "42"]) == 1
     fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
     assert len(fails) == 1 and fails[0].startswith("FAIL tensor-"), fails
+
+
+def test_phi_psi_claims_kill_the_order_three_d_table_mutant(monkeypatch, capsys):
+    # a claim's one side reads D_a D_b c off one _d_table as C(a+b, a) D_(a+b) c,
+    # the other takes D_b in layered_expand_each and D_a in outer_derive, so
+    # D_k read as 0 from k = 3 on splits them where a, b < 3 <= a + b
+    from hsprolong import cli
+
+    _plant_d_table_zero_from_order_three(monkeypatch)
+    assert cli.main(["check", "phi-psi", "--seed", "42"]) == 1
+    fails = [line for line in capsys.readouterr().out.splitlines() if line.startswith("FAIL")]
+    assert len(fails) == 1 and fails[0].startswith("FAIL claim"), fails
 
 
 def test_tensor_fail_line_writes_canonical_normal_forms(monkeypatch, capsys):

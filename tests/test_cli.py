@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -409,6 +410,48 @@ def test_internal_error_exits_3(witt_file, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("internal error: ValueError: planted fault")
     assert "input error" not in err
+
+
+def test_any_exception_in_a_command_is_an_internal_error():
+    # an exception other than ValueError and ZeroDivisionError, in its own process
+    code = (
+        "import sys\n"
+        "from hsprolong import cli\n"
+        "def broken(*args, **kwargs):\n"
+        "    raise AttributeError('planted fault')\n"
+        "cli.run_checks = broken\n"
+        "sys.exit(cli.main(['check', 'theta']))\n"
+    )
+    r = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, timeout=300)
+    assert (r.returncode, r.stdout, r.stderr) == (3, "", "internal error: AttributeError: planted fault\n")
+
+
+def test_keyboard_interrupt_is_not_an_internal_error(monkeypatch):
+    from hsprolong import cli
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(cli, "run_checks", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        cli.main(["check", "theta"])
+
+
+@pytest.mark.parametrize(
+    "argv", [["check", "theta", "--trials", "10"], ["check", "theta", "--trials", "10", "--json"]], ids=["text", "json"]
+)
+def test_closed_stdout_exits_141_quietly(argv):
+    # stdout is a pipe whose reader has already gone, as in `hsprolong ... | head -1`
+    # once head has exited: 128 + SIGPIPE, no traceback and no second error at exit
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        r = subprocess.run(
+            [sys.executable, "-m", "hsprolong", *argv], stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=300
+        )
+    finally:
+        os.close(write_end)
+    assert (r.returncode, r.stderr) == (141, "")
 
 
 @pytest.mark.parametrize(

@@ -8,42 +8,40 @@ symbols are free, so no ideal reduction is needed.
 
 derive_upto is the one-pass route to every order at once: per term of f it
 expands the monomial's table d_u(x^e ...), |u| <= m, over the integers from
-the symbols' pieces comp_count(u, beta) * x^(beta+u) (built once per symbol),
-reduces each entry into the field once, and scales it by the coefficient's
-table D_gamma(c), |gamma + u| <= m (one hasse_table call), reading d_alpha f
-off as the t^alpha coefficient for every |alpha| <= m.  It is the
-one-polynomial case of derive_each, which derives a sequence of polynomials
-in one pass: the pieces, their powers and the output monomials are built
-once for the sequence, and each piece's DiffSymbol comes from one table
-(var, order) -> DiffSymbol, which a caller may pass in and so share with the
-symbols it builds itself.  Its values equal
-apply_d's at each alpha; both stay on the quotient rule plus Leibniz.
-taylor_oracle recomputes the same values through substitution into a
-truncated t-ring with the series expansion of the coefficients, and is kept
-as an independent cross-check.  The check suites compare the routes: the
-``oracle`` suite apply_d with taylor_oracle, ``iterative`` apply_d applied
-twice with derive_upto, and ``leibniz`` the membership witness's sum of
-apply_d terms with derive_upto of h*f.
+the symbols' pieces comp_count(u, beta) * x^(beta+u), reduces each entry into
+the field once, and scales it by the coefficient's table D_gamma(c),
+|gamma + u| <= m (one hasse_table call).  It is the one-polynomial case of
+derive_each, which derives a sequence of polynomials in one pass on symbol
+codes.  Its values equal apply_d's at each alpha.  taylor_oracle recomputes
+them through substitution into a truncated t-ring, as an independent
+cross-check: the ``oracle`` suite compares it with apply_d, ``iterative``
+apply_d twice with derive_upto, and ``leibniz`` the membership witness's sum
+of apply_d terms with derive_upto of h*f.
 
-DiffSymbol is a light value object: a plain ``__slots__`` class, immutable by
-convention like ParamPoly and BaseElem, that stores its fields, hash and
-sort_key once in ``__init__`` and is equal only to a DiffSymbol with the same
-fields.  The fold's pieces take their symbols from a per-call table, so each
-one is built once per call.
+DiffSymbol is a light value object: a ``__slots__`` class, immutable by
+convention, that stores its fields, hash, sort_key and code once and is
+equal only to a DiffSymbol with the same fields.  Its code is
+var << 32 | graded_lex_rank(alpha), so codes sort as sort_keys do; a rank
+past 32 bits raises ValueError.  The fold shifts a code's rank, and a
+DiffSymbol is built only at the API boundary (``pres.symbols``, the keys of
+``nabla`` and ``lift``, ``symbols()``).
 """
 
 from __future__ import annotations
 
+import math
 from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
 from . import termdict
-from .basefield import _hasse_values, hasse_table
+from .basefield import BaseElem, _hasse_values, hasse_table
 from .fields import FieldDescriptor, comp_coeff, comp_count
 from .multiindex import (
     enumerate_multiindices,
     graded_lex_key,
+    graded_lex_rank,
+    graded_lex_unrank,
     index_add,
     index_size,
     indices_below,
@@ -54,21 +52,57 @@ from .series import TruncatedElement, twist_expand
 from .sparsepoly import SparsePoly
 
 
+_RANK_BITS = 32
+_RANK_MASK = (1 << _RANK_BITS) - 1
+
+
+def _rank(order: Sequence[int]) -> int:
+    """The graded-lex rank of order, the low field of a code; past its width it raises."""
+    rank = graded_lex_rank(order)
+    if rank > _RANK_MASK:
+        raise ValueError(f"order {tuple(order)} is past the {_RANK_BITS}-bit rank of a symbol code")
+    return rank
+
+
+def var_rank(code: int) -> tuple[int, int]:
+    """(var, rank of alpha) of the code of x_var^(alpha); alpha = 0 has rank 0."""
+    return code >> _RANK_BITS, code & _RANK_MASK
+
+
+def _text(var: int, order: Sequence[int], names: Sequence[str] | None) -> str:
+    name = names[var] if names is not None else f"x{var}"
+    if not any(order):
+        return name
+    if len(order) == 1:
+        return f"d{order[0]}{name}"
+    return f"d[{','.join(str(e) for e in order)}]{name}"
+
+
 class DiffSymbol:
-    """The symbol x_i^(alpha); alpha = 0 denotes the variable itself.
+    """The symbol x_i^(alpha); alpha = 0 denotes the variable itself.  A value
+    object: equal only to a DiffSymbol with the same fields."""
 
-    A value object, immutable by convention: equal to a DiffSymbol with the
-    same fields and to nothing else.  Symbols key every term dict, so the hash
-    and sort_key are computed once, here.
-    """
-
-    __slots__ = ("var", "order", "_hash", "sort_key")
+    __slots__ = ("var", "order", "_hash", "sort_key", "code")
 
     def __init__(self, var: int, order: tuple[int, ...]):
         self.var = var
         self.order = order
         self._hash = hash((var, order))
         self.sort_key = (var, graded_lex_key(order))
+        self.code = var << _RANK_BITS | _rank(order)
+
+    @staticmethod
+    def decode(code: int, n: int) -> "DiffSymbol":
+        """The symbol of a code in a ring with n derivations."""
+        return DiffSymbol(code >> _RANK_BITS, graded_lex_unrank(code & _RANK_MASK, n))
+
+    @staticmethod
+    def code_text(code: int, n: int, names: Sequence[str] | None = None) -> str:
+        """The text of the symbol of a code, written from the code."""
+        return _text(code >> _RANK_BITS, graded_lex_unrank(code & _RANK_MASK, n), names)
+
+    def fits(self, field: FieldDescriptor) -> bool:
+        return len(self.order) == field.derivation_count
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not DiffSymbol:
@@ -79,12 +113,7 @@ class DiffSymbol:
         return self._hash
 
     def render(self, names: Sequence[str] | None = None) -> str:
-        name = names[self.var] if names is not None else f"x{self.var}"
-        if not any(self.order):
-            return name
-        if len(self.order) == 1:
-            return f"d{self.order[0]}{name}"
-        return f"d[{','.join(str(e) for e in self.order)}]{name}"
+        return _text(self.var, self.order, names)
 
     def __repr__(self) -> str:
         return self.render()
@@ -98,9 +127,11 @@ class DerivationMode(Enum):
 class DiffPoly(SparsePoly):
     """Sparse polynomial in DiffSymbols over the base field."""
 
+    symbol = DiffSymbol
+
     @classmethod
     def variable(cls, field: FieldDescriptor, var: int) -> "DiffPoly":
-        return cls.from_symbol(field, DiffSymbol(var, zero_index(field.derivation_count)))
+        return cls._of(field, {(var << _RANK_BITS,): BaseElem.one(field)})  # order 0 has rank 0
 
 
 def symbol_derive(beta: Sequence[int], sym: DiffSymbol, field: FieldDescriptor) -> tuple[int | Fraction, DiffSymbol]:
@@ -111,52 +142,30 @@ def symbol_derive(beta: Sequence[int], sym: DiffSymbol, field: FieldDescriptor) 
 
 
 def _fold(
-    fs: Sequence[DiffPoly], mode: DerivationMode, key, indices: list, collect: Sequence, derivatives,
-    symbols: dict | None = None,
+    fs: Sequence[DiffPoly], mode: DerivationMode, key, indices: list, collect: Sequence, derivatives
 ) -> list[dict]:
     """termdict.leibniz over fs, not empty, with the symbol pieces d_u(x), u in
     indices, and the coefficient tables derivatives(c) (PROLONGATION) or
-    {0: c} (JET).
-
-    The shifts (u, comp_count(u, beta), beta + u) are listed once per order
-    beta, and the pieces take their symbols from ``symbols``, a table
-    (var, order) -> DiffSymbol that the call fills, so each symbol is built
-    once however many pieces and polynomials it stands in; a caller that
-    builds symbols of its own passes the table it built them in."""
+    {0: c} (JET).  A piece's code is the symbol's var bits plus the rank of
+    beta + u, listed once per rank of beta."""
     field = fs[0].field
-    if mode is DerivationMode.JET:
-        zero = zero_index(field.derivation_count)
+    p, n = field.characteristic, field.derivation_count
+    zero = zero_index(n)
+    coeff_table = derivatives if mode is DerivationMode.PROLONGATION else lambda c: {zero: c}
+    shifts: dict = {}  # rank of beta -> [(u, count, rank of beta + u)], one list for every var
 
-        def coeff_table(c):
-            return {zero: c}
-
-    else:
-        coeff_table = derivatives
-
-    p = field.characteristic
-    if symbols is None:
-        symbols = {}
-    shifts: dict = {}  # beta -> [(u, n, beta + u)], one list for all the symbols of order beta
-
-    def pieces(sym: DiffSymbol) -> dict:
-        # d_u(x^(beta)) = comp_count(u, beta) * x^(beta+u), kept where the
-        # count n does not vanish in the field
-        beta = sym.order
-        row = shifts.get(beta)
+    def pieces(code: int) -> dict:
+        # d_u(x^(beta)) = comp_count(u, beta) * x^(beta+u), where the count does not vanish
+        rank = code & _RANK_MASK
+        row = shifts.get(rank)
         if row is None:
-            row = shifts[beta] = []
+            beta = graded_lex_unrank(rank, n)
+            row = shifts[rank] = []
             for u in indices:
-                n = comp_count(u, beta)
-                if not p or n % p:
-                    row.append((u, n, index_add(beta, u)))
-        out = {}
-        for u, n, order in row:
-            k = (sym.var, order)
-            y = symbols.get(k)
-            if y is None:
-                y = symbols[k] = DiffSymbol(*k)
-            out[u] = (n, y)
-        return out
+                count = comp_count(u, beta)
+                if not p or count % p:
+                    row.append((u, count, _rank(index_add(beta, u))))
+        return {u: (count, code - rank + r) for u, count, r in row}
 
     return termdict.leibniz(fs, key, collect, coeff_table, pieces, DiffPoly)
 
@@ -185,18 +194,15 @@ def derive_upto(f: DiffPoly, m: int, mode: DerivationMode) -> dict[tuple, DiffPo
     return derive_each((f,), m, mode)[0]
 
 
-def derive_each(
-    fs: Sequence[DiffPoly], m: int, mode: DerivationMode, symbols: dict | None = None
-) -> list[dict[tuple, DiffPoly]]:
+def derive_each(fs: Sequence[DiffPoly], m: int, mode: DerivationMode) -> list[dict[tuple, DiffPoly]]:
     """derive_upto(f, m, mode) for each f of fs, polynomials over one field, in
-    one truncated Leibniz pass: the symbols, their pieces and the powers of
-    the pieces are built once for all of fs.  ``symbols``, if given, is the
-    table (var, order) -> DiffSymbol the pieces take their symbols from."""
+    one truncated Leibniz pass: each symbol's pieces are built once for all
+    of fs."""
     if not fs:
         return []
     alphas = enumerate_multiindices(fs[0].field.derivation_count, m)
     # hasse_table is read from the module at call time, where a test may patch it
-    return _fold(fs, mode, termdict.size_key(m), alphas, alphas, lambda c: hasse_table(c, m), symbols)
+    return _fold(fs, mode, termdict.size_key(m), alphas, alphas, lambda c: hasse_table(c, m))
 
 
 def taylor_oracle(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly:
@@ -224,12 +230,19 @@ def taylor_oracle(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> Di
 
     total = TruncatedElement.zero(bound, n)
     gammas = indices_below(alpha)
+    # a code's order is read off the canonical enumeration, not graded_lex_unrank as in the fold
+    top, size = max((var_rank(code)[1] for mono in f.terms for code in mono), default=0), 0
+    while math.comb(n + size, n) <= top:
+        size += 1
+    orders = enumerate_multiindices(n, size)
     for mono, coeff in f.terms.items():
         if mode is DerivationMode.JET:
             acc = TruncatedElement.constant(DiffPoly.const(field, coeff), bound, n)
         else:
             acc = below_alpha(twist_expand(coeff, bound)).map_coeffs(lambda b: DiffPoly.const(field, b))
-        for sym, e in mono:
+        for code, e in termdict.runs(mono):
+            var, rank = var_rank(code)
+            sym = DiffSymbol(var, orders[rank])
             expansion = TruncatedElement(
                 {
                     g: DiffPoly.from_symbol(field, shifted, coeff=c)

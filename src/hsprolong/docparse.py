@@ -44,7 +44,9 @@ the expression becomes a DiffPoly or a point coordinate.  Each monomial
 keeps its own denominator, so the denominators of other terms never enter
 its gcd.  A quotient is zero exactly when its numerator is, so the zero
 tests behind "division by zero" and "variety variable in a denominator" read
-the unreduced values, at the divisor that fails them.
+the unreduced values, at the divisor that fails them.  A variable exponent
+past ``DiffPoly.MAX_EXPONENT`` is reported at the factor that passes it, or
+at its term's first token when a parenthesized power does.
 """
 
 from __future__ import annotations
@@ -188,7 +190,7 @@ class _Parser:
         self.field = field
         self.var_names = var_names
         zero = zero_index(field.derivation_count)
-        self.syms = tuple([DiffSymbol(i, zero) for i in range(len(var_names))])
+        self.codes = tuple([DiffSymbol(i, zero).code for i in range(len(var_names))])
         self.origin = (0,) * len(var_names)
         self.param_count = field.param_count
         self.one = ParamPoly.const(field, 1)
@@ -341,10 +343,10 @@ class _Parser:
     def diffpoly(self, terms: dict) -> DiffPoly:
         """The DiffPoly of a parsed expression: one normalization per term."""
         one = self.one
-        syms = self.syms
+        codes = self.codes  # ascending, so each key below is sorted
         return DiffPoly._of(
             self.field,
-            {tuple([(sym, k) for sym, k in zip(syms, e) if k]): c.normalize(one) for e, c in terms.items()},
+            {tuple([code for code, k in zip(codes, e) for _ in range(k)]): c.normalize(one) for e, c in terms.items()},
         )
 
     def parse_poly(self) -> dict:
@@ -380,7 +382,8 @@ class _Parser:
         num = den = None  # what the parenthesized divisors contribute; None is 1
         op = -1  # the index of the "/" before the factor; -1 before a "*" or the first
         inverted = False  # whether a parameter was divided by
-        i = self.pos
+        bound = DiffPoly.MAX_EXPONENT
+        start = i = self.pos
         while True:
             tok = toks[i]
             name = names.get(tok)
@@ -416,6 +419,8 @@ class _Parser:
                         pexp[j] += k
                 elif not divide:
                     vexp[j] += k
+                    if vexp[j] > bound:
+                        raise self.exponent_error(vexp, i - 1)
                 elif k:
                     raise self.error("variety variable in a denominator", op)
             elif tok != "(":
@@ -476,7 +481,15 @@ class _Parser:
             _add_term(acc, tuple(vexp), _Fraction(num, den))
         else:
             for e, c in product.items():
-                _add_term(acc, termdict.exp_add(e, vexp), _Fraction(c.num * num, _times(c.den, den)))
+                e = termdict.exp_add(e, vexp)
+                if max(e, default=0) > bound:
+                    raise self.exponent_error(e, start)
+                _add_term(acc, e, _Fraction(c.num * num, _times(c.den, den)))
+
+    def exponent_error(self, e: Sequence[int], i: int) -> ParseError:
+        """The diagnostic at token i for the largest of the variable exponents e."""
+        j = e.index(max(e))
+        return self.error(f"exponent {e[j]} of {self.var_names[j]!r} is above {DiffPoly.MAX_EXPONENT}", i)
 
 
 def parse_document(text: str) -> InputDocument:

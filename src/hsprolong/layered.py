@@ -19,22 +19,20 @@ The checks that compare these maps live in ``hsprolong.checks``.
 
 None of phi, psi and theta takes a symbolic product.  Each is one
 ``termdict.integer_map`` call: phi and psi send a symbol to an integer
-combination of symbols, theta sends it to one symbol, and the map expands
-each monomial's image over the integers and multiplies the base coefficient
-in last.  ``layered_expand_each`` and ``outer_derive``, the other route of
-the claims and theta relations that the checks compare, run the same Leibniz
-fold with indices kept and with derivatives of the base coefficients, and
-they build their symbol pieces on their own.  ``layered_expand_each``
-expands one polynomial at a whole list of indices (i, j) in one fold,
-truncated to their down-closure, and ``layered_expand`` is its one-index
-case.  Over two PROLONGATION layers it reads D_a D_b c off one table as
-C(a+b, a) D_{a+b} c, by iterativity, while ``outer_derive`` applies D_l to
-coefficients that already carry D_b: so the claims' two sides take the base
-derivatives by two routes, iterated on one side and nested on the other.
+combination of symbols, theta sends it to one symbol.  ``layered_expand_each``
+and ``outer_derive``, the other route of the claims and theta relations,
+run the same Leibniz fold with indices kept and with derivatives of the base
+coefficients.  Over two PROLONGATION layers ``layered_expand_each`` reads
+D_a D_b c off one table as C(a+b, a) D_{a+b} c, by iterativity, while
+``outer_derive`` applies D_l to coefficients that already carry D_b: so the
+claims' two sides take the base derivatives by two routes.
 
-LayeredSymbol is a light value object like DiffSymbol: a ``__slots__`` class,
-immutable by convention, with its hash and sort_key stored once, and equal
-only to a LayeredSymbol with the same fields.
+LayeredSymbol is a light value object like DiffSymbol, with its hash,
+sort_key and code stored once.  Its code packs (var, outer + inner, outer,
+kind) as sort_key orders them, a 32-bit field per order and one bit for the
+kind, jet before prolong; an order past its field raises ValueError.  Every
+map here reads and writes codes (``_fields``, ``_code``), and a
+LayeredSymbol is built only at the API boundary.
 """
 
 from __future__ import annotations
@@ -45,7 +43,7 @@ from typing import Mapping, Sequence
 from . import termdict
 from .basefield import BaseElem, _hasse_values
 from .fields import FieldDescriptor
-from .diffpoly import DerivationMode, DiffPoly
+from .diffpoly import DerivationMode, DiffPoly, var_rank
 from .multiindex import indices_below
 from .series import twist_expand
 from .sparsepoly import SparsePoly
@@ -56,16 +54,31 @@ class TruncationOverflow(ValueError):
 
 
 _KIND_MARK = {DerivationMode.PROLONGATION: "del", DerivationMode.JET: "pd"}
+# the kind bit of a code: jet before prolong, as sort_key's "jet" < "prolong"
+_KINDS = (DerivationMode.JET, DerivationMode.PROLONGATION)
+_BITS = 32
+_MASK = (1 << _BITS) - 1
+
+
+def _code(var: int, outer: int, inner: int, kind: DerivationMode) -> int:
+    """The code of d_outer X_inner x_var, X the inner kind."""
+    total = outer + inner
+    if outer < 0 or inner < 0 or total > _MASK:
+        raise ValueError(f"orders ({outer}, {inner}) are past the {_BITS}-bit fields of a symbol code")
+    return ((var << _BITS | total) << _BITS | outer) << 1 | (kind is DerivationMode.PROLONGATION)
+
+
+def _fields(code: int) -> tuple:
+    """(var, outer, inner, kind) of a code, by arithmetic."""
+    outer = code >> 1 & _MASK
+    return code >> 2 * _BITS + 1, outer, (code >> _BITS + 1 & _MASK) - outer, _KINDS[code & 1]
 
 
 class LayeredSymbol:
-    """d_i del_j x or d_i pd_j x: outer order i, inner order j.
+    """d_i del_j x or d_i pd_j x: outer order i, inner order j.  A value object
+    like DiffSymbol: equal only to a LayeredSymbol with the same fields."""
 
-    A value object like DiffSymbol: immutable by convention, equal only to a
-    LayeredSymbol with the same fields, its hash and sort_key computed once.
-    """
-
-    __slots__ = ("var", "outer", "inner", "inner_kind", "_hash", "sort_key")
+    __slots__ = ("var", "outer", "inner", "inner_kind", "_hash", "sort_key", "code")
 
     def __init__(self, var: int, outer: int, inner: int, inner_kind: DerivationMode):
         self.var = var
@@ -74,23 +87,30 @@ class LayeredSymbol:
         self.inner_kind = inner_kind
         self._hash = hash((var, outer, inner, inner_kind))
         self.sort_key = (var, outer + inner, outer, inner_kind.value)
+        self.code = _code(var, outer, inner, inner_kind)
+
+    @staticmethod
+    def decode(code: int, n: int) -> "LayeredSymbol":
+        return LayeredSymbol(*_fields(code))
+
+    @staticmethod
+    def code_text(code: int, n: int, names: Sequence[str] | None = None) -> str:
+        var, outer, inner, kind = _fields(code)
+        return f"d{outer}{_KIND_MARK[kind]}{inner}{names[var] if names is not None else f'x{var}'}"
+
+    def fits(self, field: FieldDescriptor) -> bool:
+        return True
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not LayeredSymbol:
             return NotImplemented
-        return (
-            self.var == other.var
-            and self.outer == other.outer
-            and self.inner == other.inner
-            and self.inner_kind is other.inner_kind
-        )
+        return self.code == other.code  # the code is the fields, packed
 
     def __hash__(self) -> int:
         return self._hash
 
     def render(self, names: Sequence[str] | None = None) -> str:
-        name = names[self.var] if names is not None else f"x{self.var}"
-        return f"d{self.outer}{_KIND_MARK[self.inner_kind]}{self.inner}{name}"
+        return self.code_text(self.code, 1, names)
 
     def __repr__(self) -> str:
         return self.render()
@@ -98,6 +118,8 @@ class LayeredSymbol:
 
 class LayeredPoly(SparsePoly):
     """Sparse polynomial in LayeredSymbols over the base field."""
+
+    symbol = LayeredSymbol
 
     @classmethod
     def generator(
@@ -154,10 +176,11 @@ def layered_expand_each(
             return {(0, b): d for b, d in enumerate(_d_table(inner_depth, c))}
         return {(0, 0): c}
 
-    def pieces(sym) -> dict:
-        if any(sym.order):
+    def pieces(code: int) -> dict:
+        var, rank = var_rank(code)
+        if rank:
             raise ValueError("layered expansion requires order-0 symbols")
-        return {(u, v): (1, LayeredSymbol(sym.var, u, v, inner)) for u, v in closure}
+        return {(u, v): (1, _code(var, u, v, inner)) for u, v in closure}
 
     collect = list(dict.fromkeys(tops))
     key = termdict.closure_key(closure)
@@ -181,9 +204,15 @@ def layered_expand(
     return layered_expand_each((top,), h, outer, inner)[top]
 
 
-def _check_outer(order: int, bound: int) -> None:
-    if order > bound:
-        raise TruncationOverflow(f"outer order {order} exceeds bound {bound}")
+def _outer_shifts(outer: int, top: int, char: int, bound: int):
+    """(k, C(outer + k, k)) for each k <= top whose binomial does not vanish in
+    the field; only such a k makes a symbol, so only it can pass the bound."""
+    for k in range(top + 1):
+        n = math.comb(outer + k, k)
+        if not char or n % char:
+            if outer + k > bound:
+                raise TruncationOverflow(f"outer order {outer + k} exceeds bound {bound}")
+            yield k, n
 
 
 def outer_derive(l: int, p: LayeredPoly, bound: int) -> LayeredPoly:
@@ -193,15 +222,9 @@ def outer_derive(l: int, p: LayeredPoly, bound: int) -> LayeredPoly:
     def coeff_table(c: BaseElem) -> dict:
         return {(u,): d for u, d in enumerate(_d_table(l, c))}
 
-    def pieces(sym: LayeredSymbol) -> dict:
-        # a count that vanishes in the field makes no symbol, so it cannot overflow
-        out = {}
-        for w in range(l + 1):
-            n = math.comb(sym.outer + w, w)
-            if not char or n % char:
-                _check_outer(sym.outer + w, bound)
-                out[(w,)] = (n, LayeredSymbol(sym.var, sym.outer + w, sym.inner, sym.inner_kind))
-        return out
+    def pieces(code: int) -> dict:
+        var, outer, inner, kind = _fields(code)
+        return {(w,): (n, _code(var, outer + w, inner, kind)) for w, n in _outer_shifts(outer, l, char, bound)}
 
     top = (l,)
     return termdict.leibniz((p,), termdict.box_key(top), (top,), coeff_table, pieces, LayeredPoly)[0][top]
@@ -220,17 +243,12 @@ def _phi_psi(p: LayeredPoly, bound: int, sign: int, target: DerivationMode) -> L
     """
     char = p.field.characteristic
 
-    def pieces(sym: LayeredSymbol) -> dict:
-        if sym.inner_kind is target:
+    def pieces(code: int) -> dict:
+        var, outer, inner, kind = _fields(code)
+        if kind is target:
             raise ValueError(f"expected no symbols with a {target.value} inner layer")
-        # a binomial that vanishes in the field makes no symbol, so it cannot overflow
-        out = {}
-        for k in range(sym.inner + 1):
-            n = math.comb(sym.outer + k, k)
-            if not char or n % char:
-                _check_outer(sym.outer + k, bound)
-                out[(k,)] = (sign**k * n, LayeredSymbol(sym.var, sym.outer + k, sym.inner - k, target))
-        return out
+        shifts = _outer_shifts(outer, inner, char, bound)
+        return {(k,): (sign**k * n, _code(var, outer + k, inner - k, target)) for k, n in shifts}
 
     return termdict.integer_map(p, pieces, LayeredPoly)
 
@@ -257,10 +275,11 @@ def theta(p: LayeredPoly) -> LayeredPoly:
     monomial keeps its coefficient, with no product and no sum.
     """
 
-    def pieces(sym: LayeredSymbol) -> dict:
-        if sym.inner_kind is not DerivationMode.PROLONGATION:
+    def pieces(code: int) -> dict:
+        var, outer, inner, kind = _fields(code)
+        if kind is not DerivationMode.PROLONGATION:
             raise ValueError("theta expects jet-of-prolongation symbols")
-        return {(): (1, LayeredSymbol(sym.var, sym.inner, sym.outer, DerivationMode.JET))}
+        return {(): (1, _code(var, inner, outer, DerivationMode.JET))}
 
     return termdict.integer_map(p, pieces, LayeredPoly)
 

@@ -9,6 +9,7 @@ n = 2 the order starts (0,0), (1,0), (0,1), (2,0), (1,1), (0,2).
 from __future__ import annotations
 
 import itertools
+import math
 from operator import neg, sub
 from typing import Iterator, Sequence
 
@@ -53,6 +54,30 @@ def index_leq(alpha: Sequence[int], beta: Sequence[int]) -> bool:
 def graded_lex_key(alpha: Sequence[int]) -> tuple:
     """Sort key realizing the canonical graded-lex order."""
     return (sum(alpha), tuple(map(neg, alpha)))
+
+
+def graded_lex_rank(alpha: Sequence[int]) -> int:
+    """The position of alpha in the canonical order of its length, by the
+    combinatorial number system: the sum over j of C(t_j + j - 1, j), t_j the
+    sum of the last j entries.  For n = 1 it is alpha[0]."""
+    rank = tail = 0
+    for j, a in enumerate(reversed(alpha), 1):
+        tail += a
+        rank += math.comb(tail + j - 1, j)
+    return rank
+
+
+def graded_lex_unrank(rank: int, n: int) -> tuple[int, ...]:
+    """The multi-index of length n at ``rank``, the inverse of graded_lex_rank:
+    greedily, the largest c with C(c, j) <= rank, for j = n down to 1."""
+    tails = []
+    for j in range(n, 0, -1):
+        c = j - 1
+        while math.comb(c + 1, j) <= rank:
+            c += 1
+        rank -= math.comb(c, j)
+        tails.append(c - j + 1)
+    return tuple(map(sub, tails, tails[1:] + [0]))
 
 
 def _compositions(n: int, s: int) -> Iterator[tuple[int, ...]]:

@@ -9,19 +9,16 @@ Leibniz cofactor witnesses for membership of d_alpha(h f) in the derived
 ideal.
 
 Every order at once, in one pass: prolong_presentation and lift_morphism
-expand all their generators or images in one truncated Leibniz pass
-(derive_each), which yields d_alpha f for all |alpha| <= m and every f
-together.  Each builds the symbols x_i^(alpha) once, in one table that the
-pass takes its pieces from, so a symbol is one object in the symbol list,
-the lift's keys and every generator.  nabla takes each coordinate's
-derivatives D_alpha(a_i), |alpha| <= m, from one quotient-rule table
-(hasse_table).
+expand all their generators or images in one truncated Leibniz pass on
+symbol codes (derive_each), so each builds only the DiffSymbols it returns:
+the symbol list, or the lift's keys.  Generators are validated on their
+codes.  nabla takes each coordinate's derivatives D_alpha(a_i), |alpha| <= m,
+from one quotient-rule table (hasse_table).
 
-Text: an order-m presentation writes every d_alpha f_j, so the same table
-entries D_gamma(c) and symbols x_i^(alpha) stand beside many monomials.
-render_presentation and presentation_to_json write all the generators in one
-sparsepoly.render_polys call, whose table, alive for that call only, writes
-each of them once; the symbol lines are written into that table first.
+Text: render_presentation and presentation_to_json write the symbol lines
+into a table keyed by code, then all the generators in one
+sparsepoly.render_polys call that reads it, so each symbol and each
+D_gamma(c) is written once.
 """
 
 from __future__ import annotations
@@ -37,7 +34,7 @@ from .multiindex import (
     splittings,
     zero_index,
 )
-from .diffpoly import DerivationMode, DiffPoly, DiffSymbol, apply_d, derive_each
+from .diffpoly import DerivationMode, DiffPoly, DiffSymbol, apply_d, derive_each, var_rank
 from .sparsepoly import render_polys
 
 
@@ -63,12 +60,11 @@ class VarietyPresentation:
     generators: list[DiffPoly] = dc_field(default_factory=list)
 
     def __post_init__(self) -> None:
-        n = self.field.derivation_count
         for j, g in enumerate(self.generators):
-            for sym in g.symbols():
-                if sym.var >= self.var_count:
-                    raise ValueError(f"generator #{j} uses undeclared variable index {sym.var}")
-                if any(sym.order) or len(sym.order) != n:
+            for var, rank in map(var_rank, {code for mono in g.terms for code in mono}):
+                if var >= self.var_count:
+                    raise ValueError(f"generator #{j} uses undeclared variable index {var}")
+                if rank:
                     raise ValueError(f"generator #{j} must only use order-0 symbols")
 
     def point_assignment(self, point: Mapping[int, BaseElem]) -> dict[DiffSymbol, BaseElem]:
@@ -101,11 +97,10 @@ def prolong_presentation(
 ) -> ProlongationPresentation:
     """Generators d_alpha f_j for all |alpha| <= m, in graded-lex order."""
     alphas = enumerate_multiindices(variety.field.derivation_count, m)
-    # every symbol of the presentation, built once: the fold's pieces are these
-    table = {(i, a): DiffSymbol(i, a) for i in range(variety.var_count) for a in alphas}
-    tables = derive_each(variety.generators, m, mode, table)
+    symbols = [DiffSymbol(i, a) for i in range(variety.var_count) for a in alphas]
+    tables = derive_each(variety.generators, m, mode)
     generators = [t[alpha] for alpha in alphas for t in tables]
-    return ProlongationPresentation(variety, m, mode, list(table.values()), generators)
+    return ProlongationPresentation(variety, m, mode, symbols, generators)
 
 
 def nabla(
@@ -144,18 +139,12 @@ def lift_morphism(
     """Lift y_j -> f_j(x) to prolongations: d_alpha y_j -> d_alpha f_j."""
     if not images:
         return {}
-    some = next(iter(images.values()))
-    n = some.field.derivation_count
     for j, f in images.items():
-        for sym in f.symbols():
-            if any(sym.order):
-                raise ValueError(f"morphism image for variable {j} must be order-0")
-    alphas = enumerate_multiindices(n, m)
-    # the lifted symbols d_alpha y_j, built once; a DiffSymbol is a value, so
-    # the fold's piece x_j^(alpha) is the same object
-    table = {(j, a): DiffSymbol(j, a) for a in alphas for j in images}
-    tables = derive_each(list(images.values()), m, mode, table)
-    return {table[j, alpha]: t[alpha] for alpha in alphas for j, t in zip(images, tables)}
+        if any(var_rank(code)[1] for mono in f.terms for code in mono):
+            raise ValueError(f"morphism image for variable {j} must be order-0")
+    alphas = enumerate_multiindices(next(iter(images.values())).field.derivation_count, m)
+    tables = derive_each(list(images.values()), m, mode)
+    return {DiffSymbol(j, alpha): t[alpha] for alpha in alphas for j, t in zip(images, tables)}
 
 
 def apply_lift(lift: Mapping[DiffSymbol, DiffPoly], g: DiffPoly) -> DiffPoly:
@@ -230,18 +219,10 @@ def base_change_elem(a: BaseElem, dst: FieldDescriptor) -> BaseElem:
 
 
 def base_change_poly(f: DiffPoly, dst: FieldDescriptor) -> DiffPoly:
-    """Reinterpret coefficients in the extension field, keeping symbols."""
-    n_src = f.field.derivation_count
-    n_dst = dst.derivation_count
-    out = {}
-    for mono, coeff in f.terms.items():
-        if n_src == n_dst:
-            nm = mono
-        else:
-            # only a trivial source can change derivation count; orders are all 0
-            nm = tuple((DiffSymbol(s.var, zero_index(n_dst)), e) for s, e in mono)
-        out[nm] = base_change_elem(coeff, dst)
-    return DiffPoly(out, dst)
+    """Reinterpret coefficients in the extension field, keeping symbols: only a
+    trivial source can change the derivation count, its orders are all 0, and
+    an order-0 code is the same for every count."""
+    return DiffPoly._of(dst, {mono: base_change_elem(coeff, dst) for mono, coeff in f.terms.items()})
 
 
 def base_change(variety: VarietyPresentation, dst: FieldDescriptor) -> VarietyPresentation:
@@ -257,8 +238,8 @@ def base_change(variety: VarietyPresentation, dst: FieldDescriptor) -> VarietyPr
 def _texts(pres: ProlongationPresentation, names: Sequence[str] | None) -> tuple[list[str], list[str]]:
     """The texts of the symbols and of the generators, each symbol written once
     for both."""
-    symbol_text = {s: s.render(names) for s in pres.symbols}
-    return [symbol_text[s] for s in pres.symbols], render_polys(pres.generators, names, symbol_text)
+    symbol_text = {s.code: s.render(names) for s in pres.symbols}
+    return [symbol_text[s.code] for s in pres.symbols], render_polys(pres.generators, names, symbol_text)
 
 
 def render_presentation(

@@ -4,12 +4,11 @@ Everything takes an explicit random.Random so identical seeds reproduce
 identical streams; checks never touch global randomness.
 
 A random polynomial is one term dict per draw: each term's monomial is the
-product of its drawn factors (``monomial_mul``), the drawn (monomial,
-coefficient) pairs are summed by ``termdict.add``, and the result is built by
-one public constructor call, which reduces mod p and drops zeros.  The
-generator calls come in the order that a chain of ring products and sums
-would make them, so each draw is the value of that chain.  A rational
-function still takes its one ``BaseElem(num, den)`` normalization.
+product of its drawn factors' codes (``monomial_mul``), and ``termdict.add``
+sums the drawn (monomial, coefficient) pairs and drops zeros.  The generator
+calls come in the order that a chain of ring products and sums would make
+them, so each draw is the value of that chain.  A rational function still
+takes its one ``BaseElem(num, den)`` normalization.
 """
 
 from __future__ import annotations
@@ -97,10 +96,10 @@ def random_sparse_poly(
         c = random_base_elem(rng, field, max_deg=1, max_terms=2)
         mono = ()
         for _ in range(rng.randint(0, max_factors)):
-            mono = monomial_mul(mono, ((symbol(), 1),))
+            mono = monomial_mul(mono, (symbol().code,))
         return mono, c
 
-    return cls(termdict.add({}, (term() for _ in range(rng.randint(1, max_terms)))), field)
+    return cls._of(field, termdict.add({}, (term() for _ in range(rng.randint(1, max_terms)))))
 
 
 def random_diffpoly(

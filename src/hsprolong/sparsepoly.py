@@ -1,24 +1,22 @@
-"""Sparse polynomials in opaque symbols with rational-function coefficients.
+"""Sparse polynomials in symbol codes with rational-function coefficients.
 
-A monomial is a tuple of (symbol, exponent) pairs with exponents >= 1, kept
-sorted by the symbol's ``sort_key``; terms map monomials to nonzero BaseElem
-coefficients.  Symbols are value objects that only need ``sort_key``,
-``render(names)`` and value equality with a stored hash, so the same
-machinery carries both the differential symbols x_i^(alpha) and the
-two-layer symbols of the isomorphism checks.
+Each ring names its symbol class, ``symbol`` (DiffSymbol, LayeredSymbol): a
+value object whose integer ``code`` sorts as its ``sort_key`` does.  Inside
+the ring a symbol is only its code: a monomial is the sorted tuple of its
+factors' codes with repetition, x0^2*x1 is (c0, c0, c1), and terms map
+monomials to nonzero BaseElem coefficients, so no ring operation ranks or
+hashes a symbol object.  Symbols are built only at the API boundary: the
+public constructor encodes (symbol, exponent) pairs, ``symbols`` and
+``substitute`` decode each distinct code once (``symbol.decode(code, n)``, n
+the derivation count), and ``evaluate`` reads its assignment by code.
 
 Canonical term order for rendering: descending total degree, then ascending
-factor sequence, which yields e.g. ``x^2 - s`` and ``x*d2y + d1x*d1y + d2x*y``.
-The rules that write a term sum (power product, coefficient beside it, sign
-join) live in termdict; each BaseElem coefficient gives the head it writes
-before its monomial with ``render_head``.
-
-``render_polys`` is the one text route: it writes a sequence of polynomials
-with a table that lives for that call only, so each symbol's text, each
-factor x^e's sort key and text (termdict's one-factor rule) and each
-coefficient's head is written once however many monomials they stand beside
-(a presentation writes the same D_gamma(c) and x_i^(alpha) again and again
-across its generators d_alpha f_j).  ``SparsePoly.render`` is its
+(code, exponent) sequence, which yields e.g. ``x^2 - s`` and
+``x*d2y + d1x*d1y + d2x*y``.  ``render_polys`` is the one text route, with
+termdict's rules: it writes a sequence of polynomials with a table that lives
+for that call only, so each code's text (``symbol.code_text``, written from
+the code) and each coefficient's head (``render_head``) is written once
+however many terms they stand in.  ``SparsePoly.render`` is its
 one-polynomial case.
 """
 
@@ -32,47 +30,61 @@ from . import termdict
 from .basefield import BaseElem
 from .fields import FieldDescriptor
 
-Monomial = tuple[tuple[object, int], ...]
 
-
-def monomial_mul(a, b):
+def monomial_mul(a: tuple, b: tuple) -> tuple:
     if not a:
         return b
     if not b:
         return a
-    exps = dict(a)
-    for sym, e in b:
-        exps[sym] = exps.get(sym, 0) + e
-    return tuple(sorted(exps.items(), key=lambda p: p[0].sort_key))
+    return tuple(sorted(a + b))
 
 
 class SparsePoly(termdict.Ring):
     """Base class; instantiate through a concrete subclass."""
 
     __slots__ = ("terms", "field")
+    symbol: type  # the symbol class, set by each concrete ring
+    MAX_EXPONENT = 1000  # a key holds one code per unit of exponent: bound an exponent from outside
 
     def __init__(self, terms: Mapping, field: FieldDescriptor):
-        self.terms = {m: c for m, c in terms.items() if c}
+        """The polynomial on {monomial: coefficient}, a monomial a stored key or
+        (symbol, exponent) pairs in any order; equal monomials are summed."""
+        self.terms = termdict.add({}, ((self._key(m, field), c) for m, c in terms.items()))
         self.field = field
+
+    @classmethod
+    def _key(cls, mono, field: FieldDescriptor) -> tuple:
+        codes = []
+        for factor in mono:
+            if type(factor) is int:
+                codes.append(factor)
+                continue
+            sym, e = factor
+            if sym.__class__ is not cls.symbol or not sym.fits(field) or type(e) is not int or e < 0:
+                raise ValueError(f"{sym!r}^{e!r} is not a power of a symbol of a {cls.__name__} over this field")
+            if e > cls.MAX_EXPONENT:
+                raise ValueError(f"exponent {e} of {sym!r} is above {cls.MAX_EXPONENT}")
+            codes += [sym.code] * e
+        return tuple(sorted(codes))
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, field: FieldDescriptor):
-        return cls({}, field)
+        return cls._of(field, {})
 
     @classmethod
     def const(cls, field: FieldDescriptor, value: Union[BaseElem, int, Fraction]):
         if not isinstance(value, BaseElem):
             value = BaseElem.const(field, value)
-        return cls({(): value}, field)
+        return cls._of(field, {(): value} if value else {})
 
     @classmethod
     def from_symbol(cls, field: FieldDescriptor, sym, coeff=None):
         c = coeff if coeff is not None else BaseElem.one(field)
         if not isinstance(c, BaseElem):
             c = BaseElem.const(field, c)
-        return cls({((sym, 1),): c}, field)
+        return cls._of(field, {cls._key(((sym, 1),), field): c} if c else {})
 
     @classmethod
     def _of(cls, field: FieldDescriptor, terms: dict):
@@ -133,6 +145,8 @@ class SparsePoly(termdict.Ring):
     def __pow__(self, k: int):
         if k < 0:
             raise ValueError("negative power of a symbolic polynomial")
+        if k > 1 and k * max((e for m in self.terms for _, e in termdict.runs(m)), default=0) > self.MAX_EXPONENT:
+            raise ValueError(f"the power {k} takes an exponent above {self.MAX_EXPONENT}")
         return termdict.power(self, k, self.const(self.field, 1))
 
     def scale(self, c):
@@ -143,36 +157,44 @@ class SparsePoly(termdict.Ring):
     # -- structure queries ----------------------------------------------------
 
     def symbols(self) -> set:
-        return {sym for m in self.terms for sym, _ in m}
+        n = self.field.derivation_count
+        return {self.symbol.decode(code, n) for code in {code for m in self.terms for code in m}}
 
     def constant_term(self) -> BaseElem:
         return self.terms.get((), BaseElem.zero(self.field))
 
     def evaluate(self, assignment: Mapping) -> BaseElem:
+        """The value under {symbol: value}, read by code; another ring's symbol assigns nothing."""
+        symbol, field = self.symbol, self.field
+        values = {s.code: v for s, v in assignment.items() if s.__class__ is symbol and s.fits(field)}
         total = BaseElem.zero(self.field)
         for mono, coeff in self.terms.items():
             v = coeff
-            for sym, e in mono:
-                if sym not in assignment:
-                    raise ValueError(f"unassigned symbol {sym}")
-                v = v * assignment[sym] ** e
+            for code in mono:
+                x = values.get(code)
+                if x is None:
+                    raise ValueError(f"unassigned symbol {self.symbol.decode(code, self.field.derivation_count)}")
+                v = v * x
             total = total + v
         return total
 
     def substitute(self, image: Callable):
         """Replace every symbol by image(symbol), a polynomial of this class.
 
-        Each power image(sym) ** e is built once per call, in a table that
-        lives only as long as the call.
+        Each code is decoded and each power image(symbol) ** e built once per
+        call, in tables that live only as long as the call.
         """
+        n = self.field.derivation_count
+        symbols: dict = {}
         powers: dict = {}
         out = self.zero(self.field)
         for mono, coeff in self.terms.items():
             v = self.const(self.field, coeff)
-            for factor in mono:
+            for factor in termdict.runs(mono):
                 power = powers.get(factor)
                 if power is None:
-                    sym, e = factor
+                    code, e = factor
+                    sym = symbols.get(code) or symbols.setdefault(code, self.symbol.decode(code, n))
                     power = powers[factor] = image(sym) ** e
                 v = v * power
             out = out + v
@@ -194,26 +216,23 @@ def render_polys(
 ) -> list[str]:
     """The text of each polynomial, its symbols written under names.
 
-    One table for the call gives each symbol's text, each (symbol, exponent)
-    factor's sort key and text, and each coefficient's head, so a symbol, a
-    power of it or a coefficient that stands beside many monomials is written
-    once.  A caller that writes symbols of its own passes their texts under
-    the same names as symbol_text, which the call reads and fills.  Terms are
-    sorted on (-degree, factor sort keys), the canonical order above.
-    Coefficients are keyed by identity, which is sound only while each of
-    them lives: the call holds every polynomial until it returns, and the
-    table ends with it.
+    One table for the call writes each code's text and each coefficient's
+    head once; a caller that writes symbols of its own passes their texts
+    under the same names as symbol_text, {code: text}, which the call reads
+    and fills.  Terms are sorted on (-degree, (code, exponent) pairs).
+    Coefficients are keyed by identity, sound while the call holds them all.
     """
     polys = tuple(polys)
-    if symbol_text is None:
-        symbol_text = {}
-    factors: dict = {}  # (symbol, exponent) -> (sort key, text)
+    if not polys:
+        return []
+    symbol_text = {} if symbol_text is None else symbol_text
+    n = polys[0].field.derivation_count
+    code_text = polys[0].symbol.code_text
     heads: dict[int, str] = {}
+    get = symbol_text.get
 
-    def factor(pair: tuple) -> tuple:
-        sym, e = pair
-        text = symbol_text.get(sym) or symbol_text.setdefault(sym, sym.render(names))
-        return factors.setdefault(pair, ((sym.sort_key, e), termdict.render_power(text, e)))
+    def write(code: int) -> str:
+        return symbol_text.setdefault(code, code_text(code, n, names))
 
     out = []
     for f in polys:
@@ -222,14 +241,10 @@ def render_polys(
             if not mono:
                 rows.append(((0, ()), c.render()))
                 continue
-            degree, keys, texts = 0, [], []
-            for pair in mono:
-                k, text = factors.get(pair) or factor(pair)
-                degree += pair[1]
-                keys.append(k)
-                texts.append(text)
+            pairs = termdict.runs(mono)
+            text = "*".join([termdict.render_power(get(code) or write(code), e) for code, e in pairs])
             head = heads.get(id(c)) or heads.setdefault(id(c), c.render_head())
-            rows.append(((-degree, tuple(keys)), termdict.render_product(head, "*".join(texts))))
+            rows.append(((-len(mono), pairs), termdict.render_product(head, text)))
         rows.sort(key=itemgetter(0))
         out.append(termdict.render_sum([text for _, text in rows]))
     return out

@@ -1,10 +1,9 @@
 """Sparse term-dict arithmetic shared by every ring, and the Leibniz fold on it.
 
-A term dict maps keys to nonzero coefficients.  The keys are exponent tuples
-in ParamPoly, symbol monomials in SparsePoly and multi-indices in
-TruncatedElement; each ring passes its own key product to ``mul``.  A key
-product returns None for a product that falls outside a truncation, and that
-term is dropped.
+A term dict maps keys to nonzero coefficients: exponent tuples in ParamPoly,
+sorted tuples of symbol codes in SparsePoly, multi-indices in
+TruncatedElement.  Each ring passes its own key product to ``mul``; a key
+product returns None for a product outside a truncation, which is dropped.
 
 ``leibniz`` is the one expansion engine behind ``apply_d``,
 ``layered_expand_each``, ``outer_derive`` and ``derive_each``: the
@@ -18,45 +17,31 @@ each of them off one pass; the all-orders table truncates to total size
 <= m (``size_key``) and reads every d_alpha, |alpha| <= m, off one pass per
 term.
 
-The fold takes a sequence of polynomials over one field and returns one
-table per polynomial.  Everything that depends only on symbols is built once
-for the sequence: each distinct symbol's pieces, one ranking of the output
-symbols, each power of a symbol's pieces, and the monomial named by each
-sorted tuple of ranks, so an output monomial that recurs across the sequence
-is one object.  A presentation's generators d_alpha f_j share their symbols
-x_i^(alpha), so ``derive_each`` derives all of them in one call; the
-single-index callers and ``integer_map`` pass one polynomial.
-
-On a symbol the rule is integer combinatorics, and every caller's pieces say
-so: d_u(x) is a plain integer n times one symbol y.  For ``apply_d`` and
-``derive_upto`` n is comp_count(u, beta) = C(beta + u, u) and y = x^(beta+u);
-for ``outer_derive`` n is the binomial C(i + w, w) of the outer shift; for
-``layered_expand_each`` n is 1 and y is the generator d_u X_v x.  So the fold
-expands each monomial's table over the integers, reduces each entry into the
-field once, and only then multiplies the base coefficient's table in.  The
-rational-function work is left to that table, D_gamma(c) or c alone, and to
-the sums where two terms meet at the same output monomial.
+On a symbol the rule is integer combinatorics: d_u(x) is a plain integer n
+times one symbol code y (comp_count(u, beta) and x^(beta+u) for ``apply_d``
+and ``derive_upto``, C(i + w, w) for ``outer_derive``'s outer shift, 1 and
+d_u X_v x for ``layered_expand_each``).  So the fold expands each monomial's
+table over the integers and multiplies the base coefficient's table in last,
+and its sums are the ring's term dicts once zero sums are left out.  It takes
+a sequence of polynomials over one field and builds each distinct code's
+pieces once for the sequence; a monomial's codes are multiplied in one by
+one, a repeated code once per occurrence.
 
 ``integer_map`` is the same fold read as a ring map: each symbol goes to the
 sum of its pieces n * y, and each monomial's image is scaled by the term's
 coefficient alone.  It is one ``leibniz`` call whose key product drops every
-index: a piece's index enters the fold as key(zero, u), so here it is (), and
-the pieces of one symbol must be distinct symbols.  phi and psi are such
-maps, with n = C(i + k, k) (+-1)^k, and so is theta, with one piece per
-symbol.  ``leibniz`` holds the module's one accumulation loop, and a sum that
-cancels is left out as each collected index's output is built.
+index, so the pieces of one symbol must be distinct symbols.  phi and psi are
+such maps, with n = C(i + k, k) (+-1)^k, and so is theta, with one piece per
+symbol.  ``leibniz`` holds the module's one accumulation loop.
 
 The text form of a term dict is written here too, by four rules that every
 ring shares: ``render_power`` writes one factor (``s`` or ``s^2``),
-``render_powers`` writes a key as a power product of such factors
-(``s^2*t1``, exponent 0 left out), ``render_product`` writes a rendered
-coefficient beside it (a coefficient of 1 or -1 is not written), and
-``render_sum`` joins the pieces (a piece that starts with ``-`` is
-subtracted, no pieces give ``0``).  ``sparsepoly.render_polys`` writes each
-of its factors once per call, with ``render_power``.
-A ring's coefficient brings its own rendering: a plain number is written with
-``str``, a ring element by ``render_term``, which writes the element alone as
-its ``render()`` and beside a power product as its ``render_head()``.
+``render_powers`` a power product of such factors (``s^2*t1``, exponent 0
+left out), ``render_product`` a rendered coefficient beside it (1 and -1 are
+not written), and ``render_sum`` joins the pieces (a piece that starts with
+``-`` is subtracted, no pieces give ``0``).  A plain number is written with
+``str``, a ring element by ``render_term``: alone as its ``render()``, beside
+a power product as its ``render_head()``.
 
 ``Ring`` is the base of every ring class: it derives a - b, str and repr from
 the ring's own +, unary - and render.
@@ -67,7 +52,7 @@ functions never show up as names of their own in a ring's namespace.
 
 from __future__ import annotations
 
-from operator import add as _add, attrgetter, le as _le, mul as _mul
+from operator import add as _add, le as _le, mul as _mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -182,34 +167,31 @@ def leibniz(
 
     for every index in the non-empty ``collect``, in that order (zeros
     included), as elements of ``ring``; products are taken under the
-    truncating key product ``key``.  One pass serves the whole sequence.
+    truncating key product ``key``.
 
-    ``pieces_of(x)`` maps multi-indices u to pairs (n, y): d_u(x) = n * y for a
-    plain integer n and one symbol y, a distinct y for each u.  It runs once
-    per distinct symbol of fs and may leave out the u whose n vanishes in the
-    field; a piece's index is key(zero, u), so a key product that drops
-    indices (``integer_map``) maps every piece to the index ().  Each
-    monomial's table {(index, monomial): n} is expanded over the integers
-    (``_expand``, each power of a symbol's pieces built once for all of fs),
-    and each entry is reduced into the field once; an entry that vanishes
-    there (C(p, 1) in characteristic p) is dropped.  Only then does
-    ``coeff_table(c)``, a map from multi-indices to base elements, enter: one
-    base-element scale per pair of its entry and a table entry whose index
-    product is collected, and a sum only where two terms of f meet at the same
-    output monomial.  An output monomial that recurs across fs is one object.
-    This is the module's one accumulation loop.
+    ``pieces_of(x)`` maps multi-indices u to pairs (n, y): d_u(x) = n * y for
+    a plain integer n and one symbol code y, a distinct y for each u.  It runs
+    once per distinct code of fs and may leave out the u whose n vanishes in
+    the field; a piece's index is key(zero, u).  Each monomial's table is
+    expanded over the integers (``_expand``), and each entry is reduced into
+    the field once; an entry that vanishes there (C(p, 1) in characteristic
+    p) is dropped.  Only then does ``coeff_table(c)``, a map from
+    multi-indices to base elements, enter: one scale per pair of its entry and
+    a table entry whose index product is collected, and a sum only where two
+    terms of f meet at the same output monomial.  Only a sum can cancel, so
+    zeros are looked for only in a polynomial where two terms met.
     """
     field = fs[0].field
     scalar = field.scalar
-    symbols, expand = _expand(fs, pieces_of, key, (0,) * len(collect[0]))
-    monomials: dict = {}  # sorted ranks -> the monomial they name, shared by all of fs
+    expand = _expand(pieces_of, key, (0,) * len(collect[0]))
     out = []
     for f in fs:
         sums: dict = {k: {} for k in collect}
+        met = False  # whether two terms met: only a sum can be zero
         for coeff, table in expand(f):
             # (gamma, D_gamma(c), gamma != 0); the zero index moves no table entry
             coeffs = [(g, v, any(g)) for g, v in coeff_table(coeff).items() if v]
-            for (index, ranks), n in table.items():
+            for (index, mono), n in table.items():
                 if n != 1:
                     n = scalar(n)
                     if not n:
@@ -218,101 +200,52 @@ def leibniz(
                     terms = sums.get(key(g, index) if moved else index)
                     if terms is not None:
                         c = v if n == 1 else v * n
-                        s = terms.get(ranks)
-                        terms[ranks] = c if s is None else s + c
-        out.append({k: _of_ranks(ring, field, sums[k], symbols, monomials) for k in collect})
+                        s = terms.get(mono)
+                        terms[mono] = c if s is None else s + c
+                        met = met or s is not None
+        out.append({k: ring._of(field, _drop_zeros(sums[k]) if met else sums[k]) for k in collect})
     return out
 
 
 def integer_map(f, pieces_of: Callable, ring):
     """f with every symbol x replaced by the sum of n * y over its pieces
-    (n, y) = pieces_of(x).values(), a plain integer times one symbol, as an
-    element of ``ring``; base coefficients are fixed.
-
-    ``leibniz`` with a key product that drops every index: each monomial's
-    image is expanded over the integers and reduced into the field once, and
-    only then scaled by the term's base coefficient.  The pieces of one
-    symbol must be distinct symbols, since their indices no longer tell them
-    apart.
+    (n, y) = pieces_of(x).values(), as an element of ``ring``; base
+    coefficients are fixed.  ``leibniz`` with a key product that drops every
+    index, so the pieces of one symbol must be distinct symbols.
     """
-    return leibniz((f,), _no_index, [()], lambda c: {(): c}, pieces_of, ring)[0][()]
+    return leibniz((f,), lambda a, b: (), [()], lambda c: {(): c}, pieces_of, ring)[0][()]
 
 
-def _no_index(a: tuple, b: tuple) -> tuple:
-    return ()
+def runs(mono: tuple) -> tuple:
+    """The (code, exponent) pairs of a monomial, a sorted tuple of codes with repetition."""
+    return tuple([(c, mono.count(c)) for c in dict.fromkeys(mono)])
 
 
-def _expand(fs: Sequence, pieces_of: Callable, key: Callable, zero: tuple) -> tuple[list, Callable]:
-    """(symbols, expand): the output symbols of all of fs in rank order, and
-    expand(f), which yields for each term c * x_1^e_1 ... of f the pair
-    (c, table) where
+def _expand(pieces_of: Callable, key: Callable, zero: tuple) -> Callable:
+    """expand(f), which yields for each term c * x_1^e_1 ... of f the pair
+    (c, {(index, monomial): n}), the integer table of pieces_of(x_1)^e_1 * ...
+    under ``key`` from ``zero``.  Each code's pieces are built once for every f
+    that expand is called on, and a code is multiplied in once per occurrence."""
 
-        table = {(index, ranks): n}  with  pieces_of(x_1)^e_1 * ... = sum of n * t^index * y_ranks
-
-    over plain integers n, not yet reduced into the field.  Indices multiply
-    under ``key`` from ``zero`` (a None drops the product) and ranks merge;
-    each power pieces_of(x)^e is built once for all of fs."""
-    symbols, single = _ranked_pieces(fs, pieces_of, key, zero)
-
-    # a table key is (index, sorted ranks): indices add under key, ranks merge
+    # a table key is (index, monomial): indices add under key, codes merge
     def pair_key(a: tuple, b: tuple):
         k = key(a[0], b[0])
         return None if k is None else (k, tuple(sorted(a[1] + b[1])))
 
     unit = {(zero, ()): 1}
-    powers: dict = {}
+    pieces: dict = {}  # a code -> the table of its pieces
 
     def expand(f):
         for mono, coeff in f.terms.items():
             table = unit
-            for factor in mono:
-                power = powers.get(factor)
-                if power is None:
-                    sym, e = factor
-                    power = x = single[sym]
-                    for _ in range(e - 1):
-                        power = mul(power, x, pair_key)
-                    powers[factor] = power
-                table = power if table is unit else mul(table, power, pair_key)
+            for code in mono:
+                x = pieces.get(code)
+                if x is None:
+                    x = pieces[code] = {(key(zero, u), (y,)): n for u, (n, y) in pieces_of(code).items()}
+                table = x if table is unit else mul(table, x, pair_key)
             yield coeff, table
 
-    return symbols, expand
-
-
-def _of_ranks(ring, field, terms: dict, symbols: list, monomials: dict):
-    """The ring element on a {ranks: coefficient} dict, a coefficient that
-    cancelled to zero left out; ``monomials`` holds the monomial of each ranks
-    tuple met so far, and gains the new ones."""
-    out = {}
-    for ranks, c in terms.items():
-        if not c:
-            continue
-        mono = monomials.get(ranks)
-        if mono is None:
-            mono = monomials[ranks] = tuple((symbols[r], ranks.count(r)) for r in dict.fromkeys(ranks))
-        out[mono] = c
-    return ring._of(field, out)
-
-
-def _ranked_pieces(fs: Sequence, pieces_of: Callable, key: Callable, zero: tuple) -> tuple[list, dict]:
-    """(symbols, {x: {(key(zero, u), (rank of y,)): n}}) for the pieces (n, y)
-    of every distinct symbol x of fs.  Output symbols are ranked in sort_key
-    order, so a sorted tuple of ranks names a monomial by a key of plain ints."""
-    pieces: dict = {}
-    for f in fs:
-        for mono in f.terms:
-            for sym, _ in mono:
-                if sym not in pieces:
-                    pieces[sym] = pieces_of(sym)
-    outputs = {y for table in pieces.values() for _, y in table.values()}
-    symbols = sorted(outputs, key=attrgetter("sort_key"))
-    rank = {y: r for r, y in enumerate(symbols)}
-    # each piece's index, key(zero, u), computed once per distinct u
-    index = {u: key(zero, u) for u in {u for table in pieces.values() for u in table}}
-    single = {
-        sym: {(index[u], (rank[y],)): n for u, (n, y) in table.items()} for sym, table in pieces.items()
-    }
-    return symbols, single
+    return expand
 
 
 # -- text form -----------------------------------------------------------------

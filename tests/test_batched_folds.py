@@ -23,7 +23,7 @@ from collections import Counter
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsprolong import BaseElem, DerivationMode, DiffPoly, FieldDescriptor, VarietyPresentation
+from hsprolong import BaseElem, DerivationMode, DiffPoly, DiffSymbol, FieldDescriptor, VarietyPresentation
 from hsprolong import checks, layered, termdict
 from hsprolong.diffpoly import derive_upto, taylor_oracle
 from hsprolong.layered import LayeredPoly, LayeredSymbol, layered_expand, layered_expand_each
@@ -60,8 +60,10 @@ def nested_expand(i: int, j: int, h: DiffPoly, outer: DerivationMode, inner: Der
             for a, d in enumerate(layered._d_table(i, v) if outer is P else [v])
         }
 
-    def pieces(sym):
-        return {(u, v): (1, LayeredSymbol(sym.var, u, v, inner)) for u, v in box}
+    def pieces(code):
+        # the fold's symbols are codes: h's order-0 x_var in, d_u X_v x_var out
+        var = DiffSymbol.decode(code, h.field.derivation_count).var
+        return {(u, v): (1, LayeredSymbol(var, u, v, inner).code) for u, v in box}
 
     return termdict.leibniz((h,), termdict.box_key(top), (top,), coeff_table, pieces, LayeredPoly)[0][top]
 

@@ -297,6 +297,33 @@ def test_rational_n2_output_is_pinned(command, tmp_path, capsys):
     assert hashlib.sha256(stdout.encode()).hexdigest() == RATIONAL_N2_SHA256[command]
 
 
+# Symbols at large ranks: jet at order 10 and a two-image jet lift at order 6
+# on the n = 2 document, and jet at order 6 and prolong at order 4 on a
+# document with three derivations; CI replays them through the console script.
+N3_DOC = (
+    "char 0; params s1 s2 s3; derivations 3;\nvars x y z;\n"
+    "gens x*y - s1/(s2*s3 + 1), (s1 + 2*s2)*z^2/(s1*s2 + s3) - x*(s3 + 1)/(s1 - s3 + 2);\n"
+)
+PIN_DOCS = {"rational-n2": RATIONAL_N2_DOC, "n3": N3_DOC}
+LARGE_RANK_SHA256 = {
+    ("rational-n2", "jet --order 10"): "e31f343f437616b628b0e6290a699d6cdc71cdd1b3a3088712f338c789962623",
+    ("rational-n2", "lift --mode jet --order 6 --map u=x^2-y,v=y^3+z"): "96c2fc43d46f2cdfdfa5d44a59d1bfd35cb6798be11684c4d76886413632a6a4",
+    ("n3", "jet --order 6"): "1230010573dd630d849d1fb317d87d92e9241611c2599efe7e9e2590f0f71049",
+    ("n3", "prolong --order 4"): "c9ab18466ff0074a844ab56ea2d3ae82bb5270023419c515af3a385e6e3fc9d9",
+}
+
+
+@pytest.mark.parametrize("doc, command", sorted(LARGE_RANK_SHA256))
+def test_large_rank_output_is_pinned(doc, command, tmp_path, capsys):
+    from hsprolong import cli
+
+    path = tmp_path / "doc.txt"
+    path.write_text(PIN_DOCS[doc], encoding="utf-8")
+    assert cli.main([*command.split(), str(path)]) == 0
+    stdout = capsys.readouterr().out
+    assert hashlib.sha256(stdout.encode()).hexdigest() == LARGE_RANK_SHA256[doc, command]
+
+
 # Check reports that reach order-3 derivative tables, which `check all` does
 # not; CI compares the installed console script with these lines too.
 CHECK_ORDER_3_SEED_42_SHA256 = {
@@ -592,10 +619,12 @@ def test_main_builds_only_the_named_subparser(witt_file, hyperbola_file, monkeyp
 
 if __name__ == "__main__":
     # writes the document of RATIONAL_N2_SHA256 to the path given; with a
-    # directory as well, writes each PINNED_DOCS document into it and prints
-    # one line per JSON pin: the digest, then the arguments, separated by tabs
+    # directory as well, writes N3_DOC into it as n3-doc.txt and each
+    # PINNED_DOCS document, and prints one line per JSON pin: the digest, then
+    # the arguments, separated by tabs
     Path(sys.argv[1]).write_text(RATIONAL_N2_DOC, encoding="utf-8")
     if len(sys.argv) > 2:
+        (Path(sys.argv[2]) / "n3-doc.txt").write_text(N3_DOC, encoding="utf-8")
         docs = {}
         for k, (field, (text, _)) in enumerate(sorted(PINNED_DOCS.items())):
             docs[field] = Path(sys.argv[2]) / f"pinned-doc-{k}.txt"

@@ -50,6 +50,24 @@ def test_undeclared_identifier():
     assert exc.value.line == 1
 
 
+def test_a_variable_exponent_past_the_bound_is_reported_where_it_passes():
+    # a monomial holds one symbol code per unit of exponent, so a short
+    # document must not ask for a billion of them; a factor that passes the
+    # bound is named, and a parenthesized power by its term's first token
+    head = "char 0; params s; derivations 1; vars x y; gens "
+    for gens, term, e in [
+        ("x^1000000000 - s", "1000000000", 1000000000),
+        ("s + y*x^600*x^401", "401", 1001),
+        ("s - (x^2 + y)^501", "(x^2", 1002),
+    ]:
+        with pytest.raises(ParseError) as exc:
+            parse_document(head + gens + ";")
+        assert str(exc.value).startswith(f"exponent {e} of 'x' is above 1000")
+        assert (exc.value.line, exc.value.col) == (1, len(head) + gens.index(term) + 1)
+    g = parse_document(head + "x^1000 - s;").variety.generators[0]
+    assert g.render(("x", "y")) == "x^1000 - s"
+
+
 def test_non_prime_characteristic():
     with pytest.raises(ParseError) as exc:
         parse_document("char 6; params s; derivations 1; vars x; gens x;")

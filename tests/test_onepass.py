@@ -1,8 +1,8 @@
 """One pass over many polynomials: the sequence fold against one polynomial at a time.
 
 ``derive_each`` derives a list of polynomials in one truncated Leibniz pass,
-with one symbol table, one ranking of the output symbols and one table of
-powers of the pieces for the whole list.  Each of its tables must equal
+with one table of each symbol's pieces and of their powers for the whole
+list.  Each of its tables must equal
 ``derive_upto`` of that polynomial alone and store no zero coefficient, and
 ``prolong_presentation`` and ``lift_morphism``, which make one such call for
 all their generators or images, must equal their generator-by-generator
@@ -11,9 +11,11 @@ constants, repeats, disjoint variable sets and terms that meet and cancel;
 over F2(s) and F3(s) they hold x^p, whose multiplicity C(p, 1) vanishes only
 once it is reduced into the field.
 
-The count guards pin the builds: one ``prolong_presentation`` call constructs
-each DiffSymbol of the presentation once and no other, and one
-``render_polys`` call renders each distinct symbol once.
+The count guards pin the builds: the fold works on symbol codes, so one
+``prolong_presentation`` call constructs each DiffSymbol of the presentation
+once and no other, one ``lift_morphism`` call exactly the lift's keys, and
+one ``render_polys`` call writes each distinct code's text once, from the
+code, with no symbol built.
 """
 
 from collections import Counter
@@ -189,14 +191,15 @@ def test_a_presentation_builds_each_symbol_once(field, m, mode, symbol_builds):
 
 @pytest.mark.parametrize("mode", [P, J], ids=["prolong", "jet"])
 def test_a_lift_builds_each_symbol_once(mode, symbol_builds):
-    # targets 0 and 1 over sources 0, 1 and 2: the lifted y_j^(alpha) and the
-    # pieces x_j^(alpha) are one symbol each
+    # targets 0 and 1 over sources 0, 1 and 2: the fold works on codes, so the
+    # lifted y_j^(alpha), the lift's keys, are the only symbols built
     field = FIELDS["Q(s)"]
     x, y, z = (DiffPoly.variable(field, i) for i in range(3))
     images = {0: x * y, 1: z**2 - x}
     symbol_builds.clear()
-    lift_morphism(images, 4, mode)
-    assert Counter(symbol_builds) == Counter((i, (k,)) for i in range(3) for k in range(5))
+    lift = lift_morphism(images, 4, mode)
+    assert Counter(symbol_builds) == Counter((j, (k,)) for j in range(2) for k in range(5))
+    assert Counter(symbol_builds) == Counter((s.var, s.order) for s in lift)
 
 
 @pytest.fixture
@@ -213,16 +216,40 @@ def symbol_renders(monkeypatch):
     return rendered
 
 
+@pytest.fixture
+def code_texts(monkeypatch):
+    """The code of every DiffSymbol.code_text call from here on."""
+    written = []
+    real = DiffSymbol.code_text
+
+    def counted(code, n, names=None):
+        written.append(code)
+        return real(code, n, names)
+
+    monkeypatch.setattr(DiffSymbol, "code_text", staticmethod(counted))
+    return written
+
+
 @pytest.mark.parametrize("mode", [P, J], ids=["prolong", "jet"])
-def test_one_render_call_renders_each_symbol_once(mode, symbol_renders):
+def test_one_render_call_renders_each_symbol_once(mode, code_texts, symbol_renders, symbol_builds):
+    # each distinct code is written once per call, from the code: no symbol is
+    # built to write it
     field = FIELDS["Q(s1,s2)"]
     pres = prolong_presentation(count_variety(field), 3, mode)
-    symbols = {sym for g in pres.generators for sym in g.symbols()}
+    codes = {s.code for g in pres.generators for s in g.symbols()}
     names = ("x", "y", "z", "w")
     expected = [g.render(names) for g in pres.generators]
+    code_texts.clear()
     symbol_renders.clear()
+    symbol_builds.clear()
     assert render_polys(pres.generators, names) == expected
-    assert Counter(symbol_renders) == Counter(symbols)
+    assert Counter(code_texts) == Counter(codes)
+    assert symbol_renders == []
+    # the symbol lines are written first, each symbol once, and the generators
+    # then write no code of their own: every one of them is a symbol of pres
+    code_texts.clear()
     symbol_renders.clear()
     render_presentation(pres, names)
     assert Counter(symbol_renders) == Counter(pres.symbols)
+    assert code_texts == []
+    assert symbol_builds == []

@@ -75,7 +75,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from . import termdict
 from .fields import FieldDescriptor, binom
-from .multiindex import enumerate_multiindices, indices_below, multiindex
+from .multiindex import down_closure, enumerate_multiindices, indices_below, multiindex
 
 
 def _monomial_key(exps: Sequence[int]) -> tuple:
@@ -807,7 +807,7 @@ def _hasse_values(a: BaseElem, wanted: Sequence[tuple]) -> dict[tuple, BaseElem]
         return {alpha: _elem(_poly_hasse(num, alpha), den) for alpha in wanted}
     # the down-closure in graded order: the zero index first, and each
     # T_{gamma-beta} before T_gamma
-    closure = sorted(dict.fromkeys(beta for alpha in wanted for beta in indices_below(alpha)), key=sum)
+    closure = down_closure(wanted)
     powers = [ParamPoly.const(a.field, 1), den]
     for _ in range(sum(closure[-1])):
         powers.append(powers[-1] * den)

@@ -4,7 +4,9 @@ DerivationMode selects what d_alpha does to base coefficients: in
 PROLONGATION mode it applies the field's derivation, in JET mode it kills
 them (d_alpha c = 0 for alpha != 0).  apply_d computes canonical
 representatives directly by a Leibniz convolution on the term structure; the
-symbols are free, so no ideal reduction is needed.
+symbols are free, so no ideal reduction is needed.  Both folds hand
+``termdict.leibniz`` the down-closed index set they truncate to: apply_d the
+box below alpha, derive_each the simplex |alpha| <= m.
 
 derive_upto is the one-pass route to every order at once: per term of f it
 expands the monomial's table d_u(x^e ...), |u| <= m, over the integers from
@@ -141,33 +143,31 @@ def symbol_derive(beta: Sequence[int], sym: DiffSymbol, field: FieldDescriptor) 
     return c, DiffSymbol(sym.var, index_add(sym.order, beta))
 
 
-def _fold(
-    fs: Sequence[DiffPoly], mode: DerivationMode, key, indices: list, collect: Sequence, derivatives
-) -> list[dict]:
-    """termdict.leibniz over fs, not empty, with the symbol pieces d_u(x), u in
-    indices, and the coefficient tables derivatives(c) (PROLONGATION) or
-    {0: c} (JET).  A piece's code is the symbol's var bits plus the rank of
-    beta + u, listed once per rank of beta."""
+def _fold(fs: Sequence[DiffPoly], mode: DerivationMode, closure: list, collect: Sequence, derivatives) -> list[dict]:
+    """termdict.leibniz over fs, not empty, truncated to ``closure``, with the
+    symbol pieces d_u(x), u in closure, and the coefficient tables
+    derivatives(c) (PROLONGATION) or {0: c} (JET).  A piece's code is the
+    symbol's var bits plus the rank of beta + u, listed once per rank of beta."""
     field = fs[0].field
     p, n = field.characteristic, field.derivation_count
     zero = zero_index(n)
     coeff_table = derivatives if mode is DerivationMode.PROLONGATION else lambda c: {zero: c}
     shifts: dict = {}  # rank of beta -> [(u, count, rank of beta + u)], one list for every var
 
-    def pieces(code: int) -> dict:
+    def pieces(code: int) -> list:
         # d_u(x^(beta)) = comp_count(u, beta) * x^(beta+u), where the count does not vanish
         rank = code & _RANK_MASK
         row = shifts.get(rank)
         if row is None:
             beta = graded_lex_unrank(rank, n)
             row = shifts[rank] = []
-            for u in indices:
+            for u in closure:
                 count = comp_count(u, beta)
                 if not p or count % p:
                     row.append((u, count, _rank(index_add(beta, u))))
-        return {u: (count, code - rank + r) for u, count, r in row}
+        return [(u, count, code - rank + r) for u, count, r in row]
 
-    return termdict.leibniz(fs, key, collect, coeff_table, pieces, DiffPoly)
+    return termdict.leibniz(fs, closure, collect, coeff_table, pieces, DiffPoly)
 
 
 def apply_d(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly:
@@ -182,7 +182,7 @@ def apply_d(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly
     # the coefficient tables D_gamma(c) over the box below alpha, each from
     # one quotient recursion over that box
     box = indices_below(alpha)
-    return _fold((f,), mode, termdict.box_key(alpha), box, (alpha,), lambda c: _hasse_values(c, box))[0][alpha]
+    return _fold((f,), mode, box, (alpha,), lambda c: _hasse_values(c, box))[0][alpha]
 
 
 def derive_upto(f: DiffPoly, m: int, mode: DerivationMode) -> dict[tuple, DiffPoly]:
@@ -202,7 +202,7 @@ def derive_each(fs: Sequence[DiffPoly], m: int, mode: DerivationMode) -> list[di
         return []
     alphas = enumerate_multiindices(fs[0].field.derivation_count, m)
     # hasse_table is read from the module at call time, where a test may patch it
-    return _fold(fs, mode, termdict.size_key(m), alphas, alphas, lambda c: hasse_table(c, m))
+    return _fold(fs, mode, alphas, alphas, lambda c: hasse_table(c, m))
 
 
 def taylor_oracle(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly:

@@ -22,10 +22,12 @@ None of phi, psi and theta takes a symbolic product.  Each is one
 combination of symbols, theta sends it to one symbol.  ``layered_expand_each``
 and ``outer_derive``, the other route of the claims and theta relations,
 run the same Leibniz fold with indices kept and with derivatives of the base
-coefficients.  Over two PROLONGATION layers ``layered_expand_each`` reads
-D_a D_b c off one table as C(a+b, a) D_{a+b} c, by iterativity, while
-``outer_derive`` applies D_l to coefficients that already carry D_b: so the
-claims' two sides take the base derivatives by two routes.
+coefficients, each truncated to the down-closed index set it builds: the
+down-closure of its tops, and the orders w <= l.  ``layered_expand_each``
+reads every D_a D_b c its layers allow off one table as C(a+b, a) D_{a+b} c,
+by iterativity (a JET layer allows order 0 only), while ``outer_derive``
+applies D_l to coefficients that already carry D_b: so the claims' two sides
+take the base derivatives by two routes.
 
 LayeredSymbol is a light value object like DiffSymbol, with its hash,
 sort_key and code stored once.  Its code packs (var, outer + inner, outer,
@@ -44,7 +46,7 @@ from . import termdict
 from .basefield import BaseElem, _hasse_values
 from .fields import FieldDescriptor
 from .diffpoly import DerivationMode, DiffPoly, var_rank
-from .multiindex import indices_below
+from .multiindex import down_closure
 from .series import twist_expand
 from .sparsepoly import SparsePoly
 
@@ -138,6 +140,12 @@ def _d_table(l: int, c: BaseElem) -> list[BaseElem]:
     return list(_hasse_values(c, orders).values())
 
 
+def _natural(order: int) -> int:
+    if order < 0:
+        raise ValueError(f"derivative order must be a natural, got {order}")
+    return order
+
+
 def layered_expand_each(
     tops: Sequence[tuple[int, int]], h: DiffPoly, outer: DerivationMode, inner: DerivationMode
 ) -> dict[tuple[int, int], LayeredPoly]:
@@ -145,46 +153,36 @@ def layered_expand_each(
     every (i, j) of tops, not empty, and order-0 h, from one Leibniz fold.
 
     The fold is truncated to the down-closure of tops, every index at or below
-    some top (``termdict.closure_key``), and the symbol pieces d_u X_v x run
-    over the same closure.  Base coefficients follow the outer/inner mode
-    pair: a JET layer keeps only order 0 of a coefficient, and for two
-    PROLONGATION layers D_a D_b c = C(a+b, a) D_{a+b} c by iterativity, read
-    off one ``_d_table`` per coefficient; an entry whose binomial vanishes in
+    some top, and the symbol pieces d_u X_v x run over the same closure.  A
+    coefficient's table keeps the (a, b) of the closure that its layers allow
+    (a JET layer keeps only order 0) and reads D_a D_b c = C(a+b, a) D_{a+b} c
+    off one ``_d_table``, by iterativity; an entry whose binomial vanishes in
     the field drops out.
     """
-    closure = list(dict.fromkeys(b for top in tops for b in indices_below(top)))
+    if not tops:
+        raise ValueError("layered expansion needs at least one (outer, inner) order")
+    closure = down_closure((_natural(a), _natural(b)) for a, b in tops)
     P = DerivationMode.PROLONGATION
     char = h.field.characteristic
-    # the highest order of D a table reads: a + b for two PROLONGATION layers, a or b for one
-    depth = max(a + b for a, b in closure)
-    outer_depth = max(a for a, _ in closure)
-    inner_depth = max(b for _, b in closure)
+    allowed = []  # ((a, b), a + b, C(a+b, a)) for each coefficient entry that can be nonzero
+    for a, b in closure:
+        n = math.comb(a + b, a)
+        if (outer is P or not a) and (inner is P or not b) and (not char or n % char):
+            allowed.append(((a, b), a + b, n))
+    depth = allowed[-1][1]  # the closure ascends in size
 
     # _d_table is read from the module at call time, where a test may patch it
     def coeff_table(c: BaseElem) -> dict:
-        if outer is P and inner is P:
-            d = _d_table(depth, c)
-            table = {}
-            for a, b in closure:
-                n = math.comb(a + b, a)
-                if not char or n % char:
-                    table[(a, b)] = d[a + b] if n == 1 else d[a + b] * n
-            return table
-        if outer is P:
-            return {(a, 0): d for a, d in enumerate(_d_table(outer_depth, c))}
-        if inner is P:
-            return {(0, b): d for b, d in enumerate(_d_table(inner_depth, c))}
-        return {(0, 0): c}
+        d = _d_table(depth, c)
+        return {ab: d[k] if n == 1 else d[k] * n for ab, k, n in allowed}
 
-    def pieces(code: int) -> dict:
+    def pieces(code: int) -> list:
         var, rank = var_rank(code)
         if rank:
             raise ValueError("layered expansion requires order-0 symbols")
-        return {(u, v): (1, _code(var, u, v, inner)) for u, v in closure}
+        return [((u, v), 1, _code(var, u, v, inner)) for u, v in closure]
 
-    collect = list(dict.fromkeys(tops))
-    key = termdict.closure_key(closure)
-    return termdict.leibniz((h,), key, collect, coeff_table, pieces, LayeredPoly)[0]
+    return termdict.leibniz((h,), closure, list(dict.fromkeys(tops)), coeff_table, pieces, LayeredPoly)[0]
 
 
 def layered_expand(
@@ -218,16 +216,16 @@ def _outer_shifts(outer: int, top: int, char: int, bound: int):
 def outer_derive(l: int, p: LayeredPoly, bound: int) -> LayeredPoly:
     """D_l on a layered ring: C(a+l, l)-shifts on symbols, D_l on coefficients."""
     char = p.field.characteristic
+    box = [(w,) for w in range(_natural(l) + 1)]
 
     def coeff_table(c: BaseElem) -> dict:
         return {(u,): d for u, d in enumerate(_d_table(l, c))}
 
-    def pieces(code: int) -> dict:
+    def pieces(code: int) -> list:
         var, outer, inner, kind = _fields(code)
-        return {(w,): (n, _code(var, outer + w, inner, kind)) for w, n in _outer_shifts(outer, l, char, bound)}
+        return [((w,), n, _code(var, outer + w, inner, kind)) for w, n in _outer_shifts(outer, l, char, bound)]
 
-    top = (l,)
-    return termdict.leibniz((p,), termdict.box_key(top), (top,), coeff_table, pieces, LayeredPoly)[0][top]
+    return termdict.leibniz((p,), box, box[-1:], coeff_table, pieces, LayeredPoly)[0][(l,)]
 
 
 # -- the phi / psi pair ---------------------------------------------------------
@@ -243,12 +241,12 @@ def _phi_psi(p: LayeredPoly, bound: int, sign: int, target: DerivationMode) -> L
     """
     char = p.field.characteristic
 
-    def pieces(code: int) -> dict:
+    def pieces(code: int) -> list:
         var, outer, inner, kind = _fields(code)
         if kind is target:
             raise ValueError(f"expected no symbols with a {target.value} inner layer")
         shifts = _outer_shifts(outer, inner, char, bound)
-        return {(k,): (sign**k * n, _code(var, outer + k, inner - k, target)) for k, n in shifts}
+        return [(sign**k * n, _code(var, outer + k, inner - k, target)) for k, n in shifts]
 
     return termdict.integer_map(p, pieces, LayeredPoly)
 
@@ -275,11 +273,11 @@ def theta(p: LayeredPoly) -> LayeredPoly:
     monomial keeps its coefficient, with no product and no sum.
     """
 
-    def pieces(code: int) -> dict:
+    def pieces(code: int) -> list:
         var, outer, inner, kind = _fields(code)
         if kind is not DerivationMode.PROLONGATION:
             raise ValueError("theta expects jet-of-prolongation symbols")
-        return {(): (1, _code(var, inner, outer, DerivationMode.JET))}
+        return [(1, _code(var, inner, outer, DerivationMode.JET))]
 
     return termdict.integer_map(p, pieces, LayeredPoly)
 

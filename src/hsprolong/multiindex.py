@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 import math
 from operator import neg, sub
-from typing import Iterator, Sequence
+from typing import Iterable, Iterator, Sequence
 
 MultiIndex = tuple[int, ...]
 
@@ -111,6 +111,11 @@ def enumerate_multiindices(n: int, m: int) -> list[tuple[int, ...]]:
 def indices_below(alpha: Sequence[int]) -> list[tuple[int, ...]]:
     """All beta <= alpha in the coordinatewise order, deterministic order."""
     return [tuple(b) for b in itertools.product(*(range(a + 1) for a in alpha))]
+
+
+def down_closure(indices: Iterable[Sequence[int]]) -> list[tuple[int, ...]]:
+    """Every index at or below one of ``indices``, once each, by ascending size."""
+    return sorted(dict.fromkeys(b for alpha in indices for b in indices_below(alpha)), key=sum)
 
 
 def splittings(alpha: Sequence[int]) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

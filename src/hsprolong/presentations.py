@@ -61,6 +61,8 @@ class VarietyPresentation:
 
     def __post_init__(self) -> None:
         for j, g in enumerate(self.generators):
+            if g.field != self.field:
+                raise ValueError(f"generator #{j} is over another field than the variety")
             for var, rank in map(var_rank, {code for mono in g.terms for code in mono}):
                 if var >= self.var_count:
                     raise ValueError(f"generator #{j} uses undeclared variable index {var}")

@@ -117,9 +117,13 @@ class TruncatedElement(termdict.Ring):
     def __mul__(self, other: "TruncatedElement") -> "TruncatedElement":
         self._check(other)
         m = self.order_bound
-        return TruncatedElement._of(
-            termdict.mul(self.coeffs, other.coeffs, termdict.size_key(m)), m, self.t_count
-        )
+
+        def key(a: tuple, b: tuple):
+            # the ring's size rule: a product of total size above m is dropped
+            k = tuple(map(add, a, b))
+            return k if sum(k) <= m else None
+
+        return TruncatedElement._of(termdict.mul(self.coeffs, other.coeffs, key), m, self.t_count)
 
     def __pow__(self, k: int) -> "TruncatedElement":
         if k < 0:

@@ -3,36 +3,38 @@
 A term dict maps keys to nonzero coefficients: exponent tuples in ParamPoly,
 sorted tuples of symbol codes in SparsePoly, multi-indices in
 TruncatedElement.  Each ring passes its own key product to ``mul``; a key
-product returns None for a product outside a truncation, which is dropped.
+product returns None for a product outside the ring's truncation, which is
+dropped.
 
 ``leibniz`` is the one expansion engine behind ``apply_d``,
 ``layered_expand_each``, ``outer_derive`` and ``derive_each``: the
 Hasse-Schmidt Leibniz rule d_alpha(gh) = sum over beta + gamma = alpha of
-d_beta(g) d_gamma(h), read as a product of multi-index tables under a
-truncating key product.  There are three truncation keys.  ``apply_d`` and
-``outer_derive`` truncate to the box below their one index (``box_key``);
-``layered_expand_each`` truncates to the down-closure of its list of
-indices, every index at or below one of them (``closure_key``), and reads
-each of them off one pass; the all-orders table truncates to total size
-<= m (``size_key``) and reads every d_alpha, |alpha| <= m, off one pass per
-term.
+d_beta(g) d_gamma(h), read as a product of multi-index tables cut off by a
+monomial ideal.  Such a cut keeps a down-closed set of indices, and that set
+is the one truncation rule: each caller passes the set it already built, and
+the fold keeps an index sum only if it lies in it.  ``apply_d`` and
+``outer_derive`` pass the box below their one index, ``layered_expand_each``
+the down-closure of its list of indices (each read off one pass), and
+``derive_each`` the simplex |alpha| <= m (every d_alpha, |alpha| <= m, off
+one pass per term).
 
 On a symbol the rule is integer combinatorics: d_u(x) is a plain integer n
-times one symbol code y (comp_count(u, beta) and x^(beta+u) for ``apply_d``
-and ``derive_upto``, C(i + w, w) for ``outer_derive``'s outer shift, 1 and
-d_u X_v x for ``layered_expand_each``).  So the fold expands each monomial's
-table over the integers and multiplies the base coefficient's table in last,
-and its sums are the ring's term dicts once zero sums are left out.  It takes
-a sequence of polynomials over one field and builds each distinct code's
-pieces once for the sequence; a monomial's codes are multiplied in one by
-one, a repeated code once per occurrence.
+times one symbol code y, a piece (u, n, y) (comp_count(u, beta) and
+x^(beta+u) for ``apply_d`` and ``derive_each``, C(i + w, w) for
+``outer_derive``'s outer shift, 1 and d_u X_v x for ``layered_expand_each``).
+So the fold expands each monomial's table over the integers and multiplies
+the base coefficient's table in last, and its sums are the ring's term dicts
+once zero sums are left out.  It takes a sequence of polynomials over one
+field and builds each distinct code's pieces once for the sequence; a
+monomial's codes are multiplied in one by one, a repeated code once per
+occurrence.
 
 ``integer_map`` is the same fold read as a ring map: each symbol goes to the
 sum of its pieces n * y, and each monomial's image is scaled by the term's
-coefficient alone.  It is one ``leibniz`` call whose key product drops every
-index, so the pieces of one symbol must be distinct symbols.  phi and psi are
-such maps, with n = C(i + k, k) (+-1)^k, and so is theta, with one piece per
-symbol.  ``leibniz`` holds the module's one accumulation loop.
+coefficient alone.  It is one ``leibniz`` call over the one index (), so the
+pieces of one symbol must be distinct symbols.  phi and psi are such maps,
+with n = C(i + k, k) (+-1)^k, and so is theta, with one piece per symbol.
+``leibniz`` holds the module's one accumulation loop.
 
 The text form of a term dict is written here too, by four rules that every
 ring shares: ``render_power`` writes one factor (``s`` or ``s^2``),
@@ -52,7 +54,7 @@ functions never show up as names of their own in a ring's namespace.
 
 from __future__ import annotations
 
-from operator import add as _add, le as _le, mul as _mul
+from operator import add as _add, mul as _mul
 from typing import Callable, Iterable, Mapping, Sequence
 
 
@@ -125,40 +127,8 @@ def exp_add(e1: tuple, e2: tuple) -> tuple:
     return tuple(map(_add, e1, e2))
 
 
-def box_key(top: tuple) -> Callable:
-    """Multi-index sum, None unless the sum is <= top coordinatewise."""
-
-    def key(a: tuple, b: tuple):
-        k = exp_add(a, b)
-        return k if all(map(_le, k, top)) else None
-
-    return key
-
-
-def size_key(m: int) -> Callable:
-    """Multi-index sum, None unless the sum has total size <= m."""
-
-    def key(a: tuple, b: tuple):
-        k = exp_add(a, b)
-        return k if sum(k) <= m else None
-
-    return key
-
-
-def closure_key(closure: Iterable[tuple]) -> Callable:
-    """Multi-index sum, None unless the sum lies in ``closure``, a down-closed
-    set of indices: every index at or below one of its members is a member."""
-    members = frozenset(closure)
-
-    def key(a: tuple, b: tuple):
-        k = exp_add(a, b)
-        return k if k in members else None
-
-    return key
-
-
 def leibniz(
-    fs: Sequence, key: Callable, collect: Sequence, coeff_table: Callable, pieces_of: Callable, ring
+    fs: Sequence, closure: Iterable[tuple], collect: Sequence, coeff_table: Callable, pieces_of: Callable, ring
 ) -> list[dict]:
     """For each f of fs, a non-empty sequence of polynomials over one field,
     the table {index: the t^index coefficient of the sum over the terms c * x_1^e_1 ... of f of
@@ -166,24 +136,28 @@ def leibniz(
         coeff_table(c) * pieces_of(x_1)^e_1 * ...}
 
     for every index in the non-empty ``collect``, in that order (zeros
-    included), as elements of ``ring``; products are taken under the
-    truncating key product ``key``.
+    included), as elements of ``ring``.  Products are truncated to
+    ``closure``, a down-closed set of indices that holds ``collect``: every
+    index at or below a member is a member, and a product whose index is not
+    a member is dropped.
 
-    ``pieces_of(x)`` maps multi-indices u to pairs (n, y): d_u(x) = n * y for
-    a plain integer n and one symbol code y, a distinct y for each u.  It runs
-    once per distinct code of fs and may leave out the u whose n vanishes in
-    the field; a piece's index is key(zero, u).  Each monomial's table is
-    expanded over the integers (``_expand``), and each entry is reduced into
-    the field once; an entry that vanishes there (C(p, 1) in characteristic
-    p) is dropped.  Only then does ``coeff_table(c)``, a map from
-    multi-indices to base elements, enter: one scale per pair of its entry and
-    a table entry whose index product is collected, and a sum only where two
-    terms of f meet at the same output monomial.  Only a sum can cancel, so
-    zeros are looked for only in a polynomial where two terms met.
+    ``pieces_of(x)`` lists triples (u, n, y): d_u(x) = n * y for an index u of
+    the closure, a plain integer n and one symbol code y, a distinct y for each
+    u.  It runs once per distinct code of fs and may leave out the u whose n
+    vanishes in the field.  Each monomial's table is expanded over the
+    integers (``_expand``), and each entry is reduced into the field once; an
+    entry that vanishes there (C(p, 1) in characteristic p) is dropped.  Only
+    then does ``coeff_table(c)``, a map from multi-indices to base elements,
+    enter: one scale per pair of its entry and a table entry whose index sum
+    is collected, and a sum only where two terms of f meet at the same output
+    monomial.  Only a sum can cancel, so zeros are looked for only in a
+    polynomial where two terms met.
     """
     field = fs[0].field
+    if any(f.field != field for f in fs):
+        raise ValueError("the polynomials of one fold must be over one field")
     scalar = field.scalar
-    expand = _expand(pieces_of, key, (0,) * len(collect[0]))
+    expand = _expand(pieces_of, frozenset(closure), (0,) * len(collect[0]))
     out = []
     for f in fs:
         sums: dict = {k: {} for k in collect}
@@ -197,7 +171,8 @@ def leibniz(
                     if not n:
                         continue
                 for g, v, moved in coeffs:
-                    terms = sums.get(key(g, index) if moved else index)
+                    # a sum outside the closure is at or below no collected index: the lookup misses it
+                    terms = sums.get(exp_add(g, index) if moved else index)
                     if terms is not None:
                         c = v if n == 1 else v * n
                         s = terms.get(mono)
@@ -208,12 +183,12 @@ def leibniz(
 
 
 def integer_map(f, pieces_of: Callable, ring):
-    """f with every symbol x replaced by the sum of n * y over its pieces
-    (n, y) = pieces_of(x).values(), as an element of ``ring``; base
-    coefficients are fixed.  ``leibniz`` with a key product that drops every
-    index, so the pieces of one symbol must be distinct symbols.
+    """f with every symbol x replaced by the sum of n * y over the pairs (n, y)
+    of pieces_of(x), as an element of ``ring``; base coefficients are fixed.
+    ``leibniz`` over the one index (), so the pieces of one symbol must be
+    distinct symbols.
     """
-    return leibniz((f,), lambda a, b: (), [()], lambda c: {(): c}, pieces_of, ring)[0][()]
+    return leibniz((f,), [()], [()], lambda c: {(): c}, lambda x: [((), n, y) for n, y in pieces_of(x)], ring)[0][()]
 
 
 def runs(mono: tuple) -> tuple:
@@ -221,16 +196,16 @@ def runs(mono: tuple) -> tuple:
     return tuple([(c, mono.count(c)) for c in dict.fromkeys(mono)])
 
 
-def _expand(pieces_of: Callable, key: Callable, zero: tuple) -> Callable:
+def _expand(pieces_of: Callable, closure: frozenset, zero: tuple) -> Callable:
     """expand(f), which yields for each term c * x_1^e_1 ... of f the pair
     (c, {(index, monomial): n}), the integer table of pieces_of(x_1)^e_1 * ...
-    under ``key`` from ``zero``.  Each code's pieces are built once for every f
+    truncated to ``closure``.  Each code's pieces are built once for every f
     that expand is called on, and a code is multiplied in once per occurrence."""
 
-    # a table key is (index, monomial): indices add under key, codes merge
+    # a table key is (index, monomial): indices add within the closure, codes merge
     def pair_key(a: tuple, b: tuple):
-        k = key(a[0], b[0])
-        return None if k is None else (k, tuple(sorted(a[1] + b[1])))
+        k = exp_add(a[0], b[0])
+        return (k, tuple(sorted(a[1] + b[1]))) if k in closure else None
 
     unit = {(zero, ()): 1}
     pieces: dict = {}  # a code -> the table of its pieces
@@ -241,7 +216,7 @@ def _expand(pieces_of: Callable, key: Callable, zero: tuple) -> Callable:
             for code in mono:
                 x = pieces.get(code)
                 if x is None:
-                    x = pieces[code] = {(key(zero, u), (y,)): n for u, (n, y) in pieces_of(code).items()}
+                    x = pieces[code] = {(u, (y,)): n for u, n, y in pieces_of(code)}
                 table = x if table is unit else mul(table, x, pair_key)
             yield coeff, table
 

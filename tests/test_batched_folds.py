@@ -63,9 +63,9 @@ def nested_expand(i: int, j: int, h: DiffPoly, outer: DerivationMode, inner: Der
     def pieces(code):
         # the fold's symbols are codes: h's order-0 x_var in, d_u X_v x_var out
         var = DiffSymbol.decode(code, h.field.derivation_count).var
-        return {(u, v): (1, LayeredSymbol(var, u, v, inner).code) for u, v in box}
+        return [((u, v), 1, LayeredSymbol(var, u, v, inner).code) for u, v in box]
 
-    return termdict.leibniz((h,), termdict.box_key(top), (top,), coeff_table, pieces, LayeredPoly)[0][top]
+    return termdict.leibniz((h,), box, (top,), coeff_table, pieces, LayeredPoly)[0][top]
 
 
 def top_lists():

@@ -75,7 +75,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from . import termdict
 from .fields import FieldDescriptor, binom
-from .multiindex import down_closure, enumerate_multiindices, indices_below, multiindex
+from .multiindex import down_closure, enumerate_multiindices, indices_below, multiindex, natural
 
 
 def _monomial_key(exps: Sequence[int]) -> tuple:
@@ -194,10 +194,8 @@ class ParamPoly(termdict.Ring):
 
     def hasse(self, i: int, k: int) -> "ParamPoly":
         """D_{i,k} of the polynomial: C(e_i, k) s_i^{e_i - k} per monomial."""
-        if k == 0:
+        if not natural(k):
             return self
-        if k < 0:
-            raise ValueError(f"derivative order must be a natural, got {k}")
         # e -> e - k*unit_i is injective, so no two terms collide
         return _make(
             {
@@ -836,6 +834,4 @@ def hasse_derive(alpha: Sequence[int], a: BaseElem) -> BaseElem:
 def hasse_table(a: BaseElem, m: int) -> dict[tuple, BaseElem]:
     """{alpha: D_alpha(a)} for every multi-index alpha with |alpha| <= m, in
     graded-lex order, from one recursion over the simplex."""
-    if m < 0:
-        raise ValueError(f"derivative order must be a natural, got {m}")
-    return _hasse_values(a, enumerate_multiindices(a.field.derivation_count, m))
+    return _hasse_values(a, enumerate_multiindices(a.field.derivation_count, natural(m)))

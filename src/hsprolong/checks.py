@@ -28,11 +28,11 @@ from .fields import FieldDescriptor, comp_coeff, multinomial
 from .diffpoly import DerivationMode, DiffPoly, apply_d, derive_upto, taylor_oracle
 from .layered import LayeredPoly, LayeredSymbol, layered_expand_each, outer_derive, phi, psi, theta
 from .layered import tensor_left_action, tensor_right_action
-from .multiindex import graded_lex_key, index_add, index_size, splittings
+from .multiindex import index_add, index_size, splittings
 from .presentations import ideal_membership_witness
 from .sampling import random_base_elem, random_diffpoly, random_multiindex, random_nonzero_base_elem
 from .sampling import random_sparse_poly, random_variety_with_point
-from .series import twist_expand, twist_inverse, twist_psi, TruncatedElement
+from .series import render_series, twist_expand, twist_inverse, twist_psi, TruncatedElement
 
 P, J = DerivationMode.PROLONGATION, DerivationMode.JET
 
@@ -288,10 +288,7 @@ class _TensorForm(dict):
     """A tensor normal form {(i, j): b}, written as the sum of b*t^i*u^j in graded order."""
 
     def __str__(self) -> str:
-        return termdict.render_sum(
-            termdict.render_term(self[k], termdict.render_powers(zip("tu", k)))
-            for k in sorted(self, key=graded_lex_key)
-        )
+        return render_series(self, "tu")
 
 
 def _tensor_loops(m: int, q: int, samples: int, seed: int, field: FieldDescriptor) -> list[_Loop]:

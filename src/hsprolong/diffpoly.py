@@ -36,8 +36,8 @@ from enum import Enum
 from fractions import Fraction
 from typing import Sequence
 
-from . import termdict
-from .basefield import BaseElem, _hasse_values, hasse_table
+from . import basefield, termdict
+from .basefield import BaseElem, hasse_table
 from .fields import FieldDescriptor, comp_coeff, comp_count
 from .multiindex import (
     enumerate_multiindices,
@@ -180,9 +180,9 @@ def apply_d(alpha: Sequence[int], f: DiffPoly, mode: DerivationMode) -> DiffPoly
     alpha = multiindex(alpha, f.field.derivation_count)
 
     # the coefficient tables D_gamma(c) over the box below alpha, each from
-    # one quotient recursion over that box
+    # one quotient recursion over that box, read from basefield at call time
     box = indices_below(alpha)
-    return _fold((f,), mode, box, (alpha,), lambda c: _hasse_values(c, box))[0][alpha]
+    return _fold((f,), mode, box, (alpha,), lambda c: basefield._hasse_values(c, box))[0][alpha]
 
 
 def derive_upto(f: DiffPoly, m: int, mode: DerivationMode) -> dict[tuple, DiffPoly]:

@@ -19,7 +19,10 @@ a ``--point`` value (``parse_point``) and of a ``--map`` value
 A declared or assigned name appears once, and no variable is a parameter;
 a name that breaks this is reported at its own token.  Diagnostics carry
 line and column, counted in the text that was parsed: the document, or the
-flag value.
+flag value.  A number has at most MAX_DIGITS digits, CPython's default
+int-string limit held fixed, and a number power over Q is refused on bit
+lengths once its value would have more; a characteristic is 0 or a prime
+below fields.PRIME_BOUND.
 
 A token is its text, one string of a single ``findall``, and the end of input
 is the token "".  Its kind comes from its first character: a number starts
@@ -58,12 +61,14 @@ from typing import Optional, Sequence
 
 from . import termdict
 from .basefield import BaseElem, ParamPoly, _elem, _make
-from .fields import FieldDescriptor, is_prime
+from .fields import PRIME_BOUND, FieldDescriptor, is_prime
 from .diffpoly import DiffPoly, DiffSymbol
 from .multiindex import zero_index
 from .presentations import VarietyPresentation
 
 KEYWORDS = {"char", "params", "derivations", "vars", "gens", "point"}
+MAX_DIGITS = 4300  # not read from PYTHONINTMAXSTRDIGITS, so the grammar does not move with it
+_BOUND = 10**MAX_DIGITS  # the least number of more than MAX_DIGITS digits
 
 
 class ParseError(ValueError):
@@ -214,13 +219,20 @@ class _Parser:
         self.pos = i + 1
         return i
 
-    def expect_nat(self) -> int:
-        i = self.pos
+    def nat(self, i: int, k: int = 1) -> int:
+        """The natural number at token i to the power k; the parser moves past
+        it.  A number, or a power, of more than MAX_DIGITS digits is reported at i."""
         tok = self.toks[i]
         if not tok.isdecimal():
             raise self.error(f"expected a natural number, found {tok!r}", i)
+        if len(tok) > MAX_DIGITS:
+            raise self.error(f"number has {len(tok)} digits, more than {MAX_DIGITS}", i)
         self.pos = i + 1
-        return int(tok)
+        c = int(tok)
+        # c^k >= 2^(k*(c.bit_length() - 1)), so bit lengths rule out a large power before it is computed
+        if k != 1 and (k * (c.bit_length() - 1) >= _BOUND.bit_length() or (c := c**k) >= _BOUND):
+            raise self.error(f"power has more than {MAX_DIGITS} digits", i)
+        return c
 
     def expect_end(self) -> int:
         i = self.pos
@@ -253,7 +265,9 @@ class _Parser:
     def parse_document(self) -> InputDocument:
         toks = self.toks
         char_at = self.expect("char")
-        char = self.expect_nat()
+        char = self.nat(self.pos)
+        if char >= PRIME_BOUND:
+            raise self.error(f"characteristic must be below {PRIME_BOUND}", char_at)
         if char != 0 and not is_prime(char):
             raise self.error(f"characteristic {char} is not 0 or prime", char_at)
         self.expect(";")
@@ -261,7 +275,7 @@ class _Parser:
         params = self.name_list("parameter names must be distinct")
         self.expect(";")
         der_at = self.expect("derivations")
-        n = self.expect_nat()
+        n = self.nat(self.pos)
         self.expect(";")
         try:
             field = FieldDescriptor(char, tuple(params), n)
@@ -385,7 +399,7 @@ class _Parser:
         bound = DiffPoly.MAX_EXPONENT
         start = i = self.pos
         while True:
-            tok = toks[i]
+            at, tok = i, toks[i]
             name = names.get(tok)
             if name is not None or tok.isdecimal():
                 i += 1
@@ -400,11 +414,8 @@ class _Parser:
             else:
                 raise self.error(f"expected a value, found {tok or 'end of input'!r}", i)
             if toks[i] == "^":
-                i += 1
-                if not toks[i].isdecimal():
-                    raise self.error(f"expected a natural number, found {toks[i]!r}", i)
-                k = int(toks[i])
-                i += 1
+                k = self.nat(i + 1)
+                i += 2
             else:
                 k = 1
             divide = op >= 0
@@ -424,11 +435,7 @@ class _Parser:
                 elif k:
                     raise self.error("variety variable in a denominator", op)
             elif tok != "(":
-                c = int(tok)
-                if k != 1:
-                    c = pow(c, k, p) if p else c**k
-                elif p:
-                    c %= p
+                c = pow(self.nat(at), k, p) if p else self.nat(at, k)
                 if not divide:
                     top *= c
                 elif c:

@@ -7,7 +7,9 @@ FieldDescriptor.inverse inverts a coefficient; in characteristic p, division
 must go through inverse, since int / int would give a float.  Binomial and
 multinomial coefficients are always computed exactly over the integers and
 only then reduced into the characteristic, so no divisibility subtleties arise
-mod p.
+mod p.  A characteristic is 0 or a prime below PRIME_BOUND, where is_prime,
+Miller-Rabin with the first 13 primes as bases, is exact (Sorenson and
+Webster, Math. Comp. 86 (2017)).
 """
 
 from __future__ import annotations
@@ -18,17 +20,20 @@ from fractions import Fraction
 from typing import Sequence
 
 
+_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+PRIME_BOUND = 3317044064679887385961981
+
+
 def is_prime(n: int) -> bool:
-    """Deterministic trial division; adequate for desk-scale characteristics."""
-    if n < 2:
-        return False
-    if n % 2 == 0:
-        return n == 2
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
+    """Deterministic Miller-Rabin, exact for every n < PRIME_BOUND."""
+    if n <= _BASES[-1]:
+        return n in _BASES
+    s = ((n - 1) & (1 - n)).bit_length() - 1  # n - 1 = d * 2^s with d odd
+    for b in _BASES:
+        x = pow(b, (n - 1) >> s, n)
+        # a prime n has b^d = 1, or b^(d*2^j) = -1 for some j < s
+        if x != 1 and n - 1 not in (pow(x, 1 << j, n) for j in range(s)):
             return False
-        d += 2
     return True
 
 
@@ -48,6 +53,8 @@ class FieldDescriptor:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "parameter_names", tuple(self.parameter_names))
+        if self.characteristic >= PRIME_BOUND:
+            raise ValueError(f"characteristic must be below {PRIME_BOUND}, got {self.characteristic}")
         if self.characteristic != 0 and not is_prime(self.characteristic):
             raise ValueError(f"characteristic must be 0 or prime, got {self.characteristic}")
         if len(set(self.parameter_names)) != len(self.parameter_names):

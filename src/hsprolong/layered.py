@@ -42,11 +42,11 @@ from __future__ import annotations
 import math
 from typing import Mapping, Sequence
 
-from . import termdict
-from .basefield import BaseElem, _hasse_values
+from . import basefield, termdict
+from .basefield import BaseElem
 from .fields import FieldDescriptor
 from .diffpoly import DerivationMode, DiffPoly, var_rank
-from .multiindex import down_closure
+from .multiindex import down_closure, natural
 from .series import twist_expand
 from .sparsepoly import SparsePoly
 
@@ -131,19 +131,13 @@ class LayeredPoly(SparsePoly):
 
 
 def _d_table(l: int, c: BaseElem) -> list[BaseElem]:
-    """[D_0(c), ..., D_l(c)] on base coefficients, the orders k*e_0 of the one
-    D_alpha recursion; a trivial field kills every positive order."""
+    """[D_0(c), ..., D_l(c)], the orders k*e_0 of basefield's one D_alpha
+    recursion, read at call time; a trivial field kills every positive order."""
     n = c.field.derivation_count
     if n == 0:
         return [c] + [BaseElem.zero(c.field)] * l
     orders = [(k,) + (0,) * (n - 1) for k in range(l + 1)]
-    return list(_hasse_values(c, orders).values())
-
-
-def _natural(order: int) -> int:
-    if order < 0:
-        raise ValueError(f"derivative order must be a natural, got {order}")
-    return order
+    return list(basefield._hasse_values(c, orders).values())
 
 
 def layered_expand_each(
@@ -161,7 +155,7 @@ def layered_expand_each(
     """
     if not tops:
         raise ValueError("layered expansion needs at least one (outer, inner) order")
-    closure = down_closure((_natural(a), _natural(b)) for a, b in tops)
+    closure = down_closure((natural(a), natural(b)) for a, b in tops)
     P = DerivationMode.PROLONGATION
     char = h.field.characteristic
     allowed = []  # ((a, b), a + b, C(a+b, a)) for each coefficient entry that can be nonzero
@@ -216,7 +210,7 @@ def _outer_shifts(outer: int, top: int, char: int, bound: int):
 def outer_derive(l: int, p: LayeredPoly, bound: int) -> LayeredPoly:
     """D_l on a layered ring: C(a+l, l)-shifts on symbols, D_l on coefficients."""
     char = p.field.characteristic
-    box = [(w,) for w in range(_natural(l) + 1)]
+    box = [(w,) for w in range(natural(l) + 1)]
 
     def coeff_table(c: BaseElem) -> dict:
         return {(u,): d for u, d in enumerate(_d_table(l, c))}

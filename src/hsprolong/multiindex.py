@@ -26,6 +26,13 @@ def multiindex(alpha: Sequence[int], n: int) -> tuple[int, ...]:
     return alpha
 
 
+def natural(k: int) -> int:
+    """k, once it is checked to be a natural derivative order."""
+    if k < 0:
+        raise ValueError(f"derivative order must be a natural, got {k}")
+    return k
+
+
 def zero_index(n: int) -> tuple[int, ...]:
     return (0,) * n
 

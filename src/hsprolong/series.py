@@ -4,8 +4,8 @@ A TruncatedElement maps multi-indices of size <= m to nonzero carrier
 elements; the carrier is duck-typed (BaseElem, a sparse symbol polynomial, or
 a ParamPoly inside twist_expand) and only needs +, -, *, bool and ==, plus
 render and render_head to be written.  Products discard terms of size > m.
-The text form is termdict's: render_term writes each coefficient beside its
-power of t, and render_sum joins the pieces.
+render_series writes the text form: termdict's render_term puts each
+coefficient beside its power of t, in graded-lex order.
 
 The twisted structure lives here too: twist_expand sends a base element
 r = num/den to its truncated Taylor expansion sum D_alpha(r) t^alpha.  It
@@ -33,16 +33,11 @@ m - |alpha| that the shift by t^alpha leaves.
 from __future__ import annotations
 
 from operator import add
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 from . import termdict
 from .basefield import BaseElem, ParamPoly, _make
-from .multiindex import (
-    graded_lex_key,
-    index_add,
-    index_size,
-    zero_index,
-)
+from .multiindex import graded_lex_key, index_add, index_size, zero_index
 
 
 class TruncatedElement(termdict.Ring):
@@ -125,13 +120,6 @@ class TruncatedElement(termdict.Ring):
 
         return TruncatedElement._of(termdict.mul(self.coeffs, other.coeffs, key), m, self.t_count)
 
-    def __pow__(self, k: int) -> "TruncatedElement":
-        if k < 0:
-            raise ValueError("negative power in a truncated ring")
-        if k == 0:
-            raise ValueError("power 0 needs a carrier unit; multiply explicitly")
-        return termdict.power(self, k - 1, self)
-
     def scale(self, c) -> "TruncatedElement":
         return TruncatedElement._of(termdict.scale(self.coeffs, c), self.order_bound, self.t_count)
 
@@ -154,15 +142,18 @@ class TruncatedElement(termdict.Ring):
         )
 
     def render(self) -> str:
-        names = [f"t{i + 1}" for i in range(self.t_count)]
-        coeffs = self.coeffs
-        return termdict.render_sum(
-            termdict.render_term(coeffs[a], termdict.render_powers(zip(names, a)))
-            for a in sorted(coeffs, key=graded_lex_key)
-        )
+        return render_series(self.coeffs, [f"t{i + 1}" for i in range(self.t_count)])
 
     def __repr__(self) -> str:
         return f"TruncatedElement({self.render()}; m={self.order_bound}, n={self.t_count})"
+
+
+def render_series(coeffs: Mapping[tuple, object], names: Sequence[str]) -> str:
+    """The sum of c * names^a over {a: c} in graded-lex order of a, each c a ring element."""
+    return termdict.render_sum(
+        termdict.render_term(coeffs[a], termdict.render_powers(zip(names, a)))
+        for a in sorted(coeffs, key=graded_lex_key)
+    )
 
 
 def _poly_twist(p: ParamPoly, m: int) -> TruncatedElement:

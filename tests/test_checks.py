@@ -201,6 +201,25 @@ def test_multinomial_fail_line_names_the_operator_comparison(monkeypatch, capsys
     assert fails == ["FAIL multinomial at=k=4,a=-3/s,pi=(1, 2, 1) lhs=-72/s^5 rhs=-36/s^5"]
 
 
+def test_a_planted_recursion_reaches_apply_d_and_the_layered_table(monkeypatch):
+    # apply_d and layered._d_table read the one D_alpha recursion from basefield
+    # at call time, so the defect planted there changes both
+    from hsprolong import layered
+    from hsprolong.basefield import BaseElem
+    from hsprolong.diffpoly import DerivationMode, apply_d
+
+    field = FieldDescriptor(0, ("s",), 1)
+    s = BaseElem.param(field, "s")
+    c = s / (s + 1)
+    f = DiffPoly.const(field, c) * DiffPoly.variable(field, 0)
+    derived = apply_d((2,), f, DerivationMode.PROLONGATION)
+    table = layered._d_table(3, c)
+    _plant_doubled_order_two(monkeypatch)
+    assert apply_d((2,), f, DerivationMode.PROLONGATION) != derived
+    planted = layered._d_table(3, c)
+    assert planted != table and planted[2] == table[2] * 2
+
+
 def test_multinomial_fail_line_names_the_composition_count(monkeypatch):
     real = checks.ordered_partitions
     monkeypatch.setattr(checks, "ordered_partitions", lambda k: real(k)[:-1] if k >= 3 else real(k))

@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -615,6 +616,71 @@ def test_main_builds_only_the_named_subparser(witt_file, hyperbola_file, monkeyp
         cli.main(["--help"])
     assert len(built) == 1 + len(cli.COMMANDS)
     capsys.readouterr()
+
+
+# -- numbers past the digit bound, and large prime characteristics ---------------
+
+DIGITS = "7" * 5000
+Q_HEAD = "char 0; params s; derivations 1; vars x y; "
+P19 = "char 1000000000000000003; params s; derivations 1; vars x y; gens x*y - 1; point x = s, y = 1/s;"
+
+
+@pytest.mark.parametrize(
+    "document, argv, at, message",
+    [
+        (Q_HEAD + f"gens {DIGITS}*x - s;", [], DIGITS, "number has 5000 digits, more than 4300"),
+        (f"char {DIGITS}; params s; derivations 1; vars x; gens x - s;", [], DIGITS,
+         "number has 5000 digits, more than 4300"),
+        (f"char 0; params s; derivations {DIGITS}; vars x; gens x - s;", [], DIGITS,
+         "number has 5000 digits, more than 4300"),
+        (Q_HEAD + f"gens x^{DIGITS} - s;", [], DIGITS, "number has 5000 digits, more than 4300"),
+        (Q_HEAD + "gens x - 2^20000;", [], "2^", "power has more than 4300 digits"),
+        (Q_HEAD + "gens x - 7^100000000;", [], "7^", "power has more than 4300 digits"),
+        (Q_HEAD + "gens x*y - 1;", ["--point", f"x = {DIGITS}, y = 1"], DIGITS,
+         "number has 5000 digits, more than 4300"),
+        (Q_HEAD + "gens x*y - 1;", ["--map", f"u = {DIGITS}*x"], DIGITS, "number has 5000 digits, more than 4300"),
+        ("char 3317044064679887385961981; params s; derivations 1; vars x; gens x - s;", [], "char",
+         "characteristic must be below 3317044064679887385961981"),
+    ],
+    ids=["coefficient", "char", "derivations", "exponent", "power", "power-of-a-huge-exponent", "point-flag",
+         "map-flag", "characteristic-bound"],
+)
+def test_large_numbers_are_input_errors_at_their_token(document, argv, at, message, tmp_path, capsys):
+    # not an internal error from int-string conversion, and no hang on a huge power
+    from hsprolong import cli
+
+    path = tmp_path / "doc.txt"
+    path.write_text(document, encoding="utf-8")
+    command = "lift" if "--map" in argv else "nabla" if "--point" in argv else "prolong"
+    where = argv[1] if argv else document
+    start = time.perf_counter()
+    assert cli.main([command, "--order", "1", *argv, str(path)]) == 2
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.err == f"input error: {message} (line 1, column {where.index(at) + 1})\n"
+    assert captured.out == ""
+
+
+def test_a_power_of_fewer_than_4300_digits_still_parses(tmp_path, capsys):
+    from hsprolong import cli
+
+    path = tmp_path / "doc.txt"
+    path.write_text(Q_HEAD + "gens x - 2^14000;", encoding="utf-8")
+    assert cli.main(["prolong", "--order", "1", str(path)]) == 0
+    assert f"generator x - {2**14000}" in capsys.readouterr().out.splitlines()
+
+
+@pytest.mark.parametrize("command", ["prolong", "nabla", "jet"])
+def test_a_19_digit_prime_characteristic_runs(command, tmp_path, capsys):
+    # primality by Miller-Rabin: trial division up to the square root would make 5*10^8 divisions
+    from hsprolong import cli
+
+    path = tmp_path / "doc.txt"
+    path.write_text(P19, encoding="utf-8")
+    start = time.perf_counter()
+    assert cli.main([command, "--order", "2", str(path)]) == 0
+    assert time.perf_counter() - start < 1
+    assert capsys.readouterr().err == ""
 
 
 if __name__ == "__main__":

@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from hsprolong import FieldDescriptor, ParamPoly, binom, comp_coeff, multinomial
+from hsprolong.fields import PRIME_BOUND, is_prime
 
 Q = FieldDescriptor(0, (), 0)
 Q_s = FieldDescriptor(0, ("s",), 1)
@@ -144,3 +145,27 @@ def test_descriptor_validation():
         FieldDescriptor(0, ("s", "s"), 1)
     with pytest.raises(ValueError):
         FieldDescriptor(0, ("s",), 2)
+
+
+def test_is_prime_agrees_with_a_sieve_below_ten_to_the_five():
+    n_max = 10**5
+    sieve = [False, False] + [True] * (n_max - 2)
+    for i in range(2, math.isqrt(n_max) + 1):
+        if sieve[i]:
+            sieve[i * i :: i] = [False] * len(range(i * i, n_max, i))
+    assert [n for n in range(n_max) if is_prime(n)] == [n for n in range(n_max) if sieve[n]]
+
+
+@pytest.mark.parametrize("n", [561, 3215031751, 3825123056546413051, 318665857834031151167461])
+def test_is_prime_rejects_strong_pseudoprimes_to_smaller_base_sets(n):
+    # a Carmichael number, then strong pseudoprimes to the first 4, 11 and 12 prime bases
+    assert not is_prime(n)
+
+
+def test_large_prime_characteristics_below_the_bound():
+    assert is_prime(1000000000000000003) and is_prime(2**61 - 1)
+    assert FieldDescriptor(1000000000000000003, ("s",), 1).characteristic == 1000000000000000003
+    with pytest.raises(ValueError, match=f"characteristic must be below {PRIME_BOUND}"):
+        FieldDescriptor(PRIME_BOUND, ("s",), 1)
+    with pytest.raises(ValueError, match="characteristic must be below"):
+        FieldDescriptor(10**4000, ("s",), 1)

@@ -260,3 +260,43 @@ def test_assignment_diagnostics_point_at_a_token_or_the_end(text):
 @given(text=soups())
 def test_point_diagnostics_point_at_a_token_or_the_end(text):
     assert_points_at_a_token(lambda t: parse_point(Q_S, VARS, t), text)
+
+
+# -- the digit bound ---------------------------------------------------------------
+
+# Each number position of the grammar, as (template, a value that parses there,
+# or None where any run parses); "{}" marks the digit run.
+NUMBER_POSITIONS = {
+    "char": ("char {}; params s; derivations 1; vars x; gens x - s;", "0"),
+    "derivations": ("char 0; params s; derivations {}; vars x; gens x - s;", "1"),
+    "exponent": ("char 0; params s; derivations 1; vars x; gens x^{} - s;", "2"),
+    "coefficient": ("char 0; params s; derivations 1; vars x; gens {}*x - s;", None),
+    "point value": ("char 0; params s; derivations 1; vars x; gens x - s; point x = {};", None),
+}
+DIGIT_PATTERNS = st.text("0123456789٣", min_size=1, max_size=12)
+
+
+@settings(max_examples=60, deadline=None)
+@given(position=st.sampled_from(sorted(NUMBER_POSITIONS)), length=st.integers(4301, 6000), pattern=DIGIT_PATTERNS)
+def test_a_run_of_more_than_4300_digits_is_reported_at_its_start(position, length, pattern):
+    template, _ = NUMBER_POSITIONS[position]
+    run = (pattern * length)[:length]
+    cases = [(parse_document, template.format(run), template.index("{"))]
+    if position == "point value":
+        cases.append((lambda t: parse_point(Q_S, ("x",), t), f"x = {run}", 4))
+    for parse, text, offset in cases:
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert (exc.value.line, exc.value.col) == (1, offset + 1)
+        assert str(exc.value).startswith(f"number has {length} digits, more than 4300 ")
+
+
+@settings(max_examples=30, deadline=None)
+@given(position=st.sampled_from(sorted(NUMBER_POSITIONS)), pattern=DIGIT_PATTERNS)
+def test_a_run_of_exactly_4300_digits_parses(position, pattern):
+    # where the value matters, the run is that value padded with leading zeros
+    template, value = NUMBER_POSITIONS[position]
+    run = value.rjust(4300, "0") if value else (pattern * 4300)[:4300]
+    parse_document(template.format(run))
+    if position == "point value":
+        parse_point(Q_S, ("x",), f"x = {run}")

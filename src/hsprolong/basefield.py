@@ -75,7 +75,7 @@ from typing import Iterable, Mapping, Sequence, Union
 
 from . import termdict
 from .fields import FieldDescriptor, binom
-from .multiindex import down_closure, enumerate_multiindices, indices_below, multiindex, natural
+from .multiindex import down_closure, enumerate_multiindices, indices_below, multiindex, natural, unit_index
 
 
 def _monomial_key(exps: Sequence[int]) -> tuple:
@@ -122,9 +122,7 @@ class ParamPoly(termdict.Ring):
     def var(cls, field: FieldDescriptor, i: int) -> "ParamPoly":
         if not 0 <= i < field.param_count:
             raise ValueError(f"no parameter with index {i}")
-        e = [0] * field.param_count
-        e[i] = 1
-        return _make({tuple(e): field.scalar(1)}, field)
+        return _make({unit_index(field.param_count, i): field.scalar(1)}, field)
 
     @classmethod
     def monomial(cls, field: FieldDescriptor, exps: Sequence[int], coeff: int | Fraction = 1) -> "ParamPoly":
@@ -639,11 +637,8 @@ class BaseElem(termdict.Ring):
         if g.is_const():
             return BaseElem._raw(a * d + c * b, b * d)
         db, dd = poly_divexact(b, g), poly_divexact(d, g)
-        t = a * dd + c * db
-        h = poly_gcd(t, g)
-        if h.is_const():
-            return BaseElem._raw(t, db * d)
-        return BaseElem._raw(poly_divexact(t, h), db * poly_divexact(d, h))
+        t, g = _cancel(a * dd + c * db, g)
+        return BaseElem._raw(t, db * dd * g)
 
     __radd__ = __add__
 
@@ -748,8 +743,7 @@ def _const(field: FieldDescriptor, c: int | Fraction) -> BaseElem:
 def _reduce(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
     mf, mg = _monomial_content(num), _monomial_content(den)
     common = tuple(min(a, b) for a, b in zip(mf, mg))
-    if any(common):
-        num, den = _shift_down(num, common), _shift_down(den, common)
+    num, den = _shift_down(num, common), _shift_down(den, common)
     if len(den.terms) > 1 and len(num.terms) > 1:
         num, den = _cancel(num, den)
     return _monic_den(num, den)

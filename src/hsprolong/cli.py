@@ -115,7 +115,7 @@ def cmd_nabla(args: Arguments) -> int:
         print(f"ON-VARIETY: no (generator {exc.generator.render(doc.var_names)} "
               f"evaluates to {exc.value.render()})", file=sys.stderr)
         return INPUT_ERROR
-    rows = [(s.render(doc.var_names), values[s].render()) for s in sorted(values, key=lambda s: s.sort_key)]
+    rows = [(s.render(doc.var_names), v.render()) for s, v in values.items()]
     _write(args, {"order": args.order, "values": dict(rows), "on_variety": True},
            [f"nabla order={args.order}", *(f"{name} = {text}" for name, text in rows), "ON-VARIETY: yes"])
     return OK
@@ -316,6 +316,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _read_argv(argv) or _parse_args(argv)
     if args.command == "check" and args.suite in ("phi-psi", "all") and args.inner > args.outer:
         build_parser().error(f"argument --inner: must not exceed --outer ({args.outer}) for phi-psi, got {args.inner}")
+    # no int-string limit while the command runs (int stands in where there is none): MAX_DIGITS bounds input
+    limit, set_limit = getattr(sys, "get_int_max_str_digits", int)(), getattr(sys, "set_int_max_str_digits", int)
+    set_limit(0)
     try:
         code = globals()[args.fn](args)
         # a closed stdout raises here, inside the try, and not at exit
@@ -332,6 +335,8 @@ def main(argv: list[str] | None = None) -> int:
     except Exception as exc:
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return INTERNAL_ERROR
+    finally:
+        set_limit(limit)
 
 
 if __name__ == "__main__":

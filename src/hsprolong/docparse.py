@@ -20,8 +20,8 @@ A declared or assigned name appears once, and no variable is a parameter;
 a name that breaks this is reported at its own token.  Diagnostics carry
 line and column, counted in the text that was parsed: the document, or the
 flag value.  A number has at most MAX_DIGITS digits, CPython's default
-int-string limit held fixed, and a number power over Q is refused on bit
-lengths once its value would have more; a characteristic is 0 or a prime
+int-string limit held fixed, and a power over Q is refused on bit lengths
+once a number in it would have more; a characteristic is 0 or a prime
 below fields.PRIME_BOUND.
 
 A token is its text, one string of a single ``findall``, and the end of input
@@ -49,14 +49,15 @@ its gcd.  A quotient is zero exactly when its numerator is, so the zero
 tests behind "division by zero" and "variety variable in a denominator" read
 the unreduced values, at the divisor that fails them.  A variable exponent
 past ``DiffPoly.MAX_EXPONENT`` is reported at the factor that passes it, or
-at its term's first token when a parenthesized power does.
+at its term's first token when a parenthesized power does, before expanding
+it; a power that takes a sum past that degree (a numerator's degree counts
+variables and parameters) is refused at its "(".
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Optional, Sequence
 
 from . import termdict
@@ -120,8 +121,8 @@ class _Fraction:
     """num/den of two ParamPolys with no gcd taken: one coefficient of a parsed
     expression before its one normalization.
 
-    A denominator of 1 is None; any other denominator is nonconstant, because
-    division by a constant is folded into the numerator.
+    A denominator of 1 is None; division by a number folds into the numerator,
+    and a parenthesized divisor joins the denominator even when it is constant.
     """
 
     __slots__ = ("num", "den")
@@ -183,8 +184,6 @@ class _Parser:
         self.text = text
         self.toks = _tokenize(text)
         self.pos = 0
-        self.field = field
-        self.var_names = var_names
         if field is not None:
             self._bind(field, var_names)
             # names from the caller: an identifier token spells no keyword,
@@ -395,7 +394,6 @@ class _Parser:
         product = None  # the product of the parenthesized factors; None is 1
         num = den = None  # what the parenthesized divisors contribute; None is 1
         op = -1  # the index of the "/" before the factor; -1 before a "*" or the first
-        inverted = False  # whether a parameter was divided by
         bound = DiffPoly.MAX_EXPONENT
         start = i = self.pos
         while True:
@@ -423,11 +421,7 @@ class _Parser:
             if name is not None:
                 is_var, j = name
                 if not is_var:
-                    if divide:
-                        pexp[j] -= k
-                        inverted = True
-                    else:
-                        pexp[j] += k
+                    pexp[j] += -k if divide else k
                 elif not divide:
                     vexp[j] += k
                     if vexp[j] > bound:
@@ -444,6 +438,7 @@ class _Parser:
                     raise self.error("division by zero", op)
             else:
                 if k != 1:
+                    self.bound_power(value, k, at, start)
                     value = termdict.power(value, k, {self.origin: _Fraction(self.one)}, _mul_terms)
                 if not divide:
                     product = value if product is None else _mul_terms(product, value)
@@ -453,13 +448,7 @@ class _Parser:
                     if not value:
                         raise self.error("division by zero", op)
                     d = value[self.origin]
-                    if d.num.is_const():
-                        # an int or a Fraction: either has a numerator and a denominator
-                        c = d.num.const_value()
-                        top *= c.denominator
-                        bottom *= c.numerator
-                    else:
-                        den = _times(den, d.num)
+                    den = _times(den, d.num)
                     num = _times(num, d.den)
 
             tok = toks[i]
@@ -472,14 +461,10 @@ class _Parser:
             i += 1
         self.pos = i
 
-        # top/bottom as a coefficient; bottom is a unit in characteristic p
-        if p:
-            scalar = (top if bottom == 1 else top * pow(bottom, p - 2, p)) % p
-        else:
-            scalar = Fraction(top) if bottom == 1 else Fraction(top, bottom)
+        scalar = field.scalar(top, bottom)  # bottom is a unit in characteristic p
         if not scalar:
             return
-        if inverted and min(pexp) < 0:
+        if min(pexp, default=0) < 0:
             den = _times(den, _make({tuple(-e if e < 0 else 0 for e in pexp): self.one.const_value()}, field))
             pexp = [e if e > 0 else 0 for e in pexp]
         mono = _make({tuple(pexp): scalar}, field)
@@ -492,6 +477,18 @@ class _Parser:
                 if max(e, default=0) > bound:
                     raise self.exponent_error(e, start)
                 _add_term(acc, e, _Fraction(c.num * num, _times(c.den, den)))
+
+    def bound_power(self, value: dict, k: int, at: int, start: int) -> None:
+        """Refuse value^k before it is expanded, by the rules of the module docstring."""
+        polys = [q for c in value.values() for q in (c.num, c.den) if q]
+        bits = max([max(abs(x.numerator), x.denominator).bit_length() for q in polys for x in q.terms.values()], default=0)
+        if not self.field.characteristic and k * (bits - 1) >= _BOUND.bit_length():
+            raise self.error(f"power has more than {MAX_DIGITS} digits", at)
+        if max(top := [k * max(e) for e in zip(*value)], default=0) > DiffPoly.MAX_EXPONENT:
+            raise self.exponent_error(top, start)
+        d = max([max(sum(e) + c.num.degree(), c.den.degree() if c.den else 0) for e, c in value.items()], default=0)
+        if k * d > DiffPoly.MAX_EXPONENT and (len(value) > 1 or any(len(q.terms) > 1 for q in polys)):
+            raise self.error(f"power {k} of a sum of degree {d} has degree {k * d}, above {DiffPoly.MAX_EXPONENT}", at)
 
     def exponent_error(self, e: Sequence[int], i: int) -> ParseError:
         """The diagnostic at token i for the largest of the variable exponents e."""

@@ -108,7 +108,8 @@ def prolong_presentation(
 def nabla(
     variety: VarietyPresentation, m: int, point: Mapping[int, BaseElem]
 ) -> dict[DiffSymbol, BaseElem]:
-    """The section x_i^(alpha) -> D_alpha(a_i) over a point on the variety."""
+    """The section x_i^(alpha) -> D_alpha(a_i) over a point on the variety,
+    its symbols in sort_key order: by variable, then alpha in graded-lex order."""
     assignment = variety.point_assignment(point)
     for j, g in enumerate(variety.generators):
         value = g.evaluate(assignment)
@@ -212,12 +213,13 @@ def _remap_param_poly(p: ParamPoly, dst: FieldDescriptor) -> ParamPoly:
         ne = [0] * dst.param_count
         for i, e in enumerate(exps):
             ne[pos[i]] = e
-        out[tuple(ne)] = dst.scalar(c)
+        out[tuple(ne)] = c
     return ParamPoly(out, dst)
 
 
 def base_change_elem(a: BaseElem, dst: FieldDescriptor) -> BaseElem:
-    return BaseElem(_remap_param_poly(a.num, dst), _remap_param_poly(a.den, dst))
+    """a over dst; a renaming keeps num and den coprime, so only the monic rescale is left."""
+    return BaseElem._raw(_remap_param_poly(a.num, dst), _remap_param_poly(a.den, dst))
 
 
 def base_change_poly(f: DiffPoly, dst: FieldDescriptor) -> DiffPoly:

@@ -102,13 +102,15 @@ class SparsePoly(termdict.Ring):
     # -- ring structure -------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, SparsePoly):
-            if type(other) is not type(self):
-                raise TypeError("mixing different symbolic polynomial rings")
-            return other
         if isinstance(other, (BaseElem, int, Fraction)):
-            return self.const(self.field, other)
-        return NotImplemented
+            other = self.const(getattr(other, "field", self.field), other)
+        elif not isinstance(other, SparsePoly):
+            return NotImplemented
+        elif type(other) is not type(self):
+            raise TypeError("mixing different symbolic polynomial rings")
+        if other.field != self.field:
+            raise ValueError("operands over different fields")
+        return other
 
     def __bool__(self) -> bool:
         return bool(self.terms)

@@ -683,6 +683,54 @@ def test_a_19_digit_prime_characteristic_runs(command, tmp_path, capsys):
     assert capsys.readouterr().err == ""
 
 
+# -- the interpreter's int-string limit decides nothing --------------------------
+
+NINES = "9" * 4300
+NINES_DOC = f"char 0; params s; derivations 1; vars x; gens x - {NINES}*s^2;\n"
+SEVENS = "7" * 2000
+SEVENS_DOC = f"char 0; params s; derivations 1; vars x; gens {SEVENS}*x - s;\n"
+
+
+def test_an_output_number_past_4300_digits_is_written(tmp_path):
+    # the derivative 2*N = 2*10^4300 - 2 of the 4300-digit N has 4301 digits
+    path = tmp_path / "doc.txt"
+    path.write_text(NINES_DOC, encoding="utf-8")
+    r = run_cli("prolong", "--order", "1", str(path))
+    assert (r.returncode, r.stderr) == (0, "")
+    assert r.stdout.splitlines()[3:] == [f"generator x - {NINES}*s^2", f"generator d1x - 1{NINES[1:]}8*s"]
+
+
+def test_a_lower_interpreter_limit_changes_no_output(tmp_path):
+    # the digest of this output at the parent commit, read with the default limit
+    path = tmp_path / "doc.txt"
+    path.write_text(SEVENS_DOC, encoding="utf-8")
+    r = subprocess.run(
+        [sys.executable, "-m", "hsprolong", "prolong", "--order", "1", str(path)],
+        capture_output=True, env=dict(os.environ, PYTHONINTMAXSTRDIGITS="1000"), timeout=300,
+    )
+    assert (r.returncode, r.stderr) == (0, b"")
+    assert hashlib.sha256(r.stdout).hexdigest() == "c7e6c2b4a66cecb09720b475b65409ba174198a7cb2cea45a53d213273a7804f"
+
+
+@pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"), reason="the interpreter has no int-string limit")
+def test_main_restores_the_int_string_limit(tmp_path, capsys):
+    from hsprolong import cli
+
+    good, bad = tmp_path / "good.txt", tmp_path / "bad.txt"
+    good.write_text(SEVENS_DOC, encoding="utf-8")
+    bad.write_text(SEVENS_DOC.replace("- s", "- w"), encoding="utf-8")
+    old = sys.get_int_max_str_digits()
+    try:
+        sys.set_int_max_str_digits(1000)
+        assert cli.main(["prolong", "--order", "1", str(good)]) == 0
+        assert sys.get_int_max_str_digits() == 1000
+        assert cli.main(["prolong", "--order", "1", str(bad)]) == 2
+        assert sys.get_int_max_str_digits() == 1000
+    finally:
+        sys.set_int_max_str_digits(old)
+    assert capsys.readouterr().err == f"input error: undeclared identifier 'w' (line 1, column {SEVENS_DOC.index('- s') + 3})\n"
+
+
 if __name__ == "__main__":
     # writes the document of RATIONAL_N2_SHA256 to the path given; with a
     # directory as well, writes N3_DOC into it as n3-doc.txt and each

@@ -247,3 +247,14 @@ def test_symbols_are_value_objects():
     assert {a, a2, b, b2} == {a, b}
     assert DiffSymbol(0, (1,)) in {a} and LayeredSymbol(0, 1, 0, P) in {b}
     assert {b2: "x"}[b] == "x"
+
+
+def test_sum_and_product_reject_an_operand_over_another_field():
+    # a sum would otherwise hold a coefficient of the other field under this one
+    x = DiffPoly.variable(FieldDescriptor(0, ("s",), 1), 0)
+    f5 = FieldDescriptor(5, ("s",), 1)
+    for other in (DiffPoly.variable(f5, 1), BaseElem.param(f5, "s")):
+        with pytest.raises(ValueError, match="operands over different fields"):
+            x + other
+        with pytest.raises(ValueError, match="operands over different fields"):
+            x * other

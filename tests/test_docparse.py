@@ -1,6 +1,7 @@
 """Input-document grammar: parsing, diagnostics, canonical round-trip."""
 
 import random
+import time
 
 import pytest
 
@@ -319,3 +320,37 @@ def test_a_caller_name_no_identifier_can_spell_names_nothing():
     assert str(exc.value) == "keyword 'gens' cannot be used in an expression (line 1, column 5)"
     images = parse_assignments(FieldDescriptor(0, ("1",), 0), ("x",), "y = 1*x")
     assert images["y"].render(("x",)) == "x"
+
+
+# -- a parenthesized power is bounded before it is expanded ------------------------
+
+HEAD_XY = "char 0; params s; derivations 1; vars x y; gens "
+
+
+@pytest.mark.parametrize(
+    "gens, at, message",
+    [
+        ("x - (7)^100000000", "(", "power has more than 4300 digits"),
+        ("x/(7)^100000000", "(", "power has more than 4300 digits"),
+        ("x - (s + 1)^100000", "(", "power 100000 of a sum of degree 1 has degree 100000, above 1000"),
+        ("x - (x + 1)^100000000", "(", "exponent 100000000 of 'x' is above 1000"),
+        ("x - y*(x + 1)^100000000", "y*", "exponent 100000000 of 'x' is above 1000"),
+    ],
+    ids=["number", "number-divisor", "parameter-sum", "variable-sum", "variable-sum-after-a-factor"],
+)
+def test_a_parenthesized_power_is_refused_before_it_is_expanded(gens, at, message):
+    start = time.perf_counter()
+    with pytest.raises(ParseError) as exc:
+        parse_document(HEAD_XY + gens + ";")
+    assert time.perf_counter() - start < 1
+    assert str(exc.value) == f"{message} (line 1, column {len(HEAD_XY) + gens.index(at) + 1})"
+
+
+def test_a_parenthesized_power_within_the_bounds_still_parses():
+    (g,) = parse_document(HEAD_XY + "x - (2)^14000;").variety.generators
+    assert g.render(("x", "y")) == f"x - {2**14000}"
+    (g,) = parse_document(HEAD_XY + "x - (s + 1)^1000;").variety.generators
+    assert len(g.constant_term().num.terms) == 1001
+    # in characteristic p the digits stay bounded, so only the exponent bound applies
+    (g,) = parse_document("char 5; params s; derivations 1; vars x; gens x - (7)^100000000;").variety.generators
+    assert g.render(("x",)) == "x + 4"

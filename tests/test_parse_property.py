@@ -300,3 +300,28 @@ def test_a_run_of_exactly_4300_digits_parses(position, pattern):
     parse_document(template.format(run))
     if position == "point value":
         parse_point(Q_S, ("x",), f"x = {run}")
+
+
+def nonzero_texts(field):
+    """Text of a nonzero natural, or of a parenthesized sum of distinct
+    parameter monomials with coefficients 1..4 (nonzero also in F5)."""
+    monomials = st.lists(
+        st.tuples(st.integers(1, 4), st.sampled_from(field.parameter_names), st.integers(1, 2), st.sampled_from("+-")),
+        min_size=1, max_size=3, unique_by=lambda m: m[1:3],
+    )
+    sums = st.tuples(monomials, st.integers(0, 4)).map(
+        lambda t: "(" + " ".join(f"{sign} {c}*{name}^{e}" for c, name, e, sign in t[0]) + f" + {t[1]})"
+    )
+    return st.one_of(st.integers(1, 4).map(str), sums)
+
+
+@pytest.mark.parametrize("name", sorted(FIELDS))
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_dividing_by_a_parenthesized_quotient_multiplies_by_its_inverse(name, data):
+    # x/(a/b) puts a constant a/b in the denominator, x*b/a folds a number a into the scalar
+    field = FIELDS[name]
+    a, b = data.draw(nonzero_texts(field)), data.draw(nonzero_texts(field))
+    quotient = parse_assignments(field, VARS, f"u = x/({a}/{b})")
+    product = parse_assignments(field, VARS, f"u = x*{b}/{a}")
+    assert quotient == product, (a, b)

@@ -4,6 +4,7 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from hsprolong import (
     BaseElem,
@@ -29,7 +30,9 @@ from hsprolong import (
     taylor_oracle,
 )
 from hsprolong.multiindex import enumerate_multiindices, zero_index
+from hsprolong.presentations import _remap_param_poly
 from hsprolong.sampling import (
+    random_base_elem,
     random_diffpoly,
     random_multiindex,
     random_point,
@@ -305,3 +308,14 @@ class TestRestrictAndBaseChange:
         moved = base_change_elem(1 / (1 - s), Q_su2)
         s2 = BaseElem.param(Q_su2, "s")
         assert moved == 1 / (1 - s2)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(0, 2**32), st.sampled_from([0, 5]), st.permutations(("u", "v", "w")))
+def test_base_change_elem_is_the_normal_form_of_the_renamed_pair(seed, p, extra):
+    # renaming keeps num and den coprime, so only the monic rescale is left
+    src = FieldDescriptor(p, ("s", "u", "v"), 1)
+    dst = FieldDescriptor(p, ("s", *extra), 1)
+    a = random_base_elem(random.Random(seed), src, max_deg=2, max_terms=3)
+    moved = base_change_elem(a, dst)
+    assert moved == BaseElem(_remap_param_poly(a.num, dst), _remap_param_poly(a.den, dst))

@@ -1,12 +1,18 @@
 """Rational function fields K = k0(s_1..s_r) with commuting Hasse derivations.
 
-Polynomials in the parameters are sparse maps from exponent tuples to plain
-coefficients: Fractions in characteristic 0, ints in [0, p) in characteristic
-p.  The ParamPoly constructor checks outside input and maps each coefficient
-into the field; ring results skip it.  Arithmetic on raw term dicts leaves
-unreduced ints, and ``_make``, which builds every ring result, is the one
-place that folds them back into [0, p); over Q termdict's dicts are taken
-as they are.
+A polynomial in the parameters is integer numerators ``nums``, a sparse map
+from exponent tuples to nonzero ints, over one positive integer ``den``
+(FLINT's fmpq_mpoly layout).  Over Q the pair is canonical, gcd(den, *nums)
+= 1 with den = 1 for zero, so equality is structural; over F_p den is 1 and
+the numerators are residues in [1, p).  The ring runs on ints alone, and
+``terms``, the coefficients as the field writes them (Fractions over Q,
+residues over F_p), is a new dict built on each read for outside readers.
+The ParamPoly constructor checks outside input and maps each coefficient
+into the field; ring results skip it.  Arithmetic on raw integer dicts
+leaves numerators that share a factor with den, or ints outside [0, p), and
+``_make``, which builds every ring result, is the one place that puts them
+in canonical form: over Q it divides out gcd(den, *nums) and makes den
+positive, over F_p it folds them back into [0, p) and drops zeros.
 
 A BaseElem is a quotient num/den of two such polynomials in normal form, so
 equality is structural.  The normal form takes three steps, each written
@@ -15,18 +21,21 @@ their gcd, and ``_monic_den`` scales both so that the denominator's leading
 coefficient under graded-lex is 1.  Sums and products that cancel a gcd on
 the way call ``_cancel`` too.
 
-Two integer routines sit inside the gcd machinery, where no coefficient type
-shows.  ``poly_divexact`` updates one remainder dict in place: cancelling
-the head term adds only terms below it in the monomial order, so the head
-falls at every step, and a head that the divisor's leading monomial does not
-divide proves the division inexact.  The coprimality certificate decides
-"the gcd is free of s_v" from the images of both operands in F_P[s_v], every
-other parameter sent to one point, with P the characteristic or, over Q, the
-word prime ``_WORD_PRIME`` (after Brown's modular gcd): a constant gcd of
-the images, by Euclid on integer lists, proves it.  There is no certificate
-when a denominator is divisible by P, when the leading v-coefficient
-vanishes at every point, or when the images share a factor that the
-operands do not (an unlucky P or point); the exact route then runs.
+Two integer routines sit inside the gcd machinery.  ``poly_divexact``
+updates one remainder dict in place: cancelling the head term adds only
+terms below it in the monomial order, so the head falls at every step, and
+a head that the divisor's leading monomial does not divide proves the
+division inexact.  Over Q it divides the numerators in Z[s] by the
+divisor's primitive part, so by Gauss's lemma a head coefficient that is
+not a multiple of the leading one proves it inexact as well.  The
+coprimality certificate decides "the gcd is free of s_v" from the images of
+both operands in F_P[s_v], every other parameter sent to one point, with P
+the characteristic or, over Q, the word prime ``_WORD_PRIME`` (after
+Brown's modular gcd): a constant gcd of the images, by Euclid on integer
+lists, proves it.  There is no certificate when a denominator is divisible
+by P, when the leading v-coefficient vanishes at every point, or when the
+images share a factor that the operands do not (an unlucky P or point); the
+exact route then runs.
 
 ``poly_gcd`` has one route for any number of parameters: strip the monomial
 content, ask the certificate for the smallest shared parameter v, try exact
@@ -44,10 +53,11 @@ product or sum with an int, a Fraction or a constant BaseElem scales or
 shifts the numerator and keeps the denominator, and ``x == k`` for a number k
 compares the constant of x with k reduced into the field.
 
-Text: ParamPoly writes its number coefficients with ``str``, and
+Text: ParamPoly writes each coefficient with ``str``, of the int numerator
+or, when den != 1, of the Fraction it makes with den, and
 BaseElem.render_head gives what a rational function writes before a power
-product; both feed the term-sum rules in termdict, so a coefficient of 4 in F5
-stays ``4*s`` in a ParamPoly but is the sign of ``-x`` in a DiffPoly.
+product; both feed the term-sum rules in termdict, so a coefficient of 4 in
+F5 stays ``4*s`` in a ParamPoly but is the sign of ``-x`` in a DiffPoly.
 
 The mixed Hasse derivative D_alpha acts on the standard monomial basis by
 D_{i,k}(s_i^j) = C(j,k) s_i^{j-k}, one family at a time, and reaches
@@ -70,6 +80,7 @@ Leibniz recursion) and is kept independent as a cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, gcd, lcm
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
 
@@ -84,18 +95,17 @@ def _monomial_key(exps: Sequence[int]) -> tuple:
 
 
 def _nonzero(terms: Mapping, p: int) -> dict:
-    """The terms with each coefficient reduced mod p (when p) and zeros dropped."""
-    if p:
-        return {k: r for k, c in terms.items() if (r := c % p)}
-    return {k: c for k, c in terms.items() if c}
+    """The terms with each int coefficient reduced mod the characteristic p and zeros dropped."""
+    return {k: r for k, c in terms.items() if (r := c % p)}
 
 
 class ParamPoly(termdict.Ring):
-    """Sparse polynomial in the field parameters with exact coefficients.
+    """Sparse polynomial in the field parameters with exact coefficients:
+    integer numerators ``nums`` over one positive integer ``den``.
 
     The constructor checks outside input; ring results are built by ``_make``."""
 
-    __slots__ = ("terms", "field")
+    __slots__ = ("nums", "den", "field")
 
     def __init__(self, terms: Mapping[tuple, int | Fraction], field: FieldDescriptor):
         r = field.param_count
@@ -104,8 +114,20 @@ class ParamPoly(termdict.Ring):
                 raise ValueError(f"exponent {e!r} is not a tuple of {r} naturals")
             if not isinstance(c, (int, Fraction)):
                 raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
-        self.terms = {e: x for e, c in terms.items() if (x := field.scalar(c))}
+        coeffs = {e: x for e, c in terms.items() if (x := field.scalar(c))}
+        # reduced Fractions over their lcm have numerators coprime to it; residues have denominator 1
+        den = lcm(*(c.denominator for c in coeffs.values()))
+        self.nums = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
+        self.den = den
         self.field = field
+
+    @property
+    def terms(self) -> dict:
+        """{exponent tuple: coefficient}, a new dict: Fractions over Q, residues over F_p."""
+        if self.field.characteristic:
+            return dict(self.nums)
+        den = self.den
+        return {e: Fraction(c, den) for e, c in self.nums.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -115,14 +137,14 @@ class ParamPoly(termdict.Ring):
 
     @classmethod
     def const(cls, field: FieldDescriptor, value: int | Fraction) -> "ParamPoly":
-        c = field.scalar(value)
-        return _make({(0,) * field.param_count: c} if c else {}, field)
+        c = value if type(value) is int else field.scalar(value)
+        return _make({(0,) * field.param_count: c.numerator} if c else {}, field, c.denominator)
 
     @classmethod
     def var(cls, field: FieldDescriptor, i: int) -> "ParamPoly":
         if not 0 <= i < field.param_count:
             raise ValueError(f"no parameter with index {i}")
-        return _make({unit_index(field.param_count, i): field.scalar(1)}, field)
+        return _make({unit_index(field.param_count, i): 1}, field)
 
     @classmethod
     def monomial(cls, field: FieldDescriptor, exps: Sequence[int], coeff: int | Fraction = 1) -> "ParamPoly":
@@ -135,23 +157,30 @@ class ParamPoly(termdict.Ring):
             raise ValueError("parameter polynomials over different fields")
 
     def __bool__(self) -> bool:
-        return bool(self.terms)
+        return bool(self.nums)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, ParamPoly):
             return NotImplemented
-        return self.field == other.field and self.terms == other.terms
+        return self.field == other.field and self.den == other.den and self.nums == other.nums
 
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
         self._check(other)
-        return _make(termdict.add(self.terms, other.terms.items()), self.field)
+        a, b = self.den, other.den
+        if a == b:
+            return _make(termdict.add(self.nums, other.nums.items()), self.field, a)
+        # over lcm(a, b) = a*x = b*y
+        g = gcd(a, b)
+        x, y = b // g, a // g
+        nums = termdict.add(termdict.scale(self.nums, x), ((e, c * y) for e, c in other.nums.items()))
+        return _make(nums, self.field, a * x)
 
     def __neg__(self) -> "ParamPoly":
-        return _make({e: -c for e, c in self.terms.items()}, self.field)
+        return _make({e: -c for e, c in self.nums.items()}, self.field, self.den)
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
         self._check(other)
-        return _make(termdict.mul(self.terms, other.terms, termdict.exp_add), self.field)
+        return _make(termdict.mul(self.nums, other.nums, termdict.exp_add), self.field, self.den * other.den)
 
     def __pow__(self, k: int) -> "ParamPoly":
         if k < 0:
@@ -159,34 +188,36 @@ class ParamPoly(termdict.Ring):
         return termdict.power(self, k, ParamPoly.const(self.field, 1))
 
     def scale(self, c: int | Fraction) -> "ParamPoly":
-        return _make(termdict.scale(self.terms, self.field.scalar(c)), self.field)
+        c = self.field.scalar(c)
+        return _times_ratio(self, c.numerator, c.denominator)
 
     # -- structure queries -------------------------------------------------
 
     def is_const(self) -> bool:
-        # nonzero coefficients only, so a constant has at most the one zero-exponent term
-        t = self.terms
+        # nonzero numerators only, so a constant has at most the one zero-exponent term
+        t = self.nums
         return not t or (len(t) == 1 and not any(next(iter(t))))
 
     def const_value(self) -> int | Fraction:
-        if not self.terms:
+        if not self.nums:
             return self.field.scalar(0)
-        ((e, c),) = self.terms.items()
+        ((e, c),) = self.nums.items()
         if any(e):
             raise ValueError("not a constant polynomial")
-        return c
+        return c if self.field.characteristic else Fraction(c, self.den)
 
     def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
+        return max((sum(e) for e in self.nums), default=0)
 
     def leading(self) -> tuple[tuple, int | Fraction]:
-        if not self.terms:
+        if not self.nums:
             raise ValueError("leading term of the zero polynomial")
-        e = max(self.terms, key=_monomial_key)
-        return e, self.terms[e]
+        e = _lead(self)
+        c = self.nums[e]
+        return e, c if self.field.characteristic else Fraction(c, self.den)
 
     def variables(self) -> set:
-        return {i for e in self.terms for i, k in enumerate(e) if k}
+        return {i for e in self.nums for i, k in enumerate(e) if k}
 
     # -- Hasse derivative of the polynomial part ----------------------------
 
@@ -194,41 +225,72 @@ class ParamPoly(termdict.Ring):
         """D_{i,k} of the polynomial: C(e_i, k) s_i^{e_i - k} per monomial."""
         if not natural(k):
             return self
-        # e -> e - k*unit_i is injective, so no two terms collide
+        field = self.field
+        p = field.characteristic
+        # e -> e - k*unit_i is injective, so no two terms collide; in
+        # characteristic p ``binom`` reduces the binomial, over Q it is the integer
         return _make(
             {
-                e[:i] + (e[i] - k,) + e[i + 1 :]: binom(e[i], k, self.field) * c
-                for e, c in self.terms.items()
+                e[:i] + (e[i] - k,) + e[i + 1 :]: (binom(e[i], k, field) if p else comb(e[i], k)) * c
+                for e, c in self.nums.items()
                 if e[i] >= k
             },
-            self.field,
+            field,
+            self.den,
         )
 
     # -- rendering -----------------------------------------------------------
 
     def render(self) -> str:
-        names = self.field.parameter_names
+        names, nums, den = self.field.parameter_names, self.nums, self.den
         return termdict.render_sum(
-            termdict.render_product(str(self.terms[e]), termdict.render_powers(zip(names, e)))
-            for e in sorted(self.terms, key=_monomial_key, reverse=True)
+            termdict.render_product(
+                str(nums[e] if den == 1 else Fraction(nums[e], den)), termdict.render_powers(zip(names, e))
+            )
+            for e in sorted(nums, key=_monomial_key, reverse=True)
         )
 
 
-def _make(terms: dict, field: FieldDescriptor) -> ParamPoly:
-    """The polynomial on a zero-free dict of valid keys, taken as is; only in
-    characteristic p are its int coefficients reduced and zeros dropped."""
+def _make(nums: dict, field: FieldDescriptor, den: int = 1) -> ParamPoly:
+    """The polynomial nums/den on a zero-free dict of valid keys, in its
+    canonical form.  Over F_p den is 1 and the int numerators are reduced mod p
+    with zeros dropped; over Q gcd(den, *nums) is divided out and den made
+    positive, which also sends zero to den 1."""
     out = ParamPoly.__new__(ParamPoly)
     p = field.characteristic
-    out.terms = _nonzero(terms, p) if p else terms
+    if p:
+        nums = _nonzero(nums, p)
+    elif den != 1:
+        g = gcd(den, *nums.values())
+        if den < 0:
+            g = -g
+        if g != 1:
+            nums = {e: c // g for e, c in nums.items()}
+            den //= g
+    out.nums = nums
+    out.den = den
     out.field = field
     return out
+
+
+def _lead(f: ParamPoly) -> tuple:
+    """The leading exponent of a nonzero polynomial."""
+    return max(f.nums, key=_monomial_key)
+
+
+def _times_ratio(f: ParamPoly, a: int, b: int) -> ParamPoly:
+    """f * a/b for ints a and b, b a unit of the field, in int arithmetic."""
+    field = f.field
+    if field.characteristic:
+        return _make(termdict.scale(f.nums, a * field.inverse(b)), field)
+    return _make(termdict.scale(f.nums, a), field, f.den * b)
 
 
 # -- gcd machinery ----------------------------------------------------------
 
 
 def _monomial_content(f: ParamPoly) -> tuple:
-    it = iter(f.terms)
+    it = iter(f.nums)
     first = next(it)
     mins = list(first)
     for e in it:
@@ -241,64 +303,58 @@ def _monomial_content(f: ParamPoly) -> tuple:
 def _shift_down(f: ParamPoly, exps: Sequence[int]) -> ParamPoly:
     if not any(exps):
         return f
-    return _make({tuple(a - b for a, b in zip(e, exps)): c for e, c in f.terms.items()}, f.field)
+    return _make({tuple(a - b for a, b in zip(e, exps)): c for e, c in f.nums.items()}, f.field, f.den)
 
 
 def _monic(f: ParamPoly) -> ParamPoly:
     if not f:
         return f
-    _, lc = f.leading()
-    if lc == 1:
-        return f
-    return f.scale(f.field.inverse(lc))
+    # the leading coefficient is c/den
+    c = f.nums[_lead(f)]
+    return f if c == f.den else _times_ratio(f, f.den, c)
 
 
 def _coeffs_in(f: ParamPoly, v: int) -> dict[int, ParamPoly]:
     """View f as a univariate polynomial in parameter v over the other parameters."""
     out: dict[int, dict] = {}
-    for e, c in f.terms.items():
+    for e, c in f.nums.items():
         d = e[v]
         rest = list(e)
         rest[v] = 0
         out.setdefault(d, {})[tuple(rest)] = c
-    return {d: _make(t, f.field) for d, t in out.items()}
+    return {d: _make(t, f.field, f.den) for d, t in out.items()}
 
 
 def _from_coeffs(coeffs: Mapping[int, ParamPoly], v: int, field: FieldDescriptor) -> ParamPoly:
+    den = lcm(*(q.den for q in coeffs.values()))
     out: dict = {}
-    for d, p in coeffs.items():
-        for e, c in p.terms.items():
+    for d, q in coeffs.items():
+        k = den // q.den
+        for e, c in q.nums.items():
             ne = list(e)
             ne[v] += d
-            out[tuple(ne)] = c
-    return _make(out, field)
+            out[tuple(ne)] = c * k
+    return _make(out, field, den)
 
 
 def _scalar_rescale(r: dict[int, ParamPoly]) -> dict[int, ParamPoly]:
     """Scale a whole remainder so its coefficients are coprime integers (char 0).
 
-    A PRS tolerates scaling by one global scalar; this keeps Fraction sizes
-    from snowballing across reduction rounds.
+    A PRS tolerates scaling by one global positive scalar; this keeps the
+    integer numerators from growing across reduction rounds.
     """
     if not r:
         return r
-    sample = next(iter(r.values()))
-    if sample.field.characteristic:
+    field = next(iter(r.values())).field
+    if field.characteristic:
         return r
-    from math import gcd, lcm
-
-    den = 1
-    num = 0
-    for p in r.values():
-        for c in p.terms.values():
-            den = lcm(den, c.denominator)
-    for p in r.values():
-        for c in p.terms.values():
-            num = gcd(num, c.numerator * (den // c.denominator))
-    if den == 1 and num in (0, 1):
+    # over the lcm of the denominators every coefficient is an integer
+    den = lcm(*(q.den for q in r.values()))
+    scaled = {d: termdict.scale(q.nums, den // q.den) for d, q in r.items()}
+    num = gcd(*(c for t in scaled.values() for c in t.values()))
+    if den == 1 and num == 1:
         return r
-    factor = Fraction(den, num)
-    return {d: p.scale(factor) for d, p in r.items()}
+    return {d: _make({e: c // num for e, c in t.items()}, field) for d, t in scaled.items()}
 
 
 def _pseudo_rem(a: dict[int, ParamPoly], b: dict[int, ParamPoly]) -> dict[int, ParamPoly]:
@@ -342,19 +398,15 @@ _WORD_PRIME = 2**31 - 1
 
 
 def _residues(f: ParamPoly, prime: int) -> dict | None:
-    """f's coefficients mod prime, or None when a denominator is divisible by it."""
+    """f's coefficients mod prime, or None when a denominator is divisible by it:
+    the common denominator is the lcm of the coefficients' own."""
     if f.field.characteristic:
-        return f.terms
-    out = {}
-    for e, c in f.terms.items():
-        d = c.denominator
-        if d == 1:
-            out[e] = c.numerator % prime
-        elif d % prime:
-            out[e] = c.numerator * pow(d, -1, prime) % prime
-        else:
-            return None
-    return out
+        return f.nums
+    den = f.den
+    if den % prime == 0:
+        return None
+    inv = pow(den, -1, prime)
+    return {e: c * inv % prime for e, c in f.nums.items()}
 
 
 def _image(res: dict, v: int, point: int, prime: int, deg: int) -> list[int]:
@@ -413,9 +465,9 @@ def _coprime_by_evaluation(f0: ParamPoly, g0: ParamPoly, v: int) -> bool:
     rf, rg = _residues(f0, prime), _residues(g0, prime)
     if rf is None or rg is None:
         return False
-    df = max(e[v] for e in f0.terms)
-    dg = max(e[v] for e in g0.terms)
-    others = any(sum(e) != e[v] for t in (f0.terms, g0.terms) for e in t)
+    df = max(e[v] for e in f0.nums)
+    dg = max(e[v] for e in g0.nums)
+    others = any(sum(e) != e[v] for t in (f0.nums, g0.nums) for e in t)
     for point in _eval_points(f0.field) if others else (1,):
         fe = _image(rf, v, point, prime, df)
         if not fe[-1]:
@@ -438,9 +490,9 @@ def poly_gcd(f: ParamPoly, g: ParamPoly) -> ParamPoly:
     mf, mg = _monomial_content(f), _monomial_content(g)
     common = tuple(min(a, b) for a, b in zip(mf, mg))
     f0, g0 = _shift_down(f, mf), _shift_down(g, mg)
-    mono = _make({common: f.field.scalar(1)}, f.field)
+    mono = _make({common: 1}, f.field)
 
-    if len(f0.terms) == 1 or len(g0.terms) == 1 or not (shared := f0.variables() & g0.variables()):
+    if len(f0.nums) == 1 or len(g0.nums) == 1 or not (shared := f0.variables() & g0.variables()):
         # after content removal a monomial, or a pair with no shared
         # parameter, shares no further factor; mono is monic
         return mono
@@ -480,20 +532,30 @@ def poly_divexact(f: ParamPoly, g: ParamPoly) -> ParamPoly:
     One remainder dict is updated in place.  Cancelling the head term of the
     remainder adds only terms below it in the monomial order, so the head
     falls at every step, and a head that g's leading monomial does not divide
-    proves the division inexact.
+    proves the division inexact.  Over Q the remainder holds f's integer
+    numerators, divided in Z[s] by the primitive part of g's: by Gauss's lemma
+    an exact quotient of an integer polynomial by a primitive one has integer
+    coefficients, so a head coefficient that is not a multiple of the leading
+    one proves the division inexact too.  g's content and both denominators
+    go into the quotient's denominator.
     """
     if not g:
         raise ZeroDivisionError("division by the zero polynomial")
     if not f:
         return f
     field = f.field
-    if g.is_const():
-        return f.scale(field.inverse(g.const_value()))
     p = field.characteristic
-    ge, gc = g.leading()
-    inv = field.inverse(gc)
-    tail = [(e, c) for e, c in g.terms.items() if e != ge]
-    rem = dict(f.terms)
+    if g.is_const():
+        (c,) = g.nums.values()
+        return _times_ratio(f, g.den, c)
+    ge = _lead(g)
+    if p:
+        cont, inv = 1, field.inverse(g.nums[ge])
+    else:
+        cont = gcd(*g.nums.values())
+        lc = g.nums[ge] // cont
+    tail = [(e, c // cont) for e, c in g.nums.items() if e != ge]
+    rem = dict(f.nums)
     get = rem.get
     out: dict = {}
     while rem:
@@ -501,9 +563,12 @@ def poly_divexact(f: ParamPoly, g: ParamPoly) -> ParamPoly:
         qe = tuple(a - b for a, b in zip(fe, ge))
         if min(qe) < 0:
             raise ValueError("inexact polynomial division")
-        qc = rem.pop(fe) * inv
         if p:
-            qc %= p
+            qc = rem.pop(fe) * inv % p
+        else:
+            qc, r = divmod(rem.pop(fe), lc)
+            if r:
+                raise ValueError("inexact polynomial division")
         out[qe] = qc
         for e, c in tail:
             k = tuple(map(add, e, qe))
@@ -514,7 +579,8 @@ def poly_divexact(f: ParamPoly, g: ParamPoly) -> ParamPoly:
                 rem[k] = x
             else:
                 rem.pop(k, None)
-    return _make(out, field)
+    # over F_p both denominators and the content are 1
+    return _make(termdict.scale(out, g.den), field, f.den * cont)
 
 
 # -- rational functions -------------------------------------------------------
@@ -700,12 +766,12 @@ class BaseElem(termdict.Ring):
         if self.den.is_const():
             return self.num.render()
         num_s = self.num.render()
-        if len(self.num.terms) > 1:
+        if len(self.num.nums) > 1:
             num_s = f"({num_s})"
         den_s = self.den.render()
         # a monic monomial renders as its factors joined by "*"; "/" binds
         # only the first factor, so any product needs parentheses too
-        if len(self.den.terms) > 1 or "*" in den_s:
+        if len(self.den.nums) > 1 or "*" in den_s:
             den_s = f"({den_s})"
         return f"{num_s}/{den_s}"
 
@@ -719,9 +785,10 @@ class BaseElem(termdict.Ring):
             # characteristic - 1 is -1 in characteristic 0 and p - 1 in p; in
             # characteristic 2 it is also 1, which is no sign
             return "-1" if c == self.field.characteristic - 1 and c != 1 else str(c)
-        x, sign = (-self, "-") if self.num.leading()[1] < 0 else (self, "")
+        num = self.num
+        x, sign = (-self, "-") if num.nums[_lead(num)] < 0 else (self, "")
         s = x.render()
-        if x.den.is_const() and len(x.num.terms) > 1:
+        if x.den.is_const() and len(x.num.nums) > 1:
             s = f"({s})"  # a sum beside '*' needs parentheses
         return sign + s
 
@@ -744,7 +811,7 @@ def _reduce(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
     mf, mg = _monomial_content(num), _monomial_content(den)
     common = tuple(min(a, b) for a, b in zip(mf, mg))
     num, den = _shift_down(num, common), _shift_down(den, common)
-    if len(den.terms) > 1 and len(num.terms) > 1:
+    if len(den.nums) > 1 and len(num.nums) > 1:
         num, den = _cancel(num, den)
     return _monic_den(num, den)
 
@@ -759,11 +826,11 @@ def _cancel(p: ParamPoly, q: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
 
 def _monic_den(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:
     """num and den scaled so that den's leading coefficient is 1."""
-    lc = den.leading()[1]
-    if lc == 1:
+    # the leading coefficient is c/d, so both are scaled by d/c
+    c, d = den.nums[_lead(den)], den.den
+    if c == d:
         return num, den
-    inv = den.field.inverse(lc)
-    return num.scale(inv), den.scale(inv)
+    return _times_ratio(num, d, c), _times_ratio(den, d, c)
 
 
 # -- Hasse derivatives --------------------------------------------------------

@@ -465,9 +465,9 @@ class _Parser:
         if not scalar:
             return
         if min(pexp, default=0) < 0:
-            den = _times(den, _make({tuple(-e if e < 0 else 0 for e in pexp): self.one.const_value()}, field))
+            den = _times(den, _make({tuple(-e if e < 0 else 0 for e in pexp): 1}, field))
             pexp = [e if e > 0 else 0 for e in pexp]
-        mono = _make({tuple(pexp): scalar}, field)
+        mono = _make({tuple(pexp): scalar.numerator}, field, scalar.denominator)
         num = mono if num is None else mono * num
         if product is None:
             _add_term(acc, tuple(vexp), _Fraction(num, den))

@@ -169,7 +169,7 @@ def _poly_twist(p: ParamPoly, m: int) -> TruncatedElement:
     n = field.derivation_count
     rows = [[1]]
     out: dict = {}
-    for exps, c in p.terms.items():
+    for exps, c in p.nums.items():
         # (t-exponent, its size, count, shifted s-exponents) over the derivations
         cells = [((), 0, 1, ())]
         for e in exps[:n]:
@@ -187,7 +187,7 @@ def _poly_twist(p: ParamPoly, m: int) -> TruncatedElement:
         for a, _, k, x in cells:
             out.setdefault(a, {})[x + rest] = c if k == 1 else c * k
     return TruncatedElement._of(
-        {a: q for a, t in out.items() if (q := _make(t, field))}, m, n
+        {a: q for a, t in out.items() if (q := _make(t, field, p.den))}, m, n
     )
 
 

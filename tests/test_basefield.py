@@ -116,6 +116,32 @@ class TestGcd:
         with pytest.raises(ValueError):
             poly_divexact(s * s + ParamPoly.const(Q_su, 1), u)
 
+    def test_divexact_by_a_divisor_with_content_and_a_negative_head(self):
+        # over Q the numerators are divided by the primitive part of the
+        # divisor's, -(s1 + 2*s2) here, and its content 3 joins the denominator
+        q = ParamPoly.var(Q_su, 0) * ParamPoly.var(Q_su, 0)
+        d = ParamPoly({(1, 0): -3, (0, 1): -6}, Q_su)
+        c = ParamPoly({(2, 0): Fraction(1, 2), (0, 1): Fraction(-2, 3), (0, 0): Fraction(5, 7)}, Q_su)
+        assert poly_divexact(d * c, d) == c
+        assert poly_divexact(d * c, c) == d
+        assert poly_divexact(d * c * q, d * q) == c
+        assert poly_divexact(d * c, d.scale(Fraction(1, 9))) == c.scale(9)
+
+    def test_divexact_names_every_inexact_pair(self):
+        s, u = ParamPoly.var(Q_su, 0), ParamPoly.var(Q_su, 1)
+        one = ParamPoly.const(Q_su, 1)
+        # a head coefficient that is no multiple of the primitive leading one
+        # (s^2 + s + 1 = (2s + 1)(s/2 + 1/4) + 3/4); s^2 over 2s + u is refused
+        # at its first head, where a quotient coefficient of 0 would leave no remainder
+        pairs = [
+            (s * s + s + one, s.scale(2) + one),
+            (s * u + one, s.scale(3) + u),
+            (s * s, s.scale(2) + u),
+        ]
+        for f, g in pairs:
+            with pytest.raises(ValueError, match="^inexact polynomial division$"):
+                poly_divexact(f, g)
+
 
 class TestHasseDerive:
     def test_spec_examples(self):

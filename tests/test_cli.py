@@ -300,17 +300,24 @@ def test_rational_n2_output_is_pinned(command, tmp_path, capsys):
 
 # Symbols at large ranks: jet at order 10 and a two-image jet lift at order 6
 # on the n = 2 document, and jet at order 6 and prolong at order 4 on a
-# document with three derivations; CI replays them through the console script.
+# document with three derivations; and prolong at order 3 on a generator
+# with three rational coefficients over three denominators, whose base
+# coefficients take many-factor gcds.  CI replays them through the console script.
 N3_DOC = (
     "char 0; params s1 s2 s3; derivations 3;\nvars x y z;\n"
     "gens x*y - s1/(s2*s3 + 1), (s1 + 2*s2)*z^2/(s1*s2 + s3) - x*(s3 + 1)/(s1 - s3 + 2);\n"
 )
-PIN_DOCS = {"rational-n2": RATIONAL_N2_DOC, "n3": N3_DOC}
+THREE_DEN_DOC = (
+    "char 0; params s1 s2 s3; derivations 3;\nvars x y;\n"
+    "gens x*y - (s1 + 2*s2)*s3^2/(s1*s2 + s3) + s1*(s3 + 1)/(s1 - s3 + 2) - s1^3*s2/(s2*s3 + 1);\n"
+)
+PIN_DOCS = {"rational-n2": RATIONAL_N2_DOC, "n3": N3_DOC, "three-den": THREE_DEN_DOC}
 LARGE_RANK_SHA256 = {
     ("rational-n2", "jet --order 10"): "e31f343f437616b628b0e6290a699d6cdc71cdd1b3a3088712f338c789962623",
     ("rational-n2", "lift --mode jet --order 6 --map u=x^2-y,v=y^3+z"): "96c2fc43d46f2cdfdfa5d44a59d1bfd35cb6798be11684c4d76886413632a6a4",
     ("n3", "jet --order 6"): "1230010573dd630d849d1fb317d87d92e9241611c2599efe7e9e2590f0f71049",
     ("n3", "prolong --order 4"): "c9ab18466ff0074a844ab56ea2d3ae82bb5270023419c515af3a385e6e3fc9d9",
+    ("three-den", "prolong --order 3"): "7c3e74b80d63fc8726d01a3d7b3cf589892ebb6ff616613d77f435b66435270b",
 }
 
 
@@ -733,12 +740,14 @@ def test_main_restores_the_int_string_limit(tmp_path, capsys):
 
 if __name__ == "__main__":
     # writes the document of RATIONAL_N2_SHA256 to the path given; with a
-    # directory as well, writes N3_DOC into it as n3-doc.txt and each
+    # directory as well, writes N3_DOC and THREE_DEN_DOC into it as n3-doc.txt
+    # and three-den-doc.txt, and each
     # PINNED_DOCS document, and prints one line per JSON pin: the digest, then
     # the arguments, separated by tabs
     Path(sys.argv[1]).write_text(RATIONAL_N2_DOC, encoding="utf-8")
     if len(sys.argv) > 2:
-        (Path(sys.argv[2]) / "n3-doc.txt").write_text(N3_DOC, encoding="utf-8")
+        for name in ("n3", "three-den"):
+            (Path(sys.argv[2]) / f"{name}-doc.txt").write_text(PIN_DOCS[name], encoding="utf-8")
         docs = {}
         for k, (field, (text, _)) in enumerate(sorted(PINNED_DOCS.items())):
             docs[field] = Path(sys.argv[2]) / f"pinned-doc-{k}.txt"

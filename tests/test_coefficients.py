@@ -2,6 +2,8 @@
 
 Every ParamPoly coefficient is a Fraction in characteristic 0 and an int in
 [0, p) in characteristic p, never a float, whatever arithmetic produced it.
+Underneath, a ParamPoly holds integer numerators over one positive common
+denominator in canonical form, and ``terms`` is a fresh view of them.
 BaseElem arithmetic with a plain number, a zero or a constant operand, on
 either side, equals the general route (one normalization of the unreduced
 cross products) and calls neither ``_reduce`` nor ``poly_gcd``.  Both
@@ -11,6 +13,7 @@ Inputs come from the hypothesis strategies of ``test_expansion``.
 """
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -25,12 +28,15 @@ from hsprolong import (
     poly_gcd,
     twist_expand,
 )
-from hsprolong.basefield import hasse_table
+from hsprolong.basefield import _monic_den, hasse_table
 
 from test_expansion import FIELDS, base_elems, param_polys
 
 
 def assert_plain_coefficients(*polys):
+    """Each coefficient in ``terms`` a field element, over integer numerators and
+    one common denominator in canonical form; ``terms`` rebuilds the polynomial,
+    and no caller can write through it."""
     for poly in polys:
         p = poly.field.characteristic
         for c in poly.terms.values():
@@ -38,6 +44,17 @@ def assert_plain_coefficients(*polys):
                 assert type(c) is int and 0 < c < p, c
             else:
                 assert type(c) is Fraction and c, c
+        assert type(poly.den) is int and all(type(c) is int for c in poly.nums.values()), poly
+        if p:
+            assert poly.den == 1 and all(0 < c < p for c in poly.nums.values()), (poly.den, poly.nums)
+        else:
+            assert poly.den >= 1 and gcd(poly.den, *poly.nums.values()) == 1, (poly.den, poly.nums)
+        assert ParamPoly(poly.terms, poly.field) == poly, poly
+        before = (poly.den, dict(poly.nums))
+        view = poly.terms
+        view.clear()
+        view[(1,) * poly.field.param_count] = 7
+        assert (poly.den, poly.nums) == before, poly
 
 
 def parts(*elems):
@@ -52,13 +69,17 @@ def test_coefficients_stay_plain(field, data):
     g = data.draw(param_polys(field, 2, 3), label="g")
     a = data.draw(base_elems(field), label="a")
     b = data.draw(base_elems(field), label="b")
-    assert_plain_coefficients(f, g, f + g, f - g, -f, f * g, f**2, f.scale(Fraction(1, 3)))
+    k = data.draw(st.integers(0, 3), label="k")
+    c = data.draw(st.builds(Fraction, st.integers(-7, 7), st.sampled_from([1, 2, 3, 4])), label="c")
+    assert_plain_coefficients(f, g, f + g, f - g, -f, f * g, f**2, f**k, f.scale(Fraction(1, 3)), f.scale(c))
+    assert_plain_coefficients(*(f.hasse(i, k) for i in range(field.param_count)))
     if f or g:
         assert_plain_coefficients(poly_gcd(f, g))
     if g:
         q = poly_divexact(f * g, g)
         assert q == f
-        assert_plain_coefficients(q)
+        assert_plain_coefficients(q, *_monic_den(f, g))
+    assert_plain_coefficients(*parts(*twist_expand(a, 2).coeffs.values()))
     results = [a + b, a - b, -a, a * b, a**2, BaseElem.const(field, 3, 2)]
     if b:
         results += [a / b, b.inverse()]

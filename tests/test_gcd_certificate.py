@@ -156,6 +156,23 @@ def test_a_pair_coprime_over_q_but_not_mod_the_word_prime_takes_the_exact_route(
     assert poly_gcd(f2, g2) == one(Q_s12)
 
 
+@settings(max_examples=80, deadline=None)
+@given(
+    terms=st.dictionaries(
+        st.tuples(st.integers(0, 2), st.integers(0, 2)),
+        st.builds(Fraction, st.integers(-9, 9).filter(bool), st.sampled_from([1, 2, 3, P, 2 * P, P * P])),
+        max_size=4,
+    )
+)
+def test_residues_refuse_exactly_a_denominator_divisible_by_the_word_prime(terms):
+    # the one common denominator is the lcm of the coefficients' own
+    f = poly(Q_s12, terms)
+    refused = any(c.denominator % P == 0 for c in f.terms.values())
+    assert (_residues(f, P) is None) is refused
+    if not refused:
+        assert _residues(f, P) == {e: c.numerator * pow(c.denominator, -1, P) % P for e, c in f.terms.items()}
+
+
 def test_a_coprime_pair_is_certified():
     f = poly(Q_s12, {(2, 0): Fraction(1, 3), (0, 1): 1, (0, 0): 1})
     g = poly(Q_s12, {(1, 0): 1, (0, 1): 2})

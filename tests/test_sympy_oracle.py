@@ -13,7 +13,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from hsprolong import BaseElem, ParamPoly, enumerate_multiindices, poly_gcd, twist_expand
+from hsprolong import BaseElem, ParamPoly, enumerate_multiindices, poly_divexact, poly_gcd, twist_expand
 from hsprolong.basefield import hasse_table
 
 from test_expansion import FIELDS, base_elems, scalars
@@ -97,6 +97,22 @@ def test_base_elem_normal_form_matches_sympy(field, data):
         elem = BaseElem(num, den)
         assert (elem.num.terms, elem.den.terms) == (want_num, want_den)
         assert elem == got
+
+
+@pytest.mark.parametrize("field", ORACLE_FIELDS.values(), ids=ORACLE_FIELDS.keys())
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_poly_divexact_matches_sympy_div(field, data):
+    # over Q the division runs on integer numerators and the divisor's
+    # primitive part; the fractional coefficients draw contents and denominators
+    q = data.draw(binomials_or_more(field, 2), label="q")
+    g = data.draw(binomials_or_more(field, 2), label="g")
+    f = q * g
+    want, rem = sympy.div(to_sympy(f), to_sympy(g))
+    assert rem.is_zero
+    got = poly_divexact(f, g)
+    assert got.terms == from_sympy(want, field)
+    assert got == q
 
 
 # -- Hasse derivatives against sympy's diff ------------------------------------

@@ -22,10 +22,12 @@ coefficient under graded-lex is 1.  Sums and products that cancel a gcd on
 the way call ``_cancel`` too.
 
 Two integer routines sit inside the gcd machinery.  ``poly_divexact``
-updates one remainder dict in place: cancelling the head term adds only
-terms below it in the monomial order, so the head falls at every step, and
-a head that the divisor's leading monomial does not divide proves the
-division inexact.  Over Q it divides the numerators in Z[s] by the
+updates one remainder dict in place, with its keys in a heap under the
+monomial order (Monagan and Pearce, CASC 2007), so each head is one heap
+pop and not a scan of the remainder.  Cancelling the head term adds only
+terms below it, so the head falls at every step, and a head that the
+divisor's leading monomial does not divide proves the division inexact.
+Over Q it divides the numerators in Z[s] by the
 divisor's primitive part, so by Gauss's lemma a head coefficient that is
 not a multiple of the leading one proves it inexact as well.  The
 coprimality certificate decides "the gcd is free of s_v" from the images of
@@ -45,13 +47,21 @@ primitive PRS (pseudo-remainder sequence) in v over the other parameters.
 once the partial gcd or the next polynomial is constant; over one parameter
 every content is a constant, so poly_gcd never recurses there.
 
-Constants take a lane that never runs a gcd.  The constant c is c/1, its own
-normal form.  For num/den in normal form and a coefficient c, c*num/den is
-again in normal form when c != 0, since a unit factor changes no gcd, and so
-is (num + c*den)/den, since gcd(num + c*den, den) = gcd(num, den) = 1.  So a
-product or sum with an int, a Fraction or a constant BaseElem scales or
-shifts the numerator and keeps the denominator, and ``x == k`` for a number k
-compares the constant of x with k reduced into the field.
+BaseElem's + and * open with one test of their operands' shapes, and each
+shape takes only the work it needs; only the last runs a gcd:
+  - a constant: a BaseElem c/1 with c constant, an int or a Fraction.  It
+    goes through the integer-ratio lane as a pair of ints (a, b), c = a/b,
+    b a unit of the field, on ``_times_ratio``.  For num/den in normal form,
+    (a/b)*num/den is again in normal form when a != 0, since a unit factor
+    changes no gcd, and so is (num + (a/b)*den)/den, since
+    gcd(num + c*den, den) = gcd(num, den) = 1.  So the lane scales or shifts
+    the numerator and keeps the denominator, and ``x == k`` for a number k
+    compares the ratios of the constant x and of k by cross-multiplying.
+  - two polynomials, both denominators 1: the sum or product of the
+    numerators, over 1.  ``BaseElem(num)`` with no denominator is num/1 too.
+  - a rational function and anything that is no constant: the gcd route
+    (cross-cancelling for *, the Henrici sum for +).
+A ParamPoly operand p is the polynomial p/1.
 
 Text: ParamPoly writes each coefficient with ``str``, of the int numerator
 or, when den != 1, of the Fraction it makes with den, and
@@ -80,6 +90,7 @@ Leibniz recursion) and is kept independent as a cross-check.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from math import comb, gcd, lcm
 from operator import add, sub
 from typing import Iterable, Mapping, Sequence, Union
@@ -92,6 +103,11 @@ from .multiindex import down_closure, enumerate_multiindices, indices_below, mul
 def _monomial_key(exps: Sequence[int]) -> tuple:
     # graded order with s_1 > s_2 > ...; max under this key is the leading monomial
     return (sum(exps), tuple(exps))
+
+
+def _heap_key(exps: tuple) -> tuple:
+    # heapq's min is the leading monomial: _monomial_key negated, then the exponents
+    return (-sum(exps), tuple([-k for k in exps]), exps)
 
 
 def _nonzero(terms: Mapping, p: int) -> dict:
@@ -153,7 +169,7 @@ class ParamPoly(termdict.Ring):
     # -- ring structure ----------------------------------------------------
 
     def _check(self, other: "ParamPoly") -> None:
-        if self.field != other.field:
+        if self.field is not other.field and self.field != other.field:
             raise ValueError("parameter polynomials over different fields")
 
     def __bool__(self) -> bool:
@@ -165,6 +181,8 @@ class ParamPoly(termdict.Ring):
         return self.field == other.field and self.den == other.den and self.nums == other.nums
 
     def __add__(self, other: "ParamPoly") -> "ParamPoly":
+        if type(other) is not ParamPoly:
+            return NotImplemented  # a BaseElem takes p as p/1
         self._check(other)
         a, b = self.den, other.den
         if a == b:
@@ -179,6 +197,8 @@ class ParamPoly(termdict.Ring):
         return _make({e: -c for e, c in self.nums.items()}, self.field, self.den)
 
     def __mul__(self, other: "ParamPoly") -> "ParamPoly":
+        if type(other) is not ParamPoly:
+            return NotImplemented
         self._check(other)
         return _make(termdict.mul(self.nums, other.nums, termdict.exp_add), self.field, self.den * other.den)
 
@@ -188,8 +208,7 @@ class ParamPoly(termdict.Ring):
         return termdict.power(self, k, ParamPoly.const(self.field, 1))
 
     def scale(self, c: int | Fraction) -> "ParamPoly":
-        c = self.field.scalar(c)
-        return _times_ratio(self, c.numerator, c.denominator)
+        return _times_ratio(self, *_ratio(c, self.field))
 
     # -- structure queries -------------------------------------------------
 
@@ -529,7 +548,9 @@ def poly_gcd(f: ParamPoly, g: ParamPoly) -> ParamPoly:
 def poly_divexact(f: ParamPoly, g: ParamPoly) -> ParamPoly:
     """Exact division f/g; raises ValueError when g does not divide f.
 
-    One remainder dict is updated in place.  Cancelling the head term of the
+    One remainder dict is updated in place, and its keys are kept in a heap
+    under the monomial order; a key that cancels stays in the heap and is
+    skipped when it comes to the top.  Cancelling the head term of the
     remainder adds only terms below it in the monomial order, so the head
     falls at every step, and a head that g's leading monomial does not divide
     proves the division inexact.  Over Q the remainder holds f's integer
@@ -557,9 +578,15 @@ def poly_divexact(f: ParamPoly, g: ParamPoly) -> ParamPoly:
     tail = [(e, c // cont) for e, c in g.nums.items() if e != ge]
     rem = dict(f.nums)
     get = rem.get
+    # the remainder's keys, a max-heap under the monomial order with lazy
+    # deletion: a key that left rem is skipped when it comes to the top
+    heap = [_heap_key(e) for e in rem]
+    heapify(heap)
     out: dict = {}
     while rem:
-        fe = max(rem, key=_monomial_key)
+        fe = heappop(heap)[2]
+        if fe not in rem:
+            continue
         qe = tuple(a - b for a, b in zip(fe, ge))
         if min(qe) < 0:
             raise ValueError("inexact polynomial division")
@@ -572,13 +599,16 @@ def poly_divexact(f: ParamPoly, g: ParamPoly) -> ParamPoly:
         out[qe] = qc
         for e, c in tail:
             k = tuple(map(add, e, qe))
-            x = get(k, 0) - qc * c
+            y = get(k)
+            x = -qc * c if y is None else y - qc * c
             if p:
                 x %= p
             if x:
+                if y is None:
+                    heappush(heap, _heap_key(k))
                 rem[k] = x
-            else:
-                rem.pop(k, None)
+            elif y is not None:
+                del rem[k]
     # over F_p both denominators and the content are 1
     return _make(termdict.scale(out, g.den), field, f.den * cont)
 
@@ -594,10 +624,11 @@ class BaseElem(termdict.Ring):
     def __init__(self, num: ParamPoly, den: ParamPoly | None = None):
         field = num.field
         if den is None:
+            # num/1 is its own normal form
             den = ParamPoly.const(field, 1)
-        if not den:
+        elif not den:
             raise ZeroDivisionError("zero denominator")
-        if not num:
+        elif not num:
             den = ParamPoly.const(field, 1)
         else:
             num, den = _reduce(num, den)
@@ -609,7 +640,7 @@ class BaseElem(termdict.Ring):
 
     @classmethod
     def const(cls, field: FieldDescriptor, value: int | Fraction, den: int = 1) -> "BaseElem":
-        return _const(field, field.scalar(value, den))
+        return _const(field, *_ratio(value, field, den))
 
     @classmethod
     def param(cls, field: FieldDescriptor, name_or_index: Union[str, int]) -> "BaseElem":
@@ -636,67 +667,72 @@ class BaseElem(termdict.Ring):
 
     # -- field structure ----------------------------------------------------
 
+    def _check(self, other: "BaseElem") -> None:
+        if other.field is not self.field and other.field != self.field:
+            raise ValueError("base elements over different fields")
+
     def _coerce(self, other) -> "BaseElem":
-        if isinstance(other, BaseElem):
-            if other.field != self.field:
-                raise ValueError("base elements over different fields")
-            return other
-        if isinstance(other, ParamPoly):
-            return BaseElem(other)
+        """other, a BaseElem, a ParamPoly p (as p/1) or a number, as an element
+        of self's field; NotImplemented for any other type."""
         if isinstance(other, (int, Fraction)):
-            return BaseElem.const(self.field, other)
-        return NotImplemented
+            return _const(self.field, *_ratio(other, self.field))
+        if isinstance(other, ParamPoly):
+            other = BaseElem(other)
+        elif not isinstance(other, BaseElem):
+            return NotImplemented
+        self._check(other)
+        return other
 
-    def _value(self) -> int | Fraction | None:
-        """The coefficient c when self is the constant c/1, else None."""
-        # a monic constant denominator is 1
-        if self.den.is_const() and self.num.is_const():
-            return self.num.const_value()
-        return None
-
-    def _times(self, c: int | Fraction) -> "BaseElem":
-        """self * c for a coefficient c: a unit factor keeps num and den coprime."""
-        if not c:
-            return BaseElem.zero(self.field)
-        if c == 1:
+    def _mul_ratio(self, a: int, b: int) -> "BaseElem":
+        """self * a/b for ints a and b, b a unit: a unit factor keeps num and den coprime."""
+        if a == b:
             return self
-        return _elem(self.num.scale(c), self.den)
+        num = _times_ratio(self.num, a, b)
+        return _elem(num, self.den) if num else BaseElem.zero(self.field)
 
-    def _plus(self, c: int | Fraction) -> "BaseElem":
-        """self + c for a coefficient c: gcd(a + c*b, b) = gcd(a, b) = 1."""
-        if not c:
+    def _add_ratio(self, a: int, b: int) -> "BaseElem":
+        """self + a/b for ints a and b, b a unit: gcd(num + c*den, den) = gcd(num, den) = 1."""
+        if not a:
             return self
-        # a + c*b = 0 forces b = 1 (b divides a), so a zero sum is already 0/1
-        return _elem(self.num + self.den.scale(c), self.den)
+        # num + c*den = 0 forces den = 1 (den divides num), so a zero sum is already 0/1
+        return _elem(self.num + _times_ratio(self.den, a, b), self.den)
 
     def __bool__(self) -> bool:
         return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, (int, Fraction)):
-            c = self._value()
-            return c is not None and c == self.field.scalar(other)
-        if not isinstance(other, BaseElem):
+            r = _const_ratio(self)
+            if r is None:
+                return False
+            (n, d), (a, b) = r, _ratio(other, self.field)
+            x, p = n * b - a * d, self.field.characteristic
+            return not (x % p if p else x)
+        if isinstance(other, ParamPoly):
+            other = BaseElem(other)
+        elif not isinstance(other, BaseElem):
             return NotImplemented
         return self.num == other.num and self.den == other.den
 
     def __add__(self, other) -> "BaseElem":
-        if isinstance(other, (int, Fraction)):
-            return self._plus(self.field.scalar(other))
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        c = other._value()
-        if c is not None:
-            return self._plus(c)
-        c = self._value()
-        if c is not None:
-            return other._plus(c)
+        if type(other) is BaseElem:
+            self._check(other)
+        elif isinstance(other, (int, Fraction)):
+            return self._add_ratio(*_ratio(other, self.field))
+        else:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self.num, self.den
         c, d = other.num, other.den
-        if b.is_const() and d.is_const():
-            # denominators are 1 after normalization
-            return BaseElem._raw(a + c, b)
+        b1, d1 = b.is_const(), d.is_const()
+        if d1 and c.is_const():
+            return self._add_ratio(*_poly_ratio(c))
+        if b1 and a.is_const():
+            return other._add_ratio(*_poly_ratio(a))
+        if b1 and d1:
+            # two polynomials: their sum is a polynomial over 1
+            return _elem(a + c, b)
         if b == d:
             return BaseElem._raw(*_cancel(a + c, b))
         g = poly_gcd(b, d)
@@ -715,24 +751,29 @@ class BaseElem(termdict.Ring):
         return (-self) + other
 
     def __mul__(self, other) -> "BaseElem":
-        if isinstance(other, (int, Fraction)):
-            return self._times(self.field.scalar(other))
-        other = self._coerce(other)
-        if other is NotImplemented:
-            return NotImplemented
-        c = other._value()
-        if c is not None:
-            return self._times(c)
-        c = self._value()
-        if c is not None:
-            return other._times(c)
-        # neither operand is constant, hence neither is zero
+        if type(other) is BaseElem:
+            self._check(other)
+        elif isinstance(other, (int, Fraction)):
+            return self._mul_ratio(*_ratio(other, self.field))
+        else:
+            other = self._coerce(other)
+            if other is NotImplemented:
+                return NotImplemented
         a, b = self.num, self.den
         c, d = other.num, other.den
+        b1, d1 = b.is_const(), d.is_const()
+        if d1 and c.is_const():
+            return self._mul_ratio(*_poly_ratio(c))
+        if b1 and a.is_const():
+            return other._mul_ratio(*_poly_ratio(a))
+        if b1 and d1:
+            # two polynomials: their product is a polynomial over 1
+            return _elem(a * c, b)
+        # neither operand is constant, hence neither is zero, and one is no polynomial
         # cross-cancel so the result is coprime with no final gcd
-        if not b.is_const() and not c.is_const():
+        if not b1 and not c.is_const():
             c, b = _cancel(c, b)
-        if not d.is_const() and not a.is_const():
+        if not d1 and not a.is_const():
             a, d = _cancel(a, d)
         return BaseElem._raw(a * c, b * d)
 
@@ -780,11 +821,14 @@ class BaseElem(termdict.Ring):
         termdict.render_product.  The field's -1 (p - 1 in characteristic p) is
         a bare sign, and a negative leading coefficient gives its sign to the
         piece."""
-        c = self._value()
-        if c is not None:
+        r = _const_ratio(self)
+        if r is not None:
+            n, d = r
+            if d != 1:
+                return f"{n}/{d}"
             # characteristic - 1 is -1 in characteristic 0 and p - 1 in p; in
             # characteristic 2 it is also 1, which is no sign
-            return "-1" if c == self.field.characteristic - 1 and c != 1 else str(c)
+            return "-1" if n == self.field.characteristic - 1 and n != 1 else str(n)
         num = self.num
         x, sign = (-self, "-") if num.nums[_lead(num)] < 0 else (self, "")
         s = x.render()
@@ -802,9 +846,32 @@ def _elem(num: ParamPoly, den: ParamPoly) -> BaseElem:
     return out
 
 
-def _const(field: FieldDescriptor, c: int | Fraction) -> BaseElem:
-    """The constant c/1 for a coefficient c, which is its own normal form."""
-    return _elem(ParamPoly.const(field, c), ParamPoly.const(field, 1))
+def _const(field: FieldDescriptor, a: int, b: int = 1) -> BaseElem:
+    """The constant a/b over 1 for ints a and b, b a unit, which is its own normal form."""
+    one = ParamPoly.const(field, 1)
+    return _elem(_times_ratio(one, a, b), one)
+
+
+def _ratio(x: int | Fraction, field: FieldDescriptor, den: int = 1) -> tuple[int, int]:
+    """The number x/den, for an int or a Fraction x and an int den, as ints
+    (a, b) with x/den = a/b and b a unit of the field."""
+    a, b = x.numerator, x.denominator * den
+    p = field.characteristic
+    if not (b % p if p else b):
+        raise ZeroDivisionError(f"denominator divisible by {p}" if p else "zero denominator")
+    return a, b
+
+
+def _poly_ratio(c: ParamPoly) -> tuple[int, int]:
+    """The constant polynomial c as ints (a, b), c = a/b."""
+    nums = c.nums
+    return (next(iter(nums.values())) if nums else 0), c.den
+
+
+def _const_ratio(x: BaseElem) -> tuple[int, int] | None:
+    """(a, b) with x = a/b when x is a constant, else None."""
+    # a monic constant denominator is 1
+    return _poly_ratio(x.num) if x.den.is_const() and x.num.is_const() else None
 
 
 def _reduce(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:

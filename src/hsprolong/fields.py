@@ -62,6 +62,18 @@ class FieldDescriptor:
         if not 0 <= self.derivation_count <= len(self.parameter_names):
             raise ValueError("derivation count must not exceed the parameter count")
 
+    def __eq__(self, other: object) -> bool:
+        # the fields of one run are nearly always one object
+        if self is other:
+            return True
+        if type(other) is not FieldDescriptor:
+            return NotImplemented
+        return (
+            self.characteristic == other.characteristic
+            and self.parameter_names == other.parameter_names
+            and self.derivation_count == other.derivation_count
+        )
+
     @property
     def param_count(self) -> int:
         return len(self.parameter_names)

@@ -294,14 +294,20 @@ def _u_reach(v: Mapping[tuple, BaseElem], q: int) -> int:
     return q - min((j for _, j in v), default=q)
 
 
+def _nonzero_terms(v: Mapping[tuple, BaseElem]) -> dict:
+    """v without its zero coefficients, as termdict.mul takes it."""
+    return {k: x for k, x in v.items() if x}
+
+
 def tensor_left_action(c: BaseElem, v: Mapping[tuple, BaseElem], q: int) -> dict:
     """Scalar action on (B (x) K_q)~ (x) K_m in normal form.
 
     c joins the outer t-leg and crosses the twisted tensor, depositing
     D_k(c) at u-exponent j+k; D_k comes from the quotient-rule derivatives.
     """
-    derivatives = {(k,): d for k, d in enumerate(_d_table(_u_reach(v, q), c))}
-    return termdict.mul(v, derivatives, _u_shift(q))
+    # termdict.mul takes zero-free dicts; D_k(c) vanishes past a polynomial's degree
+    derivatives = {(k,): d for k, d in enumerate(_d_table(_u_reach(v, q), c)) if d}
+    return termdict.mul(_nonzero_terms(v), derivatives, _u_shift(q))
 
 
 def tensor_right_action(c: BaseElem, v: Mapping[tuple, BaseElem], q: int) -> dict:
@@ -311,4 +317,4 @@ def tensor_right_action(c: BaseElem, v: Mapping[tuple, BaseElem], q: int) -> dic
     then cross two plain tensors into B.  e(c) is read off the truncated
     series ``twist_expand(c, q)``, the route independent of the left action.
     """
-    return termdict.mul(v, twist_expand(c, _u_reach(v, q)).coeffs, _u_shift(q))
+    return termdict.mul(_nonzero_terms(v), twist_expand(c, _u_reach(v, q)).coeffs, _u_shift(q))

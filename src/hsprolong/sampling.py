@@ -3,6 +3,11 @@
 Everything takes an explicit random.Random so identical seeds reproduce
 identical streams; checks never touch global randomness.
 
+A random parameter polynomial is drawn straight into integer numerators
+``nums`` over SCALAR_DEN = 12, the lcm of the denominators 1..4 of its
+coefficients (residues in characteristic p), with no Fraction and no
+validating constructor; ``basefield._make`` puts the pair in canonical form.
+
 A random polynomial is one term dict per draw: each term's monomial is the
 product of its drawn factors' codes (``monomial_mul``), and ``termdict.add``
 sums the drawn (monomial, coefficient) pairs and drops zeros.  The generator
@@ -14,10 +19,9 @@ takes its one ``BaseElem(num, den)`` normalization.
 from __future__ import annotations
 
 import random
-from fractions import Fraction
 from typing import Callable
 
-from . import termdict
+from . import basefield, termdict
 from .basefield import BaseElem, ParamPoly
 from .fields import FieldDescriptor
 from .diffpoly import DiffPoly, DiffSymbol
@@ -26,16 +30,11 @@ from .presentations import VarietyPresentation
 from .sparsepoly import SparsePoly, monomial_mul
 
 
-# the numerator bound of a random rational scalar, and the generator count of
-# a random variety
+# the numerator bound of a random rational scalar, the lcm of its
+# denominators 1..4, and the generator count of a random variety
 SCALAR_SPAN = 6
+SCALAR_DEN = 12
 GEN_COUNT = 2
-
-
-def random_scalar(rng: random.Random, field: FieldDescriptor):
-    if field.characteristic:
-        return field.scalar(rng.randrange(field.characteristic))
-    return field.scalar(Fraction(rng.randint(-SCALAR_SPAN, SCALAR_SPAN), rng.randint(1, 4)))
 
 
 def random_param_poly(
@@ -45,10 +44,17 @@ def random_param_poly(
     max_terms: int = 3,
     nonzero: bool = False,
 ) -> ParamPoly:
-    r = field.param_count
-    pairs = ((tuple(rng.randint(0, max_deg) for _ in range(r)), random_scalar(rng, field))
-             for _ in range(rng.randint(0, max_terms)))
-    poly = ParamPoly(termdict.add({}, pairs), field)
+    r, p = field.param_count, field.characteristic
+
+    def coeff() -> int:
+        # a residue in characteristic p; over Q the numerator of n/d over SCALAR_DEN
+        if p:
+            return rng.randrange(p)
+        n = rng.randint(-SCALAR_SPAN, SCALAR_SPAN)
+        return n * (SCALAR_DEN // rng.randint(1, 4))
+
+    pairs = ((tuple(rng.randint(0, max_deg) for _ in range(r)), coeff()) for _ in range(rng.randint(0, max_terms)))
+    poly = basefield._make(termdict.add({}, pairs), field, 1 if p else SCALAR_DEN)
     return ParamPoly.const(field, 1) if nonzero and not poly else poly
 
 

@@ -93,7 +93,20 @@ def add(terms: Mapping, pairs: Iterable) -> dict:
 
 
 def mul(a: Mapping, b: Mapping, key: Callable) -> dict:
-    """The product of two term dicts under the key product ``key``."""
+    """The product of two term dicts under the key product ``key``.
+
+    Both inputs must be zero-free, and ``key`` injective in each factor: for
+    a fixed key of one factor, distinct keys of the other give distinct
+    products (or None).  Every ring's key product (a sum of exponent tuples,
+    a merge of sorted code tuples, a shift of indices) is, and no coefficient
+    ring has zero divisors, so a product with a one-term factor is one map
+    over the other factor's terms: no sums and no zeros to drop."""
+    if len(b) == 1:
+        ((k2, c2),) = b.items()
+        return {k: c1 * c2 for k1, c1 in a.items() if (k := key(k1, k2)) is not None}
+    if len(a) == 1:
+        ((k1, c1),) = a.items()
+        return {k: c1 * c2 for k2, c2 in b.items() if (k := key(k1, k2)) is not None}
     out: dict = {}
     get = out.get
     for k1, c1 in a.items():
@@ -145,18 +158,18 @@ def leibniz(
     the closure, a plain integer n and one symbol code y, a distinct y for each
     u.  It runs once per distinct code of fs and may leave out the u whose n
     vanishes in the field.  Each monomial's table is expanded over the
-    integers (``_expand``), and each entry is reduced into the field once; an
-    entry that vanishes there (C(p, 1) in characteristic p) is dropped.  Only
-    then does ``coeff_table(c)``, a map from multi-indices to base elements,
-    enter: one scale per pair of its entry and a table entry whose index sum
-    is collected, and a sum only where two terms of f meet at the same output
-    monomial.  Only a sum can cancel, so zeros are looked for only in a
+    integers (``_expand``), and in characteristic p each entry is reduced mod
+    p once; an entry that vanishes there (C(p, 1)) is dropped.  Only then
+    does ``coeff_table(c)``, a map from multi-indices to base elements,
+    enter: one scale by the plain int per pair of its entry and a table
+    entry whose index sum is collected, and a sum only where two terms of f
+    meet at the same output monomial.  Only a sum can cancel, so zeros are looked for only in a
     polynomial where two terms met.
     """
     field = fs[0].field
     if any(f.field != field for f in fs):
         raise ValueError("the polynomials of one fold must be over one field")
-    scalar = field.scalar
+    p = field.characteristic
     expand = _expand(pieces_of, frozenset(closure), (0,) * len(collect[0]))
     out = []
     for f in fs:
@@ -167,7 +180,8 @@ def leibniz(
             coeffs = [(g, v, any(g)) for g, v in coeff_table(coeff).items() if v]
             for (index, mono), n in table.items():
                 if n != 1:
-                    n = scalar(n)
+                    if p:
+                        n %= p
                     if not n:
                         continue
                 for g, v, moved in coeffs:

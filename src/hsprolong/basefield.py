@@ -4,12 +4,12 @@ A polynomial in the parameters is integer numerators ``nums``, a sparse map
 from exponent tuples to nonzero ints, over one positive integer ``den``
 (FLINT's fmpq_mpoly layout).  Over Q the pair is canonical, gcd(den, *nums)
 = 1 with den = 1 for zero, so equality is structural; over F_p den is 1 and
-the numerators are residues in [1, p).  The ring runs on ints alone, and
-``terms``, the coefficients as the field writes them (Fractions over Q,
-residues over F_p), is a new dict built on each read for outside readers.
-The ParamPoly constructor checks outside input and maps each coefficient
-into the field; ring results skip it.  Arithmetic on raw integer dicts
-leaves numerators that share a factor with den, or ints outside [0, p), and
+the numerators are residues in [1, p).  The ring runs on ints alone: a
+number enters as FieldDescriptor.ratio's pair (a, b), b a unit, which
+``_times_ratio`` scales by with no check again, and ``terms``,
+``const_value``, ``leading`` and ``render`` write c/den back through
+FieldDescriptor.scalar.  Arithmetic on raw integer dicts leaves numerators
+that share a factor with den, or ints outside [0, p), and
 ``_make``, which builds every ring result, is the one place that puts them
 in canonical form: over Q it divides out gcd(den, *nums) and makes den
 positive, over F_p it folds them back into [0, p) and drops zeros.
@@ -47,11 +47,12 @@ primitive PRS (pseudo-remainder sequence) in v over the other parameters.
 once the partial gcd or the next polynomial is constant; over one parameter
 every content is a constant, so poly_gcd never recurses there.
 
-BaseElem's + and * open with one test of their operands' shapes, and each
-shape takes only the work it needs; only the last runs a gcd:
-  - a constant: a BaseElem c/1 with c constant, an int or a Fraction.  It
-    goes through the integer-ratio lane as a pair of ints (a, b), c = a/b,
-    b a unit of the field, on ``_times_ratio``.  For num/den in normal form,
+BaseElem's +, * and / read their operand once, in ``_operand``: a number
+(through FieldDescriptor.ratio) or a constant element comes back as its
+ratio (a, b), c = a/b with b a unit, and a ParamPoly p as p/1.  Each shape
+then takes only the work it needs; only the last runs a gcd:
+  - a constant on either side: the integer-ratio lane, (a, b) on
+    ``_times_ratio``.  For num/den in normal form,
     (a/b)*num/den is again in normal form when a != 0, since a unit factor
     changes no gcd, and so is (num + (a/b)*den)/den, since
     gcd(num + c*den, den) = gcd(num, den) = 1.  So the lane scales or shifts
@@ -61,10 +62,9 @@ shape takes only the work it needs; only the last runs a gcd:
     numerators, over 1.  ``BaseElem(num)`` with no denominator is num/1 too.
   - a rational function and anything that is no constant: the gcd route
     (cross-cancelling for *, the Henrici sum for +).
-A ParamPoly operand p is the polynomial p/1.
 
 Text: ParamPoly writes each coefficient with ``str``, of the int numerator
-or, when den != 1, of the Fraction it makes with den, and
+or, when den != 1, of FieldDescriptor.scalar(c, den), and
 BaseElem.render_head gives what a rational function writes before a power
 product; both feed the term-sum rules in termdict, so a coefficient of 4 in
 F5 stays ``4*s`` in a ParamPoly but is the sign of ``-x`` in a DiffPoly.
@@ -125,25 +125,20 @@ class ParamPoly(termdict.Ring):
 
     def __init__(self, terms: Mapping[tuple, int | Fraction], field: FieldDescriptor):
         r = field.param_count
-        for e, c in terms.items():
+        for e in terms:
             if type(e) is not tuple or len(e) != r or not all(type(k) is int and k >= 0 for k in e):
                 raise ValueError(f"exponent {e!r} is not a tuple of {r} naturals")
-            if not isinstance(c, (int, Fraction)):
-                raise TypeError(f"coefficient {c!r} is not an int or a Fraction")
-        coeffs = {e: x for e, c in terms.items() if (x := field.scalar(c))}
-        # reduced Fractions over their lcm have numerators coprime to it; residues have denominator 1
-        den = lcm(*(c.denominator for c in coeffs.values()))
-        self.nums = {e: c.numerator * (den // c.denominator) for e, c in coeffs.items()}
-        self.den = den
-        self.field = field
+        ratios = {e: field.ratio(c) for e, c in terms.items()}
+        # the numerators over the lcm of the denominators, a unit of the field
+        den = lcm(*(b for _, b in ratios.values()))
+        f = _times_ratio(_make({e: a * (den // b) for e, (a, b) in ratios.items() if a}, field), 1, den)
+        self.nums, self.den, self.field = f.nums, f.den, field
 
     @property
     def terms(self) -> dict:
         """{exponent tuple: coefficient}, a new dict: Fractions over Q, residues over F_p."""
-        if self.field.characteristic:
-            return dict(self.nums)
-        den = self.den
-        return {e: Fraction(c, den) for e, c in self.nums.items()}
+        scalar, den = self.field.scalar, self.den
+        return {e: scalar(c, den) for e, c in self.nums.items()}
 
     # -- constructors ------------------------------------------------------
 
@@ -153,8 +148,10 @@ class ParamPoly(termdict.Ring):
 
     @classmethod
     def const(cls, field: FieldDescriptor, value: int | Fraction) -> "ParamPoly":
-        c = value if type(value) is int else field.scalar(value)
-        return _make({(0,) * field.param_count: c.numerator} if c else {}, field, c.denominator)
+        # an int needs no check; any other number is read by the field
+        a, b = (value, 1) if type(value) is int else field.ratio(value)
+        f = _make({(0,) * field.param_count: a} if a else {}, field)
+        return f if b == 1 else _times_ratio(f, 1, b)
 
     @classmethod
     def var(cls, field: FieldDescriptor, i: int) -> "ParamPoly":
@@ -208,7 +205,7 @@ class ParamPoly(termdict.Ring):
         return termdict.power(self, k, ParamPoly.const(self.field, 1))
 
     def scale(self, c: int | Fraction) -> "ParamPoly":
-        return _times_ratio(self, *_ratio(c, self.field))
+        return _times_ratio(self, *self.field.ratio(c))
 
     # -- structure queries -------------------------------------------------
 
@@ -223,7 +220,7 @@ class ParamPoly(termdict.Ring):
         ((e, c),) = self.nums.items()
         if any(e):
             raise ValueError("not a constant polynomial")
-        return c if self.field.characteristic else Fraction(c, self.den)
+        return self.field.scalar(c, self.den)
 
     def degree(self) -> int:
         return max((sum(e) for e in self.nums), default=0)
@@ -232,8 +229,7 @@ class ParamPoly(termdict.Ring):
         if not self.nums:
             raise ValueError("leading term of the zero polynomial")
         e = _lead(self)
-        c = self.nums[e]
-        return e, c if self.field.characteristic else Fraction(c, self.den)
+        return e, self.field.scalar(self.nums[e], self.den)
 
     def variables(self) -> set:
         return {i for e in self.nums for i, k in enumerate(e) if k}
@@ -261,10 +257,11 @@ class ParamPoly(termdict.Ring):
     # -- rendering -----------------------------------------------------------
 
     def render(self) -> str:
-        names, nums, den = self.field.parameter_names, self.nums, self.den
+        field, nums, den = self.field, self.nums, self.den
         return termdict.render_sum(
             termdict.render_product(
-                str(nums[e] if den == 1 else Fraction(nums[e], den)), termdict.render_powers(zip(names, e))
+                str(nums[e] if den == 1 else field.scalar(nums[e], den)),
+                termdict.render_powers(zip(field.parameter_names, e)),
             )
             for e in sorted(nums, key=_monomial_key, reverse=True)
         )
@@ -298,10 +295,13 @@ def _lead(f: ParamPoly) -> tuple:
 
 
 def _times_ratio(f: ParamPoly, a: int, b: int) -> ParamPoly:
-    """f * a/b for ints a and b, b a unit of the field, in int arithmetic."""
+    """f * a/b for ints a and b, b a unit of the field, in int arithmetic: the
+    one scaling rule, which takes (a, b) as FieldDescriptor.ratio gives it and
+    checks nothing again."""
     field = f.field
-    if field.characteristic:
-        return _make(termdict.scale(f.nums, a * field.inverse(b)), field)
+    p = field.characteristic
+    if p:
+        return _make(termdict.scale(f.nums, a * pow(b, p - 2, p)), field)
     return _make(termdict.scale(f.nums, a), field, f.den * b)
 
 
@@ -640,7 +640,7 @@ class BaseElem(termdict.Ring):
 
     @classmethod
     def const(cls, field: FieldDescriptor, value: int | Fraction, den: int = 1) -> "BaseElem":
-        return _const(field, *_ratio(value, field, den))
+        return _const(field, *field.ratio(value, den))
 
     @classmethod
     def param(cls, field: FieldDescriptor, name_or_index: Union[str, int]) -> "BaseElem":
@@ -671,17 +671,19 @@ class BaseElem(termdict.Ring):
         if other.field is not self.field and other.field != self.field:
             raise ValueError("base elements over different fields")
 
-    def _coerce(self, other) -> "BaseElem":
-        """other, a BaseElem, a ParamPoly p (as p/1) or a number, as an element
-        of self's field; NotImplemented for any other type."""
-        if isinstance(other, (int, Fraction)):
-            return _const(self.field, *_ratio(other, self.field))
-        if isinstance(other, ParamPoly):
+    def _operand(self, other) -> "BaseElem | tuple[int, int]":
+        """The operand of +, * or /: a number or a constant element as its
+        ratio (a, b), b a unit of the field; any other element of self's field
+        as it is, and a ParamPoly p as p/1; NotImplemented for any other type."""
+        if type(other) is not BaseElem:
+            if not isinstance(other, ParamPoly):
+                try:
+                    return self.field.ratio(other)
+                except TypeError:
+                    return NotImplemented
             other = BaseElem(other)
-        elif not isinstance(other, BaseElem):
-            return NotImplemented
         self._check(other)
-        return other
+        return _const_ratio(other) or other
 
     def _mul_ratio(self, a: int, b: int) -> "BaseElem":
         """self * a/b for ints a and b, b a unit: a unit factor keeps num and den coprime."""
@@ -701,35 +703,36 @@ class BaseElem(termdict.Ring):
         return bool(self.num)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (int, Fraction)):
-            r = _const_ratio(self)
-            if r is None:
-                return False
-            (n, d), (a, b) = r, _ratio(other, self.field)
-            x, p = n * b - a * d, self.field.characteristic
-            return not (x % p if p else x)
         if isinstance(other, ParamPoly):
             other = BaseElem(other)
-        elif not isinstance(other, BaseElem):
+        if isinstance(other, BaseElem):
+            # an element over another field is unequal, not an error
+            return self.num == other.num and self.den == other.den
+        try:
+            a, b = self.field.ratio(other)
+        except TypeError:
             return NotImplemented
-        return self.num == other.num and self.den == other.den
+        except ZeroDivisionError:
+            return False  # a number with no value in the field equals no element
+        r = _const_ratio(self)
+        if r is None:
+            return False
+        n, d = r
+        x, p = n * b - a * d, self.field.characteristic
+        return not (x % p if p else x)
 
     def __add__(self, other) -> "BaseElem":
-        if type(other) is BaseElem:
-            self._check(other)
-        elif isinstance(other, (int, Fraction)):
-            return self._add_ratio(*_ratio(other, self.field))
-        else:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = self._operand(other)
+        if type(other) is tuple:
+            return self._add_ratio(*other)
+        if other is NotImplemented:
+            return NotImplemented
+        r = _const_ratio(self)
+        if r:
+            return other._add_ratio(*r)
         a, b = self.num, self.den
         c, d = other.num, other.den
         b1, d1 = b.is_const(), d.is_const()
-        if d1 and c.is_const():
-            return self._add_ratio(*_poly_ratio(c))
-        if b1 and a.is_const():
-            return other._add_ratio(*_poly_ratio(a))
         if b1 and d1:
             # two polynomials: their sum is a polynomial over 1
             return _elem(a + c, b)
@@ -751,21 +754,17 @@ class BaseElem(termdict.Ring):
         return (-self) + other
 
     def __mul__(self, other) -> "BaseElem":
-        if type(other) is BaseElem:
-            self._check(other)
-        elif isinstance(other, (int, Fraction)):
-            return self._mul_ratio(*_ratio(other, self.field))
-        else:
-            other = self._coerce(other)
-            if other is NotImplemented:
-                return NotImplemented
+        other = self._operand(other)
+        if type(other) is tuple:
+            return self._mul_ratio(*other)
+        if other is NotImplemented:
+            return NotImplemented
+        r = _const_ratio(self)
+        if r:
+            return other._mul_ratio(*r)
         a, b = self.num, self.den
         c, d = other.num, other.den
         b1, d1 = b.is_const(), d.is_const()
-        if d1 and c.is_const():
-            return self._mul_ratio(*_poly_ratio(c))
-        if b1 and a.is_const():
-            return other._mul_ratio(*_poly_ratio(a))
         if b1 and d1:
             # two polynomials: their product is a polynomial over 1
             return _elem(a * c, b)
@@ -785,7 +784,11 @@ class BaseElem(termdict.Ring):
         return BaseElem._raw(self.den, self.num)
 
     def __truediv__(self, other) -> "BaseElem":
-        other = self._coerce(other)
+        other = self._operand(other)
+        if type(other) is tuple:
+            # b/a, with a refused when it is zero in the field
+            a, b = other
+            return self._mul_ratio(*self.field.ratio(b, a))
         if other is NotImplemented:
             return NotImplemented
         return self * other.inverse()
@@ -852,26 +855,13 @@ def _const(field: FieldDescriptor, a: int, b: int = 1) -> BaseElem:
     return _elem(_times_ratio(one, a, b), one)
 
 
-def _ratio(x: int | Fraction, field: FieldDescriptor, den: int = 1) -> tuple[int, int]:
-    """The number x/den, for an int or a Fraction x and an int den, as ints
-    (a, b) with x/den = a/b and b a unit of the field."""
-    a, b = x.numerator, x.denominator * den
-    p = field.characteristic
-    if not (b % p if p else b):
-        raise ZeroDivisionError(f"denominator divisible by {p}" if p else "zero denominator")
-    return a, b
-
-
-def _poly_ratio(c: ParamPoly) -> tuple[int, int]:
-    """The constant polynomial c as ints (a, b), c = a/b."""
-    nums = c.nums
-    return (next(iter(nums.values())) if nums else 0), c.den
-
-
 def _const_ratio(x: BaseElem) -> tuple[int, int] | None:
     """(a, b) with x = a/b when x is a constant, else None."""
     # a monic constant denominator is 1
-    return _poly_ratio(x.num) if x.den.is_const() and x.num.is_const() else None
+    num = x.num
+    if x.den.is_const() and num.is_const():
+        return next(iter(num.nums.values()), 0), num.den
+    return None
 
 
 def _reduce(num: ParamPoly, den: ParamPoly) -> tuple[ParamPoly, ParamPoly]:

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from enum import Enum
-from fractions import Fraction
 from typing import Sequence
 
 from . import basefield, termdict
@@ -136,7 +135,7 @@ class DiffPoly(SparsePoly):
         return cls._of(field, {(var << _RANK_BITS,): BaseElem.one(field)})  # order 0 has rank 0
 
 
-def symbol_derive(beta: Sequence[int], sym: DiffSymbol, field: FieldDescriptor) -> tuple[int | Fraction, DiffSymbol]:
+def symbol_derive(beta: Sequence[int], sym: DiffSymbol, field: FieldDescriptor) -> tuple[int, DiffSymbol]:
     """d_beta(x^(alpha)) = comp_coeff(beta, alpha) * x^(alpha+beta)."""
     beta = tuple(beta)
     c = comp_coeff(beta, sym.order, field)

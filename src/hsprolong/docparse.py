@@ -61,7 +61,7 @@ from dataclasses import dataclass
 from typing import Optional, Sequence
 
 from . import termdict
-from .basefield import BaseElem, ParamPoly, _elem, _make
+from .basefield import BaseElem, ParamPoly, _elem, _make, _times_ratio
 from .fields import PRIME_BOUND, FieldDescriptor, is_prime
 from .diffpoly import DiffPoly, DiffSymbol
 from .multiindex import zero_index
@@ -461,13 +461,12 @@ class _Parser:
             i += 1
         self.pos = i
 
-        scalar = field.scalar(top, bottom)  # bottom is a unit in characteristic p
-        if not scalar:
-            return
         if min(pexp, default=0) < 0:
             den = _times(den, _make({tuple(-e if e < 0 else 0 for e in pexp): 1}, field))
             pexp = [e if e > 0 else 0 for e in pexp]
-        mono = _make({tuple(pexp): scalar.numerator}, field, scalar.denominator)
+        mono = _times_ratio(_make({tuple(pexp): 1}, field), top, bottom)  # bottom is a unit of the field
+        if not mono:
+            return
         num = mono if num is None else mono * num
         if product is None:
             _add_term(acc, tuple(vexp), _Fraction(num, den))

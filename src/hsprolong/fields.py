@@ -1,15 +1,16 @@
 """Exact coefficient arithmetic in characteristic 0 or p.
 
 Coefficients are plain numbers with no wrapper: a normalized Fraction in
-characteristic 0, an int residue in [0, p) in characteristic p.
-FieldDescriptor.scalar maps an int or Fraction into the field and
-FieldDescriptor.inverse inverts a coefficient; in characteristic p, division
-must go through inverse, since int / int would give a float.  Binomial and
-multinomial coefficients are always computed exactly over the integers and
-only then reduced into the characteristic, so no divisibility subtleties arise
-mod p.  A characteristic is 0 or a prime below PRIME_BOUND, where is_prime,
-Miller-Rabin with the first 13 primes as bases, is exact (Sorenson and
-Webster, Math. Comp. 86 (2017)).
+characteristic 0, an int residue in [0, p) in characteristic p.  The way in
+is FieldDescriptor.ratio, the one rule for a number: an int or a Fraction
+over an int denominator, as ints (a, b) with b a unit of the field.  The way
+out is FieldDescriptor.scalar, the one place that builds a coefficient from
+those ints; division goes through inverse, which goes through scalar,
+since int / int would give a float in characteristic p.  Binomial and multinomial
+coefficients are computed exactly over the integers and only then reduced,
+so they are plain ints.  A characteristic is 0 or a prime below PRIME_BOUND,
+where is_prime, Miller-Rabin with the first 13 primes as bases, is exact
+(Sorenson and Webster, Math. Comp. 86 (2017)).
 """
 
 from __future__ import annotations
@@ -84,36 +85,41 @@ class FieldDescriptor:
         except ValueError:
             raise KeyError(f"unknown parameter {name!r}") from None
 
+    def ratio(self, value: int | Fraction, den: int = 1) -> tuple[int, int]:
+        """The number value/den, for an int or a Fraction value and an int den,
+        as ints (a, b) with value/den = a/b and b a unit of the field."""
+        if not isinstance(value, (int, Fraction)):
+            raise TypeError(f"{value!r} is not an int or a Fraction")
+        if not isinstance(den, int):
+            raise TypeError(f"denominator {den!r} is not an int")
+        b = value.denominator * den
+        p = self.characteristic
+        if not (b % p if p else b):
+            raise ZeroDivisionError(f"denominator divisible by {p}" if p else "zero denominator")
+        return value.numerator, b
+
     def scalar(self, value: int | Fraction, den: int = 1) -> int | Fraction:
         """value/den as a coefficient: a Fraction in characteristic 0, an int in [0, p) in p."""
-        if den != 1:
-            value = Fraction(value, den)
+        a, b = self.ratio(value, den)
         p = self.characteristic
-        if not p:
-            return value if type(value) is Fraction else Fraction(value)
-        if isinstance(value, Fraction):
-            if value.denominator % p == 0:
-                raise ZeroDivisionError(f"denominator divisible by {p}")
-            value = value.numerator * pow(value.denominator, p - 2, p)
-        return value % p
+        return a * pow(b, p - 2, p) % p if p else Fraction(a, b)
 
     def inverse(self, c: int | Fraction) -> int | Fraction:
         """The inverse of a nonzero coefficient c of this field."""
-        if not c:
-            raise ZeroDivisionError("inverse of the zero coefficient")
-        p = self.characteristic
-        return pow(c, p - 2, p) if p else 1 / c
+        a, b = self.ratio(c)
+        return self.scalar(b, a)  # ratio refuses the denominator a when c is zero
 
 
-def binom(n: int, k: int, field: FieldDescriptor) -> int | Fraction:
-    """Binomial coefficient C(n, k) reduced into the field's characteristic.
+def binom(n: int, k: int, field: FieldDescriptor) -> int:
+    """Binomial coefficient C(n, k) reduced into the field's characteristic, an int.
 
     Out-of-range k yields 0, matching the empty-product convention used by
     iterative composition.
     """
     if k < 0 or k > n:
-        return field.scalar(0)
-    return field.scalar(math.comb(n, k))
+        return 0
+    p = field.characteristic
+    return math.comb(n, k) % p if p else math.comb(n, k)
 
 
 def multinomial(parts: Sequence[int]) -> int:
@@ -139,9 +145,10 @@ def comp_count(alpha: Sequence[int], beta: Sequence[int]) -> int:
     return acc
 
 
-def comp_coeff(alpha: Sequence[int], beta: Sequence[int], field: FieldDescriptor) -> int | Fraction:
+def comp_coeff(alpha: Sequence[int], beta: Sequence[int], field: FieldDescriptor) -> int:
     """The coefficient in D_alpha o D_beta = comp_coeff * D_(alpha+beta).
 
-    comp_count(alpha, beta), computed exactly and then reduced.
+    comp_count(alpha, beta), computed exactly and then reduced: an int.
     """
-    return field.scalar(comp_count(alpha, beta))
+    p = field.characteristic
+    return comp_count(alpha, beta) % p if p else comp_count(alpha, beta)

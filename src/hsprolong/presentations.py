@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field
 from typing import Mapping, Sequence
 
-from .basefield import BaseElem, ParamPoly, hasse_table
+from .basefield import BaseElem, ParamPoly, _make, hasse_table
 from .fields import FieldDescriptor
 from .multiindex import (
     enumerate_multiindices,
@@ -206,15 +206,15 @@ def _compatible_extension(src: FieldDescriptor, dst: FieldDescriptor) -> None:
 
 
 def _remap_param_poly(p: ParamPoly, dst: FieldDescriptor) -> ParamPoly:
-    src = p.field
-    pos = [dst.param_index(name) for name in src.parameter_names]
+    """p over dst: a renaming of the keys of its numerators, over the same denominator."""
+    pos = [dst.param_index(name) for name in p.field.parameter_names]
     out = {}
-    for exps, c in p.terms.items():
+    for exps, c in p.nums.items():
         ne = [0] * dst.param_count
         for i, e in enumerate(exps):
             ne[pos[i]] = e
         out[tuple(ne)] = c
-    return ParamPoly(out, dst)
+    return _make(out, dst, p.den)
 
 
 def base_change_elem(a: BaseElem, dst: FieldDescriptor) -> BaseElem:

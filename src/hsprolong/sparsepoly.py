@@ -80,10 +80,8 @@ class SparsePoly(termdict.Ring):
         return cls._of(field, {(): value} if value else {})
 
     @classmethod
-    def from_symbol(cls, field: FieldDescriptor, sym, coeff=None):
-        c = coeff if coeff is not None else BaseElem.one(field)
-        if not isinstance(c, BaseElem):
-            c = BaseElem.const(field, c)
+    def from_symbol(cls, field: FieldDescriptor, sym, coeff: Union[BaseElem, int, Fraction] = 1):
+        c = coeff if isinstance(coeff, BaseElem) else BaseElem.const(field, coeff)
         return cls._of(field, {cls._key(((sym, 1),), field): c} if c else {})
 
     @classmethod
@@ -102,10 +100,11 @@ class SparsePoly(termdict.Ring):
     # -- ring structure -------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, (BaseElem, int, Fraction)):
-            other = self.const(getattr(other, "field", self.field), other)
-        elif not isinstance(other, SparsePoly):
-            return NotImplemented
+        if not isinstance(other, SparsePoly):
+            try:
+                other = self.const(getattr(other, "field", self.field), other)
+            except TypeError:  # no BaseElem and no number
+                return NotImplemented
         elif type(other) is not type(self):
             raise TypeError("mixing different symbolic polynomial rings")
         if other.field != self.field:
@@ -116,10 +115,11 @@ class SparsePoly(termdict.Ring):
         return bool(self.terms)
 
     def __eq__(self, other: object) -> bool:
-        if isinstance(other, (BaseElem, int, Fraction)):
-            other = self.const(self.field, other)
         if not isinstance(other, SparsePoly):
-            return NotImplemented
+            try:
+                other = self.const(self.field, other)
+            except TypeError:
+                return NotImplemented
         return type(self) is type(other) and self.terms == other.terms
 
     def __add__(self, other):
@@ -152,8 +152,7 @@ class SparsePoly(termdict.Ring):
         return termdict.power(self, k, self.const(self.field, 1))
 
     def scale(self, c):
-        if not isinstance(c, BaseElem):
-            c = BaseElem.const(self.field, c)
+        c = c if isinstance(c, BaseElem) else BaseElem.const(self.field, c)
         return self._of(self.field, termdict.scale(self.terms, c))
 
     # -- structure queries ----------------------------------------------------

@@ -5,13 +5,15 @@ is read off the base-p digits of n and k by Lucas' theorem.  The expected
 values here come from those digits and a Pascal triangle mod p, never from
 ``binom`` or ``math.comb``; the CLI outputs were pinned from an earlier,
 independent build.  On quotients, ``hasse_table`` is checked against
-``twist_expand``, the series route that takes no binomial at all.
+``twist_expand``, the series route that takes no binomial at all, and
+against the Q route reduced mod p, whose binomials are integers until the
+reduction.
 """
 
 import math
 
 import pytest
-from hypothesis import Phase, assume, given, settings, strategies as st
+from hypothesis import Phase, assume, event, given, reject, settings, strategies as st
 
 from hsprolong import FieldDescriptor, basefield, cli
 from hsprolong.basefield import BaseElem, ParamPoly, hasse_derive, hasse_table
@@ -171,3 +173,66 @@ def test_iterativity_past_p(case):
         d_b = hasse_derive((b,), c)
         for a in range(1, 2 * p - b + 1):
             assert hasse_derive((a,), d_b) == hasse_derive((a + b,), c) * lucas(a + b, a, p), (a, b)
+
+
+# Hasse derivatives are defined over Z, so reduction mod p commutes with them:
+# for c over Q(s) with integer coefficients, D_k(c) mapped coefficientwise into
+# F_p(s) by FieldDescriptor.scalar is D_k of the image of c.
+
+Q_S = FieldDescriptor(0, ("s",), 1)
+
+
+@st.composite
+def integer_quotients(draw):
+    """(c, p): c = num/den over Q(s) with integer coefficients, deg num in
+    p..2p+1 and den monic of degree 1 or 2, for p in PRIMES."""
+    p = draw(st.sampled_from(PRIMES))
+    ints = st.integers(-3 * p, 3 * p)
+    top = draw(st.lists(ints, min_size=p, max_size=2 * p + 1)) + [draw(ints.filter(bool))]
+    low = draw(st.lists(ints, min_size=1, max_size=2)) + [1]
+    num, den = (ParamPoly({(e,): c for e, c in enumerate(cs)}, Q_S) for cs in (top, low))
+    return BaseElem(num, den), p
+
+
+def reduce_mod(x, fp):
+    """x with each coefficient mapped into fp by FieldDescriptor.scalar, or None
+    when a coefficient's denominator or x's denominator vanishes there."""
+    try:
+        num, den = (ParamPoly({e: fp.scalar(c) for e, c in q.terms.items()}, fp) for q in (x.num, x.den))
+    except ZeroDivisionError:
+        return None
+    return BaseElem(num, den) if den else None
+
+
+def mismatches(c, p):
+    """The multi-indices alpha, |alpha| <= 2p+1, at which D_alpha(c) reduced
+    mod p is not D_alpha of c reduced, or None when a value does not reduce."""
+    fp = FieldDescriptor(p, ("s",), 1)
+    reduced = {alpha: reduce_mod(v, fp) for alpha, v in hasse_table(c, 2 * p + 1).items()}
+    if any(v is None for v in reduced.values()):
+        return None
+    table = hasse_table(reduced[(0,)], 2 * p + 1)  # D_0(c) is c
+    return [alpha for alpha, v in reduced.items() if v != table[alpha]]
+
+
+@settings(max_examples=60, deadline=None)
+@given(case=integer_quotients())
+def test_reduction_mod_p_commutes_with_hasse_table(case):
+    found = mismatches(*case)
+    if found is None:
+        event("a value does not reduce mod p")
+        reject()
+    assert found == []
+
+
+@MUTANTS
+def test_the_reduction_property_catches_a_defect_past_the_characteristic(monkeypatch, owner, name, mutant):
+    monkeypatch.setattr(owner, name, mutant)
+
+    @settings(max_examples=60, deadline=None, database=None, derandomize=True, phases=[Phase.generate])
+    @given(case=integer_quotients())
+    def under_mutant(case):
+        assert not mismatches(*case)
+
+    with pytest.raises(AssertionError):
+        under_mutant()

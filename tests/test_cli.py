@@ -302,7 +302,10 @@ def test_rational_n2_output_is_pinned(command, tmp_path, capsys):
 # on the n = 2 document, and jet at order 6 and prolong at order 4 on a
 # document with three derivations; and prolong at order 3 on a generator
 # with three rational coefficients over three denominators, whose base
-# coefficients take many-factor gcds.  CI replays them through the console script.
+# coefficients take many-factor gcds; and prolong at order 6 and jet at order 3
+# on a document over F5 whose coefficients are quotients of numbers, each of
+# which enters the field as a residue (1/2 = 3, 1/3 = 2, 1/4 = 4, 1/7 = 3).
+# CI replays them through the console script.
 N3_DOC = (
     "char 0; params s1 s2 s3; derivations 3;\nvars x y z;\n"
     "gens x*y - s1/(s2*s3 + 1), (s1 + 2*s2)*z^2/(s1*s2 + s3) - x*(s3 + 1)/(s1 - s3 + 2);\n"
@@ -311,13 +314,16 @@ THREE_DEN_DOC = (
     "char 0; params s1 s2 s3; derivations 3;\nvars x y;\n"
     "gens x*y - (s1 + 2*s2)*s3^2/(s1*s2 + s3) + s1*(s3 + 1)/(s1 - s3 + 2) - s1^3*s2/(s2*s3 + 1);\n"
 )
-PIN_DOCS = {"rational-n2": RATIONAL_N2_DOC, "n3": N3_DOC, "three-den": THREE_DEN_DOC}
+F5_QUOTIENT_DOC = "char 5; params s; derivations 1; vars x y; gens x*y/3 - (s + 1/2)/(s/4 - 2/3), 2*x/7 - s^6/(s + 4);\n"
+PIN_DOCS = {"rational-n2": RATIONAL_N2_DOC, "n3": N3_DOC, "three-den": THREE_DEN_DOC, "f5-quotient": F5_QUOTIENT_DOC}
 LARGE_RANK_SHA256 = {
     ("rational-n2", "jet --order 10"): "e31f343f437616b628b0e6290a699d6cdc71cdd1b3a3088712f338c789962623",
     ("rational-n2", "lift --mode jet --order 6 --map u=x^2-y,v=y^3+z"): "96c2fc43d46f2cdfdfa5d44a59d1bfd35cb6798be11684c4d76886413632a6a4",
     ("n3", "jet --order 6"): "1230010573dd630d849d1fb317d87d92e9241611c2599efe7e9e2590f0f71049",
     ("n3", "prolong --order 4"): "c9ab18466ff0074a844ab56ea2d3ae82bb5270023419c515af3a385e6e3fc9d9",
     ("three-den", "prolong --order 3"): "7c3e74b80d63fc8726d01a3d7b3cf589892ebb6ff616613d77f435b66435270b",
+    ("f5-quotient", "prolong --order 6"): "60499912e6146e4cbd813292666abe11dde37c5da126ecef92287774351799c1",
+    ("f5-quotient", "jet --order 3"): "f8d708ea9fa3316e1691ae2191d5d0b1973be8449ba38e431cc8bbbbc3a32492",
 }
 
 
@@ -330,6 +336,17 @@ def test_large_rank_output_is_pinned(doc, command, tmp_path, capsys):
     assert cli.main([*command.split(), str(path)]) == 0
     stdout = capsys.readouterr().out
     assert hashlib.sha256(stdout.encode()).hexdigest() == LARGE_RANK_SHA256[doc, command]
+
+
+@pytest.mark.parametrize("gen", ["x - s/5", "x - s/(10)"])
+def test_a_divisor_that_is_zero_in_f5_is_an_input_error(gen, tmp_path, capsys):
+    from hsprolong import cli
+
+    path = tmp_path / "doc.txt"
+    path.write_text(f"char 5; params s; derivations 1; vars x; gens {gen};\n", encoding="utf-8")
+    assert cli.main(["prolong", "--order", "1", str(path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("input error: ") and "division by zero" in err
 
 
 # Check reports that reach order-3 derivative tables, which `check all` does
@@ -740,13 +757,13 @@ def test_main_restores_the_int_string_limit(tmp_path, capsys):
 
 if __name__ == "__main__":
     # writes the document of RATIONAL_N2_SHA256 to the path given; with a
-    # directory as well, writes N3_DOC and THREE_DEN_DOC into it as n3-doc.txt
-    # and three-den-doc.txt, and each
+    # directory as well, writes N3_DOC, THREE_DEN_DOC and F5_QUOTIENT_DOC into
+    # it as n3-doc.txt, three-den-doc.txt and f5-quotient-doc.txt, and each
     # PINNED_DOCS document, and prints one line per JSON pin: the digest, then
     # the arguments, separated by tabs
     Path(sys.argv[1]).write_text(RATIONAL_N2_DOC, encoding="utf-8")
     if len(sys.argv) > 2:
-        for name in ("n3", "three-den"):
+        for name in ("n3", "three-den", "f5-quotient"):
             (Path(sys.argv[2]) / f"{name}-doc.txt").write_text(PIN_DOCS[name], encoding="utf-8")
         docs = {}
         for k, (field, (text, _)) in enumerate(sorted(PINNED_DOCS.items())):

@@ -5,7 +5,7 @@ from fractions import Fraction
 
 import pytest
 
-from hsprolong import FieldDescriptor, ParamPoly, binom, comp_coeff, multinomial
+from hsprolong import BaseElem, DiffPoly, FieldDescriptor, ParamPoly, binom, comp_coeff, multinomial
 from hsprolong.fields import PRIME_BOUND, is_prime
 
 Q = FieldDescriptor(0, (), 0)
@@ -169,3 +169,48 @@ def test_large_prime_characteristics_below_the_bound():
         FieldDescriptor(PRIME_BOUND, ("s",), 1)
     with pytest.raises(ValueError, match="characteristic must be below"):
         FieldDescriptor(10**4000, ("s",), 1)
+
+
+# A number enters the field by one rule, FieldDescriptor.ratio: an int or a
+# Fraction, over a denominator that is a unit of the field, with one text for
+# each refusal.  Each entry takes the value on the right: a result, compared
+# with its type, or an exception, compared with its whole text.
+FLOAT = TypeError("0.5 is not an int or a Fraction")
+NOT_A_UNIT_IN_F5 = ZeroDivisionError("denominator divisible by 5")
+ONE_RULE = {
+    "Q.scalar(0.5)": (lambda: Q.scalar(0.5), FLOAT),
+    "F5.scalar(0.5)": (lambda: F5.scalar(0.5), FLOAT),
+    "Q.inverse(0.5)": (lambda: Q.inverse(0.5), FLOAT),
+    "ParamPoly({s: 0.5})": (lambda: ParamPoly({(1,): 0.5}, Q_s), FLOAT),
+    "ParamPoly.const(Q, 0.5)": (lambda: ParamPoly.const(Q_s, 0.5), FLOAT),
+    "ParamPoly.scale(0.5)": (lambda: ParamPoly.var(Q_s, 0).scale(0.5), FLOAT),
+    "BaseElem.const(Q, 0.5)": (lambda: BaseElem.const(Q_s, 0.5), FLOAT),
+    "DiffPoly.const(Q, 0.5)": (lambda: DiffPoly.const(Q_s, 0.5), FLOAT),
+    "DiffPoly.scale(0.5)": (lambda: DiffPoly.zero(Q_s).scale(0.5), FLOAT),
+    "Q.scalar(1, 0)": (lambda: Q.scalar(1, 0), ZeroDivisionError("zero denominator")),
+    "F5.inverse(5)": (lambda: F5.inverse(5), NOT_A_UNIT_IN_F5),
+    "Q.inverse(2)": (lambda: Q.inverse(2), Fraction(1, 2)),
+    "binom over Q": (lambda: binom(4, 2, Q), 6),
+    "comp_coeff over Q": (lambda: comp_coeff((1, 2), (1, 1), QQ2), 6),
+}
+
+
+@pytest.mark.parametrize("call, expected", ONE_RULE.values(), ids=ONE_RULE)
+def test_a_number_enters_the_field_by_one_rule(call, expected):
+    if isinstance(expected, Exception):
+        with pytest.raises(type(expected)) as info:
+            call()
+        assert str(info.value) == str(expected)
+    else:
+        value = call()
+        assert type(value) is type(expected) and value == expected
+
+
+def test_a_number_that_is_not_in_f5_meets_an_element():
+    # arithmetic refuses the number, and equality is False rather than an error
+    s = BaseElem.param(F5, "s")
+    with pytest.raises(ZeroDivisionError, match="^denominator divisible by 5$"):
+        s * Fraction(1, 5)
+    assert (s == Fraction(1, 5)) is False
+    assert (BaseElem.const(F5, 2) == Fraction(1, 5)) is False
+    assert Fraction(1, 5) not in [s, s + 1, BaseElem.one(F5)]
